@@ -19,7 +19,6 @@ from .evaluate import EvalReport, evaluate_run, make_folds, sample_prf
 from .features import ConceptMatcher, TextVectorizer, Vocabulary
 from .pipeline import CLASSIFIERS, RunConfig, fit_pipeline
 from .preprocess import LemmaTable, lemmatize, preprocess, tokenize
-from .sparse import SparseVector
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,6 @@ __all__ = [
     "EvalReport",
     "LemmaTable",
     "RunConfig",
-    "SparseVector",
     "TextVectorizer",
     "Thesaurus",
     "Vocabulary",

@@ -131,8 +131,9 @@ def cmd_train(args) -> int:
         pipeline = fit_pipeline(config, docs, thesaurus, lemma_table, token_seqs=token_seqs)
         save_pipeline(pipeline, args.out)
         if args.dump_vectors:
-            vectors = [pipeline.vector_for(seq) for seq in token_seqs]
-            dump_vectors(args.dump_vectors, [d.doc_id for d in docs], vectors)
+            dump_vectors(
+                args.dump_vectors, [d.doc_id for d in docs], pipeline.vectorize(token_seqs)
+            )
     except Exception as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return 1
@@ -143,13 +144,15 @@ def cmd_train(args) -> int:
 def cmd_annotate(args) -> int:
     try:
         pipeline = load_pipeline(args.model)
-        loaded = load_corpus(args.corpus, pipeline.config.field, require_labels=False)
+        docs = load_corpus(args.corpus, pipeline.config.field, require_labels=False).documents
+        token_seqs = (
+            preprocess(doc.text(pipeline.config.field), pipeline.lemma_table) for doc in docs
+        )
+        predictions = (
+            predicted for _, block in pipeline.predict_blocks(token_seqs) for predicted in block
+        )
         with open(args.out, "w", encoding="utf-8") as fh:
-            for doc in loaded.documents:
-                try:
-                    predicted = pipeline.predict_document(doc)
-                except Exception as exc:
-                    raise RuntimeError(f"document {doc.doc_id}: {exc}") from exc
+            for doc, predicted in zip(docs, predictions):
                 fh.write(json.dumps({"id": doc.doc_id, "labels": sorted(predicted)}) + "\n")
     except Exception as exc:
         print(f"annotation failed: {exc}", file=sys.stderr)

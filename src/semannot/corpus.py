@@ -13,8 +13,6 @@ import math
 import re
 from dataclasses import dataclass
 
-from .preprocess import LemmaTable, preprocess
-
 
 class CorpusFormatError(ValueError):
     pass
@@ -332,9 +330,3 @@ def corpus_stats(
         vocabulary_size_fulltext=vocabulary_size_fulltext,
     )
 
-
-def preprocess_documents(
-    docs: list[Document], field_name: str, table: LemmaTable | None = None
-) -> list[list[str]]:
-    """Token sequences for one corpus field, in document order."""
-    return [preprocess(doc.text(field_name), table) for doc in docs]

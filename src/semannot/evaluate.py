@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Document, Thesaurus
-from .learners import LabelMatrix
-from .pipeline import RunConfig, build_classifier, uses_counts
-from .features import TextVectorizer
+from .pipeline import RunConfig, fit_pipeline
 from .preprocess import LemmaTable, preprocess
 
 
@@ -95,46 +93,32 @@ def run_fold(
     thesaurus: Thesaurus,
     lemma_table: LemmaTable | None,
     token_seqs: list[list[str]],
-    gold_sets: list[frozenset[str]],
+    docs: list[Document],
     fold_index: int,
     train_idx: np.ndarray,
     test_idx: np.ndarray,
 ) -> FoldResult:
-    """Fit on the train split only and score the test split."""
-    train_seqs = [token_seqs[i] for i in train_idx]
-    vectorizer = TextVectorizer(
-        config.vectorization, thesaurus=thesaurus, lemma_table=lemma_table
-    ).fit(train_seqs)
-    count_based = uses_counts(config)
-    X_train = (
-        vectorizer.transform_counts(train_seqs)
-        if count_based
-        else vectorizer.transform(train_seqs)
+    """Fit on the train split only and score the test split against the
+    documents' gold labels."""
+    pipeline = fit_pipeline(
+        config,
+        [docs[i] for i in train_idx],
+        thesaurus,
+        lemma_table,
+        token_seqs=[token_seqs[i] for i in train_idx],
     )
-    labels = LabelMatrix.from_gold([gold_sets[i] for i in train_idx])
-    classifier = build_classifier(config)
-    classifier.fit(X_train, labels)
+    predictions: list[set[str]] = []
+    zero_vec = 0
+    for X, block_predictions in pipeline.predict_blocks(token_seqs[i] for i in test_idx):
+        zero_vec += int(np.count_nonzero(np.diff(X.indptr) == 0))
+        predictions.extend(block_predictions)
 
     precisions, recalls, f1s = [], [], []
-    predictions: list[set[str]] = []
     empty = 0
-    zero_vec = 0
-    for i in test_idx:
-        try:
-            x = (
-                vectorizer.counts_one(token_seqs[i])
-                if count_based
-                else vectorizer.transform_one(token_seqs[i])
-            )
-            if x.nnz == 0:
-                zero_vec += 1
-            predicted = classifier.predict(x)
-        except Exception as exc:
-            raise RuntimeError(f"document ordinal {i}: {exc}") from exc
+    for i, predicted in zip(test_idx, predictions):
         if not predicted:
             empty += 1
-        predictions.append(predicted)
-        p, r, f1 = sample_prf(predicted, gold_sets[i])
+        p, r, f1 = sample_prf(predicted, docs[i].gold_labels)
         precisions.append(p)
         recalls.append(r)
         f1s.append(f1)
@@ -152,10 +136,10 @@ def run_fold(
 
 
 def _fold_worker(task) -> FoldResult:
-    config, thesaurus, lemma_table, token_seqs, gold_sets, fold_index, train_idx, test_idx = task
+    config, thesaurus, lemma_table, token_seqs, docs, fold_index, train_idx, test_idx = task
     try:
         return run_fold(
-            config, thesaurus, lemma_table, token_seqs, gold_sets, fold_index, train_idx, test_idx
+            config, thesaurus, lemma_table, token_seqs, docs, fold_index, train_idx, test_idx
         )
     except Exception as exc:
         raise RuntimeError(f"fold {fold_index} failed: {exc}") from exc
@@ -206,10 +190,9 @@ def evaluate_run(
     """Full cross-validated run of one pipeline configuration."""
     config.validate()
     token_seqs = [preprocess(doc.text(config.field), lemma_table) for doc in docs]
-    gold_sets = [doc.gold_labels for doc in docs]
     plan = make_folds(len(docs), config.folds, config.seed)
     tasks = [
-        (config, thesaurus, lemma_table, token_seqs, gold_sets, i, train, test)
+        (config, thesaurus, lemma_table, token_seqs, docs, i, train, test)
         for i, (train, test) in enumerate(plan.folds)
     ]
     if config.jobs > 1:

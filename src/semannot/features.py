@@ -14,10 +14,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse as sp
 
 from .corpus import Thesaurus
 from .preprocess import LemmaTable, preprocess
-from .sparse import SparseVector
+from .sparse import row_norms, vstack
 
 BM25_K = 1.6
 BM25_B = 0.75
@@ -60,14 +61,15 @@ class Vocabulary:
         return sorted(self.index, key=self.index.get)
 
 
-def count_terms(tokens: list[str], vocab: Vocabulary) -> SparseVector:
-    """Term-frequency vector; tokens outside the vocabulary are ignored."""
+def count_terms(tokens: list[str], vocab: Vocabulary) -> Counter[int]:
+    """Term frequencies by feature index; tokens outside the vocabulary are
+    ignored."""
     counts: Counter[int] = Counter()
     for token in tokens:
         idx = vocab.index.get(token)
         if idx is not None:
             counts[idx] += 1
-    return SparseVector.from_dict(counts, len(vocab))
+    return counts
 
 
 class _TrieNode:
@@ -129,9 +131,6 @@ class ConceptMatcher:
     def n_concepts(self) -> int:
         return len(self.concept_index)
 
-    def patterns(self) -> dict[tuple[str, ...], tuple[str, ...]]:
-        return {toks: tuple(sorted(owners)) for toks, owners in self._patterns.items()}
-
     def match_counts(self, tokens: list[str]) -> Counter[str]:
         counts: Counter[str] = Counter()
         pos = 0
@@ -156,11 +155,10 @@ class ConceptMatcher:
         return counts
 
 
-def extract_concepts(tokens: list[str], matcher: ConceptMatcher) -> SparseVector:
-    """Concept-frequency vector from the longest-match scan."""
+def extract_concepts(tokens: list[str], matcher: ConceptMatcher) -> dict[int, float]:
+    """Concept frequencies by concept index, from the longest-match scan."""
     counts = matcher.match_counts(tokens)
-    entries = {matcher.concept_index[cid]: float(c) for cid, c in counts.items()}
-    return SparseVector.from_dict(entries, matcher.n_concepts)
+    return {matcher.concept_index[cid]: float(c) for cid, c in counts.items()}
 
 
 @dataclass(frozen=True)
@@ -186,78 +184,73 @@ class WeightingModel:
 
 
 def fit_weighting(
-    doc_vectors: list[SparseVector],
+    counts: sp.csr_matrix,
     scheme: str,
     k: float = BM25_K,
     b: float = BM25_B,
 ) -> WeightingModel:
-    """Fit IDF (and BM25 length statistics) on training count vectors."""
+    """Fit IDF (and BM25 length statistics) on training count rows."""
     if scheme not in ("none", "idf", "bm25"):
         raise ValueError(f"unknown weighting scheme {scheme!r}")
-    if not doc_vectors:
+    n = counts.shape[0]
+    if n == 0:
         raise ValueError("empty training set")
-    dimension = doc_vectors[0].dimension
-    df = np.zeros(dimension, dtype=np.float64)
-    total_len = 0.0
-    for v in doc_vectors:
-        if v.dimension != dimension:
-            raise ValueError("inconsistent vector dimensions")
-        df[v.indices] += 1.0
-        total_len += v.sum()
-    n = len(doc_vectors)
-    idf = 1.0 + np.log((n + 1.0) / (df + 1.0))
+    df = np.bincount(counts.indices, minlength=counts.shape[1])
+    idf = 1.0 + np.log((n + 1.0) / (df.astype(np.float64) + 1.0))
     return WeightingModel(
         scheme=scheme,
         idf=idf,
         n_docs=n,
-        mean_doc_len=total_len / n,
+        mean_doc_len=float(counts.data.sum()) / n,
         k=k,
         b=b,
     )
 
 
-def apply_weighting(v: SparseVector, model: WeightingModel) -> SparseVector:
-    """Re-weight a raw count vector under the fitted model.
+def apply_weighting(X: sp.csr_matrix, model: WeightingModel) -> sp.csr_matrix:
+    """Re-weight raw count rows under the fitted model.
 
     bm25 uses the Okapi saturation form
     idf * tf * (k + 1) / (tf + k * (1 - b + b * len / mean_len)) with the
-    document length taken as the sum of the raw counts.
+    document length taken as the sum of the row's raw counts.
     """
-    if v.dimension != model.dimension:
+    if X.shape[1] != model.dimension:
         raise ValueError(
-            f"vector dimension {v.dimension} does not match model dimension {model.dimension}"
+            f"matrix dimension {X.shape[1]} does not match model dimension {model.dimension}"
         )
-    if model.scheme == "none" or v.nnz == 0:
-        return v
-    idf = model.idf[v.indices]
+    if model.scheme == "none":
+        return X
+    tf = X.data
+    idf = model.idf[X.indices]
     if model.scheme == "idf":
-        return SparseVector(v.indices, v.weights * idf, v.dimension)
-    # bm25
-    rel_len = v.sum() / model.mean_doc_len if model.mean_doc_len > 0 else 1.0
-    denom = v.weights + model.k * (1.0 - model.b + model.b * rel_len)
-    weights = idf * v.weights * (model.k + 1.0) / denom
-    return SparseVector(v.indices, weights, v.dimension)
+        weights = tf * idf
+    else:
+        # counts are whole numbers, so row sums are exact in any order
+        lengths = np.repeat(np.asarray(X.sum(axis=1)).ravel(), np.diff(X.indptr))
+        rel_len = lengths / model.mean_doc_len if model.mean_doc_len > 0 else 1.0
+        denom = tf + model.k * (1.0 - model.b + model.b * rel_len)
+        weights = idf * tf * (model.k + 1.0) / denom
+    return sp.csr_matrix((weights, X.indices, X.indptr), shape=X.shape)
 
 
-def l2_normalize(v: SparseVector) -> SparseVector:
-    """Scale to unit Euclidean norm; the zero vector passes through."""
-    norm = v.norm()
-    if norm == 0.0:
-        return v
-    return v.scale(1.0 / norm)
+def l2_normalize(X: sp.csr_matrix) -> sp.csr_matrix:
+    """Scale every row to unit Euclidean norm; all-zero rows pass through."""
+    norms = row_norms(X)
+    factors = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 0.0)
+    data = X.data * np.repeat(factors, np.diff(X.indptr))
+    return sp.csr_matrix((data, X.indices, X.indptr), shape=X.shape)
 
 
-def concat(term_v: SparseVector, concept_v: SparseVector) -> SparseVector:
-    """Concatenate two blocks; concept indices shift past the term block.
+def concat(*blocks: sp.csr_matrix) -> sp.csr_matrix:
+    """Concatenate feature blocks column-wise; later blocks' indices shift
+    past the earlier ones.
 
     The result is intentionally not re-normalized: each block keeps its own
-    unit norm, so the whole vector has norm sqrt(2) when both blocks are
-    nonzero.
+    unit norm, so a row has norm sqrt(2) when both blocks are nonzero.
     """
-    dimension = term_v.dimension + concept_v.dimension
-    indices = np.concatenate([term_v.indices, concept_v.indices + term_v.dimension])
-    weights = np.concatenate([term_v.weights, concept_v.weights])
-    return SparseVector(indices, weights, dimension)
+    if len(blocks) == 1:
+        return blocks[0]
+    return sp.hstack(blocks, format="csr")
 
 
 class TextVectorizer:
@@ -300,12 +293,12 @@ class TextVectorizer:
             raise ValueError("cannot fit a vectorizer on an empty training set")
         if self.uses_terms:
             self.vocab = Vocabulary.fit(token_seqs)
-            term_counts = [count_terms(seq, self.vocab) for seq in token_seqs]
-            self.term_weighting = fit_weighting(term_counts, self.scheme, self.k, self.b)
+            self.term_weighting = fit_weighting(
+                self._term_counts(token_seqs), self.scheme, self.k, self.b
+            )
         if self.uses_concepts:
-            concept_counts = [extract_concepts(seq, self.matcher) for seq in token_seqs]
             self.concept_weighting = fit_weighting(
-                concept_counts, self.scheme, self.k, self.b
+                self._concept_counts(token_seqs), self.scheme, self.k, self.b
             )
         return self
 
@@ -325,43 +318,49 @@ class TextVectorizer:
             dim += self.matcher.n_concepts
         return dim
 
-    def transform_one(self, tokens: list[str]) -> SparseVector:
+    def _term_counts(self, token_seqs: list[list[str]]) -> sp.csr_matrix:
+        return vstack([count_terms(seq, self.vocab) for seq in token_seqs], len(self.vocab))
+
+    def _concept_counts(self, token_seqs: list[list[str]]) -> sp.csr_matrix:
+        return vstack(
+            [extract_concepts(seq, self.matcher) for seq in token_seqs], self.matcher.n_concepts
+        )
+
+    def _blocks(self, token_seqs: list[list[str]]) -> list[tuple[sp.csr_matrix, WeightingModel]]:
+        """Raw count rows and fitted weighting of each feature block, terms first."""
         self._check_fitted()
         blocks = []
         if self.uses_terms:
-            counts = count_terms(tokens, self.vocab)
-            blocks.append(l2_normalize(apply_weighting(counts, self.term_weighting)))
+            blocks.append((self._term_counts(token_seqs), self.term_weighting))
         if self.uses_concepts:
-            counts = extract_concepts(tokens, self.matcher)
-            blocks.append(l2_normalize(apply_weighting(counts, self.concept_weighting)))
-        return blocks[0] if len(blocks) == 1 else concat(blocks[0], blocks[1])
+            blocks.append((self._concept_counts(token_seqs), self.concept_weighting))
+        return blocks
 
-    def counts_one(self, tokens: list[str]) -> SparseVector:
-        self._check_fitted()
-        blocks = []
-        if self.uses_terms:
-            blocks.append(count_terms(tokens, self.vocab))
-        if self.uses_concepts:
-            blocks.append(extract_concepts(tokens, self.matcher))
-        return blocks[0] if len(blocks) == 1 else concat(blocks[0], blocks[1])
+    def transform(self, token_seqs: list[list[str]]) -> sp.csr_matrix:
+        return concat(
+            *[l2_normalize(apply_weighting(c, w)) for c, w in self._blocks(token_seqs)]
+        )
 
-    def transform(self, token_seqs: list[list[str]]) -> list[SparseVector]:
-        return [self.transform_one(seq) for seq in token_seqs]
+    def transform_counts(self, token_seqs: list[list[str]]) -> sp.csr_matrix:
+        return concat(*[counts for counts, _ in self._blocks(token_seqs)])
 
-    def transform_counts(self, token_seqs: list[list[str]]) -> list[SparseVector]:
-        return [self.counts_one(seq) for seq in token_seqs]
+    def transform_one(self, tokens: list[str]) -> sp.csr_matrix:
+        return self.transform([tokens])
+
+    def counts_one(self, tokens: list[str]) -> sp.csr_matrix:
+        return self.transform_counts([tokens])
 
 
-def dump_vectors(path, doc_ids: list[str], vectors: list[SparseVector]) -> None:
+def dump_vectors(path, doc_ids: list[str], X: sp.csr_matrix) -> None:
     """Debug dump: one JSON line per document with indices and weights."""
     with open(path, "w", encoding="utf-8") as fh:
-        for doc_id, v in zip(doc_ids, vectors):
+        for doc_id, start, end in zip(doc_ids, X.indptr[:-1], X.indptr[1:]):
             fh.write(
                 json.dumps(
                     {
                         "id": doc_id,
-                        "indices": [int(i) for i in v.indices],
-                        "weights": [float(w) for w in v.weights],
+                        "indices": [int(i) for i in X.indices[start:end]],
+                        "weights": [float(w) for w in X.data[start:end]],
                     }
                 )
                 + "\n"

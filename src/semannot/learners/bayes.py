@@ -9,9 +9,9 @@ alpha keeps every likelihood finite.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse as sp
 
 from ..multilabel import RankedPrediction, binary_relevance_decide, rank_labels
-from ..sparse import SparseVector, vstack
 from .labels import LabelMatrix
 
 NB_ALPHA = 1e-5
@@ -33,14 +33,11 @@ class NaiveBayesClassifier:
         self.log_theta_pos: np.ndarray | None = None
         self.log_theta_neg: np.ndarray | None = None
 
-    def fit(self, X_counts: list[SparseVector], labels: LabelMatrix) -> "NaiveBayesClassifier":
-        if not X_counts:
+    def fit(self, X_counts: sp.csr_matrix, labels: LabelMatrix) -> "NaiveBayesClassifier":
+        if X_counts.shape[0] == 0:
             raise ValueError("empty training set")
         alpha = self.alpha
-        matrix = vstack(X_counts)
-        if self.variant == "bernoulli":
-            matrix = matrix.copy()
-            matrix.data = np.ones_like(matrix.data)
+        matrix = self._inputs(X_counts)
         indicator = labels.to_csr()
         n_docs = matrix.shape[0]
         n_pos = np.asarray(indicator.sum(axis=0)).ravel()
@@ -59,8 +56,12 @@ class NaiveBayesClassifier:
             n_features = matrix.shape[1]
             z_pos = pos.sum(axis=1) + alpha * n_features
             z_neg = neg.sum(axis=1) + alpha * n_features
-            self.log_theta_pos = np.log(pos + alpha) - np.log(z_pos)[:, None]
-            self.log_theta_neg = np.log(neg + alpha) - np.log(z_neg)[:, None]
+            # an empty vocabulary leaves (L, 0) distributions with nothing to
+            # normalize, and decisions rest on the prior odds alone
+            log_z_pos = np.log(z_pos, out=np.zeros_like(z_pos), where=n_features > 0)
+            log_z_neg = np.log(z_neg, out=np.zeros_like(z_neg), where=n_features > 0)
+            self.log_theta_pos = np.log(pos + alpha) - log_z_pos[:, None]
+            self.log_theta_neg = np.log(neg + alpha) - log_z_neg[:, None]
             self._coef = self.log_theta_pos - self.log_theta_neg
             self._const = log_prior_odds
         else:
@@ -75,20 +76,22 @@ class NaiveBayesClassifier:
             self._const = log_prior_odds + base
         return self
 
-    def log_odds(self, x: SparseVector) -> np.ndarray:
-        """Posterior log-odds per included label."""
+    def _inputs(self, X: sp.csr_matrix) -> sp.csr_matrix:
+        """Counts for the multinomial variant, presence (1.0) for Bernoulli."""
+        if self.variant == "multinomial":
+            return X
+        return sp.csr_matrix((np.ones_like(X.data), X.indices, X.indptr), shape=X.shape)
+
+    def log_odds(self, X: sp.csr_matrix) -> np.ndarray:
+        """(rows, included labels) posterior log-odds."""
         if self._coef is None:
             raise RuntimeError("classifier is not fitted")
-        if x.dimension != self._coef.shape[1]:
+        if X.shape[1] != self._coef.shape[1]:
             raise ValueError("feature dimension mismatch")
-        if x.nnz == 0:
-            return self._const.copy()
-        if self.variant == "multinomial":
-            return self._const + self._coef[:, x.indices] @ x.weights
-        return self._const + self._coef[:, x.indices].sum(axis=1)
+        return self._const + self._inputs(X) @ self._coef.T
 
-    def predict(self, x: SparseVector) -> set[str]:
-        return binary_relevance_decide(self.label_ids, self.log_odds(x) > 0.0)
+    def predict(self, X: sp.csr_matrix) -> list[set[str]]:
+        return [binary_relevance_decide(self.label_ids, row > 0.0) for row in self.log_odds(X)]
 
-    def rank(self, x: SparseVector) -> RankedPrediction:
-        return rank_labels(self.label_ids, self.log_odds(x))
+    def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
+        return [rank_labels(self.label_ids, row) for row in self.log_odds(X)]

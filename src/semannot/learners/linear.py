@@ -18,7 +18,6 @@ from scipy import sparse as sp
 from scipy.special import expit
 
 from ..multilabel import RankedPrediction, binary_relevance_decide, rank_labels
-from ..sparse import SparseVector, vstack
 from .labels import LabelMatrix
 
 LINEAR_ALPHA = 1e-7
@@ -140,12 +139,11 @@ class LinearClassifier:
         self.W: np.ndarray | None = None
         self.b: np.ndarray | None = None
 
-    def fit(self, X: list[SparseVector], labels: LabelMatrix) -> "LinearClassifier":
-        if not X:
+    def fit(self, X: sp.csr_matrix, labels: LabelMatrix) -> "LinearClassifier":
+        if X.shape[0] == 0:
             raise ValueError("empty training set")
-        matrix = vstack(X)
         self.W, self.b = averaged_sgd_train(
-            matrix,
+            X,
             labels.rows,
             labels.n_labels,
             loss=self.loss,
@@ -157,22 +155,21 @@ class LinearClassifier:
         self.label_ids = labels.label_ids
         return self
 
-    def margins(self, x: SparseVector) -> np.ndarray:
+    def margins(self, X: sp.csr_matrix) -> np.ndarray:
+        """(rows, labels) signed distances W x - b."""
         if self.W is None:
             raise RuntimeError("classifier is not fitted")
-        if x.dimension != self.W.shape[1]:
+        if X.shape[1] != self.W.shape[1]:
             raise ValueError("feature dimension mismatch")
-        if x.nnz == 0:
-            return -self.b.copy()
-        return self.W[:, x.indices] @ x.weights - self.b
+        return X @ self.W.T - self.b
 
-    def predict(self, x: SparseVector) -> set[str]:
+    def predict(self, X: sp.csr_matrix) -> list[set[str]]:
         """Labels on the positive side of their averaged hyperplane."""
-        return binary_relevance_decide(self.label_ids, self.margins(x) > 0.0)
+        return [binary_relevance_decide(self.label_ids, row > 0.0) for row in self.margins(X)]
 
-    def scores(self, x: SparseVector) -> np.ndarray:
-        margins = self.margins(x)
+    def scores(self, X: sp.csr_matrix) -> np.ndarray:
+        margins = self.margins(X)
         return expit(margins) if self.loss == "logistic" else margins
 
-    def rank(self, x: SparseVector) -> RankedPrediction:
-        return rank_labels(self.label_ids, self.scores(x))
+    def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
+        return [rank_labels(self.label_ids, row) for row in self.scores(X)]

@@ -10,10 +10,10 @@ threshold (strictly).
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse as sp
 from scipy.special import expit
 
 from ..multilabel import RankedPrediction, rank_labels, threshold_decide
-from ..sparse import SparseVector, vstack
 from .labels import LabelMatrix
 
 MLP_HIDDEN = 1000
@@ -42,11 +42,16 @@ def init_params(n_features: int, hidden: int, n_labels: int, rng: np.random.Gene
     }
 
 
-def forward_scores(params: dict, X: np.ndarray, activation: str) -> np.ndarray:
-    """Per-label probabilities with dropout disabled (prediction path)."""
+def forward_scores(params: dict, X: np.ndarray | sp.csr_matrix, activation: str) -> np.ndarray:
+    """Per-label probabilities with dropout disabled (prediction path).
+
+    The output layer is an einsum rather than a BLAS product: BLAS picks
+    its kernel by the number of rows, which would make a document's scores
+    depend on the block it is scored in.
+    """
     Z1 = X @ params["W1"].T + params["b1"]
     H = np.maximum(Z1, 0.0) if activation == "relu" else np.tanh(Z1)
-    return expit(H @ params["W2"].T + params["b2"])
+    return expit(np.einsum("ij,kj->ik", H, params["W2"]) + params["b2"])
 
 
 def loss_and_grads(
@@ -124,11 +129,10 @@ class MlpClassifier:
         self.params: dict | None = None
         self.epoch_losses: list[float] = []
 
-    def fit(self, X: list[SparseVector], labels: LabelMatrix) -> "MlpClassifier":
-        if not X:
+    def fit(self, X: sp.csr_matrix, labels: LabelMatrix) -> "MlpClassifier":
+        if X.shape[0] == 0:
             raise ValueError("empty training set")
-        matrix = vstack(X)
-        n_docs, n_features = matrix.shape
+        n_docs, n_features = X.shape
         n_labels = labels.n_labels
         targets = np.zeros((n_docs, n_labels), dtype=np.float64)
         for i, row in enumerate(labels.rows):
@@ -145,7 +149,7 @@ class MlpClassifier:
             n_batches = 0
             for lo in range(0, n_docs, self.batch_size):
                 batch_idx = order[lo:lo + self.batch_size]
-                Xb = matrix[batch_idx].toarray()
+                Xb = X[batch_idx].toarray()
                 Tb = targets[batch_idx]
                 mask = None
                 if self.dropout > 0.0:
@@ -177,17 +181,16 @@ class MlpClassifier:
         self.label_ids = labels.label_ids
         return self
 
-    def scores(self, x: SparseVector) -> np.ndarray:
+    def scores(self, X: sp.csr_matrix) -> np.ndarray:
+        """(rows, labels) probabilities."""
         if self.params is None:
             raise RuntimeError("classifier is not fitted")
-        if x.dimension != self.params["W1"].shape[1]:
+        if X.shape[1] != self.params["W1"].shape[1]:
             raise ValueError("feature dimension mismatch")
-        dense = np.zeros((1, x.dimension), dtype=np.float64)
-        dense[0, x.indices] = x.weights
-        return forward_scores(self.params, dense, self.activation)[0]
+        return forward_scores(self.params, X, self.activation)
 
-    def predict(self, x: SparseVector) -> set[str]:
-        return threshold_decide(self.label_ids, self.scores(x), self.threshold)
+    def predict(self, X: sp.csr_matrix) -> list[set[str]]:
+        return [threshold_decide(self.label_ids, row, self.threshold) for row in self.scores(X)]
 
-    def rank(self, x: SparseVector) -> RankedPrediction:
-        return rank_labels(self.label_ids, self.scores(x))
+    def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
+        return [rank_labels(self.label_ids, row) for row in self.scores(X)]

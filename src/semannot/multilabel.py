@@ -212,9 +212,9 @@ def stacking_decide(model: StackedModel, ranking: RankedPrediction) -> set[str]:
 class StackedClassifier:
     """Wrap a ranking base classifier with the decision-tree meta-layer.
 
-    The base must expose fit(X, labels) and rank(x) -> RankedPrediction.
-    Meta-training runs on the base's rankings of the training documents
-    themselves; no held-out split is carved out.
+    The base must expose fit(X, labels) and rank(X) -> one RankedPrediction
+    per row.  Meta-training runs on the base's rankings of the training
+    documents themselves; no held-out split is carved out.
     """
 
     def __init__(self, base, top_m: int = STACKING_TOP_M, max_depth: int = 10, min_leaf: int = 1):
@@ -226,14 +226,17 @@ class StackedClassifier:
 
     def fit(self, X, labels) -> "StackedClassifier":
         self.base.fit(X, labels)
-        rankings = [self.base.rank(x) for x in X]
-        gold_sets = [labels.row_set(i) for i in range(len(X))]
+        gold_sets = [labels.row_set(i) for i in range(labels.n_docs)]
         self.model = stacking_train(
-            rankings, gold_sets, top_m=self.top_m, max_depth=self.max_depth, min_leaf=self.min_leaf
+            self.base.rank(X),
+            gold_sets,
+            top_m=self.top_m,
+            max_depth=self.max_depth,
+            min_leaf=self.min_leaf,
         )
         return self
 
-    def predict(self, x) -> set[str]:
+    def predict(self, X) -> list[set[str]]:
         if self.model is None:
             raise RuntimeError("classifier is not fitted")
-        return stacking_decide(self.model, self.base.rank(x))
+        return [stacking_decide(self.model, ranking) for ranking in self.base.rank(X)]

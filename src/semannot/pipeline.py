@@ -5,6 +5,10 @@ through the processing pipeline."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dc_field
+from itertools import islice
+from typing import Iterable, Iterator
+
+from scipy import sparse as sp
 
 from .corpus import Document, Thesaurus
 from .features import VARIANTS, TextVectorizer
@@ -21,7 +25,7 @@ from .learners.mlp import MLP_EPOCHS
 from .multilabel import StackedClassifier
 from .preprocess import LemmaTable, preprocess
 from .ranking import L2R_K, L2RClassifier
-from .sparse import SparseVector
+from .sparse import ROW_BLOCK
 
 CLASSIFIERS = (
     "knn",
@@ -119,10 +123,6 @@ def build_classifier(config: RunConfig):
     raise ValueError(f"unknown classifier {kind!r}")
 
 
-def uses_counts(config: RunConfig) -> bool:
-    return config.classifier in _COUNT_BASED
-
-
 @dataclass
 class FittedPipeline:
     """A vectorizer and classifier fitted together, ready to annotate."""
@@ -130,19 +130,28 @@ class FittedPipeline:
     config: RunConfig
     vectorizer: TextVectorizer
     classifier: object
-    count_based: bool
     lemma_table: LemmaTable | None = dc_field(default=None, repr=False)
 
-    def vector_for(self, tokens: list[str]) -> SparseVector:
-        if self.count_based:
-            return self.vectorizer.counts_one(tokens)
-        return self.vectorizer.transform_one(tokens)
+    def vectorize(self, token_seqs: list[list[str]]) -> sp.csr_matrix:
+        """Classifier input rows: raw counts for the count-based classifiers,
+        weighted unit vectors for the rest."""
+        if self.config.classifier in _COUNT_BASED:
+            return self.vectorizer.transform_counts(token_seqs)
+        return self.vectorizer.transform(token_seqs)
 
-    def predict_tokens(self, tokens: list[str]) -> set[str]:
-        return self.classifier.predict(self.vector_for(tokens))
+    def predict_blocks(
+        self, token_seqs: Iterable[list[str]]
+    ) -> Iterator[tuple[sp.csr_matrix, list[set[str]]]]:
+        """Vectorize and decide ROW_BLOCK documents at a time; yields each
+        block's feature rows with one label set per row."""
+        seqs = iter(token_seqs)
+        while block := list(islice(seqs, ROW_BLOCK)):
+            X = self.vectorize(block)
+            yield X, self.classifier.predict(X)
 
     def predict_document(self, doc: Document) -> set[str]:
-        return self.predict_tokens(preprocess(doc.text(self.config.field), self.lemma_table))
+        tokens = preprocess(doc.text(self.config.field), self.lemma_table)
+        return self.classifier.predict(self.vectorize([tokens]))[0]
 
 
 def fit_pipeline(
@@ -152,26 +161,15 @@ def fit_pipeline(
     lemma_table: LemmaTable | None = None,
     token_seqs: list[list[str]] | None = None,
 ) -> FittedPipeline:
-    """Fit vectorizer and classifier on the given documents (no held-out split)."""
+    """Fit vectorizer and classifier on the given documents (no held-out
+    split); ``token_seqs``, when given, are their preprocessed texts."""
     config.validate()
     if token_seqs is None:
         token_seqs = [preprocess(doc.text(config.field), lemma_table) for doc in docs]
     vectorizer = TextVectorizer(
         config.vectorization, thesaurus=thesaurus, lemma_table=lemma_table
     ).fit(token_seqs)
-    count_based = uses_counts(config)
-    X = (
-        vectorizer.transform_counts(token_seqs)
-        if count_based
-        else vectorizer.transform(token_seqs)
-    )
+    pipeline = FittedPipeline(config, vectorizer, build_classifier(config), lemma_table)
     labels = LabelMatrix.from_gold([doc.gold_labels for doc in docs])
-    classifier = build_classifier(config)
-    classifier.fit(X, labels)
-    return FittedPipeline(
-        config=config,
-        vectorizer=vectorizer,
-        classifier=classifier,
-        count_based=count_based,
-        lemma_table=lemma_table,
-    )
+    pipeline.classifier.fit(pipeline.vectorize(token_seqs), labels)
+    return pipeline

@@ -18,7 +18,6 @@ from .learners.labels import LabelMatrix
 from .learners.lazy import KnnClassifier
 from .learners.linear import LINEAR_ALPHA, LINEAR_EPOCHS, LINEAR_ETA0, averaged_sgd_train
 from .multilabel import RankedPrediction, rank_labels, round_half_up
-from .sparse import SparseVector
 
 L2R_K = 45
 N_RANKING_FEATURES = 4
@@ -38,21 +37,17 @@ class CandidateSet:
 
 
 def generate_candidates(
-    x: SparseVector,
-    knn: KnnClassifier,
+    idx: np.ndarray,
+    sims: np.ndarray,
+    labels: LabelMatrix,
     priors: np.ndarray,
-    k: int = L2R_K,
-    exclude: int | None = None,
-    doc_id: str | None = None,
 ) -> CandidateSet:
-    """Union of the k nearest neighbors' gold labels, with features.
+    """Union of one document's neighbors' gold labels, with features.
 
-    k is clamped to the training-set size.  ``exclude`` removes one
-    training ordinal from the neighborhood (leave-one-out candidate
-    generation when ranking training documents themselves).
+    ``idx`` and ``sims`` are the document's row of
+    ``KnnClassifier.neighbors``: nearest training ordinals and their cosine
+    similarities, most similar first.
     """
-    idx, sims = knn.neighbors(x, k=k, exclude=exclude)
-    labels = knn.labels
     f1 = np.zeros(labels.n_labels)
     f2 = np.zeros(labels.n_labels)
     f4 = np.zeros(labels.n_labels)
@@ -68,7 +63,7 @@ def generate_candidates(
         [f1[chosen], f2[chosen], priors[chosen], f4[chosen]]
     ) if chosen else np.empty((0, N_RANKING_FEATURES))
     return CandidateSet(
-        doc_id=doc_id,
+        doc_id=None,
         labels=[labels.label_ids[j] for j in chosen],
         features=features,
     )
@@ -148,14 +143,12 @@ class L2RClassifier:
         self.priors: np.ndarray | None = None
         self.model: RankerModel | None = None
 
-    def fit(self, X: list[SparseVector], labels: LabelMatrix) -> "L2RClassifier":
+    def fit(self, X: sp.csr_matrix, labels: LabelMatrix) -> "L2RClassifier":
         self.knn = KnnClassifier(k=1).fit(X, labels)
         self.priors = labels.priors()
-        candidate_sets = [
-            generate_candidates(x, self.knn, self.priors, k=self.k, exclude=i)
-            for i, x in enumerate(X)
-        ]
-        gold_sets = [labels.row_set(i) for i in range(len(X))]
+        # leave-one-out: a training document is not its own neighbor
+        candidate_sets = self.candidates(X, exclude=np.arange(X.shape[0]))
+        gold_sets = [labels.row_set(i) for i in range(X.shape[0])]
         cutoff = max(1, round_half_up(labels.mean_labels_per_doc()))
         self.model = ranker_fit(
             candidate_sets,
@@ -168,17 +161,22 @@ class L2RClassifier:
         )
         return self
 
-    def candidates(self, x: SparseVector) -> CandidateSet:
+    def candidates(self, X: sp.csr_matrix, exclude: np.ndarray | None = None) -> list[CandidateSet]:
+        """One candidate set per row from its k nearest training documents
+        (k clamped to the training-set size)."""
         if self.knn is None:
             raise RuntimeError("classifier is not fitted")
-        return generate_candidates(x, self.knn, self.priors, k=self.k)
+        idx, sims = self.knn.neighbors(X, k=self.k, exclude=exclude)
+        return [
+            generate_candidates(i, s, self.knn.labels, self.priors) for i, s in zip(idx, sims)
+        ]
 
-    def rank(self, x: SparseVector) -> RankedPrediction:
+    def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
         if self.model is None:
             raise RuntimeError("classifier is not fitted")
-        return rank_candidates(self.model, self.candidates(x))
+        return [rank_candidates(self.model, cs) for cs in self.candidates(X)]
 
-    def predict(self, x: SparseVector) -> set[str]:
+    def predict(self, X: sp.csr_matrix) -> list[set[str]]:
         if self.model is None:
             raise RuntimeError("classifier is not fitted")
-        return rank_and_cut(self.model, self.candidates(x))
+        return [rank_and_cut(self.model, cs) for cs in self.candidates(X)]

@@ -22,7 +22,7 @@ from .learners import (
     RocchioClassifier,
 )
 from .multilabel import DecisionTree, StackedClassifier, StackedModel
-from .pipeline import FittedPipeline, RunConfig, uses_counts
+from .pipeline import FittedPipeline, RunConfig
 from .preprocess import LemmaTable
 from .ranking import L2RClassifier, RankerModel
 
@@ -282,6 +282,5 @@ def load_pipeline(path) -> FittedPipeline:
         config=config,
         vectorizer=_dec_vectorizer(container["vectorizer"]),
         classifier=_dec_classifier(container["classifier"]),
-        count_based=uses_counts(config),
         lemma_table=lemma_table,
     )

@@ -1,104 +1,49 @@
-"""Sparse feature vectors: the common currency between vectorizers and classifiers."""
+"""CSR helpers shared by the vectorizers and the classifiers: every sparse
+matrix between the layers is a ``scipy.sparse.csr_matrix`` with one
+document per row."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import sparse as sp
 
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Immutable index->weight map over a fixed-size feature space.
-
-    Indices are strictly increasing and below ``dimension``; entries with
-    weight exactly zero are never stored.
-    """
-
-    indices: np.ndarray
-    weights: np.ndarray
-    dimension: int
-
-    @classmethod
-    def from_dict(cls, entries: dict[int, float], dimension: int) -> "SparseVector":
-        items = sorted((i, w) for i, w in entries.items() if w != 0.0)
-        idx = np.array([i for i, _ in items], dtype=np.int64)
-        wts = np.array([w for _, w in items], dtype=np.float64)
-        return cls(idx, wts, dimension)
-
-    @classmethod
-    def empty(cls, dimension: int) -> "SparseVector":
-        return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), dimension)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-    def to_dict(self) -> dict[int, float]:
-        return {int(i): float(w) for i, w in zip(self.indices, self.weights)}
-
-    def sum(self) -> float:
-        return float(self.weights.sum()) if self.nnz else 0.0
-
-    def norm(self) -> float:
-        return math.sqrt(float(np.dot(self.weights, self.weights))) if self.nnz else 0.0
-
-    def scale(self, factor: float) -> "SparseVector":
-        if self.nnz == 0:
-            return self
-        return SparseVector(self.indices, self.weights * factor, self.dimension)
-
-    def dot(self, other: "SparseVector") -> float:
-        if self.nnz == 0 or other.nnz == 0:
-            return 0.0
-        # merge on sorted index arrays
-        pos = np.searchsorted(other.indices, self.indices)
-        pos = np.clip(pos, 0, other.nnz - 1)
-        hit = other.indices[pos] == self.indices
-        return float(np.dot(self.weights[hit], other.weights[pos[hit]]))
-
-    def binarized(self) -> "SparseVector":
-        """Presence vector: every stored weight becomes 1.0."""
-        return SparseVector(self.indices, np.ones(self.nnz, dtype=np.float64), self.dimension)
-
-    def validate(self) -> None:
-        if len(self.indices) != len(self.weights):
-            raise ValueError("index/weight length mismatch")
-        if self.nnz:
-            if self.indices[0] < 0 or self.indices[-1] >= self.dimension:
-                raise ValueError("index out of range")
-            if np.any(np.diff(self.indices) <= 0):
-                raise ValueError("indices must be strictly increasing")
-            if np.any(self.weights == 0.0):
-                raise ValueError("explicit zeros are not allowed")
+# Documents scored together.  Dense per-block intermediates (rows x labels,
+# rows x training documents, rows x hidden units) stay bounded at any
+# corpus size.
+ROW_BLOCK = 256
 
 
-def vstack(vectors: list[SparseVector], dimension: int | None = None) -> sp.csr_matrix:
-    """Stack sparse vectors into one CSR matrix, one vector per row."""
-    if dimension is None:
-        if not vectors:
-            raise ValueError("cannot infer dimension from an empty list")
-        dimension = vectors[0].dimension
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    for i, v in enumerate(vectors):
-        if v.dimension != dimension:
-            raise ValueError(f"vector {i} has dimension {v.dimension}, expected {dimension}")
-        indptr[i + 1] = indptr[i] + v.nnz
-    nnz = int(indptr[-1])
-    indices = np.empty(nnz, dtype=np.int64)
-    data = np.empty(nnz, dtype=np.float64)
-    for i, v in enumerate(vectors):
-        indices[indptr[i]:indptr[i + 1]] = v.indices
-        data[indptr[i]:indptr[i + 1]] = v.weights
-    return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dimension))
-
-
-def row_vector(matrix: sp.csr_matrix, row: int) -> SparseVector:
-    start, end = matrix.indptr[row], matrix.indptr[row + 1]
-    return SparseVector(
-        matrix.indices[start:end].astype(np.int64),
-        matrix.data[start:end].astype(np.float64),
-        matrix.shape[1],
+def vstack(rows: Sequence[Mapping[int, float]], dimension: int) -> sp.csr_matrix:
+    """Stack per-document index -> weight maps into one CSR matrix, one map
+    per row; indices are sorted within each row and zero weights dropped."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    indices: list[int] = []
+    data: list[float] = []
+    for i, row in enumerate(rows):
+        for j in sorted(row):
+            if row[j] != 0.0:
+                indices.append(j)
+                data.append(row[j])
+        indptr[i + 1] = len(indices)
+    if indices and not 0 <= min(indices) <= max(indices) < dimension:
+        raise ValueError(f"feature index out of range for dimension {dimension}")
+    return sp.csr_matrix(
+        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64), indptr),
+        shape=(len(rows), dimension),
     )
+
+
+def row_norms(X: sp.csr_matrix) -> np.ndarray:
+    """Euclidean norm of every row, each taken with one np.dot over that
+    row's stored weights, so a row's norm is the same in any block."""
+    return np.array(
+        [
+            math.sqrt(float(np.dot(X.data[start:end], X.data[start:end])))
+            for start, end in zip(X.indptr[:-1], X.indptr[1:])
+        ],
+        dtype=np.float64,
+    )
+

@@ -8,20 +8,20 @@ import math
 from collections import Counter
 
 import numpy as np
+from scipy import sparse as sp
 
 from semannot.corpus import Concept, Thesaurus
-from semannot.sparse import SparseVector
 
 
-def brute_force_idf(vectors: list[SparseVector], dimension: int) -> list[float]:
+def brute_force_idf(matrix: sp.csr_matrix, dimension: int) -> list[float]:
     """1 + ln((N+1)/(df+1)) computed feature by feature, document by document."""
-    n = len(vectors)
+    rows = matrix.toarray().tolist()
+    n = len(rows)
     values = []
     for w in range(dimension):
         df = 0
-        for v in vectors:
-            weight = dict(zip(v.indices.tolist(), v.weights.tolist())).get(w, 0.0)
-            if weight > 0:
+        for row in rows:
+            if row[w] > 0:
                 df += 1
         values.append(1.0 + math.log((n + 1) / (df + 1)))
     return values
@@ -56,16 +56,16 @@ ORACLE_TOKENS = ["ta", "tb", "tc", "td", "te"]
 
 def random_count_vectors(
     rng: np.random.Generator, max_docs: int = 20, max_features: int = 30
-) -> list[SparseVector]:
+) -> sp.csr_matrix:
+    """Random whole-number count rows, one document per row."""
     n_docs = int(rng.integers(1, max_docs + 1))
     dim = int(rng.integers(1, max_features + 1))
-    vectors = []
-    for _ in range(n_docs):
+    dense = np.zeros((n_docs, dim))
+    for row in dense:
         nnz = int(rng.integers(0, dim + 1))
-        idx = np.sort(rng.choice(dim, size=nnz, replace=False)).astype(np.int64)
-        wts = rng.integers(1, 6, size=nnz).astype(np.float64)
-        vectors.append(SparseVector(idx, wts, dim))
-    return vectors
+        idx = np.sort(rng.choice(dim, size=nnz, replace=False))
+        row[idx] = rng.integers(1, 6, size=nnz)
+    return sp.csr_matrix(dense)
 
 
 def random_thesaurus(rng: np.random.Generator, max_phrases: int = 50) -> Thesaurus:

@@ -47,7 +47,7 @@ def test_idf_oracle_equivalence():
     for _ in range(200):
         vectors = random_count_vectors(rng, max_docs=20, max_features=30)
         model = fit_weighting(vectors, "idf")
-        expected = brute_force_idf(vectors, vectors[0].dimension)
+        expected = brute_force_idf(vectors, vectors.shape[1])
         assert np.allclose(model.idf, expected, atol=1e-12, rtol=0.0)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
@@ -196,11 +196,10 @@ def test_stacking_containment_exhaustive():
         )
         pipeline = fit_pipeline(config, made.documents, made.thesaurus)
         stacked = pipeline.classifier
-        for doc in made.documents:
-            tokens = preprocess(doc.title)
-            x = pipeline.vector_for(tokens)
-            base_top = {cid for cid, _, _ in stacked.base.rank(x)[:30]}
-            assert stacked.predict(x) <= base_top
+        X = pipeline.vectorize([preprocess(doc.title) for doc in made.documents])
+        for ranking, predicted in zip(stacked.base.rank(X), stacked.predict(X)):
+            base_top = {cid for cid, _, _ in ranking[:30]}
+            assert predicted <= base_top
             checked += 1
     report(f"stacking containment ({checked} document/classifier pairs)")
 
@@ -219,13 +218,11 @@ def test_l2r_cutoff_exhaustive():
     clf = L2RClassifier(k=10, epochs=3, seed=0).fit(X, labels)
     cutoff = clf.model.cutoff
     assert cutoff >= 1
-    for x in X:
-        candidates = clf.candidates(x)
-        predicted = clf.predict(x)
+    for candidates, predicted in zip(clf.candidates(X), clf.predict(X)):
         assert len(predicted) <= cutoff
         if len(candidates.labels) >= cutoff:
             assert len(predicted) == cutoff
-    report(f"L2R cutoff (cutoff {cutoff}, {len(X)} documents)")
+    report(f"L2R cutoff (cutoff {cutoff}, {X.shape[0]} documents)")
 
 
 def test_cli_determinism_across_runs_and_jobs(tmp_path):

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import semannot.evaluate as ev
+import semannot.pipeline as pl
 from semannot.corpus import Concept, Document, Thesaurus
 from semannot.evaluate import evaluate_run, make_folds, run_fold, sample_prf
 from semannot.pipeline import RunConfig
@@ -73,16 +76,19 @@ class _GoldEchoClassifier:
     def fit(self, X, labels):
         return self
 
-    def predict(self, x):
-        return {self.concept_ids[int(i)] for i in x.indices}
+    def predict(self, X):
+        return [
+            {self.concept_ids[int(i)] for i in X.indices[start:end]}
+            for start, end in zip(X.indptr[:-1], X.indptr[1:])
+        ]
 
 
 class _EmptyClassifier:
     def fit(self, X, labels):
         return self
 
-    def predict(self, x):
-        return set()
+    def predict(self, X):
+        return [set() for _ in range(X.shape[0])]
 
 
 def oracle_corpus(n=40):
@@ -104,7 +110,7 @@ def oracle_corpus(n=40):
 def test_oracle_classifier_scores_perfect_f1(monkeypatch):
     docs, thesaurus = oracle_corpus()
     monkeypatch.setattr(
-        ev, "build_classifier", lambda cfg: _GoldEchoClassifier(thesaurus.sorted_ids())
+        pl, "build_classifier", lambda cfg: _GoldEchoClassifier(thesaurus.sorted_ids())
     )
     config = RunConfig(vectorization="cf-idf", classifier="knn", folds=5, seed=1)
     report = evaluate_run(config, docs, thesaurus)
@@ -115,7 +121,7 @@ def test_oracle_classifier_scores_perfect_f1(monkeypatch):
 
 def test_always_empty_classifier_scores_zero(monkeypatch):
     docs, thesaurus = oracle_corpus()
-    monkeypatch.setattr(ev, "build_classifier", lambda cfg: _EmptyClassifier())
+    monkeypatch.setattr(pl, "build_classifier", lambda cfg: _EmptyClassifier())
     config = RunConfig(vectorization="cf-idf", classifier="knn", folds=5, seed=1)
     report = evaluate_run(config, docs, thesaurus)
     assert report.mean_f1 == 0.0
@@ -145,17 +151,16 @@ def test_no_leakage_from_test_fold_gold_labels():
     docs = made.documents
     config = RunConfig(vectorization="ctf-idf", classifier="lr-dt", folds=4, seed=0, epochs=3)
     token_seqs = [ev.preprocess(d.title) for d in docs]
-    gold = [d.gold_labels for d in docs]
     plan = make_folds(len(docs), 4, seed=0)
     train_idx, test_idx = plan.folds[0]
 
-    honest = run_fold(config, made.thesaurus, None, token_seqs, gold, 0, train_idx, test_idx)
+    honest = run_fold(config, made.thesaurus, None, token_seqs, docs, 0, train_idx, test_idx)
     # permute the gold sets within the test fold only
-    corrupted = list(gold)
-    rotated = [gold[i] for i in test_idx]
+    corrupted = list(docs)
+    rotated = [docs[i].gold_labels for i in test_idx]
     rotated = rotated[1:] + rotated[:1]
     for i, g in zip(test_idx, rotated):
-        corrupted[i] = g
+        corrupted[i] = dataclasses.replace(docs[i], gold_labels=g)
     tampered = run_fold(
         config, made.thesaurus, None, token_seqs, corrupted, 0, train_idx, test_idx
     )
@@ -190,6 +195,5 @@ def test_fold_errors_carry_fold_context():
     bad_seqs = [None] * len(docs)  # provoke a failure inside the fold
     with pytest.raises(RuntimeError, match="fold 0"):
         ev._fold_worker(
-            (config, thesaurus, None, bad_seqs, [d.gold_labels for d in docs], 0,
-             np.arange(6), np.arange(6, 12))
+            (config, thesaurus, None, bad_seqs, docs, 0, np.arange(6), np.arange(6, 12))
         )

@@ -19,7 +19,7 @@ from semannot.features import (
     l2_normalize,
 )
 from semannot.preprocess import preprocess
-from semannot.sparse import SparseVector, vstack
+from semannot.sparse import row_norms, vstack
 
 from oracles import (
     brute_force_idf,
@@ -30,44 +30,60 @@ from oracles import (
 )
 
 
-def sv(entries: dict[int, float], dim: int) -> SparseVector:
-    return SparseVector.from_dict(entries, dim)
+def sv(entries: dict[int, float], dim: int):
+    """One document as a 1-row CSR matrix."""
+    return vstack([entries], dim)
+
+
+def to_dict(x) -> dict[int, float]:
+    """Index -> weight map of a 1-row CSR matrix."""
+    return dict(zip(x.indices.tolist(), x.data.tolist()))
+
+
+def assert_valid_rows(X) -> None:
+    """Every row: indices strictly increasing and in range, no stored zeros."""
+    assert len(X.indices) == len(X.data)
+    for start, end in zip(X.indptr[:-1], X.indptr[1:]):
+        idx = X.indices[start:end]
+        assert np.all(np.diff(idx) > 0)
+        assert np.all((idx >= 0) & (idx < X.shape[1]))
+        assert np.all(X.data[start:end] != 0.0)
 
 
 class TestCountTerms:
     def test_direct_count(self):
         vocab = Vocabulary({"a": 0, "b": 1})
-        assert count_terms(["a", "b", "a"], vocab).to_dict() == {0: 2.0, 1: 1.0}
+        assert dict(count_terms(["a", "b", "a"], vocab)) == {0: 2.0, 1: 1.0}
 
     def test_oov_only(self):
         vocab = Vocabulary({"a": 0})
-        assert count_terms(["c"], vocab).to_dict() == {}
+        assert dict(count_terms(["c"], vocab)) == {}
 
     def test_empty(self):
         vocab = Vocabulary({"a": 0})
-        assert count_terms([], vocab).to_dict() == {}
+        assert dict(count_terms([], vocab)) == {}
 
 
 class TestExtractConcepts:
     def test_longest_phrase_wins(self, rate_thesaurus):
         matcher = ConceptMatcher(rate_thesaurus)
         v = extract_concepts(["interest", "rate", "hike"], matcher)
-        assert v.to_dict() == {matcher.concept_index["c1"]: 1.0}
+        assert v == {matcher.concept_index["c1"]: 1.0}
 
     def test_shorter_phrase_counts_when_alone(self, rate_thesaurus):
         matcher = ConceptMatcher(rate_thesaurus)
         v = extract_concepts(["rate", "rate"], matcher)
-        assert v.to_dict() == {matcher.concept_index["c2"]: 2.0}
+        assert v == {matcher.concept_index["c2"]: 2.0}
 
     def test_empty_tokens(self, rate_thesaurus):
         matcher = ConceptMatcher(rate_thesaurus)
-        assert extract_concepts([], matcher).to_dict() == {}
+        assert extract_concepts([], matcher) == {}
 
     def test_alt_label_unifies_with_pref(self, rate_thesaurus):
         # "interest rates" lemmatizes onto the same pattern as the pref label
         matcher = ConceptMatcher(rate_thesaurus)
         v = extract_concepts(preprocess("interest rates"), matcher)
-        assert v.to_dict() == {matcher.concept_index["c1"]: 1.0}
+        assert v == {matcher.concept_index["c1"]: 1.0}
 
     def test_shared_phrase_counts_both_owners(self):
         thesaurus = Thesaurus(
@@ -75,7 +91,7 @@ class TestExtractConcepts:
         )
         matcher = ConceptMatcher(thesaurus)
         v = extract_concepts(["gold"], matcher)
-        assert v.to_dict() == {
+        assert v == {
             matcher.concept_index["x"]: 1.0,
             matcher.concept_index["y"]: 1.0,
         }
@@ -87,46 +103,46 @@ class TestExtractConcepts:
         table = LemmaTable({"mice": "mouse"})
         matcher = ConceptMatcher(thesaurus, table)
         v = extract_concepts(preprocess("mice everywhere", table), matcher)
-        assert v.to_dict() == {matcher.concept_index["m"]: 1.0}
+        assert v == {matcher.concept_index["m"]: 1.0}
 
 
 class TestWeighting:
     def test_idf_appears_everywhere(self):
-        vectors = [sv({0: 1.0}, 1), sv({0: 2.0}, 1)]
+        vectors = vstack([{0: 1.0}, {0: 2.0}], 1)
         model = fit_weighting(vectors, "idf")
         assert model.idf[0] == 1.0  # 1 + ln(3/3)
 
     def test_idf_half_df(self):
-        vectors = [sv({0: 1.0}, 1), sv({}, 1)]
+        vectors = vstack([{0: 1.0}, {}], 1)
         model = fit_weighting(vectors, "idf")
         assert model.idf[0] == pytest.approx(1.0 + math.log(3 / 2), abs=1e-12)
 
     def test_idf_absent_feature(self):
-        vectors = [sv({}, 1), sv({}, 1)]
+        vectors = vstack([{}, {}], 1)
         model = fit_weighting(vectors, "idf")
         assert model.idf[0] == pytest.approx(1.0 + math.log(3.0), abs=1e-12)
 
     def test_empty_training_set_error(self):
         with pytest.raises(ValueError, match="empty"):
-            fit_weighting([], "idf")
+            fit_weighting(vstack([], 1), "idf")
 
     def test_apply_idf_product(self):
         model = WeightingModel("idf", np.array([2.0]), n_docs=4, mean_doc_len=1.0)
-        assert apply_weighting(sv({0: 3.0}, 1), model).to_dict() == {0: 6.0}
+        assert to_dict(apply_weighting(sv({0: 3.0}, 1), model)) == {0: 6.0}
 
     def test_bm25_b_zero_removes_length(self):
         model = WeightingModel(
             "bm25", np.array([1.0]), n_docs=2, mean_doc_len=5.0, k=1.6, b=0.0
         )
         out = apply_weighting(sv({0: 1.0}, 1), model)
-        assert out.to_dict()[0] == pytest.approx(2.6 / 2.6, abs=1e-12)
+        assert to_dict(out)[0] == pytest.approx(2.6 / 2.6, abs=1e-12)
 
     def test_bm25_at_mean_length_is_neutral(self):
         model = WeightingModel(
             "bm25", np.array([1.0]), n_docs=2, mean_doc_len=1.0, k=1.6, b=0.75
         )
         out = apply_weighting(sv({0: 1.0}, 1), model)
-        assert out.to_dict()[0] == pytest.approx(1.0, abs=1e-12)
+        assert to_dict(out)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         model = WeightingModel("idf", np.array([1.0]), n_docs=1, mean_doc_len=1.0)
@@ -134,28 +150,26 @@ class TestWeighting:
             apply_weighting(sv({1: 1.0}, 3), model)
 
     def test_scheme_none_is_identity(self):
-        model = fit_weighting([sv({0: 2.0}, 2), sv({1: 1.0}, 2)], "none")
+        model = fit_weighting(vstack([{0: 2.0}, {1: 1.0}], 2), "none")
         v = sv({0: 2.0, 1: 3.0}, 2)
-        assert apply_weighting(v, model).to_dict() == v.to_dict()
+        assert to_dict(apply_weighting(v, model)) == to_dict(v)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="scheme"):
-            fit_weighting([sv({0: 1.0}, 1)], "tfidf-ish")
+            fit_weighting(sv({0: 1.0}, 1), "tfidf-ish")
 
     def test_bm25_b_zero_ignores_padding(self):
         # same TF at feature 0 but very different document lengths
-        model = fit_weighting(
-            [sv({0: 2.0}, 2), sv({0: 2.0, 1: 50.0}, 2)], "bm25", b=0.0
-        )
+        model = fit_weighting(vstack([{0: 2.0}, {0: 2.0, 1: 50.0}], 2), "bm25", b=0.0)
         short = apply_weighting(sv({0: 2.0}, 2), model)
         padded = apply_weighting(sv({0: 2.0, 1: 50.0}, 2), model)
-        assert short.to_dict()[0] == padded.to_dict()[0]
+        assert to_dict(short)[0] == to_dict(padded)[0]
 
     def test_idf_strictly_decreasing_in_df(self):
         n = 10
-        vectors = [
-            sv({w: 1.0 for w in range(d + 1)}, n) for d in range(n)
-        ]  # feature w has df = n - w
+        vectors = vstack(
+            [{w: 1.0 for w in range(d + 1)} for d in range(n)], n
+        )  # feature w has df = n - w
         model = fit_weighting(vectors, "idf")
         assert np.all(np.diff(model.idf) > 0)  # df decreasing -> idf increasing
         assert np.all(model.idf >= 1.0)
@@ -164,36 +178,35 @@ class TestWeighting:
 class TestNormalizeConcat:
     def test_three_four_five(self):
         out = l2_normalize(sv({0: 3.0, 1: 4.0}, 2))
-        assert out.to_dict() == pytest.approx({0: 0.6, 1: 0.8})
+        assert to_dict(out) == pytest.approx({0: 0.6, 1: 0.8})
 
     def test_zero_vector_passthrough(self):
-        assert l2_normalize(sv({}, 3)).to_dict() == {}
+        assert to_dict(l2_normalize(sv({}, 3))) == {}
 
     def test_single_component(self):
-        assert l2_normalize(sv({5: 7.0}, 6)).to_dict() == {5: 1.0}
+        assert to_dict(l2_normalize(sv({5: 7.0}, 6))) == {5: 1.0}
 
     def test_norm_within_tolerance_random(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            vectors = random_count_vectors(rng)
-            for v in vectors:
-                out = l2_normalize(v)
-                if out.nnz:
-                    assert abs(out.norm() - 1.0) < 1e-9
+            out = l2_normalize(random_count_vectors(rng))
+            for norm, nnz in zip(row_norms(out), np.diff(out.indptr)):
+                if nnz:
+                    assert abs(norm - 1.0) < 1e-9
 
     def test_concat_shifts_indices(self):
         out = concat(sv({0: 1.0}, 2), sv({0: 1.0}, 3))
-        assert out.dimension == 5
-        assert out.to_dict() == {0: 1.0, 2: 1.0}
+        assert out.shape[1] == 5
+        assert to_dict(out) == {0: 1.0, 2: 1.0}
 
     def test_concat_zero_term_block(self):
         out = concat(sv({}, 2), sv({1: 0.5}, 3))
-        assert out.to_dict() == {3: 0.5}
+        assert to_dict(out) == {3: 0.5}
 
     def test_concat_unit_blocks_norm_sqrt2(self):
         term = l2_normalize(sv({0: 2.0, 1: 1.0}, 4))
         concept = l2_normalize(sv({2: 5.0}, 3))
-        assert concat(term, concept).norm() == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert row_norms(concat(term, concept))[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_idf_matches_brute_force_oracle():
@@ -201,7 +214,7 @@ def test_idf_matches_brute_force_oracle():
     for _ in range(40):
         vectors = random_count_vectors(rng)
         model = fit_weighting(vectors, "idf")
-        expected = brute_force_idf(vectors, vectors[0].dimension)
+        expected = brute_force_idf(vectors, vectors.shape[1])
         assert np.allclose(model.idf, expected, atol=1e-12, rtol=0.0)
 
 
@@ -231,12 +244,12 @@ class TestTextVectorizer:
 
     def test_tf_idf_matches_manual_composition(self, corpus_tokens, rate_thesaurus):
         vec = TextVectorizer("tf-idf", thesaurus=rate_thesaurus).fit(corpus_tokens)
-        counts = [count_terms(seq, vec.vocab) for seq in corpus_tokens]
+        counts = vstack([count_terms(seq, vec.vocab) for seq in corpus_tokens], len(vec.vocab))
         model = fit_weighting(counts, "idf")
-        for seq, c in zip(corpus_tokens, counts):
-            expected = l2_normalize(apply_weighting(c, model))
+        for i, seq in enumerate(corpus_tokens):
+            expected = l2_normalize(apply_weighting(counts[i], model))
             got = vec.transform_one(seq)
-            assert got.to_dict() == expected.to_dict()
+            assert to_dict(got) == to_dict(expected)
 
     def test_ctf_idf_is_concat_of_blocks(self, corpus_tokens, rate_thesaurus):
         both = TextVectorizer("ctf-idf", thesaurus=rate_thesaurus).fit(corpus_tokens)
@@ -244,7 +257,7 @@ class TestTextVectorizer:
         concepts = TextVectorizer("cf-idf", thesaurus=rate_thesaurus).fit(corpus_tokens)
         for seq in corpus_tokens:
             expected = concat(terms.transform_one(seq), concepts.transform_one(seq))
-            assert both.transform_one(seq).to_dict() == expected.to_dict()
+            assert to_dict(both.transform_one(seq)) == to_dict(expected)
 
     def test_unseen_tokens_transform_to_zero_vector(self, corpus_tokens, rate_thesaurus):
         vec = TextVectorizer("tf-idf", thesaurus=rate_thesaurus).fit(corpus_tokens)
@@ -264,27 +277,26 @@ class TestTextVectorizer:
         for seq in corpus_tokens:
             a, b = first.transform_one(seq), second.transform_one(seq)
             assert np.array_equal(a.indices, b.indices)
-            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.data, b.data)
 
     def test_transform_counts_are_raw(self, corpus_tokens, rate_thesaurus):
         vec = TextVectorizer("ctf-idf", thesaurus=rate_thesaurus).fit(corpus_tokens)
         counts = vec.counts_one(["rate", "rate", "cut"])
         term_dim = len(vec.vocab)
-        assert counts.to_dict()[vec.vocab.index["rate"]] == 2.0
-        assert counts.to_dict()[term_dim + vec.matcher.concept_index["c2"]] == 2.0
+        assert to_dict(counts)[vec.vocab.index["rate"]] == 2.0
+        assert to_dict(counts)[term_dim + vec.matcher.concept_index["c2"]] == 2.0
 
     def test_all_six_variants_run(self, corpus_tokens, rate_thesaurus):
         for variant in ("tf-idf", "bm25", "cf-idf", "bm25c", "ctf-idf", "bm25ct"):
             vec = TextVectorizer(variant, thesaurus=rate_thesaurus).fit(corpus_tokens)
             out = vec.transform(corpus_tokens)
-            assert len(out) == len(corpus_tokens)
-            for v in out:
-                v.validate()
+            assert out.shape[0] == len(corpus_tokens)
+            assert_valid_rows(out)
 
 
 def test_dump_vectors_jsonl(tmp_path):
     path = tmp_path / "vectors.jsonl"
-    dump_vectors(path, ["d1", "d2"], [sv({0: 1.5}, 3), sv({}, 3)])
+    dump_vectors(path, ["d1", "d2"], vstack([{0: 1.5}, {}], 3))
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines[0] == {"id": "d1", "indices": [0], "weights": [1.5]}
     assert lines[1] == {"id": "d2", "indices": [], "weights": []}
@@ -292,11 +304,10 @@ def test_dump_vectors_jsonl(tmp_path):
 
 def test_vstack_round_trip():
     rng = np.random.default_rng(5)
-    vectors = random_count_vectors(rng)
-    matrix = vstack(vectors)
-    assert matrix.shape == (len(vectors), vectors[0].dimension)
+    expected = random_count_vectors(rng).toarray()
+    rows = [{j: w for j, w in enumerate(row) if w} for row in expected]
+    matrix = vstack(rows, expected.shape[1])
+    assert matrix.shape == expected.shape
     dense = matrix.toarray()
-    for i, v in enumerate(vectors):
-        expected = np.zeros(v.dimension)
-        expected[v.indices] = v.weights
-        assert np.array_equal(dense[i], expected)
+    for i in range(len(rows)):
+        assert np.array_equal(dense[i], expected[i])

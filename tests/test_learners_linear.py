@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from semannot.learners import LabelMatrix, LinearClassifier
 from semannot.learners.linear import _loss_gradient, averaged_sgd_train
-from semannot.sparse import SparseVector, vstack
+from semannot.sparse import vstack
 
 
 def sv(entries, dim):
-    return SparseVector.from_dict(entries, dim)
+    """One document as a 1-row CSR matrix."""
+    return vstack([entries], dim)
 
 
 def labels_of(gold):
@@ -60,27 +62,23 @@ def reference_sgd(X_rows, label_rows, n_labels, loss, alpha, eta0, epochs, seed)
 
 def small_problem(seed=0, n_docs=6, n_features=3, n_labels=2):
     rng = np.random.default_rng(seed)
-    vectors = []
+    dense = np.zeros((n_docs, n_features))
     rows = []
-    for _ in range(n_docs):
+    for d in range(n_docs):
         idx = np.sort(rng.choice(n_features, size=rng.integers(1, n_features + 1), replace=False))
-        vectors.append(
-            SparseVector(idx.astype(np.int64), rng.random(len(idx)) + 0.1, n_features)
-        )
+        dense[d, idx] = rng.random(len(idx)) + 0.1
         rows.append(np.sort(rng.choice(n_labels, size=rng.integers(1, n_labels + 1), replace=False)))
-    return vectors, rows
+    return sp.csr_matrix(dense), rows
 
 
 @pytest.mark.parametrize("loss", ["logistic", "hinge"])
 @pytest.mark.parametrize("epochs", [2, 3, 5])
 def test_averaged_weights_match_recorded_iterate_oracle(loss, epochs):
     vectors, rows = small_problem(seed=4)
-    dense = [np.zeros(3) for _ in vectors]
-    for d, v in zip(dense, vectors):
-        d[v.indices] = v.weights
+    dense = list(vectors.toarray())
     # a larger alpha makes the regularization shrink actually matter
     kwargs = dict(loss=loss, alpha=1e-3, eta0=0.5, epochs=epochs, seed=9)
-    W, B = averaged_sgd_train(vstack(vectors), rows, 2, **kwargs)
+    W, B = averaged_sgd_train(vectors, rows, 2, **kwargs)
     W_ref, B_ref = reference_sgd(dense, rows, 2, **kwargs)
     assert np.allclose(W, W_ref, rtol=1e-9, atol=1e-12)
     assert np.allclose(B, B_ref, rtol=1e-9, atol=1e-12)
@@ -89,11 +87,9 @@ def test_averaged_weights_match_recorded_iterate_oracle(loss, epochs):
 def test_averaging_oracle_under_strong_regularization():
     # heavy shrink magnifies any error in the lazy-scaling bookkeeping
     vectors, rows = small_problem(seed=13, n_docs=9, n_labels=3)
-    dense = [np.zeros(3) for _ in vectors]
-    for d, v in zip(dense, vectors):
-        d[v.indices] = v.weights
+    dense = list(vectors.toarray())
     kwargs = dict(loss="hinge", alpha=1e-2, eta0=2.0, epochs=8, seed=21)
-    W, B = averaged_sgd_train(vstack(vectors), rows, 3, **kwargs)
+    W, B = averaged_sgd_train(vectors, rows, 3, **kwargs)
     W_ref, B_ref = reference_sgd(dense, rows, 3, **kwargs)
     assert np.allclose(W, W_ref, rtol=1e-9, atol=1e-12)
     assert np.allclose(B, B_ref, rtol=1e-9, atol=1e-12)
@@ -103,7 +99,7 @@ def test_first_step_uses_eta0():
     # from zero weights, logistic gradient at margin 0 is -y/2, so the first
     # update lands at 0.5 * eta0 * y * x
     eta0 = 2.0
-    X = vstack([SparseVector.from_dict({0: 1.0}, 1)])
+    X = sv({0: 1.0}, 1)
     W, B = averaged_sgd_train(
         X, [np.array([0])], 1, loss="logistic", alpha=1e-7, eta0=eta0, epochs=1, seed=0
     )
@@ -113,11 +109,9 @@ def test_first_step_uses_eta0():
 
 def test_single_epoch_returns_final_iterate():
     vectors, rows = small_problem(seed=2)
-    dense = [np.zeros(3) for _ in vectors]
-    for d, v in zip(dense, vectors):
-        d[v.indices] = v.weights
+    dense = list(vectors.toarray())
     kwargs = dict(loss="logistic", alpha=1e-4, eta0=1.0, epochs=1, seed=3)
-    W, B = averaged_sgd_train(vstack(vectors), rows, 2, **kwargs)
+    W, B = averaged_sgd_train(vectors, rows, 2, **kwargs)
     W_ref, B_ref = reference_sgd(dense, rows, 2, **kwargs)
     assert np.allclose(W, W_ref, rtol=1e-9, atol=1e-12)
     assert np.allclose(B, B_ref, rtol=1e-9, atol=1e-12)
@@ -125,27 +119,26 @@ def test_single_epoch_returns_final_iterate():
 
 def test_training_deterministic_bitwise():
     vectors, rows = small_problem(seed=8, n_docs=10)
-    a = averaged_sgd_train(vstack(vectors), rows, 2, seed=17)
-    b = averaged_sgd_train(vstack(vectors), rows, 2, seed=17)
+    a = averaged_sgd_train(vectors, rows, 2, seed=17)
+    b = averaged_sgd_train(vectors, rows, 2, seed=17)
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
 
 @pytest.mark.parametrize("loss", ["logistic", "hinge"])
 def test_separable_fixture_reaches_training_f1_one(loss):
-    X = [sv({0: 1.0}, 2) for _ in range(10)] + [sv({1: 1.0}, 2) for _ in range(10)]
+    X = vstack([{0: 1.0}] * 10 + [{1: 1.0}] * 10, 2)
     gold = [{"pos"}] * 10 + [{"neg"}] * 10
     clf = LinearClassifier(loss=loss, epochs=10, seed=0).fit(X, labels_of(gold))
-    for x, g in zip(X, gold):
-        assert clf.predict(x) == g
+    for predicted, g in zip(clf.predict(X), gold):
+        assert predicted == g
 
 
 def test_all_negative_label_never_predicted():
     vectors, rows = small_problem(seed=5, n_docs=12, n_labels=1)
     # two label slots but every document carries only label 0
-    W, B = averaged_sgd_train(vstack(vectors), rows, 2, epochs=10, seed=1)
-    for v in vectors:
-        margin = W[1, v.indices] @ v.weights - B[1]
+    W, B = averaged_sgd_train(vectors, rows, 2, epochs=10, seed=1)
+    for margin in vectors @ W[1] - B[1]:
         assert margin <= 0.0
 
 
@@ -171,15 +164,15 @@ def test_decision_is_strictly_positive_margin():
     clf.label_ids = ("a",)
     clf.W = np.array([[1.0, 0.0]])
     clf.b = np.array([1.0])
-    assert clf.predict(sv({0: 1.0}, 2)) == set()      # margin exactly 0
-    assert clf.predict(sv({0: 1.5}, 2)) == {"a"}      # margin 0.5
+    assert clf.predict(sv({0: 1.0}, 2)) == [set()]    # margin exactly 0
+    assert clf.predict(sv({0: 1.5}, 2)) == [{"a"}]    # margin 0.5
 
 
 def test_rank_scores_non_increasing():
     vectors, rows = small_problem(seed=6, n_docs=8, n_labels=3)
     gold = [{f"l{j}" for j in row} for row in rows]
     clf = LinearClassifier(epochs=3, seed=2).fit(vectors, labels_of(gold))
-    ranking = clf.rank(vectors[0])
+    (ranking,) = clf.rank(vectors[0])
     scores = [s for _, s, _ in ranking]
     assert scores == sorted(scores, reverse=True)
     assert [r for _, _, r in ranking] == list(range(1, len(ranking) + 1))

@@ -3,13 +3,9 @@ import pytest
 
 from semannot.learners import LabelMatrix, MlpClassifier, TrainingDiverged
 from semannot.learners.mlp import forward_scores, init_params, loss_and_grads
-from semannot.sparse import SparseVector
+from semannot.sparse import vstack
 
 from oracles import central_difference_grads, gradient_relative_error as relative_error
-
-
-def sv(entries, dim):
-    return SparseVector.from_dict(entries, dim)
 
 
 def labels_of(gold):
@@ -39,7 +35,7 @@ def test_scores_strictly_inside_unit_interval():
 
 
 def test_prediction_deterministic_and_dropout_free():
-    X = [sv({0: 1.0, 1: 0.5}, 3), sv({2: 1.0}, 3)]
+    X = vstack([{0: 1.0, 1: 0.5}, {2: 1.0}], 3)
     clf = MlpClassifier(hidden=8, epochs=3, batch_size=2, seed=5).fit(
         X, labels_of([{"a"}, {"b"}])
     )
@@ -49,7 +45,7 @@ def test_prediction_deterministic_and_dropout_free():
 
 
 def test_fit_deterministic_given_seed():
-    X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2)] * 3
+    X = vstack([{0: 1.0}, {1: 1.0}] * 3, 2)
     gold = [{"a"}, {"b"}] * 3
     one = MlpClassifier(hidden=6, epochs=4, seed=11).fit(X, labels_of(gold))
     two = MlpClassifier(hidden=6, epochs=4, seed=11).fit(X, labels_of(gold))
@@ -59,35 +55,37 @@ def test_fit_deterministic_given_seed():
 
 def test_decide_equals_scores_above_threshold():
     rng = np.random.default_rng(21)
-    X = []
+    rows = []
     gold = []
     for _ in range(12):
         idx = rng.choice(4, size=2, replace=False)
-        X.append(sv({int(j): 1.0 for j in idx}, 4))
+        rows.append({int(j): 1.0 for j in idx})
         gold.append({f"l{int(rng.integers(0, 3))}"})
+    X = vstack(rows, 4)
     clf = MlpClassifier(hidden=5, epochs=3, seed=1).fit(X, labels_of(gold))
-    for x in X:
+    for scores, predicted in zip(clf.scores(X), clf.predict(X)):
         expected = {
-            cid for cid, s in zip(clf.label_ids, clf.scores(x)) if s > clf.threshold
+            cid for cid, s in zip(clf.label_ids, scores) if s > clf.threshold
         }
-        assert clf.predict(x) == expected
+        assert predicted == expected
 
 
 def test_loss_decreases_on_separable_task():
     rng = np.random.default_rng(2)
-    X = []
+    rows = []
     gold = []
     for i in range(60):
         lab = int(rng.integers(0, 3))
-        X.append(sv({lab: 1.0, 3 + int(rng.integers(0, 2)): 0.5}, 5))
+        rows.append({lab: 1.0, 3 + int(rng.integers(0, 2)): 0.5})
         gold.append({f"l{lab}"})
+    X = vstack(rows, 5)
     clf = MlpClassifier(hidden=16, epochs=8, batch_size=16, seed=3).fit(X, labels_of(gold))
     assert clf.epoch_losses[-1] < clf.epoch_losses[0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/nan propagate by design
 def test_non_finite_loss_aborts_with_diagnostic():
-    X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2)] * 4
+    X = vstack([{0: 1.0}, {1: 1.0}] * 4, 2)
     gold = [{"a"}, {"b"}] * 4
     clf = MlpClassifier(hidden=4, epochs=3, batch_size=2, learning_rate=1e308, seed=0)
     with pytest.raises(TrainingDiverged, match="epoch"):

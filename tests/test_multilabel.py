@@ -11,11 +11,7 @@ from semannot.multilabel import (
     stacking_train,
     threshold_decide,
 )
-from semannot.sparse import SparseVector
-
-
-def sv(entries, dim):
-    return SparseVector.from_dict(entries, dim)
+from semannot.sparse import vstack
 
 
 class TestBinaryRelevance:
@@ -201,13 +197,16 @@ class TestStacking:
 def test_stacked_classifier_predictions_within_base_top_m(tiny_corpus, rate_thesaurus):
     rng = np.random.default_rng(9)
     dim = 6
-    X = [
-        sv({int(j): float(rng.integers(1, 4)) for j in rng.choice(dim, 2, replace=False)}, dim)
-        for _ in range(15)
-    ]
+    X = vstack(
+        [
+            {int(j): float(rng.integers(1, 4)) for j in rng.choice(dim, 2, replace=False)}
+            for _ in range(15)
+        ],
+        dim,
+    )
     gold = [{f"l{int(rng.integers(0, 4))}"} for _ in range(15)]
     labels = LabelMatrix.from_gold([frozenset(g) for g in gold])
     stacked = StackedClassifier(RocchioClassifier(), top_m=3).fit(X, labels)
-    for x in X:
-        base_top = {cid for cid, _, _ in stacked.base.rank(x)[:3]}
-        assert stacked.predict(x) <= base_top
+    for ranking, predicted in zip(stacked.base.rank(X), stacked.predict(X)):
+        base_top = {cid for cid, _, _ in ranking[:3]}
+        assert predicted <= base_top

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from semannot.learners import KnnClassifier, LabelMatrix
 from semannot.multilabel import round_half_up
@@ -14,11 +15,16 @@ from semannot.ranking import (
     rank_candidates,
     ranker_fit,
 )
-from semannot.sparse import SparseVector
+from semannot.sparse import vstack
 
 
 def sv(entries, dim):
-    return SparseVector.from_dict(entries, dim)
+    """One document as a 1-row CSR matrix."""
+    return vstack([entries], dim)
+
+
+def stack(rows):
+    return sp.vstack(rows, format="csr")
 
 
 def labels_of(gold):
@@ -27,14 +33,22 @@ def labels_of(gold):
 
 def fit_knn(X, gold):
     labels = labels_of(gold)
-    return KnnClassifier(k=1).fit(X, labels), labels
+    return KnnClassifier(k=1).fit(stack(X), labels), labels
+
+
+def candidates_for(q, knn, priors, k, exclude=None):
+    """Candidate set of one query row from its k nearest neighbors."""
+    (idx,), (sims,) = knn.neighbors(
+        q, k=k, exclude=None if exclude is None else np.array([exclude])
+    )
+    return generate_candidates(idx, sims, knn.labels, priors)
 
 
 class TestGenerateCandidates:
     def test_k1_candidates_are_nearest_neighbor_labels(self):
         X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2)]
         knn, labels = fit_knn(X, [{"a", "b"}, {"c"}])
-        cs = generate_candidates(sv({0: 2.0}, 2), knn, labels.priors(), k=1)
+        cs = candidates_for(sv({0: 2.0}, 2), knn, labels.priors(), k=1)
         assert set(cs.labels) == {"a", "b"}
         for fvec in cs.features:
             assert fvec[1] == 1.0  # neighbor count
@@ -47,7 +61,7 @@ class TestGenerateCandidates:
             sv({1: 1.0}, 3),
         ]
         knn, labels = fit_knn(X, [{"c"}, {"c"}, {"d"}])
-        cs = generate_candidates(sv({0: 1.0}, 3), knn, labels.priors(), k=3)
+        cs = candidates_for(sv({0: 1.0}, 3), knn, labels.priors(), k=3)
         features = dict(zip(cs.labels, cs.features))
         f1, f2, f3, f4 = features["c"]
         assert f1 == pytest.approx(1.4, abs=1e-12)
@@ -58,20 +72,20 @@ class TestGenerateCandidates:
     def test_orthogonal_query_still_yields_candidates(self):
         X = [sv({0: 1.0}, 3), sv({1: 1.0}, 3)]
         knn, labels = fit_knn(X, [{"a"}, {"b"}])
-        cs = generate_candidates(sv({2: 1.0}, 3), knn, labels.priors(), k=2)
+        cs = candidates_for(sv({2: 1.0}, 3), knn, labels.priors(), k=2)
         assert set(cs.labels) == {"a", "b"}
         assert np.all(cs.features[:, 0] == 0.0)  # all similarities zero
 
     def test_k_clamped_to_training_size(self):
         X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2)]
         knn, labels = fit_knn(X, [{"a"}, {"b"}])
-        cs = generate_candidates(sv({0: 1.0}, 2), knn, labels.priors(), k=45)
+        cs = candidates_for(sv({0: 1.0}, 2), knn, labels.priors(), k=45)
         assert set(cs.labels) == {"a", "b"}
 
     def test_exclude_self_removes_one_neighbor(self):
         X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2)]
         knn, labels = fit_knn(X, [{"a"}, {"b"}])
-        cs = generate_candidates(sv({0: 1.0}, 2), knn, labels.priors(), k=2, exclude=0)
+        cs = candidates_for(sv({0: 1.0}, 2), knn, labels.priors(), k=2, exclude=0)
         assert set(cs.labels) == {"b"}
 
     def test_features_invariant_under_training_permutation(self):
@@ -86,8 +100,8 @@ class TestGenerateCandidates:
         knn_a, labels_a = fit_knn(X, gold)
         perm = list(rng.permutation(8))
         knn_b, labels_b = fit_knn([X[i] for i in perm], [gold[i] for i in perm])
-        cs_a = generate_candidates(q, knn_a, labels_a.priors(), k=8)
-        cs_b = generate_candidates(q, knn_b, labels_b.priors(), k=8)
+        cs_a = candidates_for(q, knn_a, labels_a.priors(), k=8)
+        cs_b = candidates_for(q, knn_b, labels_b.priors(), k=8)
         assert cs_a.labels == cs_b.labels
         assert np.allclose(cs_a.features, cs_b.features, atol=1e-12)
 
@@ -181,11 +195,9 @@ class TestL2RClassifier:
 
     def test_cutoff_and_containment_invariants(self):
         X, gold = self.make_corpus()
-        clf = L2RClassifier(k=5, epochs=5, seed=0).fit(X, labels_of(gold))
-        for x in X:
-            candidates = clf.candidates(x)
+        clf = L2RClassifier(k=5, epochs=5, seed=0).fit(stack(X), labels_of(gold))
+        for candidates, predicted in zip(clf.candidates(stack(X)), clf.predict(stack(X))):
             neighborhood_gold = set(candidates.labels)
-            predicted = clf.predict(x)
             assert len(predicted) <= clf.model.cutoff
             if len(candidates.labels) >= clf.model.cutoff:
                 assert len(predicted) == clf.model.cutoff
@@ -193,6 +205,6 @@ class TestL2RClassifier:
 
     def test_learns_signal_on_easy_corpus(self):
         X, gold = self.make_corpus(seed=3)
-        clf = L2RClassifier(k=5, epochs=10, seed=1).fit(X, labels_of(gold))
-        hits = sum(clf.predict(x) == set(g) for x, g in zip(X, gold))
+        clf = L2RClassifier(k=5, epochs=10, seed=1).fit(stack(X), labels_of(gold))
+        hits = sum(predicted == set(g) for predicted, g in zip(clf.predict(stack(X)), gold))
         assert hits / len(X) >= 0.8

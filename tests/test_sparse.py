@@ -1,79 +1,44 @@
 import numpy as np
 import pytest
 
-from semannot.sparse import SparseVector, row_vector, vstack
+from semannot.sparse import row_norms, vstack
 
 
 def test_from_dict_sorts_and_drops_zeros():
-    v = SparseVector.from_dict({5: 1.0, 2: 0.0, 1: 3.0}, 6)
-    assert v.to_dict() == {1: 3.0, 5: 1.0}
-    v.validate()
-
-
-def test_dot_merges_sorted_indices():
-    a = SparseVector.from_dict({0: 1.0, 3: 2.0, 7: 4.0}, 9)
-    b = SparseVector.from_dict({3: 5.0, 6: 1.0, 7: 0.5}, 9)
-    assert a.dot(b) == pytest.approx(2.0 * 5.0 + 4.0 * 0.5)
-    assert a.dot(b) == b.dot(a)
-
-
-def test_dot_with_empty_is_zero():
-    a = SparseVector.from_dict({0: 1.0}, 2)
-    assert a.dot(SparseVector.empty(2)) == 0.0
-
-
-def test_dot_matches_dense_oracle():
-    rng = np.random.default_rng(14)
-    for _ in range(100):
-        dim = int(rng.integers(1, 20))
-        def rand_vec():
-            nnz = int(rng.integers(0, dim + 1))
-            idx = np.sort(rng.choice(dim, nnz, replace=False)).astype(np.int64)
-            return SparseVector(idx, rng.normal(size=nnz) + 3.0, dim)
-        a, b = rand_vec(), rand_vec()
-        da = np.zeros(dim)
-        da[a.indices] = a.weights
-        db = np.zeros(dim)
-        db[b.indices] = b.weights
-        assert a.dot(b) == pytest.approx(float(da @ db), abs=1e-12)
+    X = vstack([{5: 1.0, 2: 0.0, 1: 3.0}], 6)
+    assert X.indices.tolist() == [1, 5]
+    assert X.data.tolist() == [3.0, 1.0]
+    assert X.shape == (1, 6)
 
 
 def test_norm_scale_sum():
-    v = SparseVector.from_dict({0: 3.0, 1: 4.0}, 2)
-    assert v.norm() == 5.0
-    assert v.scale(2.0).to_dict() == {0: 6.0, 1: 8.0}
-    assert v.sum() == 7.0
+    X = vstack([{0: 3.0, 1: 4.0}], 2)
+    assert row_norms(X).tolist() == [5.0]
+    assert row_norms(X * 2.0).tolist() == [10.0]
+    assert X.sum() == 7.0
 
 
-def test_binarized():
-    v = SparseVector.from_dict({0: 3.0, 4: 0.5}, 5)
-    assert v.binarized().to_dict() == {0: 1.0, 4: 1.0}
-
-
-def test_validate_rejects_bad_vectors():
-    with pytest.raises(ValueError, match="increasing"):
-        SparseVector(np.array([2, 1]), np.array([1.0, 1.0]), 4).validate()
-    with pytest.raises(ValueError, match="range"):
-        SparseVector(np.array([5]), np.array([1.0]), 4).validate()
-    with pytest.raises(ValueError, match="zero"):
-        SparseVector(np.array([1]), np.array([0.0]), 4).validate()
+def test_row_norms_ignore_neighbouring_rows():
+    rng = np.random.default_rng(3)
+    rows = [{int(j): float(rng.random()) for j in rng.choice(9, 4, replace=False)} for _ in range(6)]
+    X = vstack(rows, 9)
+    for i in range(X.shape[0]):
+        assert row_norms(X[i:i + 1])[0] == row_norms(X)[i]
+    assert row_norms(vstack([{}], 3)).tolist() == [0.0]
 
 
 def test_vstack_dimension_checks():
     with pytest.raises(ValueError, match="dimension"):
-        vstack([SparseVector.empty(2), SparseVector.empty(3)])
-    with pytest.raises(ValueError, match="empty"):
-        vstack([])
+        vstack([{0: 1.0}, {3: 1.0}], 3)
+    # the dimension is always given, so an empty list is a valid 0-row matrix
+    assert vstack([], 3).shape == (0, 3)
 
 
-def test_row_vector_inverts_vstack():
-    vectors = [
-        SparseVector.from_dict({0: 1.0}, 3),
-        SparseVector.from_dict({1: 2.0, 2: 0.5}, 3),
-        SparseVector.empty(3),
-    ]
-    matrix = vstack(vectors)
-    for i, v in enumerate(vectors):
-        back = row_vector(matrix, i)
-        assert back.to_dict() == v.to_dict()
-        assert back.dimension == 3
+def test_vstack_rows_round_trip():
+    rows = [{0: 1.0}, {1: 2.0, 2: 0.5}, {}]
+    matrix = vstack(rows, 3)
+    for i, row in enumerate(rows):
+        start, end = matrix.indptr[i], matrix.indptr[i + 1]
+        back = dict(zip(matrix.indices[start:end].tolist(), matrix.data[start:end].tolist()))
+        assert back == row
+    assert matrix.shape == (3, 3)
