@@ -100,21 +100,23 @@ def cmd_evaluate(args) -> int:
                 f"{cfg.field} {cfg.vectorization} {cfg.classifier} "
                 f"mean sample F1: {report.mean_f1:.4f}"
             )
+        out_json = config.out_json or "eval_report.json"
+        out_csv = config.out_csv or "eval_report.csv"
+        payload = (
+            reports[0].to_dict()
+            if len(reports) == 1
+            else {"reports": [r.to_dict() for r in reports]}
+        )
+        with open(out_json, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        with open(out_csv, "w", encoding="utf-8") as fh:
+            fh.write(CSV_HEADER + "\n")
+            for report in reports:
+                fh.write(csv_line(report) + "\n")
     except Exception as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
         return 1
-    out_json = config.out_json or "eval_report.json"
-    out_csv = config.out_csv or "eval_report.csv"
-    payload = (
-        reports[0].to_dict() if len(reports) == 1 else {"reports": [r.to_dict() for r in reports]}
-    )
-    with open(out_json, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    with open(out_csv, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for report in reports:
-            fh.write(csv_line(report) + "\n")
     return 0
 
 

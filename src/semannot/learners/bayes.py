@@ -38,14 +38,13 @@ class NaiveBayesClassifier:
             raise ValueError("empty training set")
         alpha = self.alpha
         matrix = self._inputs(X_counts)
-        indicator = labels.to_csr()
         n_docs = matrix.shape[0]
-        n_pos = np.asarray(indicator.sum(axis=0)).ravel()
+        n_pos = np.asarray(labels.Y.sum(axis=0)).ravel()
         included = n_pos > 0  # labels without a positive training doc are excluded
         self.label_ids = tuple(
             cid for cid, keep in zip(labels.label_ids, included) if keep
         )
-        pos = np.asarray((indicator.T @ matrix).todense())[included]
+        pos = np.asarray((labels.Y.T @ matrix).todense())[included]
         total = np.asarray(matrix.sum(axis=0)).ravel()
         neg = total[None, :] - pos
         n_pos = n_pos[included]
@@ -94,4 +93,4 @@ class NaiveBayesClassifier:
         return [binary_relevance_decide(self.label_ids, row > 0.0) for row in self.log_odds(X)]
 
     def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
-        return [rank_labels(self.label_ids, row) for row in self.log_odds(X)]
+        return rank_labels(self.label_ids, self.log_odds(X))

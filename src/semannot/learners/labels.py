@@ -1,8 +1,9 @@
-"""Dense label index and per-document binary rows shared by all learners."""
+"""Dense label index and the docs x labels indicator shared by all learners."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse as sp
@@ -10,25 +11,32 @@ from scipy import sparse as sp
 
 @dataclass
 class LabelMatrix:
-    """Per-document binary label rows over a dense 0..L-1 label index.
+    """Binary docs x labels indicator over a dense 0..L-1 label index.
 
-    label_ids are sorted concept ids; every row is a sorted array of label
-    indices and must be nonempty for training corpora.
+    label_ids are sorted concept ids; ``Y`` is a 0/1 CSR matrix with one
+    row per document, indices sorted within each row.  Every row must be
+    nonempty for training corpora.
     """
 
     label_ids: tuple[str, ...]
-    rows: list[np.ndarray]
+    Y: sp.csr_matrix
 
     @classmethod
     def from_gold(cls, gold_sets: list[frozenset[str] | set[str]]) -> "LabelMatrix":
         used = sorted(set().union(*gold_sets)) if gold_sets else []
         index = {cid: i for i, cid in enumerate(used)}
-        rows = []
         for i, gold in enumerate(gold_sets):
             if not gold:
                 raise ValueError(f"document {i} has an empty gold label set")
-            rows.append(np.array(sorted(index[c] for c in gold), dtype=np.int64))
-        return cls(label_ids=tuple(used), rows=rows)
+        return cls.from_rows(tuple(used), [sorted(index[c] for c in gold) for gold in gold_sets])
+
+    @classmethod
+    def from_rows(cls, label_ids: tuple[str, ...], rows: Sequence[Sequence[int]]) -> "LabelMatrix":
+        """Indicator whose row i holds the label indices ``rows[i]``."""
+        indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+        indices = np.array([j for row in rows for j in row], dtype=np.int64)
+        shape = (len(rows), len(label_ids))
+        return cls(label_ids, sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=shape))
 
     @property
     def n_labels(self) -> int:
@@ -36,25 +44,15 @@ class LabelMatrix:
 
     @property
     def n_docs(self) -> int:
-        return len(self.rows)
+        return self.Y.shape[0]
 
     def row_set(self, i: int) -> frozenset[str]:
-        return frozenset(self.label_ids[j] for j in self.rows[i])
-
-    def to_csr(self) -> sp.csr_matrix:
-        indptr = np.zeros(len(self.rows) + 1, dtype=np.int64)
-        for i, row in enumerate(self.rows):
-            indptr[i + 1] = indptr[i] + len(row)
-        indices = np.concatenate(self.rows) if self.rows else np.empty(0, dtype=np.int64)
-        data = np.ones(len(indices), dtype=np.float64)
-        return sp.csr_matrix((data, indices, indptr), shape=(len(self.rows), self.n_labels))
+        indices = self.Y.indices[self.Y.indptr[i]:self.Y.indptr[i + 1]]
+        return frozenset(self.label_ids[j] for j in indices)
 
     def priors(self) -> np.ndarray:
         """Fraction of documents carrying each label."""
-        counts = np.zeros(self.n_labels, dtype=np.float64)
-        for row in self.rows:
-            counts[row] += 1.0
-        return counts / max(1, self.n_docs)
+        return np.asarray(self.Y.sum(axis=0)).ravel() / max(1, self.n_docs)
 
     def mean_labels_per_doc(self) -> float:
-        return sum(len(row) for row in self.rows) / max(1, self.n_docs)
+        return self.Y.nnz / max(1, self.n_docs)

@@ -90,7 +90,7 @@ class KnnClassifier:
             (np.ones(idx.size), idx.ravel(), np.arange(0, idx.size + 1, k)),
             shape=(n_rows, self.n_train),
         )
-        votes = (chosen @ self.labels.to_csr()).toarray()
+        votes = (chosen @ self.labels.Y).toarray()
         return [
             {self.labels.label_ids[j] for j in np.nonzero(row * 2 > k)[0]} for row in votes
         ]
@@ -106,9 +106,8 @@ class RocchioClassifier:
     def fit(self, X: sp.csr_matrix, labels: LabelMatrix) -> "RocchioClassifier":
         if X.shape[0] == 0:
             raise ValueError("empty training set")
-        indicator = labels.to_csr()
-        counts = np.asarray(indicator.sum(axis=0)).ravel()
-        sums = (indicator.T @ X).tocsr()
+        counts = np.asarray(labels.Y.sum(axis=0)).ravel()
+        sums = (labels.Y.T @ X).tocsr()
         scale = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
         self.centroids = _normalize_rows((sp.diags(scale) @ sums).tocsr())
         self.label_ids = labels.label_ids
@@ -118,4 +117,4 @@ class RocchioClassifier:
         """Labels ascending by cosine distance; score = 1 - distance."""
         if self.centroids is None:
             raise RuntimeError("classifier is not fitted")
-        return [rank_labels(self.label_ids, sims) for sims in _cosines(self.centroids, X)]
+        return rank_labels(self.label_ids, _cosines(self.centroids, X))

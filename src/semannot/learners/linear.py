@@ -38,8 +38,7 @@ def _loss_gradient(loss: str, margins: np.ndarray, y_sign: np.ndarray) -> np.nda
 
 def averaged_sgd_train(
     X: sp.csr_matrix,
-    label_rows: list[np.ndarray],
-    n_labels: int,
+    Y: sp.csr_matrix,
     loss: str = "logistic",
     alpha: float = LINEAR_ALPHA,
     eta0: float = LINEAR_ETA0,
@@ -48,9 +47,10 @@ def averaged_sgd_train(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train all per-label binary models in one pass.
 
-    Returns (W, b) where W has one averaged weight vector per label row and
-    decisions are W @ x - b > 0.  With a single epoch there is no averaging
-    window, so the final iterate is returned.
+    ``Y`` is the docs x labels 0/1 indicator.  Returns (W, b) where W has
+    one averaged weight vector per label (column of Y) and decisions are
+    W @ x - b > 0.  With a single epoch there is no averaging window, so
+    the final iterate is returned.
 
     The weight vector is kept as scale * V so the L2 shrink costs O(1) per
     step, and the running average is recovered at each epoch end from
@@ -62,8 +62,10 @@ def averaged_sgd_train(
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     n_docs, n_features = X.shape
-    if len(label_rows) != n_docs:
+    if Y.shape[0] != n_docs:
         raise ValueError("label rows must align with X")
+    n_labels = Y.shape[1]
+    positives = np.split(Y.indices, Y.indptr[1:-1])
     t0 = 1.0 / (alpha * eta0)
 
     V = np.zeros((n_labels, n_features), dtype=np.float64)
@@ -87,7 +89,7 @@ def averaged_sgd_train(
             idx = X.indices[start:end]
             xv = X.data[start:end]
             y_sign = y_base.copy()
-            y_sign[label_rows[i]] = 1.0
+            y_sign[positives[i]] = 1.0
 
             margins = scale * (V[:, idx] @ xv) - B
             grad = _loss_gradient(loss, margins, y_sign)
@@ -144,8 +146,7 @@ class LinearClassifier:
             raise ValueError("empty training set")
         self.W, self.b = averaged_sgd_train(
             X,
-            labels.rows,
-            labels.n_labels,
+            labels.Y,
             loss=self.loss,
             alpha=self.alpha,
             eta0=self.eta0,
@@ -172,4 +173,4 @@ class LinearClassifier:
         return expit(margins) if self.loss == "logistic" else margins
 
     def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
-        return [rank_labels(self.label_ids, row) for row in self.scores(X)]
+        return rank_labels(self.label_ids, self.scores(X))

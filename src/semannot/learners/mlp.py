@@ -133,13 +133,10 @@ class MlpClassifier:
         if X.shape[0] == 0:
             raise ValueError("empty training set")
         n_docs, n_features = X.shape
-        n_labels = labels.n_labels
-        targets = np.zeros((n_docs, n_labels), dtype=np.float64)
-        for i, row in enumerate(labels.rows):
-            targets[i, row] = 1.0
+        targets = labels.Y.toarray()
 
         rng = np.random.default_rng(self.seed)
-        params = init_params(n_features, self.hidden, n_labels, rng)
+        params = init_params(n_features, self.hidden, labels.n_labels, rng)
         moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
         step = 0
         self.epoch_losses = []
@@ -193,4 +190,4 @@ class MlpClassifier:
         return [threshold_decide(self.label_ids, row, self.threshold) for row in self.scores(X)]
 
     def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
-        return [rank_labels(self.label_ids, row) for row in self.scores(X)]
+        return rank_labels(self.label_ids, self.scores(X))

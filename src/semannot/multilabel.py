@@ -13,15 +13,28 @@ from typing import Sequence
 
 import numpy as np
 
+from .sparse import ROW_BLOCK
+
 RankedPrediction = list[tuple[str, float, int]]
 
 STACKING_TOP_M = 30
 
 
-def rank_labels(label_ids: Sequence[str], scores: np.ndarray) -> RankedPrediction:
-    """Sort labels by score descending (ties by id) and assign ranks from 1."""
-    order = sorted(range(len(label_ids)), key=lambda i: (-scores[i], label_ids[i]))
-    return [(label_ids[i], float(scores[i]), pos + 1) for pos, i in enumerate(order)]
+def rank_labels(
+    label_ids: Sequence[str], scores: np.ndarray
+) -> list[RankedPrediction] | RankedPrediction:
+    """Sort labels by score descending (ties by id) and assign ranks from 1:
+    one RankedPrediction per row of a (rows, L) block, or one for a single
+    (L,) row."""
+    block = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    # columns in id order, so the stable sort breaks ties (0.0 == -0.0) by id
+    by_id = np.array(sorted(range(len(label_ids)), key=label_ids.__getitem__), dtype=np.intp)
+    order = by_id[np.argsort(-block[:, by_id], axis=1, kind="stable")]
+    rankings = [
+        [(label_ids[i], score, pos + 1) for pos, (i, score) in enumerate(zip(row, row_scores))]
+        for row, row_scores in zip(order.tolist(), np.take_along_axis(block, order, 1).tolist())
+    ]
+    return rankings if np.ndim(scores) == 2 else rankings[0]
 
 
 def binary_relevance_decide(label_ids: Sequence[str], decisions: Sequence[bool]) -> set[str]:
@@ -214,7 +227,8 @@ class StackedClassifier:
 
     The base must expose fit(X, labels) and rank(X) -> one RankedPrediction
     per row.  Meta-training runs on the base's rankings of the training
-    documents themselves; no held-out split is carved out.
+    documents themselves, ranked ROW_BLOCK rows at a time; no held-out split
+    is carved out.
     """
 
     def __init__(self, base, top_m: int = STACKING_TOP_M, max_depth: int = 10, min_leaf: int = 1):
@@ -226,9 +240,15 @@ class StackedClassifier:
 
     def fit(self, X, labels) -> "StackedClassifier":
         self.base.fit(X, labels)
+        # only the top-m of each ranking reaches the meta-trees
+        rankings = [
+            ranking[:self.top_m]
+            for lo in range(0, X.shape[0], ROW_BLOCK)
+            for ranking in self.base.rank(X[lo:lo + ROW_BLOCK])
+        ]
         gold_sets = [labels.row_set(i) for i in range(labels.n_docs)]
         self.model = stacking_train(
-            self.base.rank(X),
+            rankings,
             gold_sets,
             top_m=self.top_m,
             max_depth=self.max_depth,

@@ -20,7 +20,6 @@ from .learners.linear import LINEAR_ALPHA, LINEAR_EPOCHS, LINEAR_ETA0, averaged_
 from .multilabel import RankedPrediction, rank_labels, round_half_up
 
 L2R_K = 45
-N_RANKING_FEATURES = 4
 
 
 @dataclass
@@ -31,7 +30,6 @@ class CandidateSet:
     prior, and maximum neighbor similarity.
     """
 
-    doc_id: str | None
     labels: list[str]
     features: np.ndarray
 
@@ -51,22 +49,15 @@ def generate_candidates(
     f1 = np.zeros(labels.n_labels)
     f2 = np.zeros(labels.n_labels)
     f4 = np.zeros(labels.n_labels)
-    seen: set[int] = set()
+    Y = labels.Y
     for i, sim in zip(idx, sims):
-        for j in labels.rows[i]:
+        for j in Y.indices[Y.indptr[i]:Y.indptr[i + 1]]:
             f1[j] += sim
             f2[j] += 1.0
             f4[j] = max(f4[j], sim)
-            seen.add(int(j))
-    chosen = sorted(seen)
-    features = np.column_stack(
-        [f1[chosen], f2[chosen], priors[chosen], f4[chosen]]
-    ) if chosen else np.empty((0, N_RANKING_FEATURES))
-    return CandidateSet(
-        doc_id=None,
-        labels=[labels.label_ids[j] for j in chosen],
-        features=features,
-    )
+    chosen = np.flatnonzero(f2)
+    features = np.column_stack([f1[chosen], f2[chosen], priors[chosen], f4[chosen]])
+    return CandidateSet(labels=[labels.label_ids[j] for j in chosen], features=features)
 
 
 @dataclass
@@ -93,28 +84,22 @@ def ranker_fit(
     Documents with no candidates are skipped.  Trained with the same
     averaged-SGD machinery as the linear models.
     """
-    rows: list[np.ndarray] = []
-    relevance: list[np.ndarray] = []
-    empty = np.empty(0, dtype=np.int64)
-    hit = np.array([0], dtype=np.int64)
-    for cs, gold in zip(candidate_sets, gold_sets):
-        for label, fvec in zip(cs.labels, cs.features):
-            rows.append(fvec)
-            relevance.append(hit if label in gold else empty)
-    if not rows:
+    pairs = list(zip(candidate_sets, gold_sets))
+    relevance = [label in gold for cs, gold in pairs for label in cs.labels]
+    if not relevance:
         raise ValueError("no candidates to train on")
-    if not any(len(r) for r in relevance):
+    if not any(relevance):
         raise ValueError("degenerate corpus: no relevant candidates anywhere")
-    X = sp.csr_matrix(np.vstack(rows))
+    X = sp.csr_matrix(np.vstack([cs.features for cs, _ in pairs]))
+    Y = sp.csr_matrix(np.array(relevance, dtype=np.float64)[:, None])
     W, b = averaged_sgd_train(
-        X, relevance, 1, loss="logistic", alpha=alpha, eta0=eta0, epochs=epochs, seed=seed
+        X, Y, loss="logistic", alpha=alpha, eta0=eta0, epochs=epochs, seed=seed
     )
     return RankerModel(weights=W[0], bias=float(b[0]), cutoff=cutoff)
 
 
 def rank_candidates(model: RankerModel, candidates: CandidateSet) -> RankedPrediction:
-    scores = expit(model.score(candidates.features)) if len(candidates.labels) else np.empty(0)
-    return rank_labels(candidates.labels, scores)
+    return rank_labels(candidates.labels, expit(model.score(candidates.features)))
 
 
 def rank_and_cut(model: RankerModel, candidates: CandidateSet) -> set[str]:

@@ -64,17 +64,15 @@ def _dec_csr(d: dict) -> sp.csr_matrix:
 
 
 def _enc_labels(labels: LabelMatrix) -> dict:
+    Y = labels.Y
     return {
         "label_ids": list(labels.label_ids),
-        "rows": [[int(j) for j in row] for row in labels.rows],
+        "rows": [Y.indices[start:end].tolist() for start, end in zip(Y.indptr[:-1], Y.indptr[1:])],
     }
 
 
 def _dec_labels(d: dict) -> LabelMatrix:
-    return LabelMatrix(
-        label_ids=tuple(d["label_ids"]),
-        rows=[np.array(row, dtype=np.int64) for row in d["rows"]],
-    )
+    return LabelMatrix.from_rows(tuple(d["label_ids"]), d["rows"])
 
 
 def _enc_weighting(w: WeightingModel | None) -> dict | None:

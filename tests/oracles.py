@@ -50,6 +50,13 @@ def naive_longest_match(
     return counts
 
 
+def sorted_ranking(label_ids, scores) -> list[tuple[str, float, int]]:
+    """One score row ranked by a Python sort keyed on (-score, id), ranks
+    from 1: the per-row reference for the block ranking."""
+    order = sorted(range(len(label_ids)), key=lambda i: (-scores[i], label_ids[i]))
+    return [(label_ids[i], float(scores[i]), pos + 1) for pos, i in enumerate(order)]
+
+
 # stable under tokenization and the suffix lemmatizer (no trailing 's')
 ORACLE_TOKENS = ["ta", "tb", "tc", "td", "te"]
 

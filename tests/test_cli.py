@@ -227,3 +227,13 @@ def test_missing_corpus_file_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "failed" in capsys.readouterr().err
+
+
+def test_unwritable_report_path_exits_1(data_files, tmp_path, capsys):
+    corpus, thesaurus = data_files
+    out_json = str(tmp_path / "missing_dir" / "report.json")
+    out_csv = str(tmp_path / "report.csv")
+    code = main(eval_args(corpus, thesaurus, out_json, out_csv, folds=2))
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("evaluation failed: ")

@@ -16,6 +16,14 @@ def labels_of(gold):
     return LabelMatrix.from_gold([frozenset(g) for g in gold])
 
 
+def indicator(rows, n_labels):
+    """docs x labels 0/1 CSR matrix with row i set at the indices rows[i]."""
+    dense = np.zeros((len(rows), n_labels))
+    for i, row in enumerate(rows):
+        dense[i, row] = 1.0
+    return sp.csr_matrix(dense)
+
+
 def reference_sgd(X_rows, label_rows, n_labels, loss, alpha, eta0, epochs, seed):
     """Plain per-label SGD that records every post-update iterate from the
     second epoch onward; the mean of the recording is the averaging oracle."""
@@ -78,7 +86,7 @@ def test_averaged_weights_match_recorded_iterate_oracle(loss, epochs):
     dense = list(vectors.toarray())
     # a larger alpha makes the regularization shrink actually matter
     kwargs = dict(loss=loss, alpha=1e-3, eta0=0.5, epochs=epochs, seed=9)
-    W, B = averaged_sgd_train(vectors, rows, 2, **kwargs)
+    W, B = averaged_sgd_train(vectors, indicator(rows, 2), **kwargs)
     W_ref, B_ref = reference_sgd(dense, rows, 2, **kwargs)
     assert np.allclose(W, W_ref, rtol=1e-9, atol=1e-12)
     assert np.allclose(B, B_ref, rtol=1e-9, atol=1e-12)
@@ -89,7 +97,7 @@ def test_averaging_oracle_under_strong_regularization():
     vectors, rows = small_problem(seed=13, n_docs=9, n_labels=3)
     dense = list(vectors.toarray())
     kwargs = dict(loss="hinge", alpha=1e-2, eta0=2.0, epochs=8, seed=21)
-    W, B = averaged_sgd_train(vectors, rows, 3, **kwargs)
+    W, B = averaged_sgd_train(vectors, indicator(rows, 3), **kwargs)
     W_ref, B_ref = reference_sgd(dense, rows, 3, **kwargs)
     assert np.allclose(W, W_ref, rtol=1e-9, atol=1e-12)
     assert np.allclose(B, B_ref, rtol=1e-9, atol=1e-12)
@@ -101,7 +109,7 @@ def test_first_step_uses_eta0():
     eta0 = 2.0
     X = sv({0: 1.0}, 1)
     W, B = averaged_sgd_train(
-        X, [np.array([0])], 1, loss="logistic", alpha=1e-7, eta0=eta0, epochs=1, seed=0
+        X, indicator([[0]], 1), loss="logistic", alpha=1e-7, eta0=eta0, epochs=1, seed=0
     )
     assert W[0, 0] == pytest.approx(0.5 * eta0, rel=1e-9)
     assert B[0] == pytest.approx(-0.5 * eta0, rel=1e-9)
@@ -111,7 +119,7 @@ def test_single_epoch_returns_final_iterate():
     vectors, rows = small_problem(seed=2)
     dense = list(vectors.toarray())
     kwargs = dict(loss="logistic", alpha=1e-4, eta0=1.0, epochs=1, seed=3)
-    W, B = averaged_sgd_train(vectors, rows, 2, **kwargs)
+    W, B = averaged_sgd_train(vectors, indicator(rows, 2), **kwargs)
     W_ref, B_ref = reference_sgd(dense, rows, 2, **kwargs)
     assert np.allclose(W, W_ref, rtol=1e-9, atol=1e-12)
     assert np.allclose(B, B_ref, rtol=1e-9, atol=1e-12)
@@ -119,8 +127,8 @@ def test_single_epoch_returns_final_iterate():
 
 def test_training_deterministic_bitwise():
     vectors, rows = small_problem(seed=8, n_docs=10)
-    a = averaged_sgd_train(vectors, rows, 2, seed=17)
-    b = averaged_sgd_train(vectors, rows, 2, seed=17)
+    a = averaged_sgd_train(vectors, indicator(rows, 2), seed=17)
+    b = averaged_sgd_train(vectors, indicator(rows, 2), seed=17)
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
@@ -137,7 +145,7 @@ def test_separable_fixture_reaches_training_f1_one(loss):
 def test_all_negative_label_never_predicted():
     vectors, rows = small_problem(seed=5, n_docs=12, n_labels=1)
     # two label slots but every document carries only label 0
-    W, B = averaged_sgd_train(vectors, rows, 2, epochs=10, seed=1)
+    W, B = averaged_sgd_train(vectors, indicator(rows, 2), epochs=10, seed=1)
     for margin in vectors @ W[1] - B[1]:
         assert margin <= 0.0
 

@@ -11,7 +11,7 @@ from semannot.multilabel import (
     stacking_train,
     threshold_decide,
 )
-from semannot.sparse import vstack
+from semannot.sparse import ROW_BLOCK, vstack
 
 
 class TestBinaryRelevance:
@@ -210,3 +210,40 @@ def test_stacked_classifier_predictions_within_base_top_m(tiny_corpus, rate_thes
     for ranking, predicted in zip(stacked.base.rank(X), stacked.predict(X)):
         base_top = {cid for cid, _, _ in ranking[:3]}
         assert predicted <= base_top
+
+
+def test_stacking_meta_training_ranks_row_blocks():
+    class SpyBase:
+        """A Rocchio base that records the rows of every rank call."""
+
+        def __init__(self):
+            self.inner = RocchioClassifier()
+            self.rows_seen = []
+
+        def fit(self, X, labels):
+            self.inner.fit(X, labels)
+            return self
+
+        def rank(self, X):
+            self.rows_seen.append(X.shape[0])
+            return self.inner.rank(X)
+
+    rng = np.random.default_rng(11)
+    dim, n = 8, 2 * ROW_BLOCK + 7
+    X = vstack(
+        [
+            {int(j): float(rng.integers(1, 4)) for j in rng.choice(dim, 3, replace=False)}
+            for _ in range(n)
+        ],
+        dim,
+    )
+    gold = [frozenset({f"l{int(rng.integers(0, 5))}"}) for _ in range(n)]
+    spy = SpyBase()
+    stacked = StackedClassifier(spy, top_m=3).fit(X, LabelMatrix.from_gold(gold))
+    assert max(spy.rows_seen) <= ROW_BLOCK
+    assert sum(spy.rows_seen) == n
+    # the trees are those of one ranking of all training rows
+    whole = stacking_train(spy.inner.rank(X), gold, top_m=3)
+    assert {cid: tree.to_state() for cid, tree in stacked.model.trees.items()} == {
+        cid: tree.to_state() for cid, tree in whole.trees.items()
+    }

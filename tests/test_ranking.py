@@ -119,7 +119,7 @@ class TestRankerFit:
                 f1 = 2.0 + rng.random() if lab in relevant else 0.2 * rng.random()
                 features.append([f1, 1.0, 0.25, f1 / 2.0])
             candidate_sets.append(
-                CandidateSet(doc_id=f"d{d}", labels=labels, features=np.array(features))
+                CandidateSet(labels=labels, features=np.array(features))
             )
             gold_sets.append(relevant)
         model = ranker_fit(candidate_sets, gold_sets, cutoff=1, epochs=10, seed=0)
@@ -139,7 +139,7 @@ class TestRankerFit:
             features = [[1.0, 1.0, priors[lab], 1.0] for lab in labels]
             relevant = {lab for lab in labels if rng.random() < priors[lab]}
             candidate_sets.append(
-                CandidateSet(doc_id=f"d{d}", labels=labels, features=np.array(features))
+                CandidateSet(labels=labels, features=np.array(features))
             )
             gold_sets.append(relevant or {"l0"})
         model = ranker_fit(candidate_sets, gold_sets, cutoff=1, epochs=10, seed=0)
@@ -147,15 +147,15 @@ class TestRankerFit:
         assert [cid for cid, _, _ in ranking] == ["l0", "l1", "l2"]
 
     def test_empty_candidate_sets_skipped(self):
-        empty = CandidateSet(doc_id="e", labels=[], features=np.empty((0, 4)))
+        empty = CandidateSet(labels=[], features=np.empty((0, 4)))
         full = CandidateSet(
-            doc_id="f", labels=["a", "b"], features=np.array([[1.0, 1, 0.5, 1], [0.0, 1, 0.5, 0]])
+            labels=["a", "b"], features=np.array([[1.0, 1, 0.5, 1], [0.0, 1, 0.5, 0]])
         )
         model = ranker_fit([empty, full], [set(), {"a"}], cutoff=1, epochs=3)
         assert model.cutoff == 1
 
     def test_no_relevant_candidates_error(self):
-        cs = CandidateSet(doc_id="d", labels=["a"], features=np.array([[1.0, 1, 0.5, 1]]))
+        cs = CandidateSet(labels=["a"], features=np.array([[1.0, 1, 0.5, 1]]))
         with pytest.raises(ValueError, match="degenerate"):
             ranker_fit([cs], [{"other"}], cutoff=1)
 
@@ -164,7 +164,7 @@ class TestRankAndCut:
     def make_candidates(self, n):
         labels = [f"l{j}" for j in range(n)]
         features = np.array([[float(n - j), 1.0, 0.5, 1.0] for j in range(n)])
-        return CandidateSet(doc_id="d", labels=labels, features=features)
+        return CandidateSet(labels=labels, features=features)
 
     def test_cutoff_three_of_five(self):
         model = RankerModel(weights=np.array([1.0, 0, 0, 0]), bias=0.0, cutoff=3)
