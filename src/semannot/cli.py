@@ -20,10 +20,11 @@ from .corpus import (
     load_thesaurus,
 )
 from .evaluate import CSV_HEADER, csv_line, evaluate_run
-from .features import VARIANTS, ConceptMatcher, dump_vectors
-from .pipeline import CLASSIFIERS, FIELDS, RunConfig, fit_pipeline
+from .features import VARIANTS, ConceptMatcher, count_corpus, dump_vectors
+from .pipeline import CLASSIFIERS, FIELDS, RunConfig, count_documents, fit_pipeline
 from .preprocess import LemmaTable, preprocess
 from .serialize import load_pipeline, save_pipeline
+from .sparse import ROW_BLOCK
 
 
 def _add_common_config_flags(p: argparse.ArgumentParser) -> None:
@@ -92,9 +93,10 @@ def cmd_evaluate(args) -> int:
             configs = [dataclasses.replace(config, classifier=c) for c in CLASSIFIERS]
         else:
             configs = [config]
+        counts = count_documents(configs, docs, thesaurus, lemma_table)
         reports = []
         for cfg in configs:
-            report = evaluate_run(cfg, docs, thesaurus, lemma_table)
+            report = evaluate_run(cfg, docs, thesaurus, lemma_table, counts=counts)
             reports.append(report)
             print(
                 f"{cfg.field} {cfg.vectorization} {cfg.classifier} "
@@ -129,13 +131,12 @@ def cmd_train(args) -> int:
         return 2
     try:
         docs, thesaurus, lemma_table = _load_inputs(config)
-        token_seqs = [preprocess(doc.text(config.field), lemma_table) for doc in docs]
-        pipeline = fit_pipeline(config, docs, thesaurus, lemma_table, token_seqs=token_seqs)
+        pipeline = fit_pipeline(config, docs, thesaurus, lemma_table)
         save_pipeline(pipeline, args.out)
         if args.dump_vectors:
-            dump_vectors(
-                args.dump_vectors, [d.doc_id for d in docs], pipeline.vectorize(token_seqs)
-            )
+            seqs = [preprocess(doc.text(config.field), lemma_table) for doc in docs]
+            X = pipeline.vectorize(pipeline.count(seqs))
+            dump_vectors(args.dump_vectors, [d.doc_id for d in docs], X)
     except Exception as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return 1
@@ -146,21 +147,27 @@ def cmd_train(args) -> int:
 def cmd_annotate(args) -> int:
     try:
         pipeline = load_pipeline(args.model)
-        docs = load_corpus(args.corpus, pipeline.config.field, require_labels=False).documents
-        token_seqs = (
-            preprocess(doc.text(pipeline.config.field), pipeline.lemma_table) for doc in docs
-        )
-        predictions = (
-            predicted for _, block in pipeline.predict_blocks(token_seqs) for predicted in block
-        )
+        field = pipeline.config.field
+        docs = load_corpus(args.corpus, field, require_labels=False).documents
         with open(args.out, "w", encoding="utf-8") as fh:
-            for doc, predicted in zip(docs, predictions):
-                fh.write(json.dumps({"id": doc.doc_id, "labels": sorted(predicted)}) + "\n")
+            for start in range(0, len(docs), ROW_BLOCK):
+                block = docs[start:start + ROW_BLOCK]
+                counts = pipeline.count(
+                    [preprocess(doc.text(field), pipeline.lemma_table) for doc in block]
+                )
+                predictions = [p for _, rows in pipeline.predict_blocks(counts) for p in rows]
+                for doc, predicted in zip(block, predictions):
+                    fh.write(json.dumps({"id": doc.doc_id, "labels": sorted(predicted)}) + "\n")
     except Exception as exc:
         print(f"annotation failed: {exc}", file=sys.stderr)
         return 1
     print(f"annotations written to {args.out}")
     return 0
+
+
+def _row_sums(counts) -> list[int]:
+    """Per-document totals of a count matrix (whole numbers)."""
+    return [int(total) for total in counts.sum(axis=1).A1]
 
 
 def cmd_stats(args) -> int:
@@ -173,12 +180,14 @@ def cmd_stats(args) -> int:
         lemma_table = LemmaTable.load(args.lemma_table) if args.lemma_table else None
         matcher = ConceptMatcher(thesaurus, lemma_table)
 
-        title_seqs = [preprocess(doc.title, lemma_table) for doc in docs]
-        title_tokens = [len(seq) for seq in title_seqs]
-        title_concepts = [sum(matcher.match_counts(seq).values()) for seq in title_seqs]
-        title_vocab = len({tok for seq in title_seqs for tok in seq})
+        title = count_corpus([preprocess(doc.title, lemma_table) for doc in docs], matcher)
+        title_vocab = title.term_counts.shape[1]
         stats = corpus_stats(
-            docs, thesaurus, title_tokens, title_concepts, vocabulary_size_title=title_vocab
+            docs,
+            thesaurus,
+            _row_sums(title.term_counts),
+            _row_sums(title.concept_counts),
+            vocabulary_size_title=title_vocab,
         )
         print(f"documents                 {stats.n_docs}")
         print(f"concepts in thesaurus     {stats.n_concepts_in_thesaurus}")
@@ -194,12 +203,14 @@ def cmd_stats(args) -> int:
 
         with_ft = [doc for doc in docs if doc.fulltext is not None]
         if with_ft:
-            ft_seqs = [preprocess(doc.fulltext, lemma_table) for doc in with_ft]
-            ft_tokens = [len(seq) for seq in ft_seqs]
-            ft_concepts = [sum(matcher.match_counts(seq).values()) for seq in ft_seqs]
-            ft_vocab = len({tok for seq in ft_seqs for tok in seq})
+            ft = count_corpus([preprocess(doc.fulltext, lemma_table) for doc in with_ft], matcher)
+            ft_vocab = ft.term_counts.shape[1]
             ft_stats = corpus_stats(
-                with_ft, thesaurus, ft_tokens, ft_concepts, vocabulary_size_fulltext=ft_vocab
+                with_ft,
+                thesaurus,
+                _row_sums(ft.term_counts),
+                _row_sums(ft.concept_counts),
+                vocabulary_size_fulltext=ft_vocab,
             )
             print(f"-- fulltext ({len(with_ft)} docs) --")
             print(f"vocabulary size           {ft_vocab}")

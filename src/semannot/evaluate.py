@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Document, Thesaurus
-from .pipeline import RunConfig, fit_pipeline
-from .preprocess import LemmaTable, preprocess
+from .features import CorpusCounts
+from .learners import LabelMatrix
+from .pipeline import RunConfig, count_documents, fit_counts
+from .preprocess import LemmaTable
 
 
 @dataclass(frozen=True)
@@ -90,26 +92,18 @@ class FoldResult:
 
 def run_fold(
     config: RunConfig,
-    thesaurus: Thesaurus,
-    lemma_table: LemmaTable | None,
-    token_seqs: list[list[str]],
-    docs: list[Document],
+    counts: CorpusCounts,
+    labels: LabelMatrix,
     fold_index: int,
     train_idx: np.ndarray,
     test_idx: np.ndarray,
 ) -> FoldResult:
-    """Fit on the train split only and score the test split against the
-    documents' gold labels."""
-    pipeline = fit_pipeline(
-        config,
-        [docs[i] for i in train_idx],
-        thesaurus,
-        lemma_table,
-        token_seqs=[token_seqs[i] for i in train_idx],
-    )
+    """Fit on the train rows only and score the test rows against their
+    gold labels; ``counts`` and ``labels`` hold every document of the corpus."""
+    pipeline = fit_counts(config, counts.rows(train_idx), labels.take(train_idx))
     predictions: list[set[str]] = []
     zero_vec = 0
-    for X, block_predictions in pipeline.predict_blocks(token_seqs[i] for i in test_idx):
+    for X, block_predictions in pipeline.predict_blocks(counts.rows(test_idx)):
         zero_vec += int(np.count_nonzero(np.diff(X.indptr) == 0))
         predictions.extend(block_predictions)
 
@@ -118,7 +112,7 @@ def run_fold(
     for i, predicted in zip(test_idx, predictions):
         if not predicted:
             empty += 1
-        p, r, f1 = sample_prf(predicted, docs[i].gold_labels)
+        p, r, f1 = sample_prf(predicted, labels.row_set(i))
         precisions.append(p)
         recalls.append(r)
         f1s.append(f1)
@@ -135,14 +129,27 @@ def run_fold(
     )
 
 
-def _fold_worker(task) -> FoldResult:
-    config, thesaurus, lemma_table, token_seqs, docs, fold_index, train_idx, test_idx = task
+def _run_task(shared: tuple, task: tuple) -> FoldResult:
+    """One fold task ``(fold_index, train_idx, test_idx)`` over the shared
+    ``(config, counts, labels)``."""
     try:
-        return run_fold(
-            config, thesaurus, lemma_table, token_seqs, docs, fold_index, train_idx, test_idx
-        )
+        return run_fold(*shared, *task)
     except Exception as exc:
-        raise RuntimeError(f"fold {fold_index} failed: {exc}") from exc
+        raise RuntimeError(f"fold {task[0]} failed: {exc}") from exc
+
+
+# (config, counts, labels) of the run a pool worker serves; set once per
+# worker process, so fold tasks carry only their fold's indices
+_worker_shared: tuple | None = None
+
+
+def _init_worker(*shared) -> None:
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _fold_worker(task: tuple) -> FoldResult:
+    return _run_task(_worker_shared, task)
 
 
 @dataclass
@@ -186,20 +193,28 @@ def evaluate_run(
     docs: list[Document],
     thesaurus: Thesaurus,
     lemma_table: LemmaTable | None = None,
+    counts: CorpusCounts | None = None,
 ) -> EvalReport:
-    """Full cross-validated run of one pipeline configuration."""
+    """Full cross-validated run of one pipeline configuration.
+
+    ``counts``, when given, are the documents' counts from
+    ``count_documents`` for this config's field, shared by several runs.
+    """
     config.validate()
-    token_seqs = [preprocess(doc.text(config.field), lemma_table) for doc in docs]
+    if counts is None:
+        counts = count_documents([config], docs, thesaurus, lemma_table)
+    elif len(counts) != len(docs):
+        raise ValueError(f"counts hold {len(counts)} documents, the corpus {len(docs)}")
+    shared = (config, counts, LabelMatrix.from_gold([doc.gold_labels for doc in docs]))
     plan = make_folds(len(docs), config.folds, config.seed)
-    tasks = [
-        (config, thesaurus, lemma_table, token_seqs, docs, i, train, test)
-        for i, (train, test) in enumerate(plan.folds)
-    ]
+    tasks = [(i, train, test) for i, (train, test) in enumerate(plan.folds)]
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(
+            max_workers=config.jobs, initializer=_init_worker, initargs=shared
+        ) as pool:
             results = list(pool.map(_fold_worker, tasks))
     else:
-        results = [_fold_worker(task) for task in tasks]
+        results = [_run_task(shared, task) for task in tasks]
     results.sort(key=lambda fr: fr.fold)
     mean_p, sd_p = _mean_sd([fr.precision for fr in results])
     mean_r, sd_r = _mean_sd([fr.recall for fr in results])

@@ -5,13 +5,19 @@ Six vectorization variants are supported; term-based, concept-based, and
 the concatenation of both, each with IDF or BM25 re-weighting:
 
     tf-idf, bm25, cf-idf, bm25c, ctf-idf, bm25ct
+
+Documents are counted once (``count_corpus``); a vectorizer fitted on some
+of the count rows takes its vocabulary and weighting from those rows only
+and maps any count rows onto its own feature columns.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse as sp
@@ -42,15 +48,6 @@ class Vocabulary:
     def __init__(self, index: dict[str, int]):
         self.index = index
 
-    @classmethod
-    def fit(cls, token_seqs: list[list[str]]) -> "Vocabulary":
-        index: dict[str, int] = {}
-        for seq in token_seqs:
-            for token in seq:
-                if token not in index:
-                    index[token] = len(index)
-        return cls(index)
-
     def __len__(self) -> int:
         return len(self.index)
 
@@ -61,15 +58,10 @@ class Vocabulary:
         return sorted(self.index, key=self.index.get)
 
 
-def count_terms(tokens: list[str], vocab: Vocabulary) -> Counter[int]:
-    """Term frequencies by feature index; tokens outside the vocabulary are
-    ignored."""
-    counts: Counter[int] = Counter()
-    for token in tokens:
-        idx = vocab.index.get(token)
-        if idx is not None:
-            counts[idx] += 1
-    return counts
+def count_terms(tokens: list[str], index: dict[str, int]) -> Counter[int]:
+    """Term frequencies of one document by column, in the order the terms
+    first appear in it; a term new to ``index`` takes the next column."""
+    return Counter([index.setdefault(token, len(index)) for token in tokens])
 
 
 class _TrieNode:
@@ -159,6 +151,61 @@ def extract_concepts(tokens: list[str], matcher: ConceptMatcher) -> dict[int, fl
     """Concept frequencies by concept index, from the longest-match scan."""
     counts = matcher.match_counts(tokens)
     return {matcher.concept_index[cid]: float(c) for cid, c in counts.items()}
+
+
+@dataclass(frozen=True)
+class CorpusCounts:
+    """Raw term and concept counts of a list of documents, one row each.
+
+    ``terms`` names the term columns in first-seen order over the rows.
+    Each row of ``term_counts`` stores its entries in the order its terms
+    first appear in the document, so the rows of any subset of documents
+    still give that subset's own first-seen term order.  ``concept_counts``
+    has one column per concept index of ``matcher`` and is present exactly
+    when a matcher was given.
+    """
+
+    terms: list[str]
+    term_counts: sp.csr_matrix
+    matcher: ConceptMatcher | None = None
+    concept_counts: sp.csr_matrix | None = None
+
+    def __len__(self) -> int:
+        return self.term_counts.shape[0]
+
+    def rows(self, idx) -> "CorpusCounts":
+        """The counts of the documents at ``idx`` (index array or slice),
+        over the same columns."""
+        return replace(
+            self,
+            term_counts=self.term_counts[idx],
+            concept_counts=None if self.concept_counts is None else self.concept_counts[idx],
+        )
+
+
+def count_corpus(
+    token_seqs: Sequence[list[str]], matcher: ConceptMatcher | None = None
+) -> CorpusCounts:
+    """Count every document once: its terms, and its concepts when a
+    matcher is given.  The one place token sequences become counts."""
+    index: dict[str, int] = {}
+    rows = [count_terms(seq, index) for seq in token_seqs]
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    nnz = int(indptr[-1])
+    term_counts = sp.csr_matrix(
+        (
+            np.fromiter(chain.from_iterable(row.values() for row in rows), np.float64, nnz),
+            np.fromiter(chain.from_iterable(rows), np.int64, nnz),
+            indptr,
+        ),
+        shape=(len(rows), len(index)),
+    )
+    concept_counts = None
+    if matcher is not None:
+        concept_counts = vstack(
+            [extract_concepts(seq, matcher) for seq in token_seqs], matcher.n_concepts
+        )
+    return CorpusCounts(list(index), term_counts, matcher, concept_counts)
 
 
 @dataclass(frozen=True)
@@ -256,20 +303,14 @@ def concat(*blocks: sp.csr_matrix) -> sp.csr_matrix:
 class TextVectorizer:
     """One fitted path through the vectorization half of the pipeline.
 
-    fit() learns the vocabulary and the IDF/BM25 statistics from training
-    token sequences only; transform() applies the identical pipeline to any
-    sequence.  transform_counts() exposes the raw pre-weighting counts in
-    the same index layout (the count-based classifiers consume these).
+    fit() learns the vocabulary and the IDF/BM25 statistics from the count
+    rows of the training documents only; transform() applies the identical
+    pipeline to the count rows of any documents.  transform_counts()
+    exposes the raw pre-weighting counts in the same index layout (the
+    count-based classifiers consume these).
     """
 
-    def __init__(
-        self,
-        variant: str,
-        thesaurus: Thesaurus | None = None,
-        lemma_table: LemmaTable | None = None,
-        k: float = BM25_K,
-        b: float = BM25_B,
-    ):
+    def __init__(self, variant: str, k: float = BM25_K, b: float = BM25_B):
         key = variant.lower()
         if key not in _VARIANT_PLAN:
             raise ValueError(
@@ -279,26 +320,29 @@ class TextVectorizer:
         self.uses_terms, self.uses_concepts, self.scheme = _VARIANT_PLAN[key]
         self.k = k
         self.b = b
-        if self.uses_concepts and thesaurus is None:
-            raise ValueError(f"vectorization {key!r} needs a thesaurus")
-        self.matcher = (
-            ConceptMatcher(thesaurus, lemma_table) if self.uses_concepts else None
-        )
+        self.matcher: ConceptMatcher | None = None
         self.vocab: Vocabulary | None = None
         self.term_weighting: WeightingModel | None = None
         self.concept_weighting: WeightingModel | None = None
 
-    def fit(self, token_seqs: list[list[str]]) -> "TextVectorizer":
-        if not token_seqs:
+    def fit(self, counts: CorpusCounts) -> "TextVectorizer":
+        if not len(counts):
             raise ValueError("cannot fit a vectorizer on an empty training set")
+        if self.uses_concepts and counts.matcher is None:
+            raise ValueError(f"vectorization {self.variant!r} needs a thesaurus")
         if self.uses_terms:
-            self.vocab = Vocabulary.fit(token_seqs)
+            # columns in order of their first entry in the training rows:
+            # the order in which a scan of the training token stream meets them
+            columns, first = np.unique(counts.term_counts.indices, return_index=True)
+            order = columns[np.argsort(first)].tolist()
+            self.vocab = Vocabulary({counts.terms[j]: i for i, j in enumerate(order)})
             self.term_weighting = fit_weighting(
-                self._term_counts(token_seqs), self.scheme, self.k, self.b
+                self._term_counts(counts), self.scheme, self.k, self.b
             )
         if self.uses_concepts:
+            self.matcher = counts.matcher
             self.concept_weighting = fit_weighting(
-                self._concept_counts(token_seqs), self.scheme, self.k, self.b
+                counts.concept_counts, self.scheme, self.k, self.b
             )
         return self
 
@@ -318,37 +362,42 @@ class TextVectorizer:
             dim += self.matcher.n_concepts
         return dim
 
-    def _term_counts(self, token_seqs: list[list[str]]) -> sp.csr_matrix:
-        return vstack([count_terms(seq, self.vocab) for seq in token_seqs], len(self.vocab))
-
-    def _concept_counts(self, token_seqs: list[list[str]]) -> sp.csr_matrix:
-        return vstack(
-            [extract_concepts(seq, self.matcher) for seq in token_seqs], self.matcher.n_concepts
+    def _term_counts(self, counts: CorpusCounts) -> sp.csr_matrix:
+        """Term count rows over the fitted vocabulary, indices sorted within
+        each row; terms outside the vocabulary are dropped."""
+        index = self.vocab.index
+        lookup = np.array([index.get(term, -1) for term in counts.terms], dtype=np.int64)
+        rows = counts.term_counts
+        columns = lookup[rows.indices]
+        kept = columns >= 0
+        indptr = np.concatenate(([0], np.cumsum(kept)))[rows.indptr]
+        X = sp.csr_matrix(
+            (rows.data[kept], columns[kept], indptr), shape=(rows.shape[0], len(index))
         )
+        X.sort_indices()
+        return X
 
-    def _blocks(self, token_seqs: list[list[str]]) -> list[tuple[sp.csr_matrix, WeightingModel]]:
+    def _blocks(self, counts: CorpusCounts) -> list[tuple[sp.csr_matrix, WeightingModel]]:
         """Raw count rows and fitted weighting of each feature block, terms first."""
         self._check_fitted()
         blocks = []
         if self.uses_terms:
-            blocks.append((self._term_counts(token_seqs), self.term_weighting))
+            blocks.append((self._term_counts(counts), self.term_weighting))
         if self.uses_concepts:
-            blocks.append((self._concept_counts(token_seqs), self.concept_weighting))
+            blocks.append((counts.concept_counts, self.concept_weighting))
         return blocks
 
-    def transform(self, token_seqs: list[list[str]]) -> sp.csr_matrix:
-        return concat(
-            *[l2_normalize(apply_weighting(c, w)) for c, w in self._blocks(token_seqs)]
-        )
+    def transform(self, counts: CorpusCounts) -> sp.csr_matrix:
+        return concat(*[l2_normalize(apply_weighting(c, w)) for c, w in self._blocks(counts)])
 
-    def transform_counts(self, token_seqs: list[list[str]]) -> sp.csr_matrix:
-        return concat(*[counts for counts, _ in self._blocks(token_seqs)])
+    def transform_counts(self, counts: CorpusCounts) -> sp.csr_matrix:
+        return concat(*[c for c, _ in self._blocks(counts)])
 
     def transform_one(self, tokens: list[str]) -> sp.csr_matrix:
-        return self.transform([tokens])
+        return self.transform(count_corpus([tokens], self.matcher))
 
     def counts_one(self, tokens: list[str]) -> sp.csr_matrix:
-        return self.transform_counts([tokens])
+        return self.transform_counts(count_corpus([tokens], self.matcher))
 
 
 def dump_vectors(path, doc_ids: list[str], X: sp.csr_matrix) -> None:

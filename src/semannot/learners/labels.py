@@ -38,6 +38,18 @@ class LabelMatrix:
         shape = (len(rows), len(label_ids))
         return cls(label_ids, sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=shape))
 
+    def take(self, rows: np.ndarray) -> "LabelMatrix":
+        """The indicator of the documents at ``rows``, over only the labels
+        they carry: what ``from_gold`` gives for those documents' gold sets."""
+        Y = self.Y[rows]
+        used = np.flatnonzero(np.bincount(Y.indices, minlength=self.n_labels))
+        lookup = np.full(self.n_labels, -1, dtype=np.int64)
+        lookup[used] = np.arange(len(used))
+        return LabelMatrix(
+            tuple(self.label_ids[j] for j in used),
+            sp.csr_matrix((Y.data, lookup[Y.indices], Y.indptr), shape=(Y.shape[0], len(used))),
+        )
+
     @property
     def n_labels(self) -> int:
         return len(self.label_ids)

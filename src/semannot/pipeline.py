@@ -5,13 +5,12 @@ through the processing pipeline."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dc_field
-from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 from scipy import sparse as sp
 
 from .corpus import Document, Thesaurus
-from .features import VARIANTS, TextVectorizer
+from .features import VARIANTS, ConceptMatcher, CorpusCounts, TextVectorizer, count_corpus
 from .learners import (
     KnnClassifier,
     LabelMatrix,
@@ -123,6 +122,23 @@ def build_classifier(config: RunConfig):
     raise ValueError(f"unknown classifier {kind!r}")
 
 
+def count_documents(
+    configs: Sequence[RunConfig],
+    docs: list[Document],
+    thesaurus: Thesaurus,
+    lemma_table: LemmaTable | None = None,
+) -> CorpusCounts:
+    """Preprocess and count the configs' field of every document once; all
+    configs share that field.  Concepts are matched only when a config's
+    vectorization uses them."""
+    if any(TextVectorizer(config.vectorization).uses_concepts for config in configs):
+        matcher = ConceptMatcher(thesaurus, lemma_table)
+    else:
+        matcher = None
+    field = configs[0].field
+    return count_corpus([preprocess(doc.text(field), lemma_table) for doc in docs], matcher)
+
+
 @dataclass
 class FittedPipeline:
     """A vectorizer and classifier fitted together, ready to annotate."""
@@ -132,26 +148,43 @@ class FittedPipeline:
     classifier: object
     lemma_table: LemmaTable | None = dc_field(default=None, repr=False)
 
-    def vectorize(self, token_seqs: list[list[str]]) -> sp.csr_matrix:
+    def count(self, token_seqs: Sequence[list[str]]) -> CorpusCounts:
+        """Counts of preprocessed documents, with this pipeline's concept matcher."""
+        return count_corpus(token_seqs, self.vectorizer.matcher)
+
+    def vectorize(self, counts: CorpusCounts) -> sp.csr_matrix:
         """Classifier input rows: raw counts for the count-based classifiers,
         weighted unit vectors for the rest."""
         if self.config.classifier in _COUNT_BASED:
-            return self.vectorizer.transform_counts(token_seqs)
-        return self.vectorizer.transform(token_seqs)
+            return self.vectorizer.transform_counts(counts)
+        return self.vectorizer.transform(counts)
 
     def predict_blocks(
-        self, token_seqs: Iterable[list[str]]
+        self, counts: CorpusCounts
     ) -> Iterator[tuple[sp.csr_matrix, list[set[str]]]]:
         """Vectorize and decide ROW_BLOCK documents at a time; yields each
         block's feature rows with one label set per row."""
-        seqs = iter(token_seqs)
-        while block := list(islice(seqs, ROW_BLOCK)):
-            X = self.vectorize(block)
+        for start in range(0, len(counts), ROW_BLOCK):
+            X = self.vectorize(counts.rows(slice(start, start + ROW_BLOCK)))
             yield X, self.classifier.predict(X)
 
     def predict_document(self, doc: Document) -> set[str]:
         tokens = preprocess(doc.text(self.config.field), self.lemma_table)
-        return self.classifier.predict(self.vectorize([tokens]))[0]
+        return self.classifier.predict(self.vectorize(self.count([tokens])))[0]
+
+
+def fit_counts(
+    config: RunConfig,
+    counts: CorpusCounts,
+    labels: LabelMatrix,
+    lemma_table: LemmaTable | None = None,
+) -> FittedPipeline:
+    """Fit vectorizer and classifier on counted documents and their gold
+    labels (no held-out split)."""
+    vectorizer = TextVectorizer(config.vectorization).fit(counts)
+    pipeline = FittedPipeline(config, vectorizer, build_classifier(config), lemma_table)
+    pipeline.classifier.fit(pipeline.vectorize(counts), labels)
+    return pipeline
 
 
 def fit_pipeline(
@@ -159,17 +192,10 @@ def fit_pipeline(
     docs: list[Document],
     thesaurus: Thesaurus,
     lemma_table: LemmaTable | None = None,
-    token_seqs: list[list[str]] | None = None,
 ) -> FittedPipeline:
     """Fit vectorizer and classifier on the given documents (no held-out
-    split); ``token_seqs``, when given, are their preprocessed texts."""
+    split)."""
     config.validate()
-    if token_seqs is None:
-        token_seqs = [preprocess(doc.text(config.field), lemma_table) for doc in docs]
-    vectorizer = TextVectorizer(
-        config.vectorization, thesaurus=thesaurus, lemma_table=lemma_table
-    ).fit(token_seqs)
-    pipeline = FittedPipeline(config, vectorizer, build_classifier(config), lemma_table)
+    counts = count_documents([config], docs, thesaurus, lemma_table)
     labels = LabelMatrix.from_gold([doc.gold_labels for doc in docs])
-    pipeline.classifier.fit(pipeline.vectorize(token_seqs), labels)
-    return pipeline
+    return fit_counts(config, counts, labels, lemma_table)

@@ -72,7 +72,13 @@ def _enc_labels(labels: LabelMatrix) -> dict:
 
 
 def _dec_labels(d: dict) -> LabelMatrix:
-    return LabelMatrix.from_rows(tuple(d["label_ids"]), d["rows"])
+    labels = LabelMatrix.from_rows(tuple(d["label_ids"]), d["rows"])
+    indices = labels.Y.indices
+    if indices.size and not 0 <= indices.min() <= indices.max() < labels.n_labels:
+        raise ModelFormatError(
+            f"label index out of range 0..{labels.n_labels - 1} in the training label rows"
+        )
+    return labels
 
 
 def _enc_weighting(w: WeightingModel | None) -> dict | None:
@@ -114,12 +120,7 @@ def _enc_vectorizer(v: TextVectorizer) -> dict:
 
 
 def _dec_vectorizer(d: dict) -> TextVectorizer:
-    v = TextVectorizer.__new__(TextVectorizer)
-    from .features import _VARIANT_PLAN  # variant plan is the format contract
-
-    v.variant = d["variant"]
-    v.uses_terms, v.uses_concepts, v.scheme = _VARIANT_PLAN[v.variant]
-    v.k, v.b = d["k"], d["b"]
+    v = TextVectorizer(d["variant"], k=d["k"], b=d["b"])
     v.vocab = (
         Vocabulary({tok: i for i, tok in enumerate(d["vocab"])})
         if d["vocab"] is not None

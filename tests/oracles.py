@@ -11,6 +11,16 @@ import numpy as np
 from scipy import sparse as sp
 
 from semannot.corpus import Concept, Thesaurus
+from semannot.features import (
+    VARIANTS,
+    ConceptMatcher,
+    apply_weighting,
+    concat,
+    extract_concepts,
+    fit_weighting,
+    l2_normalize,
+)
+from semannot.sparse import vstack
 
 
 def brute_force_idf(matrix: sp.csr_matrix, dimension: int) -> list[float]:
@@ -127,3 +137,70 @@ def central_difference_grads(params, X, T, activation, epsilon=1e-5):
 def gradient_relative_error(a: np.ndarray, b: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
     return float(np.max(np.abs(a - b) / denom))
+
+
+# variant -> (term block, concept block, weighting), as documented in features
+_ORACLE_PLAN = dict(
+    zip(
+        VARIANTS,
+        [
+            (True, False, "idf"),
+            (True, False, "bm25"),
+            (False, True, "idf"),
+            (False, True, "bm25"),
+            (True, True, "idf"),
+            (True, True, "bm25"),
+        ],
+    )
+)
+
+
+def per_fold_matrices(
+    variant: str,
+    token_seqs: list[list[str]],
+    matcher: ConceptMatcher,
+    train_idx,
+    test_idx,
+    weighted: bool,
+) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """A fold's (train, test) feature rows the way a vectorizer fitted on
+    the fold's own token sequences builds them: a first-seen vocabulary of
+    the training tokens, every document counted against it token by token
+    (unseen tokens ignored), concepts matched per document, then weighting
+    fitted on the training rows.  The reference for the count-once path."""
+    uses_terms, uses_concepts, scheme = _ORACLE_PLAN[variant]
+    train = [token_seqs[i] for i in train_idx]
+    test = [token_seqs[i] for i in test_idx]
+    vocab: dict[str, int] = {}
+    for seq in train:
+        for token in seq:
+            if token not in vocab:
+                vocab[token] = len(vocab)
+
+    def term_rows(seqs):
+        rows = []
+        for seq in seqs:
+            row: Counter = Counter()
+            for token in seq:
+                if token in vocab:
+                    row[vocab[token]] += 1
+            rows.append(row)
+        return vstack(rows, len(vocab))
+
+    def concept_rows(seqs):
+        return vstack([extract_concepts(seq, matcher) for seq in seqs], matcher.n_concepts)
+
+    counters = []
+    if uses_terms:
+        counters.append(term_rows)
+    if uses_concepts:
+        counters.append(concept_rows)
+    models = [fit_weighting(count(train), scheme) for count in counters]
+
+    def rows(seqs):
+        blocks = [count(seqs) for count in counters]
+        if weighted:
+            blocks = [l2_normalize(apply_weighting(b, m)) for b, m in zip(blocks, models)]
+        return concat(*blocks)
+
+    return rows(train), rows(test)

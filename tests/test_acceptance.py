@@ -7,6 +7,7 @@ checked only when a local copy of the news corpus is configured via the
 SEMANNOT_RCV1_DIR environment variable.
 """
 
+import json
 import os
 import time
 
@@ -196,7 +197,7 @@ def test_stacking_containment_exhaustive():
         )
         pipeline = fit_pipeline(config, made.documents, made.thesaurus)
         stacked = pipeline.classifier
-        X = pipeline.vectorize([preprocess(doc.title) for doc in made.documents])
+        X = pipeline.vectorize(pipeline.count([preprocess(doc.title) for doc in made.documents]))
         for ranking, predicted in zip(stacked.base.rank(X), stacked.predict(X)):
             base_top = {cid for cid, _, _ in ranking[:30]}
             assert predicted <= base_top
@@ -208,12 +209,12 @@ def test_l2r_cutoff_exhaustive():
     """L2R prediction sizes never exceed the rounded training mean label
     count and reach it exactly whenever enough candidates exist."""
     made = generate_corpus(n_labels=10, docs_per_label=15, labels_per_doc=(1, 4), seed=17)
-    docs, thesaurus = made.documents, made.thesaurus
+    docs = made.documents
     token_seqs = [preprocess(d.title) for d in docs]
-    from semannot.features import TextVectorizer
+    from semannot.features import TextVectorizer, count_corpus
 
-    vectorizer = TextVectorizer("tf-idf", thesaurus=thesaurus).fit(token_seqs)
-    X = vectorizer.transform(token_seqs)
+    counts = count_corpus(token_seqs)
+    X = TextVectorizer("tf-idf").fit(counts).transform(counts)
     labels = LabelMatrix.from_gold([d.gold_labels for d in docs])
     clf = L2RClassifier(k=10, epochs=3, seed=0).fit(X, labels)
     cutoff = clf.model.cutoff
@@ -256,6 +257,43 @@ def test_cli_determinism_across_runs_and_jobs(tmp_path):
     assert outputs["a"] == outputs["b"]
     assert outputs["a"] == outputs["c"]
     report("CLI determinism (repeat and --jobs 1 vs --jobs 8)")
+
+
+def test_cli_fulltext_grid_identical_across_jobs(tmp_path, monkeypatch, capsys):
+    """A full-text --grid vectorizations run prints the same lines and
+    writes byte-identical CSV reports with --jobs 1 and --jobs 2; the JSON
+    reports differ only in the recorded jobs value."""
+    made = generate_corpus(n_labels=5, docs_per_label=8, synonyms_per_concept=1, seed=6)
+    corpus = tmp_path / "corpus.jsonl"
+    thesaurus = tmp_path / "thesaurus.tsv"
+    dump_corpus_jsonl(made.documents, corpus)
+    dump_thesaurus_tsv(made.thesaurus, thesaurus)
+    outputs = {}
+    for jobs in (1, 2):
+        run_dir = tmp_path / f"jobs{jobs}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        capsys.readouterr()
+        code = main(
+            [
+                "evaluate",
+                "--corpus", str(corpus),
+                "--thesaurus", str(thesaurus),
+                "--field", "fulltext",
+                "--grid", "vectorizations",
+                "--folds", "5",
+                "--seed", "2",
+                "--jobs", str(jobs),
+                "--out-json", "report.json",
+                "--out-csv", "report.csv",
+            ]
+        )
+        assert code == 0
+        payload = json.loads((run_dir / "report.json").read_text())
+        assert [r["config"].pop("jobs") for r in payload["reports"]] == [jobs] * 6
+        outputs[jobs] = (capsys.readouterr().out, (run_dir / "report.csv").read_bytes(), payload)
+    assert outputs[1] == outputs[2]
+    report("full-text vectorization grid (--jobs 1 vs --jobs 2)")
 
 
 RCV1_DIR = os.environ.get("SEMANNOT_RCV1_DIR")

@@ -72,7 +72,7 @@ def test_block_equals_row_by_row(classifier):
     @given(fitted_pipelines(classifier), st.integers(1, 40))
     def check(fitted, extra_rows):
         pipeline, token_seqs = fitted
-        rows = pipeline.vectorize(token_seqs)
+        rows = pipeline.vectorize(pipeline.count(token_seqs))
         n = rows.shape[0]
         # one block longer than ROW_BLOCK that revisits every row
         order = np.arange(ROW_BLOCK + extra_rows) % n

@@ -137,6 +137,26 @@ def test_annotate_with_tampered_model_exits_1(data_files, tmp_path, capsys):
     assert "annotation failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_index", ["-1", "L"])
+def test_annotate_with_out_of_range_label_index_exits_1(data_files, tmp_path, capsys, bad_index):
+    corpus, thesaurus = data_files
+    model = str(tmp_path / "model.json")
+    assert main(
+        ["train", "--corpus", corpus, "--thesaurus", thesaurus,
+         "--vec", "tf-idf", "--clf", "knn", "--out", model]
+    ) == 0
+    container = json.loads(open(model).read())
+    labels = container["classifier"]["labels"]
+    labels["rows"][0] = [-1 if bad_index == "-1" else len(labels["label_ids"])]
+    open(model, "w").write(json.dumps(container))
+    capsys.readouterr()
+    code = main(["annotate", "--model", model, "--corpus", corpus, "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("annotation failed: label index out of range")
+
+
 def test_stats_prints_table(data_files, capsys):
     corpus, thesaurus = data_files
     assert main(["stats", "--corpus", corpus, "--thesaurus", thesaurus]) == 0

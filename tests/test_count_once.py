@@ -1,0 +1,146 @@
+"""Count once, slice per fold.
+
+Every document is tokenized, counted and concept-matched once per corpus;
+a fold's vectorizer takes its vocabulary from the training rows of those
+counts.  The fold matrices must be byte-identical to the per-fold path
+(`oracles.per_fold_matrices`), and the fitted fold state must not depend on
+the text of the test documents.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import semannot.features as features
+import semannot.pipeline as pl
+from semannot.cli import main
+from semannot.corpus import Concept, Thesaurus, dump_corpus_jsonl, dump_thesaurus_tsv
+from semannot.evaluate import make_folds
+from semannot.features import VARIANTS, ConceptMatcher, TextVectorizer, count_corpus
+from semannot.preprocess import preprocess
+from semannot.synthetic import generate_corpus
+
+from oracles import ORACLE_TOKENS, per_fold_matrices
+
+
+def assert_same_csr(got, expected):
+    assert got.shape == expected.shape
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(expected, part)
+        assert a.dtype == b.dtype, part
+        assert a.tobytes() == b.tobytes(), part
+
+
+CORPUS = generate_corpus(
+    n_labels=6,
+    docs_per_label=7,
+    labels_per_doc=(1, 3),
+    keyword_overlap=0.3,
+    synonyms_per_concept=2,
+    synonym_rate=0.5,
+    noise_words=4,
+    fulltext_factor=3,
+    seed=13,
+)
+
+
+@pytest.mark.parametrize("field", ["title", "fulltext"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fold_matrices_equal_per_fold_oracle(field, variant):
+    token_seqs = [preprocess(doc.text(field)) for doc in CORPUS.documents]
+    matcher = ConceptMatcher(CORPUS.thesaurus)
+    counts = count_corpus(token_seqs, matcher)
+    for train_idx, test_idx in make_folds(len(token_seqs), 10, seed=3).folds:
+        vectorizer = TextVectorizer(variant).fit(counts.rows(train_idx))
+        train, test = counts.rows(train_idx), counts.rows(test_idx)
+        for weighted, rows in ((True, vectorizer.transform), (False, vectorizer.transform_counts)):
+            expected_train, expected_test = per_fold_matrices(
+                variant, token_seqs, matcher, train_idx, test_idx, weighted
+            )
+            assert_same_csr(rows(train), expected_train)
+            assert_same_csr(rows(test), expected_test)
+
+
+# test-only tokens: never in a training document
+UNSEEN = ["ua", "ub", "uc"]
+THESAURUS = Thesaurus(
+    {
+        "k1": Concept("k1", "ta tb", ("tc",)),
+        "k2": Concept("k2", "tb"),
+        "k3": Concept("k3", "ua td"),
+    }
+)
+
+
+@st.composite
+def fold_with_rewritten_tests(draw):
+    n = draw(st.integers(3, 12))
+    seq = st.lists(st.sampled_from(ORACLE_TOKENS), max_size=8)
+    docs = draw(st.lists(seq, min_size=n, max_size=n))
+    test = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    rewritten = list(docs)
+    for i in test:
+        rewritten[i] = draw(st.lists(st.sampled_from(ORACLE_TOKENS + UNSEEN), max_size=8))
+    train_idx = np.array([i for i in range(n) if i not in test])
+    return docs, rewritten, train_idx, np.array(sorted(test))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(fold_with_rewritten_tests(), st.sampled_from(VARIANTS))
+def test_test_fold_text_never_reaches_fitted_state(fold, variant):
+    docs, rewritten, train_idx, test_idx = fold
+    matcher = ConceptMatcher(THESAURUS)
+    fitted = []
+    for seqs in (docs, rewritten):
+        counts = count_corpus(seqs, matcher)
+        vectorizer = TextVectorizer(variant).fit(counts.rows(train_idx))
+        fitted.append((vectorizer, vectorizer.transform(counts.rows(train_idx))))
+    (honest, honest_train), (tampered, tampered_train) = fitted
+    if honest.uses_terms:
+        assert tampered.vocab.tokens_in_order() == honest.vocab.tokens_in_order()
+        assert not set(UNSEEN) & set(tampered.vocab.index)
+    for model in ("term_weighting", "concept_weighting"):
+        a, b = getattr(honest, model), getattr(tampered, model)
+        if a is None:
+            assert b is None
+            continue
+        assert (a.scheme, a.n_docs, a.mean_doc_len, a.k, a.b) == (
+            b.scheme, b.n_docs, b.mean_doc_len, b.k, b.b
+        )
+        assert a.idf.tobytes() == b.idf.tobytes()
+    assert_same_csr(tampered_train, honest_train)
+
+
+def test_grid_counts_each_document_once(tmp_path, monkeypatch):
+    """A --grid vectorizations run preprocesses and concept-matches every
+    document once, and preprocesses each thesaurus phrase once."""
+    made = generate_corpus(n_labels=3, docs_per_label=5, synonyms_per_concept=1, seed=8)
+    corpus, thesaurus = tmp_path / "corpus.jsonl", tmp_path / "thesaurus.tsv"
+    dump_corpus_jsonl(made.documents, corpus)
+    dump_thesaurus_tsv(made.thesaurus, thesaurus)
+    calls = {"match": 0, "preprocess": 0}
+    original_match = ConceptMatcher.match_counts
+    original_preprocess = pl.preprocess
+
+    def counting_match(self, tokens):
+        calls["match"] += 1
+        return original_match(self, tokens)
+
+    def counting_preprocess(text, table=None):
+        calls["preprocess"] += 1
+        return original_preprocess(text, table)
+
+    monkeypatch.setattr(ConceptMatcher, "match_counts", counting_match)
+    monkeypatch.setattr(pl, "preprocess", counting_preprocess)
+    monkeypatch.setattr(features, "preprocess", counting_preprocess)
+    code = main(
+        [
+            "evaluate", "--corpus", str(corpus), "--thesaurus", str(thesaurus),
+            "--field", "fulltext", "--grid", "vectorizations", "--folds", "3",
+            "--out-json", str(tmp_path / "r.json"), "--out-csv", str(tmp_path / "r.csv"),
+        ]
+    )
+    assert code == 0
+    n_phrases = sum(len(c.phrases()) for c in made.thesaurus.concepts.values())
+    assert calls["match"] == len(made.documents)
+    assert calls["preprocess"] == len(made.documents) + n_phrases

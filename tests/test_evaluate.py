@@ -7,7 +7,10 @@ import semannot.evaluate as ev
 import semannot.pipeline as pl
 from semannot.corpus import Concept, Document, Thesaurus
 from semannot.evaluate import evaluate_run, make_folds, run_fold, sample_prf
-from semannot.pipeline import RunConfig
+from semannot.features import count_corpus
+from semannot.learners import LabelMatrix
+from semannot.pipeline import RunConfig, count_documents
+from semannot.preprocess import preprocess
 from semannot.synthetic import generate_corpus
 
 
@@ -64,6 +67,10 @@ class TestSamplePrf:
             a = set(rng.choice(ids, size=rng.integers(1, 5), replace=False))
             b = set(rng.choice(ids, size=rng.integers(1, 5), replace=False))
             assert sample_prf(a, b)[1] == sample_prf(b, a)[0]
+
+
+def gold_matrix(docs) -> LabelMatrix:
+    return LabelMatrix.from_gold([doc.gold_labels for doc in docs])
 
 
 class _GoldEchoClassifier:
@@ -150,20 +157,18 @@ def test_no_leakage_from_test_fold_gold_labels():
     made = generate_corpus(n_labels=5, docs_per_label=8, seed=11)
     docs = made.documents
     config = RunConfig(vectorization="ctf-idf", classifier="lr-dt", folds=4, seed=0, epochs=3)
-    token_seqs = [ev.preprocess(d.title) for d in docs]
+    counts = count_documents([config], docs, made.thesaurus)
     plan = make_folds(len(docs), 4, seed=0)
     train_idx, test_idx = plan.folds[0]
 
-    honest = run_fold(config, made.thesaurus, None, token_seqs, docs, 0, train_idx, test_idx)
+    honest = run_fold(config, counts, gold_matrix(docs), 0, train_idx, test_idx)
     # permute the gold sets within the test fold only
     corrupted = list(docs)
     rotated = [docs[i].gold_labels for i in test_idx]
     rotated = rotated[1:] + rotated[:1]
     for i, g in zip(test_idx, rotated):
         corrupted[i] = dataclasses.replace(docs[i], gold_labels=g)
-    tampered = run_fold(
-        config, made.thesaurus, None, token_seqs, corrupted, 0, train_idx, test_idx
-    )
+    tampered = run_fold(config, counts, gold_matrix(corrupted), 0, train_idx, test_idx)
     assert tampered.predictions == honest.predictions
     assert tampered.f1 != honest.f1
 
@@ -191,9 +196,46 @@ def test_labels_unseen_in_training_stay_in_gold():
 
 def test_fold_errors_carry_fold_context():
     docs, thesaurus = oracle_corpus(n=12)
-    config = RunConfig(vectorization="tf-idf", classifier="knn", folds=3, seed=0)
-    bad_seqs = [None] * len(docs)  # provoke a failure inside the fold
+    config = RunConfig(vectorization="cf-idf", classifier="knn", folds=3, seed=0)
+    # counted without a concept matcher, so fitting cf-idf fails inside the fold
+    counts = count_corpus([preprocess(d.title) for d in docs])
     with pytest.raises(RuntimeError, match="fold 0"):
-        ev._fold_worker(
-            (config, thesaurus, None, bad_seqs, docs, 0, np.arange(6), np.arange(6, 12))
-        )
+        ev._run_task((config, counts, gold_matrix(docs)), (0, np.arange(6), np.arange(6, 12)))
+    # the same failure in a pool worker, which holds the shared state itself
+    with pytest.raises(RuntimeError, match="fold 0"):
+        evaluate_run(dataclasses.replace(config, jobs=2), docs, thesaurus, counts=counts)
+    with pytest.raises(ValueError, match="counts hold 11 documents"):
+        evaluate_run(config, docs, thesaurus, counts=counts.rows(slice(0, 11)))
+
+
+def test_fold_tasks_carry_only_fold_indices(monkeypatch):
+    """Pool workers receive the counts and labels once, through the pool
+    initializer; each task is just (fold_index, train_idx, test_idx)."""
+    made = generate_corpus(n_labels=3, docs_per_label=6, seed=4)
+    config = RunConfig(vectorization="ctf-idf", classifier="knn", folds=3, seed=0, jobs=2)
+    seen = {}
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            seen["initargs"] = initargs
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            seen["tasks"] = list(tasks)
+            return [fn(task) for task in seen["tasks"]]
+
+    monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(ev, "_worker_shared", None)
+    report = evaluate_run(config, made.documents, made.thesaurus)
+    assert [len(task) for task in seen["tasks"]] == [3, 3, 3]
+    assert all(isinstance(part, (int, np.ndarray)) for task in seen["tasks"] for part in task)
+    _, counts, labels = seen["initargs"]
+    assert len(counts) == labels.n_docs == len(made.documents)
+    sequential = evaluate_run(dataclasses.replace(config, jobs=1), made.documents, made.thesaurus)
+    assert report.to_dict()["folds"] == sequential.to_dict()["folds"]

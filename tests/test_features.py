@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from collections import Counter
+
 from semannot.corpus import Concept, Thesaurus
 from semannot.features import (
     ConceptMatcher,
     TextVectorizer,
-    Vocabulary,
     WeightingModel,
     apply_weighting,
     concat,
+    count_corpus,
     count_terms,
     dump_vectors,
     extract_concepts,
@@ -52,16 +54,18 @@ def assert_valid_rows(X) -> None:
 
 class TestCountTerms:
     def test_direct_count(self):
-        vocab = Vocabulary({"a": 0, "b": 1})
-        assert dict(count_terms(["a", "b", "a"], vocab)) == {0: 2.0, 1: 1.0}
+        assert dict(count_terms(["a", "b", "a"], {"a": 0, "b": 1})) == {0: 2.0, 1: 1.0}
 
     def test_oov_only(self):
-        vocab = Vocabulary({"a": 0})
-        assert dict(count_terms(["c"], vocab)) == {}
+        # a term new to the index takes the next column
+        index = {"a": 0}
+        assert dict(count_terms(["c"], index)) == {1: 1.0}
+        assert index == {"a": 0, "c": 1}
 
     def test_empty(self):
-        vocab = Vocabulary({"a": 0})
-        assert dict(count_terms([], vocab)) == {}
+        index = {"a": 0}
+        assert dict(count_terms([], index)) == {}
+        assert index == {"a": 0}
 
 
 class TestExtractConcepts:
@@ -233,6 +237,10 @@ def test_longest_match_matches_naive_oracle():
         assert matcher.match_counts(stream) == naive_longest_match(stream, patterns)
 
 
+def fitted(variant, token_seqs, thesaurus):
+    return TextVectorizer(variant).fit(count_corpus(token_seqs, ConceptMatcher(thesaurus)))
+
+
 class TestTextVectorizer:
     @pytest.fixture
     def corpus_tokens(self):
@@ -243,8 +251,11 @@ class TestTextVectorizer:
         ]
 
     def test_tf_idf_matches_manual_composition(self, corpus_tokens, rate_thesaurus):
-        vec = TextVectorizer("tf-idf", thesaurus=rate_thesaurus).fit(corpus_tokens)
-        counts = vstack([count_terms(seq, vec.vocab) for seq in corpus_tokens], len(vec.vocab))
+        vec = fitted("tf-idf", corpus_tokens, rate_thesaurus)
+        counts = vstack(
+            [{vec.vocab.index[t]: c for t, c in Counter(seq).items()} for seq in corpus_tokens],
+            len(vec.vocab),
+        )
         model = fit_weighting(counts, "idf")
         for i, seq in enumerate(corpus_tokens):
             expected = l2_normalize(apply_weighting(counts[i], model))
@@ -252,15 +263,15 @@ class TestTextVectorizer:
             assert to_dict(got) == to_dict(expected)
 
     def test_ctf_idf_is_concat_of_blocks(self, corpus_tokens, rate_thesaurus):
-        both = TextVectorizer("ctf-idf", thesaurus=rate_thesaurus).fit(corpus_tokens)
-        terms = TextVectorizer("tf-idf", thesaurus=rate_thesaurus).fit(corpus_tokens)
-        concepts = TextVectorizer("cf-idf", thesaurus=rate_thesaurus).fit(corpus_tokens)
+        both = fitted("ctf-idf", corpus_tokens, rate_thesaurus)
+        terms = fitted("tf-idf", corpus_tokens, rate_thesaurus)
+        concepts = fitted("cf-idf", corpus_tokens, rate_thesaurus)
         for seq in corpus_tokens:
             expected = concat(terms.transform_one(seq), concepts.transform_one(seq))
             assert to_dict(both.transform_one(seq)) == to_dict(expected)
 
     def test_unseen_tokens_transform_to_zero_vector(self, corpus_tokens, rate_thesaurus):
-        vec = TextVectorizer("tf-idf", thesaurus=rate_thesaurus).fit(corpus_tokens)
+        vec = fitted("tf-idf", corpus_tokens, rate_thesaurus)
         assert vec.transform_one(["unseen", "words"]).nnz == 0
 
     def test_unknown_variant_rejected(self):
@@ -268,28 +279,29 @@ class TestTextVectorizer:
             TextVectorizer("tfidf2")
 
     def test_concept_variant_requires_thesaurus(self):
+        # counts taken without a concept matcher cannot feed a concept block
         with pytest.raises(ValueError, match="thesaurus"):
-            TextVectorizer("cf-idf")
+            TextVectorizer("cf-idf").fit(count_corpus([["rate"]]))
 
     def test_transform_deterministic_bitwise(self, corpus_tokens, rate_thesaurus):
-        first = TextVectorizer("bm25ct", thesaurus=rate_thesaurus).fit(corpus_tokens)
-        second = TextVectorizer("bm25ct", thesaurus=rate_thesaurus).fit(corpus_tokens)
+        first = fitted("bm25ct", corpus_tokens, rate_thesaurus)
+        second = fitted("bm25ct", corpus_tokens, rate_thesaurus)
         for seq in corpus_tokens:
             a, b = first.transform_one(seq), second.transform_one(seq)
             assert np.array_equal(a.indices, b.indices)
             assert np.array_equal(a.data, b.data)
 
     def test_transform_counts_are_raw(self, corpus_tokens, rate_thesaurus):
-        vec = TextVectorizer("ctf-idf", thesaurus=rate_thesaurus).fit(corpus_tokens)
+        vec = fitted("ctf-idf", corpus_tokens, rate_thesaurus)
         counts = vec.counts_one(["rate", "rate", "cut"])
         term_dim = len(vec.vocab)
         assert to_dict(counts)[vec.vocab.index["rate"]] == 2.0
         assert to_dict(counts)[term_dim + vec.matcher.concept_index["c2"]] == 2.0
 
     def test_all_six_variants_run(self, corpus_tokens, rate_thesaurus):
+        counts = count_corpus(corpus_tokens, ConceptMatcher(rate_thesaurus))
         for variant in ("tf-idf", "bm25", "cf-idf", "bm25c", "ctf-idf", "bm25ct"):
-            vec = TextVectorizer(variant, thesaurus=rate_thesaurus).fit(corpus_tokens)
-            out = vec.transform(corpus_tokens)
+            out = TextVectorizer(variant).fit(counts).transform(counts)
             assert out.shape[0] == len(corpus_tokens)
             assert_valid_rows(out)
 

@@ -1,5 +1,6 @@
 """Properties of the label currency: the docs x labels indicator built by
-LabelMatrix.from_gold, and the block ranking of rank_labels."""
+LabelMatrix.from_gold and its row subsets (take), and the block ranking
+of rank_labels."""
 
 import math
 
@@ -61,3 +62,18 @@ def test_from_gold_round_trips_and_counts(gold_sets):
     decoded = _dec_labels(_enc_labels(labels))
     assert decoded.label_ids == labels.label_ids
     assert (decoded.Y != labels.Y).nnz == 0 and decoded.Y.shape == labels.Y.shape
+
+
+@PROPERTY
+@given(GOLD_SETS.filter(bool), st.data())
+def test_take_equals_from_gold_of_the_subset(gold_sets, data):
+    rows = np.array(
+        sorted(data.draw(st.sets(st.integers(0, len(gold_sets) - 1), min_size=1))), dtype=np.int64
+    )
+    got = LabelMatrix.from_gold(gold_sets).take(rows)
+    expected = LabelMatrix.from_gold([gold_sets[i] for i in rows])
+    assert got.label_ids == expected.label_ids
+    assert got.Y.shape == expected.Y.shape
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got.Y, part), getattr(expected.Y, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
