@@ -27,48 +27,34 @@ from .serialize import load_pipeline, save_pipeline
 from .sparse import ROW_BLOCK
 
 
-def _add_common_config_flags(p: argparse.ArgumentParser) -> None:
+def _config_flags() -> argparse.ArgumentParser:
+    """Flags that set RunConfig fields, each stored under its field's name.
+    They have no defaults of their own: a flag left out keeps the field's
+    RunConfig default."""
+    p = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     p.add_argument("--corpus", required=True, help="JSON-lines corpus path")
     p.add_argument("--thesaurus", required=True, help="thesaurus path")
-    p.add_argument(
-        "--thesaurus-format", choices=("tsv", "ntriples"), default="tsv"
-    )
-    p.add_argument("--field", choices=FIELDS, default="title")
-    p.add_argument("--vec", choices=VARIANTS, default="ctf-idf", help="vectorization variant")
-    p.add_argument("--clf", choices=CLASSIFIERS, default="knn", help="classifier")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lemma-table", default=None, help="optional surface<TAB>lemma file")
-    p.add_argument("--knn-k", type=int, default=1)
-    p.add_argument("--l2r-k", type=int, default=45)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--mlp-hidden", type=int, default=1000)
-    p.add_argument("--mlp-threshold", type=float, default=0.2)
-    p.add_argument("--mlp-activation", choices=("relu", "tanh"), default="relu")
+    p.add_argument("--thesaurus-format", choices=("tsv", "ntriples"))
+    p.add_argument("--field", choices=FIELDS)
+    p.add_argument("--vec", dest="vectorization", choices=VARIANTS, help="vectorization variant")
+    p.add_argument("--clf", dest="classifier", choices=CLASSIFIERS, help="classifier")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--lemma-table", help="optional surface<TAB>lemma file")
+    p.add_argument("--knn-k", type=int)
+    p.add_argument("--l2r-k", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--mlp-hidden", type=int)
+    p.add_argument("--mlp-threshold", type=float)
+    p.add_argument("--mlp-activation", choices=("relu", "tanh"))
+    return p
+
+
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        corpus=args.corpus,
-        thesaurus=args.thesaurus,
-        thesaurus_format=args.thesaurus_format,
-        field=args.field,
-        vectorization=args.vec,
-        classifier=args.clf,
-        folds=getattr(args, "folds", 10),
-        seed=args.seed,
-        jobs=getattr(args, "jobs", 1),
-        lemma_table=args.lemma_table,
-        knn_k=args.knn_k,
-        l2r_k=args.l2r_k,
-        epochs=args.epochs,
-        alpha=args.alpha,
-        mlp_hidden=args.mlp_hidden,
-        mlp_threshold=args.mlp_threshold,
-        mlp_activation=args.mlp_activation,
-        out_json=getattr(args, "out_json", None),
-        out_csv=getattr(args, "out_csv", None),
-    )
+    return RunConfig(**{name: val for name, val in vars(args).items() if name in _CONFIG_FIELDS})
 
 
 def _load_inputs(config: RunConfig):
@@ -96,23 +82,21 @@ def cmd_evaluate(args) -> int:
         counts = count_documents(configs, docs, thesaurus, lemma_table)
         reports = []
         for cfg in configs:
-            report = evaluate_run(cfg, docs, thesaurus, lemma_table, counts=counts)
+            report = evaluate_run(cfg, docs, thesaurus, lemma_table, counts=counts, jobs=args.jobs)
             reports.append(report)
             print(
                 f"{cfg.field} {cfg.vectorization} {cfg.classifier} "
                 f"mean sample F1: {report.mean_f1:.4f}"
             )
-        out_json = config.out_json or "eval_report.json"
-        out_csv = config.out_csv or "eval_report.csv"
         payload = (
             reports[0].to_dict()
             if len(reports) == 1
             else {"reports": [r.to_dict() for r in reports]}
         )
-        with open(out_json, "w", encoding="utf-8") as fh:
+        with open(args.out_json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-        with open(out_csv, "w", encoding="utf-8") as fh:
+        with open(args.out_csv, "w", encoding="utf-8") as fh:
             fh.write(CSV_HEADER + "\n")
             for report in reports:
                 fh.write(csv_line(report) + "\n")
@@ -256,18 +240,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-label semantic annotation against a controlled vocabulary",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_flags = _config_flags()
 
-    p_eval = sub.add_parser("evaluate", help="cross-validated evaluation of one configuration")
-    _add_common_config_flags(p_eval)
-    p_eval.add_argument("--folds", type=int, default=10)
+    p_eval = sub.add_parser(
+        "evaluate", parents=[config_flags], help="cross-validated evaluation of one configuration"
+    )
+    p_eval.add_argument("--folds", type=int, default=argparse.SUPPRESS)
     p_eval.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
     p_eval.add_argument("--grid", choices=("vectorizations", "classifiers"), default=None)
-    p_eval.add_argument("--out-json", default=None)
-    p_eval.add_argument("--out-csv", default=None)
+    p_eval.add_argument("--out-json", default="eval_report.json")
+    p_eval.add_argument("--out-csv", default="eval_report.csv")
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_train = sub.add_parser("train", help="fit a pipeline on a full corpus and save it")
-    _add_common_config_flags(p_train)
+    p_train = sub.add_parser(
+        "train", parents=[config_flags], help="fit a pipeline on a full corpus and save it"
+    )
     p_train.add_argument("--out", required=True, help="model file to write")
     p_train.add_argument("--dump-vectors", default=None, help="debug JSONL of training vectors")
     p_train.set_defaults(func=cmd_train)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class FoldResult:
     f1: float
     empty_predictions: int
     zero_vector_queries: int
-    predictions: list[set[str]] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -125,7 +124,6 @@ def run_fold(
         f1=sum(f1s) / n,
         empty_predictions=empty,
         zero_vector_queries=zero_vec,
-        predictions=predictions,
     )
 
 
@@ -194,11 +192,14 @@ def evaluate_run(
     thesaurus: Thesaurus,
     lemma_table: LemmaTable | None = None,
     counts: CorpusCounts | None = None,
+    jobs: int = 1,
 ) -> EvalReport:
     """Full cross-validated run of one pipeline configuration.
 
     ``counts``, when given, are the documents' counts from
     ``count_documents`` for this config's field, shared by several runs.
+    With ``jobs > 1`` the folds run in that many worker processes; the
+    report is the same for any ``jobs``.
     """
     config.validate()
     if counts is None:
@@ -208,10 +209,8 @@ def evaluate_run(
     shared = (config, counts, LabelMatrix.from_gold([doc.gold_labels for doc in docs]))
     plan = make_folds(len(docs), config.folds, config.seed)
     tasks = [(i, train, test) for i, (train, test) in enumerate(plan.folds)]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=config.jobs, initializer=_init_worker, initargs=shared
-        ) as pool:
+    if jobs > 1:
+        with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=shared) as pool:
             results = list(pool.map(_fold_worker, tasks))
     else:
         results = [_run_task(shared, task) for task in tasks]

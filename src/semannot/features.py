@@ -237,7 +237,7 @@ def fit_weighting(
     b: float = BM25_B,
 ) -> WeightingModel:
     """Fit IDF (and BM25 length statistics) on training count rows."""
-    if scheme not in ("none", "idf", "bm25"):
+    if scheme not in ("idf", "bm25"):
         raise ValueError(f"unknown weighting scheme {scheme!r}")
     n = counts.shape[0]
     if n == 0:
@@ -265,8 +265,6 @@ def apply_weighting(X: sp.csr_matrix, model: WeightingModel) -> sp.csr_matrix:
         raise ValueError(
             f"matrix dimension {X.shape[1]} does not match model dimension {model.dimension}"
         )
-    if model.scheme == "none":
-        return X
     tf = X.data
     idf = model.idf[X.indices]
     if model.scheme == "idf":
@@ -310,7 +308,7 @@ class TextVectorizer:
     count-based classifiers consume these).
     """
 
-    def __init__(self, variant: str, k: float = BM25_K, b: float = BM25_B):
+    def __init__(self, variant: str):
         key = variant.lower()
         if key not in _VARIANT_PLAN:
             raise ValueError(
@@ -318,8 +316,6 @@ class TextVectorizer:
             )
         self.variant = key
         self.uses_terms, self.uses_concepts, self.scheme = _VARIANT_PLAN[key]
-        self.k = k
-        self.b = b
         self.matcher: ConceptMatcher | None = None
         self.vocab: Vocabulary | None = None
         self.term_weighting: WeightingModel | None = None
@@ -336,14 +332,10 @@ class TextVectorizer:
             columns, first = np.unique(counts.term_counts.indices, return_index=True)
             order = columns[np.argsort(first)].tolist()
             self.vocab = Vocabulary({counts.terms[j]: i for i, j in enumerate(order)})
-            self.term_weighting = fit_weighting(
-                self._term_counts(counts), self.scheme, self.k, self.b
-            )
+            self.term_weighting = fit_weighting(self._term_counts(counts), self.scheme)
         if self.uses_concepts:
             self.matcher = counts.matcher
-            self.concept_weighting = fit_weighting(
-                counts.concept_counts, self.scheme, self.k, self.b
-            )
+            self.concept_weighting = fit_weighting(counts.concept_counts, self.scheme)
         return self
 
     def _check_fitted(self) -> None:

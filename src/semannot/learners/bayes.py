@@ -20,11 +20,10 @@ NB_ALPHA = 1e-5
 class NaiveBayesClassifier:
     """One-vs-rest Naive Bayes; scores are per-label posterior log-odds."""
 
-    def __init__(self, variant: str = "bernoulli", alpha: float = NB_ALPHA):
+    def __init__(self, variant: str = "bernoulli"):
         if variant not in ("bernoulli", "multinomial"):
             raise ValueError(f"unknown Naive Bayes variant {variant!r}")
         self.variant = variant
-        self.alpha = alpha
         self.label_ids: tuple[str, ...] = ()
         # per-label log-odds parameters, precomputed at fit time
         self._const: np.ndarray | None = None   # prior + presence-independent terms
@@ -36,7 +35,7 @@ class NaiveBayesClassifier:
     def fit(self, X_counts: sp.csr_matrix, labels: LabelMatrix) -> "NaiveBayesClassifier":
         if X_counts.shape[0] == 0:
             raise ValueError("empty training set")
-        alpha = self.alpha
+        alpha = NB_ALPHA
         matrix = self._inputs(X_counts)
         n_docs = matrix.shape[0]
         n_pos = np.asarray(labels.Y.sum(axis=0)).ravel()

@@ -10,6 +10,8 @@ from ..multilabel import RankedPrediction, rank_labels
 from ..sparse import ROW_BLOCK, row_norms
 from .labels import LabelMatrix
 
+KNN_K = 1
+
 
 def _normalize_rows(matrix: sp.csr_matrix) -> sp.csr_matrix:
     norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
@@ -38,7 +40,7 @@ class KnnClassifier:
     every neighbor, so ties resolve to the lowest training ordinal.
     """
 
-    def __init__(self, k: int = 1):
+    def __init__(self, k: int = KNN_K):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k

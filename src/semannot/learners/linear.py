@@ -126,7 +126,6 @@ class LinearClassifier:
         self,
         loss: str = "logistic",
         alpha: float = LINEAR_ALPHA,
-        eta0: float = LINEAR_ETA0,
         epochs: int = LINEAR_EPOCHS,
         seed: int = 0,
     ):
@@ -134,7 +133,6 @@ class LinearClassifier:
             raise ValueError(f"unknown loss {loss!r}")
         self.loss = loss
         self.alpha = alpha
-        self.eta0 = eta0
         self.epochs = epochs
         self.seed = seed
         self.label_ids: tuple[str, ...] = ()
@@ -149,7 +147,6 @@ class LinearClassifier:
             labels.Y,
             loss=self.loss,
             alpha=self.alpha,
-            eta0=self.eta0,
             epochs=self.epochs,
             seed=self.seed,
         )

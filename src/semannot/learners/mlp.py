@@ -22,6 +22,9 @@ MLP_DROPOUT = 0.5
 MLP_LEARNING_RATE = 0.01
 MLP_EPOCHS = 20
 MLP_BATCH = 256
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -60,12 +63,11 @@ def loss_and_grads(
     T: np.ndarray,
     activation: str = "relu",
     dropout_mask: np.ndarray | None = None,
-    dropout: float = MLP_DROPOUT,
 ) -> tuple[float, dict]:
     """Mean-over-batch of label-summed binary cross-entropy, with gradients.
 
     When a dropout mask is given the hidden activations are masked and
-    rescaled by 1/(1-dropout); the gradient flows through the same mask.
+    rescaled by 1/(1-MLP_DROPOUT); the gradient flows through the same mask.
     """
     Z1 = X @ params["W1"].T + params["b1"]
     if activation == "relu":
@@ -77,7 +79,7 @@ def loss_and_grads(
     else:
         raise ValueError(f"unknown activation {activation!r}")
     if dropout_mask is not None:
-        keep = dropout_mask / (1.0 - dropout)
+        keep = dropout_mask / (1.0 - MLP_DROPOUT)
         Hd = H * keep
     else:
         Hd = H
@@ -107,12 +109,8 @@ class MlpClassifier:
         epochs: int = MLP_EPOCHS,
         batch_size: int = MLP_BATCH,
         learning_rate: float = MLP_LEARNING_RATE,
-        dropout: float = MLP_DROPOUT,
         threshold: float = MLP_THRESHOLD,
         seed: int = 0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
     ):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
@@ -121,10 +119,8 @@ class MlpClassifier:
         self.epochs = epochs
         self.batch_size = batch_size
         self.learning_rate = learning_rate
-        self.dropout = dropout
         self.threshold = threshold
         self.seed = seed
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.label_ids: tuple[str, ...] = ()
         self.params: dict | None = None
         self.epoch_losses: list[float] = []
@@ -148,14 +144,8 @@ class MlpClassifier:
                 batch_idx = order[lo:lo + self.batch_size]
                 Xb = X[batch_idx].toarray()
                 Tb = targets[batch_idx]
-                mask = None
-                if self.dropout > 0.0:
-                    mask = (rng.random((len(batch_idx), self.hidden)) >= self.dropout).astype(
-                        np.float64
-                    )
-                loss, grads = loss_and_grads(
-                    params, Xb, Tb, self.activation, mask, self.dropout
-                )
+                mask = (rng.random((len(batch_idx), self.hidden)) >= MLP_DROPOUT).astype(np.float64)
+                loss, grads = loss_and_grads(params, Xb, Tb, self.activation, mask)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch {n_batches}; "
@@ -164,13 +154,13 @@ class MlpClassifier:
                 step += 1
                 for key, grad in grads.items():
                     m, v = moments[key]
-                    m *= self.beta1
-                    m += (1.0 - self.beta1) * grad
-                    v *= self.beta2
-                    v += (1.0 - self.beta2) * grad * grad
-                    m_hat = m / (1.0 - self.beta1 ** step)
-                    v_hat = v / (1.0 - self.beta2 ** step)
-                    params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+                    m *= ADAM_BETA1
+                    m += (1.0 - ADAM_BETA1) * grad
+                    v *= ADAM_BETA2
+                    v += (1.0 - ADAM_BETA2) * grad * grad
+                    m_hat = m / (1.0 - ADAM_BETA1 ** step)
+                    v_hat = v / (1.0 - ADAM_BETA2 ** step)
+                    params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                 epoch_loss += loss
                 n_batches += 1
             self.epoch_losses.append(epoch_loss / max(1, n_batches))

@@ -74,9 +74,8 @@ class DecisionTree:
     predicting 0.
     """
 
-    def __init__(self, max_depth: int = 10, min_leaf: int = 1):
+    def __init__(self, max_depth: int = 10):
         self.max_depth = max_depth
-        self.min_leaf = min_leaf
         self.root: dict | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
@@ -92,7 +91,7 @@ class DecisionTree:
     def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> dict:
         n = len(y)
         n_pos = int(y.sum())
-        if depth >= self.max_depth or n < 2 * self.min_leaf or n_pos in (0, n):
+        if depth >= self.max_depth or n_pos in (0, n):
             return self._leaf(y)
         split = self._best_split(X, y)
         if split is None:
@@ -123,11 +122,6 @@ class DecisionTree:
             cum_pos = np.cumsum(sorted_y)
             n_left = (boundaries + 1).astype(np.float64)
             n_right = n - n_left
-            if self.min_leaf > 1:
-                ok = (n_left >= self.min_leaf) & (n_right >= self.min_leaf)
-                boundaries, n_left, n_right = boundaries[ok], n_left[ok], n_right[ok]
-                if len(boundaries) == 0:
-                    continue
             pos_left = cum_pos[boundaries].astype(np.float64)
             pos_right = float(y.sum()) - pos_left
             pl = pos_left / n_left
@@ -150,11 +144,11 @@ class DecisionTree:
         return node["value"]
 
     def to_state(self) -> dict:
-        return {"max_depth": self.max_depth, "min_leaf": self.min_leaf, "root": self.root}
+        return {"max_depth": self.max_depth, "root": self.root}
 
     @classmethod
     def from_state(cls, state: dict) -> "DecisionTree":
-        tree = cls(max_depth=state["max_depth"], min_leaf=state["min_leaf"])
+        tree = cls(max_depth=state["max_depth"])
         tree.root = state["root"]
         return tree
 
@@ -176,8 +170,6 @@ def stacking_train(
     rankings: list[RankedPrediction],
     gold_sets: list[set[str] | frozenset[str]],
     top_m: int = STACKING_TOP_M,
-    max_depth: int = 10,
-    min_leaf: int = 1,
 ) -> StackedModel:
     """Train one meta-tree per label from base rankings on training documents.
 
@@ -197,7 +189,7 @@ def stacking_train(
     for cid, rows in samples.items():
         X = np.array([[score, float(rank)] for score, rank, _ in rows], dtype=np.float64)
         y = np.array([target for _, _, target in rows], dtype=np.int64)
-        trees[cid] = DecisionTree(max_depth=max_depth, min_leaf=min_leaf).fit(X, y)
+        trees[cid] = DecisionTree().fit(X, y)
         counts[cid] = len(rows)
     mean_labels = sum(len(g) for g in gold_sets) / len(gold_sets)
     cutoff = max(1, round_half_up(mean_labels))
@@ -231,11 +223,9 @@ class StackedClassifier:
     is carved out.
     """
 
-    def __init__(self, base, top_m: int = STACKING_TOP_M, max_depth: int = 10, min_leaf: int = 1):
+    def __init__(self, base, top_m: int = STACKING_TOP_M):
         self.base = base
         self.top_m = top_m
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
         self.model: StackedModel | None = None
 
     def fit(self, X, labels) -> "StackedClassifier":
@@ -247,13 +237,7 @@ class StackedClassifier:
             for ranking in self.base.rank(X[lo:lo + ROW_BLOCK])
         ]
         gold_sets = [labels.row_set(i) for i in range(labels.n_docs)]
-        self.model = stacking_train(
-            rankings,
-            gold_sets,
-            top_m=self.top_m,
-            max_depth=self.max_depth,
-            min_leaf=self.min_leaf,
-        )
+        self.model = stacking_train(rankings, gold_sets, top_m=self.top_m)
         return self
 
     def predict(self, X) -> list[set[str]]:

@@ -19,8 +19,9 @@ from .learners import (
     NaiveBayesClassifier,
     RocchioClassifier,
 )
+from .learners.lazy import KNN_K
 from .learners.linear import LINEAR_ALPHA, LINEAR_EPOCHS
-from .learners.mlp import MLP_EPOCHS
+from .learners.mlp import MLP_EPOCHS, MLP_HIDDEN, MLP_THRESHOLD
 from .multilabel import StackedClassifier
 from .preprocess import LemmaTable, preprocess
 from .ranking import L2R_K, L2RClassifier
@@ -48,6 +49,10 @@ _COUNT_BASED = ("bayes-bernoulli", "bayes-multinomial")
 
 @dataclass
 class RunConfig:
+    """What a run computes: the corpus, the pipeline path and the learner
+    knobs.  How a run executes (worker count, report paths) is not part of
+    it, so reports and model files do not depend on it."""
+
     corpus: str | None = None
     thesaurus: str | None = None
     thesaurus_format: str = "tsv"
@@ -56,18 +61,14 @@ class RunConfig:
     classifier: str = "knn"
     folds: int = 10
     seed: int = 0
-    jobs: int = 1
     lemma_table: str | None = None
-    knn_k: int = 1
+    knn_k: int = KNN_K
     l2r_k: int = L2R_K
     epochs: int | None = None
     alpha: float | None = None
-    mlp_hidden: int = 1000
-    mlp_threshold: float = 0.2
+    mlp_hidden: int = MLP_HIDDEN
+    mlp_threshold: float = MLP_THRESHOLD
     mlp_activation: str = "relu"
-    mlp_batch: int = 256
-    out_json: str | None = None
-    out_csv: str | None = None
 
     def validate(self) -> None:
         if self.field not in FIELDS:
@@ -114,7 +115,6 @@ def build_classifier(config: RunConfig):
             hidden=config.mlp_hidden,
             activation=config.mlp_activation,
             epochs=mlp_epochs,
-            batch_size=config.mlp_batch,
             threshold=config.mlp_threshold,
             seed=seed,
         )

@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from .learners.labels import LabelMatrix
 from .learners.lazy import KnnClassifier
-from .learners.linear import LINEAR_ALPHA, LINEAR_EPOCHS, LINEAR_ETA0, averaged_sgd_train
+from .learners.linear import LINEAR_ALPHA, LINEAR_EPOCHS, averaged_sgd_train
 from .multilabel import RankedPrediction, rank_labels, round_half_up
 
 L2R_K = 45
@@ -75,7 +75,6 @@ def ranker_fit(
     gold_sets: list[frozenset[str] | set[str]],
     cutoff: int,
     alpha: float = LINEAR_ALPHA,
-    eta0: float = LINEAR_ETA0,
     epochs: int = LINEAR_EPOCHS,
     seed: int = 0,
 ) -> RankerModel:
@@ -92,9 +91,7 @@ def ranker_fit(
         raise ValueError("degenerate corpus: no relevant candidates anywhere")
     X = sp.csr_matrix(np.vstack([cs.features for cs, _ in pairs]))
     Y = sp.csr_matrix(np.array(relevance, dtype=np.float64)[:, None])
-    W, b = averaged_sgd_train(
-        X, Y, loss="logistic", alpha=alpha, eta0=eta0, epochs=epochs, seed=seed
-    )
+    W, b = averaged_sgd_train(X, Y, loss="logistic", alpha=alpha, epochs=epochs, seed=seed)
     return RankerModel(weights=W[0], bias=float(b[0]), cutoff=cutoff)
 
 
@@ -115,13 +112,11 @@ class L2RClassifier:
         self,
         k: int = L2R_K,
         alpha: float = LINEAR_ALPHA,
-        eta0: float = LINEAR_ETA0,
         epochs: int = LINEAR_EPOCHS,
         seed: int = 0,
     ):
         self.k = k
         self.alpha = alpha
-        self.eta0 = eta0
         self.epochs = epochs
         self.seed = seed
         self.knn: KnnClassifier | None = None
@@ -136,13 +131,7 @@ class L2RClassifier:
         gold_sets = [labels.row_set(i) for i in range(X.shape[0])]
         cutoff = max(1, round_half_up(labels.mean_labels_per_doc()))
         self.model = ranker_fit(
-            candidate_sets,
-            gold_sets,
-            cutoff,
-            alpha=self.alpha,
-            eta0=self.eta0,
-            epochs=self.epochs,
-            seed=self.seed,
+            candidate_sets, gold_sets, cutoff, alpha=self.alpha, epochs=self.epochs, seed=self.seed
         )
         return self
 

@@ -7,6 +7,7 @@ round-trip bitwise and a reloaded model makes exactly the same decisions.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -26,7 +27,7 @@ from .pipeline import FittedPipeline, RunConfig
 from .preprocess import LemmaTable
 from .ranking import L2RClassifier, RankerModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -110,8 +111,6 @@ def _dec_weighting(d: dict | None) -> WeightingModel | None:
 def _enc_vectorizer(v: TextVectorizer) -> dict:
     return {
         "variant": v.variant,
-        "k": v.k,
-        "b": v.b,
         "vocab": v.vocab.tokens_in_order() if v.vocab is not None else None,
         "matcher": v.matcher.to_state() if v.matcher is not None else None,
         "term_weighting": _enc_weighting(v.term_weighting),
@@ -120,7 +119,7 @@ def _enc_vectorizer(v: TextVectorizer) -> dict:
 
 
 def _dec_vectorizer(d: dict) -> TextVectorizer:
-    v = TextVectorizer(d["variant"], k=d["k"], b=d["b"])
+    v = TextVectorizer(d["variant"])
     v.vocab = (
         Vocabulary({tok: i for i, tok in enumerate(d["vocab"])})
         if d["vocab"] is not None
@@ -150,7 +149,6 @@ def _enc_classifier(clf) -> dict:
         return {
             "kind": "bayes",
             "variant": clf.variant,
-            "alpha": clf.alpha,
             "label_ids": list(clf.label_ids),
             "const": _enc_array(clf._const),
             "coef": _enc_array(clf._coef),
@@ -160,7 +158,6 @@ def _enc_classifier(clf) -> dict:
             "kind": "linear",
             "loss": clf.loss,
             "alpha": clf.alpha,
-            "eta0": clf.eta0,
             "epochs": clf.epochs,
             "seed": clf.seed,
             "label_ids": list(clf.label_ids),
@@ -213,15 +210,13 @@ def _dec_classifier(d: dict):
         clf.label_ids = tuple(d["label_ids"])
         return clf
     if kind == "bayes":
-        clf = NaiveBayesClassifier(d["variant"], alpha=d["alpha"])
+        clf = NaiveBayesClassifier(d["variant"])
         clf.label_ids = tuple(d["label_ids"])
         clf._const = _dec_array(d["const"])
         clf._coef = _dec_array(d["coef"])
         return clf
     if kind == "linear":
-        clf = LinearClassifier(
-            loss=d["loss"], alpha=d["alpha"], eta0=d["eta0"], epochs=d["epochs"], seed=d["seed"]
-        )
+        clf = LinearClassifier(loss=d["loss"], alpha=d["alpha"], epochs=d["epochs"], seed=d["seed"])
         clf.label_ids = tuple(d["label_ids"])
         clf.W = _dec_array(d["W"])
         clf.b = _dec_array(d["b"])
@@ -255,6 +250,17 @@ def _dec_classifier(d: dict):
     raise ModelFormatError(f"unknown classifier kind {kind!r}")
 
 
+def _dec_config(d: dict) -> RunConfig:
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    for key in d:
+        if key not in names:
+            raise ModelFormatError(f"unknown config key {key!r}")
+    for name in names:
+        if name not in d:
+            raise ModelFormatError(f"missing config key {name!r}")
+    return RunConfig(**d)
+
+
 def save_pipeline(pipeline: FittedPipeline, path) -> None:
     container = {
         "format_version": FORMAT_VERSION,
@@ -273,7 +279,7 @@ def load_pipeline(path) -> FittedPipeline:
     version = container.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {version!r}")
-    config = RunConfig(**container["config"])
+    config = _dec_config(container["config"])
     lemma_table = (
         LemmaTable(container["lemma_table"]) if container["lemma_table"] is not None else None
     )

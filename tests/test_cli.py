@@ -157,6 +157,31 @@ def test_annotate_with_out_of_range_label_index_exits_1(data_files, tmp_path, ca
     assert err.startswith("annotation failed: label index out of range")
 
 
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda c: c["config"].update(jobs=1), "unknown config key 'jobs'"),
+        (lambda c: c["config"].pop("classifier"), "missing config key 'classifier'"),
+        (lambda c: c.update(format_version=1), "unsupported model format version 1"),
+    ],
+    ids=["extra-config-key", "missing-config-key", "format-version-1"],
+)
+def test_annotate_refuses_container_in_one_line(data_files, tmp_path, capsys, tamper, message):
+    corpus, thesaurus = data_files
+    model = str(tmp_path / "model.json")
+    assert main(
+        ["train", "--corpus", corpus, "--thesaurus", thesaurus,
+         "--vec", "tf-idf", "--clf", "knn", "--out", model]
+    ) == 0
+    container = json.loads(open(model).read())
+    tamper(container)
+    open(model, "w").write(json.dumps(container))
+    capsys.readouterr()
+    code = main(["annotate", "--model", model, "--corpus", corpus, "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == f"annotation failed: {message}\n"
+
+
 def test_stats_prints_table(data_files, capsys):
     corpus, thesaurus = data_files
     assert main(["stats", "--corpus", corpus, "--thesaurus", thesaurus]) == 0

@@ -153,14 +153,22 @@ def test_overall_mean_is_unweighted_fold_mean():
     )
 
 
-def test_no_leakage_from_test_fold_gold_labels():
+def test_no_leakage_from_test_fold_gold_labels(monkeypatch):
     made = generate_corpus(n_labels=5, docs_per_label=8, seed=11)
     docs = made.documents
     config = RunConfig(vectorization="ctf-idf", classifier="lr-dt", folds=4, seed=0, epochs=3)
     counts = count_documents([config], docs, made.thesaurus)
     plan = make_folds(len(docs), 4, seed=0)
     train_idx, test_idx = plan.folds[0]
+    # the label sets each run_fold call scores, in test-row order
+    scored: list[list[set[str]]] = []
 
+    def recording_prf(predicted, gold):
+        scored[-1].append(predicted)
+        return sample_prf(predicted, gold)
+
+    monkeypatch.setattr(ev, "sample_prf", recording_prf)
+    scored.append([])
     honest = run_fold(config, counts, gold_matrix(docs), 0, train_idx, test_idx)
     # permute the gold sets within the test fold only
     corrupted = list(docs)
@@ -168,8 +176,10 @@ def test_no_leakage_from_test_fold_gold_labels():
     rotated = rotated[1:] + rotated[:1]
     for i, g in zip(test_idx, rotated):
         corrupted[i] = dataclasses.replace(docs[i], gold_labels=g)
+    scored.append([])
     tampered = run_fold(config, counts, gold_matrix(corrupted), 0, train_idx, test_idx)
-    assert tampered.predictions == honest.predictions
+    assert len(scored[0]) == len(test_idx)
+    assert scored[1] == scored[0]
     assert tampered.f1 != honest.f1
 
 
@@ -203,7 +213,7 @@ def test_fold_errors_carry_fold_context():
         ev._run_task((config, counts, gold_matrix(docs)), (0, np.arange(6), np.arange(6, 12)))
     # the same failure in a pool worker, which holds the shared state itself
     with pytest.raises(RuntimeError, match="fold 0"):
-        evaluate_run(dataclasses.replace(config, jobs=2), docs, thesaurus, counts=counts)
+        evaluate_run(config, docs, thesaurus, counts=counts, jobs=2)
     with pytest.raises(ValueError, match="counts hold 11 documents"):
         evaluate_run(config, docs, thesaurus, counts=counts.rows(slice(0, 11)))
 
@@ -212,7 +222,7 @@ def test_fold_tasks_carry_only_fold_indices(monkeypatch):
     """Pool workers receive the counts and labels once, through the pool
     initializer; each task is just (fold_index, train_idx, test_idx)."""
     made = generate_corpus(n_labels=3, docs_per_label=6, seed=4)
-    config = RunConfig(vectorization="ctf-idf", classifier="knn", folds=3, seed=0, jobs=2)
+    config = RunConfig(vectorization="ctf-idf", classifier="knn", folds=3, seed=0)
     seen = {}
 
     class RecordingPool:
@@ -232,10 +242,10 @@ def test_fold_tasks_carry_only_fold_indices(monkeypatch):
 
     monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(ev, "_worker_shared", None)
-    report = evaluate_run(config, made.documents, made.thesaurus)
+    report = evaluate_run(config, made.documents, made.thesaurus, jobs=2)
     assert [len(task) for task in seen["tasks"]] == [3, 3, 3]
     assert all(isinstance(part, (int, np.ndarray)) for task in seen["tasks"] for part in task)
     _, counts, labels = seen["initargs"]
     assert len(counts) == labels.n_docs == len(made.documents)
-    sequential = evaluate_run(dataclasses.replace(config, jobs=1), made.documents, made.thesaurus)
+    sequential = evaluate_run(config, made.documents, made.thesaurus, jobs=1)
     assert report.to_dict()["folds"] == sequential.to_dict()["folds"]

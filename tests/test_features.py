@@ -153,11 +153,6 @@ class TestWeighting:
         with pytest.raises(ValueError, match="dimension"):
             apply_weighting(sv({1: 1.0}, 3), model)
 
-    def test_scheme_none_is_identity(self):
-        model = fit_weighting(vstack([{0: 2.0}, {1: 1.0}], 2), "none")
-        v = sv({0: 2.0, 1: 3.0}, 2)
-        assert to_dict(apply_weighting(v, model)) == to_dict(v)
-
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="scheme"):
             fit_weighting(sv({0: 1.0}, 1), "tfidf-ish")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -74,3 +75,22 @@ def test_unsupported_version_rejected(tmp_path):
     path.write_text(json.dumps(container))
     with pytest.raises(ModelFormatError, match="version"):
         load_pipeline(path)
+
+
+def test_container_holds_only_current_keys(tmp_path):
+    """A saved model is format version 2, its config holds exactly the
+    RunConfig fields, and no retired knob is written."""
+    config = RunConfig(vectorization="bm25ct", classifier="lr-dt", seed=0, epochs=2)
+    pipeline = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus)
+    path = tmp_path / "model.json"
+    save_pipeline(pipeline, path)
+    container = json.loads(path.read_text())
+    assert container["format_version"] == 2
+    assert list(container["config"]) == [f.name for f in dataclasses.fields(RunConfig)]
+    assert not {"k", "b"} & set(container["vectorizer"])
+    classifier = container["classifier"]
+    assert "eta0" not in classifier["base"]
+    assert all("min_leaf" not in tree for tree in classifier["trees"].values())
+    config = RunConfig(vectorization="tf-idf", classifier="bayes-bernoulli", seed=0)
+    save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus), path)
+    assert "alpha" not in json.loads(path.read_text())["classifier"]
