@@ -89,9 +89,9 @@ def cmd_evaluate(args) -> int:
                 f"mean sample F1: {report.mean_f1:.4f}"
             )
         payload = (
-            reports[0].to_dict()
+            dataclasses.asdict(reports[0])
             if len(reports) == 1
-            else {"reports": [r.to_dict() for r in reports]}
+            else {"reports": [dataclasses.asdict(r) for r in reports]}
         )
         with open(args.out_json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -214,6 +214,7 @@ def cmd_generate(args) -> int:
             made = synthetic.generate_corpus(
                 n_labels=args.labels,
                 docs_per_label=args.docs_per_label,
+                labels_per_doc=(1, min(3, args.labels)),
                 keywords_per_label=args.keywords_per_label,
                 keyword_overlap=args.overlap,
                 synonyms_per_concept=args.synonyms,

@@ -8,7 +8,6 @@ whose training documents all fall into the test fold are not excluded.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -76,17 +75,6 @@ class FoldResult:
     f1: float
     empty_predictions: int
     zero_vector_queries: int
-
-    def to_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "n_test": self.n_test,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "empty_predictions": self.empty_predictions,
-            "zero_vector_queries": self.zero_vector_queries,
-        }
 
 
 def run_fold(
@@ -162,23 +150,6 @@ class EvalReport:
     sd_f1: float
     empty_predictions: int
     zero_vector_queries: int
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "folds": [fr.to_dict() for fr in self.folds],
-            "mean_precision": self.mean_precision,
-            "mean_recall": self.mean_recall,
-            "mean_f1": self.mean_f1,
-            "sd_precision": self.sd_precision,
-            "sd_recall": self.sd_recall,
-            "sd_f1": self.sd_f1,
-            "empty_predictions": self.empty_predictions,
-            "zero_vector_queries": self.zero_vector_queries,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _mean_sd(values: list[float]) -> tuple[float, float]:

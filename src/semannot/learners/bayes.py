@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse as sp
 
-from ..multilabel import RankedPrediction, binary_relevance_decide, rank_labels
+from ..multilabel import RankedPrediction, rank_labels, threshold_decide
 from .labels import LabelMatrix
 
 NB_ALPHA = 1e-5
@@ -80,7 +80,7 @@ class NaiveBayesClassifier:
             return X
         return sp.csr_matrix((np.ones_like(X.data), X.indices, X.indptr), shape=X.shape)
 
-    def log_odds(self, X: sp.csr_matrix) -> np.ndarray:
+    def scores(self, X: sp.csr_matrix) -> np.ndarray:
         """(rows, included labels) posterior log-odds."""
         if self._coef is None:
             raise RuntimeError("classifier is not fitted")
@@ -89,7 +89,7 @@ class NaiveBayesClassifier:
         return self._const + self._inputs(X) @ self._coef.T
 
     def predict(self, X: sp.csr_matrix) -> list[set[str]]:
-        return [binary_relevance_decide(self.label_ids, row > 0.0) for row in self.log_odds(X)]
+        return threshold_decide(self.label_ids, self.scores(X), 0.0)
 
     def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
-        return rank_labels(self.label_ids, self.log_odds(X))
+        return rank_labels(self.label_ids, self.scores(X))

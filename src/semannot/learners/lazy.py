@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse as sp
 
-from ..multilabel import RankedPrediction, rank_labels
+from ..multilabel import RankedPrediction, rank_labels, threshold_decide
 from ..sparse import ROW_BLOCK, row_norms
 from .labels import LabelMatrix
 
@@ -83,19 +83,24 @@ class KnnClassifier:
             sims[lo:lo + ROW_BLOCK] = np.take_along_axis(block, order, axis=1)
         return idx, sims
 
-    def predict(self, X: sp.csr_matrix) -> list[set[str]]:
-        """Labels carried by a strict majority of each row's neighbors (with
-        k = 1, the nearest neighbor's label set)."""
+    @property
+    def label_ids(self) -> tuple[str, ...]:
+        return self.labels.label_ids if self.labels is not None else ()
+
+    def scores(self, X: sp.csr_matrix) -> np.ndarray:
+        """(rows, labels) votes: how many of each row's neighbors carry the label."""
         idx, _ = self.neighbors(X)
         n_rows, k = idx.shape
         chosen = sp.csr_matrix(
             (np.ones(idx.size), idx.ravel(), np.arange(0, idx.size + 1, k)),
             shape=(n_rows, self.n_train),
         )
-        votes = (chosen @ self.labels.Y).toarray()
-        return [
-            {self.labels.label_ids[j] for j in np.nonzero(row * 2 > k)[0]} for row in votes
-        ]
+        return (chosen @ self.labels.Y).toarray()
+
+    def predict(self, X: sp.csr_matrix) -> list[set[str]]:
+        """Labels carried by a strict majority of each row's neighbors (with
+        k = 1, the nearest neighbor's label set)."""
+        return threshold_decide(self.label_ids, self.scores(X), min(self.k, self.n_train) / 2)
 
 
 class RocchioClassifier:
@@ -115,8 +120,11 @@ class RocchioClassifier:
         self.label_ids = labels.label_ids
         return self
 
-    def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
-        """Labels ascending by cosine distance; score = 1 - distance."""
+    def scores(self, X: sp.csr_matrix) -> np.ndarray:
+        """(rows, labels) cosines to the centroids, 1 - cosine distance."""
         if self.centroids is None:
             raise RuntimeError("classifier is not fitted")
-        return rank_labels(self.label_ids, _cosines(self.centroids, X))
+        return _cosines(self.centroids, X)
+
+    def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
+        return rank_labels(self.label_ids, self.scores(X))

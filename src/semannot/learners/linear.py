@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse as sp
 from scipy.special import expit
 
-from ..multilabel import RankedPrediction, binary_relevance_decide, rank_labels
+from ..multilabel import RankedPrediction, rank_labels, threshold_decide
 from .labels import LabelMatrix
 
 LINEAR_ALPHA = 1e-7
@@ -162,8 +162,9 @@ class LinearClassifier:
         return X @ self.W.T - self.b
 
     def predict(self, X: sp.csr_matrix) -> list[set[str]]:
-        """Labels on the positive side of their averaged hyperplane."""
-        return [binary_relevance_decide(self.label_ids, row > 0.0) for row in self.margins(X)]
+        """Labels on the positive side of their averaged hyperplane, read from
+        the margins: expit(m) > 0.5 is not exactly m > 0 in floating point."""
+        return threshold_decide(self.label_ids, self.margins(X), 0.0)
 
     def scores(self, X: sp.csr_matrix) -> np.ndarray:
         margins = self.margins(X)

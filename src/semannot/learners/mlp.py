@@ -177,7 +177,7 @@ class MlpClassifier:
         return forward_scores(self.params, X, self.activation)
 
     def predict(self, X: sp.csr_matrix) -> list[set[str]]:
-        return [threshold_decide(self.label_ids, row, self.threshold) for row in self.scores(X)]
+        return threshold_decide(self.label_ids, self.scores(X), self.threshold)
 
     def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
         return rank_labels(self.label_ids, self.scores(X))

@@ -1,5 +1,10 @@
-"""Multi-label adaptation: binary relevance, fixed thresholds, and
-decision-tree stacking on top of any ranking classifier.
+"""Decision rules over score blocks, and decision-tree stacking on top of
+any ranking classifier.
+
+A classifier scores a block of rows once, as a (rows, L) float64 block over
+its label_ids; a rule turns it into one label set per row.  The rules are
+Yang's thresholding strategies (SIGIR 2001): fixed thresholds, rank cutoff
+(RCut), and stacking, which learns each label's rule from (score, rank).
 
 A ranked prediction is a list of (concept_id, score, rank) triples with
 scores non-increasing and ranks contiguous from 1.
@@ -20,35 +25,41 @@ RankedPrediction = list[tuple[str, float, int]]
 STACKING_TOP_M = 30
 
 
-def rank_labels(
-    label_ids: Sequence[str], scores: np.ndarray
-) -> list[RankedPrediction] | RankedPrediction:
-    """Sort labels by score descending (ties by id) and assign ranks from 1:
-    one RankedPrediction per row of a (rows, L) block, or one for a single
-    (L,) row."""
-    block = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+def rank_labels(label_ids: Sequence[str], scores: np.ndarray) -> list[RankedPrediction]:
+    """One RankedPrediction per row of a (rows, L) score block: labels by
+    score descending, ties by id, ranks from 1.  A -inf score marks a label
+    the row does not rank; it is left out of the row's ranking."""
+    block = np.asarray(scores, dtype=np.float64)
     # columns in id order, so the stable sort breaks ties (0.0 == -0.0) by id
     by_id = np.array(sorted(range(len(label_ids)), key=label_ids.__getitem__), dtype=np.intp)
     order = by_id[np.argsort(-block[:, by_id], axis=1, kind="stable")]
-    rankings = [
-        [(label_ids[i], score, pos + 1) for pos, (i, score) in enumerate(zip(row, row_scores))]
-        for row, row_scores in zip(order.tolist(), np.take_along_axis(block, order, 1).tolist())
+    ranked = np.take_along_axis(block, order, 1)
+    # -inf sorts last, so every row keeps a prefix
+    kept = np.count_nonzero(ranked > -np.inf, axis=1)
+    return [
+        [(label_ids[i], s, pos + 1) for pos, (i, s) in enumerate(zip(row[:n], row_scores[:n]))]
+        for row, row_scores, n in zip(order.tolist(), ranked.tolist(), kept.tolist())
     ]
-    return rankings if np.ndim(scores) == 2 else rankings[0]
 
 
-def binary_relevance_decide(label_ids: Sequence[str], decisions: Sequence[bool]) -> set[str]:
-    """Union of the labels whose per-label classifier voted positive."""
-    if len(label_ids) != len(decisions):
+def binary_relevance_decide(label_ids: Sequence[str], decisions: np.ndarray) -> list[set[str]]:
+    """Per row of a boolean (rows, L) block, the labels voted positive."""
+    block = np.asarray(decisions, dtype=bool)
+    if block.ndim != 2 or block.shape[1] != len(label_ids):
         raise ValueError("one decision per label required")
-    return {cid for cid, yes in zip(label_ids, decisions) if yes}
+    return [{label_ids[j] for j in np.flatnonzero(row)} for row in block]
 
 
 def threshold_decide(
-    label_ids: Sequence[str], scores: Sequence[float], theta: float = 0.2
-) -> set[str]:
-    """Labels with score strictly above the threshold."""
-    return {cid for cid, s in zip(label_ids, scores) if s > theta}
+    label_ids: Sequence[str], scores: np.ndarray, theta: float = 0.2
+) -> list[set[str]]:
+    """Per row of a (rows, L) score block, the labels scoring strictly above theta."""
+    return binary_relevance_decide(label_ids, np.asarray(scores) > theta)
+
+
+def cutoff_decide(label_ids: Sequence[str], scores: np.ndarray, cutoff: int) -> list[set[str]]:
+    """Per row of a (rows, L) score block, the labels rank_labels ranks within the cutoff."""
+    return [{cid for cid, _, _ in ranking[:cutoff]} for ranking in rank_labels(label_ids, scores)]
 
 
 def round_half_up(x: float) -> int:

@@ -2,8 +2,8 @@
 
 Candidate labels for a document are the union of the gold labels of its k
 nearest training neighbors.  A pointwise logistic ranker scores each
-candidate from four neighborhood/overlap features, and the ranked list is
-cut off at the training corpus's mean label count (rounded half up).
+candidate from four neighborhood/overlap features (other labels score -inf),
+and a rank cutoff at the training mean label count (rounded half up) decides.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from scipy.special import expit
 from .learners.labels import LabelMatrix
 from .learners.lazy import KnnClassifier
 from .learners.linear import LINEAR_ALPHA, LINEAR_EPOCHS, averaged_sgd_train
-from .multilabel import RankedPrediction, rank_labels, round_half_up
+from .multilabel import RankedPrediction, cutoff_decide, rank_labels, round_half_up
 
 L2R_K = 45
 
@@ -66,9 +66,6 @@ class RankerModel:
     bias: float
     cutoff: int
 
-    def score(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weights - self.bias
-
 
 def ranker_fit(
     candidate_sets: list[CandidateSet],
@@ -93,16 +90,6 @@ def ranker_fit(
     Y = sp.csr_matrix(np.array(relevance, dtype=np.float64)[:, None])
     W, b = averaged_sgd_train(X, Y, loss="logistic", alpha=alpha, epochs=epochs, seed=seed)
     return RankerModel(weights=W[0], bias=float(b[0]), cutoff=cutoff)
-
-
-def rank_candidates(model: RankerModel, candidates: CandidateSet) -> RankedPrediction:
-    return rank_labels(candidates.labels, expit(model.score(candidates.features)))
-
-
-def rank_and_cut(model: RankerModel, candidates: CandidateSet) -> set[str]:
-    """Top labels of the scored candidate list, at most ``cutoff`` of them."""
-    ranking = rank_candidates(model, candidates)
-    return {cid for cid, _, rank in ranking if rank <= model.cutoff}
 
 
 class L2RClassifier:
@@ -145,12 +132,24 @@ class L2RClassifier:
             generate_candidates(i, s, self.knn.labels, self.priors) for i, s in zip(idx, sims)
         ]
 
+    @property
+    def label_ids(self) -> tuple[str, ...]:
+        return self.knn.label_ids if self.knn is not None else ()
+
+    def scores(self, X: sp.csr_matrix) -> np.ndarray:
+        """(rows, labels) ranker probabilities of each row's candidates, -inf
+        elsewhere; each candidate set is scored by its own product."""
+        candidate_sets = self.candidates(X)
+        column = {cid: j for j, cid in enumerate(self.label_ids)}
+        S = np.full((X.shape[0], len(column)), -np.inf)
+        for row, cs in zip(S, candidate_sets):
+            row[[column[cid] for cid in cs.labels]] = expit(
+                cs.features @ self.model.weights - self.model.bias
+            )
+        return S
+
     def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
-        if self.model is None:
-            raise RuntimeError("classifier is not fitted")
-        return [rank_candidates(self.model, cs) for cs in self.candidates(X)]
+        return rank_labels(self.label_ids, self.scores(X))
 
     def predict(self, X: sp.csr_matrix) -> list[set[str]]:
-        if self.model is None:
-            raise RuntimeError("classifier is not fitted")
-        return [rank_and_cut(self.model, cs) for cs in self.candidates(X)]
+        return cutoff_decide(self.label_ids, self.scores(X), self.model.cutoff)

@@ -23,7 +23,7 @@ from .learners import (
     RocchioClassifier,
 )
 from .multilabel import DecisionTree, StackedClassifier, StackedModel
-from .pipeline import FittedPipeline, RunConfig
+from .pipeline import FittedPipeline, RunConfig, build_classifier
 from .preprocess import LemmaTable
 from .ranking import L2RClassifier, RankerModel
 
@@ -280,12 +280,20 @@ def load_pipeline(path) -> FittedPipeline:
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {version!r}")
     config = _dec_config(container["config"])
+    classifier = _dec_classifier(container["classifier"])
+    # class names (and a stacked one's base) stored and built from the config
+    stored, built = (
+        "/".join(type(c).__name__ for c in (clf, getattr(clf, "base", None)) if c is not None)
+        for clf in (classifier, build_classifier(config))
+    )
+    if stored != built:
+        raise ModelFormatError(f"model holds {stored}, not config classifier {config.classifier!r}")
     lemma_table = (
         LemmaTable(container["lemma_table"]) if container["lemma_table"] is not None else None
     )
     return FittedPipeline(
         config=config,
         vectorizer=_dec_vectorizer(container["vectorizer"]),
-        classifier=_dec_classifier(container["classifier"]),
+        classifier=classifier,
         lemma_table=lemma_table,
     )

@@ -9,6 +9,7 @@ from collections import Counter
 
 import numpy as np
 from scipy import sparse as sp
+from scipy.special import expit
 
 from semannot.corpus import Concept, Thesaurus
 from semannot.features import (
@@ -20,6 +21,9 @@ from semannot.features import (
     fit_weighting,
     l2_normalize,
 )
+from semannot.learners import KnnClassifier, LinearClassifier, NaiveBayesClassifier
+from semannot.multilabel import StackedClassifier, stacking_decide
+from semannot.ranking import L2RClassifier
 from semannot.sparse import vstack
 
 
@@ -62,9 +66,52 @@ def naive_longest_match(
 
 def sorted_ranking(label_ids, scores) -> list[tuple[str, float, int]]:
     """One score row ranked by a Python sort keyed on (-score, id), ranks
-    from 1: the per-row reference for the block ranking."""
-    order = sorted(range(len(label_ids)), key=lambda i: (-scores[i], label_ids[i]))
+    from 1, labels scoring -inf left out: the per-row reference for the
+    block ranking."""
+    ranked = [i for i in range(len(label_ids)) if scores[i] != -math.inf]
+    order = sorted(ranked, key=lambda i: (-scores[i], label_ids[i]))
     return [(label_ids[i], float(scores[i]), pos + 1) for pos, i in enumerate(order)]
+
+
+def per_row_rankings(clf, X) -> list[list[tuple[str, float, int]]]:
+    """Each row's ranking, sorted row by row: L2R ranks each candidate set
+    by its own ranker product, every other classifier its row of scores."""
+    if isinstance(clf, L2RClassifier):
+        weights, bias = clf.model.weights, clf.model.bias
+        return [
+            sorted_ranking(cs.labels, expit(cs.features @ weights - bias))
+            for cs in clf.candidates(X)
+        ]
+    return [sorted_ranking(clf.label_ids, row) for row in clf.scores(X)]
+
+
+def per_row_predict(clf, X) -> list[set[str]]:
+    """Label sets decided row by row, by each classifier's own rule:
+    majority vote over the neighbors' gold sets (kNN), sign of the margins
+    (linear) or of the log-odds (Naive Bayes), the fixed MLP threshold,
+    rank-and-cut per candidate set (L2R), and stacking per ranking."""
+    if isinstance(clf, StackedClassifier):
+        return [stacking_decide(clf.model, ranking) for ranking in per_row_rankings(clf.base, X)]
+    if isinstance(clf, L2RClassifier):
+        return [
+            {cid for cid, _, rank in ranking if rank <= clf.model.cutoff}
+            for ranking in per_row_rankings(clf, X)
+        ]
+    if isinstance(clf, KnnClassifier):
+        idx, _ = clf.neighbors(X)
+        k = idx.shape[1]
+        decided = []
+        for neighbors in idx:
+            votes = Counter(cid for i in neighbors for cid in clf.labels.row_set(i))
+            decided.append({cid for cid, n in votes.items() if n * 2 > k})
+        return decided
+    if isinstance(clf, LinearClassifier):
+        rows, theta = clf.margins(X), 0.0
+    elif isinstance(clf, NaiveBayesClassifier):
+        rows, theta = clf.scores(X), 0.0
+    else:
+        rows, theta = clf.scores(X), clf.threshold
+    return [{cid for cid, s in zip(clf.label_ids, row) if s > theta} for row in rows]
 
 
 # stable under tokenization and the suffix lemmatizer (no trailing 's')

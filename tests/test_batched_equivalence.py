@@ -1,15 +1,17 @@
 """Batched scoring equals row-by-row scoring for every classifier.
 
-predict, rank and the kNN neighbour search on a block of CSR rows must give
-exactly what the same calls give on 1-row slices of it, also for blocks
-longer than ROW_BLOCK, so that a document's decision never depends on the
-documents scored next to it.
+predict, scores, rank and the kNN neighbour search on a block of CSR rows
+must give exactly what the same calls give on 1-row slices of it, also for
+blocks longer than ROW_BLOCK, so that a document's decision never depends
+on the documents scored next to it.  The block decision rules must decide
+what each classifier's rule applied row by row (tests/oracles.py) decides.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import per_row_predict
 from semannot.features import VARIANTS
 from semannot.pipeline import CLASSIFIERS, RunConfig, fit_pipeline
 from semannot.preprocess import preprocess
@@ -20,7 +22,7 @@ from semannot.synthetic import generate_corpus
 def _block_calls(clf):
     """The block-in, one-result-per-row methods of a fitted classifier."""
     base = getattr(clf, "base", clf)
-    calls = {"predict": clf.predict}
+    calls = {"predict": clf.predict, "scores": lambda X: base.scores(X).tolist()}
     if hasattr(base, "rank"):
         calls["rank"] = base.rank
     if hasattr(base, "neighbors"):
@@ -51,6 +53,8 @@ def fitted_pipelines(draw, classifier):
         seed=draw(st.integers(0, 100)),
         epochs=2,
         mlp_hidden=draw(st.integers(1, 9)),
+        # up to more neighbours than training documents, where k is clamped
+        knn_k=draw(st.integers(1, 30)),
         l2r_k=draw(st.integers(1, 6)),
     )
     pipeline = fit_pipeline(config, made.documents, made.thesaurus)
@@ -60,15 +64,18 @@ def fitted_pipelines(draw, classifier):
     return pipeline, token_seqs
 
 
+PROPERTY = settings(
+    max_examples=15,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
 @pytest.mark.parametrize("classifier", CLASSIFIERS)
 def test_block_equals_row_by_row(classifier):
-    @settings(
-        max_examples=15,
-        deadline=None,
-        derandomize=True,
-        database=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+    @PROPERTY
     @given(fitted_pipelines(classifier), st.integers(1, 40))
     def check(fitted, extra_rows):
         pipeline, token_seqs = fitted
@@ -84,5 +91,17 @@ def test_block_equals_row_by_row(classifier):
             assert len(batched) == len(order), name
             for got, i in zip(batched, order):
                 assert got == singles[i][0], (name, int(i))
+
+    check()
+
+
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+def test_predict_equals_per_row_rules(classifier):
+    @PROPERTY
+    @given(fitted_pipelines(classifier))
+    def check(fitted):
+        pipeline, token_seqs = fitted
+        X = pipeline.vectorize(pipeline.count(token_seqs))
+        assert pipeline.classifier.predict(X) == per_row_predict(pipeline.classifier, X)
 
     check()

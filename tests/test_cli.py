@@ -182,6 +182,26 @@ def test_annotate_refuses_container_in_one_line(data_files, tmp_path, capsys, ta
     assert capsys.readouterr().err == f"annotation failed: {message}\n"
 
 
+def test_annotate_refuses_classifier_other_than_config_names(data_files, tmp_path, capsys):
+    """A multinomial Naive Bayes model whose config says knn would annotate
+    from weighted vectors instead of the raw counts it was trained on."""
+    corpus, thesaurus = data_files
+    model = str(tmp_path / "model.json")
+    assert main(
+        ["train", "--corpus", corpus, "--thesaurus", thesaurus,
+         "--vec", "tf-idf", "--clf", "bayes-multinomial", "--out", model]
+    ) == 0
+    container = json.loads(open(model).read())
+    container["config"]["classifier"] = "knn"
+    open(model, "w").write(json.dumps(container))
+    capsys.readouterr()
+    code = main(["annotate", "--model", model, "--corpus", corpus, "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "annotation failed: model holds NaiveBayesClassifier, not config classifier 'knn'\n"
+    )
+
+
 def test_stats_prints_table(data_files, capsys):
     corpus, thesaurus = data_files
     assert main(["stats", "--corpus", corpus, "--thesaurus", thesaurus]) == 0
@@ -208,6 +228,24 @@ def test_generate_round_trips_through_loaders(tmp_path):
     docs = load_corpus(out_corpus, "title", thesaurus=thesaurus).documents
     assert len(docs) == 12 * 40
     assert all(doc.gold_labels for doc in docs)
+
+
+def test_generate_with_two_labels_narrows_labels_per_doc(tmp_path):
+    out_corpus = str(tmp_path / "gen.jsonl")
+    out_thesaurus = str(tmp_path / "gen.tsv")
+    code = main(
+        [
+            "generate",
+            "--labels", "2",
+            "--docs-per-label", "2",
+            "--out-corpus", out_corpus,
+            "--out-thesaurus", out_thesaurus,
+        ]
+    )
+    assert code == 0
+    docs = load_corpus(out_corpus, "title").documents
+    assert len(docs) == 4
+    assert all(1 <= len(doc.gold_labels) <= 2 for doc in docs)
 
 
 def test_grid_classifiers_one_row_each(tmp_path):

@@ -248,4 +248,4 @@ def test_fold_tasks_carry_only_fold_indices(monkeypatch):
     _, counts, labels = seen["initargs"]
     assert len(counts) == labels.n_docs == len(made.documents)
     sequential = evaluate_run(config, made.documents, made.thesaurus, jobs=1)
-    assert report.to_dict()["folds"] == sequential.to_dict()["folds"]
+    assert dataclasses.asdict(report)["folds"] == dataclasses.asdict(sequential)["folds"]

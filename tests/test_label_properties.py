@@ -39,7 +39,7 @@ def test_block_ranking_equals_per_row_sort(block):
     for ranking, row in zip(rankings, scores):
         # repr tells -0.0 from 0.0
         assert repr(ranking) == repr(sorted_ranking(label_ids, row))
-        assert repr(rank_labels(tuple(label_ids), row)) == repr(ranking)
+        assert repr(rank_labels(tuple(label_ids), row[None, :])) == repr([ranking])
 
 
 GOLD_SETS = st.lists(

@@ -50,7 +50,7 @@ def test_bernoulli_hand_posterior_four_docs():
     theta_pos = (2.0 + ALPHA) / (2.0 + 2.0 * ALPHA)
     theta_neg = ALPHA / (2.0 + 2.0 * ALPHA)
     expected = math.log(theta_pos) - math.log(theta_neg)
-    got = dict(zip(clf.label_ids, clf.log_odds(sv({0: 1.0}, 1))[0]))
+    got = dict(zip(clf.label_ids, clf.scores(sv({0: 1.0}, 1))[0]))
     assert got["pos"] == pytest.approx(expected, rel=1e-12)
     assert got["pos"] > 0.0
     assert "pos" in clf.predict(sv({0: 1.0}, 1))[0]
@@ -69,7 +69,7 @@ def test_multinomial_hand_likelihood_two_docs():
     theta_p0 = (2.0 + ALPHA) / (2.0 + 2.0 * ALPHA)
     theta_notp0 = ALPHA / (3.0 + 2.0 * ALPHA)
     expected = math.log(theta_p0) - math.log(theta_notp0)
-    got = dict(zip(clf.label_ids, clf.log_odds(sv({0: 1.0}, 2))[0]))
+    got = dict(zip(clf.label_ids, clf.scores(sv({0: 1.0}, 2))[0]))
     assert got["p"] == pytest.approx(expected, rel=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_smoothing_keeps_unseen_features_finite():
     X = [sv({0: 1.0}, 3), sv({1: 1.0}, 3)]
     for variant in ("bernoulli", "multinomial"):
         clf = NaiveBayesClassifier(variant).fit(stack(X), labels_of([{"a"}, {"b"}]))
-        scores = clf.log_odds(sv({2: 4.0}, 3))  # feature never seen in training
+        scores = clf.scores(sv({2: 4.0}, 3))  # feature never seen in training
         assert np.all(np.isfinite(scores))
 
 
@@ -99,16 +99,16 @@ def test_multinomial_distributions_sum_to_one():
 def test_bernoulli_counts_presence_not_multiplicity():
     X = [sv({0: 7.0}, 1), sv({}, 1)]
     clf = NaiveBayesClassifier("bernoulli").fit(stack(X), labels_of([{"a"}, {"b"}]))
-    once = clf.log_odds(sv({0: 1.0}, 1))
-    many = clf.log_odds(sv({0: 9.0}, 1))
+    once = clf.scores(sv({0: 1.0}, 1))
+    many = clf.scores(sv({0: 9.0}, 1))
     assert np.array_equal(once, many)
 
 
 def test_multinomial_scales_with_count():
     X = [sv({0: 3.0}, 2), sv({1: 3.0}, 2)]
     clf = NaiveBayesClassifier("multinomial").fit(stack(X), labels_of([{"a"}, {"b"}]))
-    low = dict(zip(clf.label_ids, clf.log_odds(sv({0: 1.0}, 2))[0]))
-    high = dict(zip(clf.label_ids, clf.log_odds(sv({0: 4.0}, 2))[0]))
+    low = dict(zip(clf.label_ids, clf.scores(sv({0: 1.0}, 2))[0]))
+    high = dict(zip(clf.label_ids, clf.scores(sv({0: 4.0}, 2))[0]))
     assert high["a"] > low["a"]
 
 

@@ -16,46 +16,45 @@ from semannot.sparse import ROW_BLOCK, vstack
 
 class TestBinaryRelevance:
     def test_votes_become_label_set(self):
-        assert binary_relevance_decide(["a", "b", "c"], [True, False, True]) == {"a", "c"}
+        assert binary_relevance_decide(["a", "b", "c"], [[True, False, True]]) == [{"a", "c"}]
 
     def test_all_negative_is_empty(self):
-        assert binary_relevance_decide(["a", "b"], [False, False]) == set()
+        assert binary_relevance_decide(["a", "b"], [[False, False]]) == [set()]
 
     def test_single_label(self):
-        assert binary_relevance_decide(["a"], [True]) == {"a"}
-        assert binary_relevance_decide(["a"], [False]) == set()
+        assert binary_relevance_decide(["a"], [[True], [False]]) == [{"a"}, set()]
 
     def test_misaligned_rejected(self):
         with pytest.raises(ValueError):
-            binary_relevance_decide(["a"], [True, False])
+            binary_relevance_decide(["a"], [[True, False]])
 
 
 class TestThreshold:
     def test_default_theta(self):
-        assert threshold_decide(["a", "b"], [0.3, 0.1]) == {"a"}
+        assert threshold_decide(["a", "b"], [[0.3, 0.1]]) == [{"a"}]
 
     def test_theta_zero_keeps_positive_scores(self):
-        assert threshold_decide(["a", "b", "c"], [0.5, 0.0, 0.01], theta=0.0) == {"a", "c"}
+        assert threshold_decide(["a", "b", "c"], [[0.5, 0.0, 0.01]], theta=0.0) == [{"a", "c"}]
 
     def test_boundary_is_strict(self):
-        assert threshold_decide(["a"], [0.2]) == set()
+        assert threshold_decide(["a"], [[0.2]]) == [set()]
 
     def test_raising_theta_never_adds_labels(self):
         rng = np.random.default_rng(0)
         ids = [f"l{i}" for i in range(10)]
         for _ in range(50):
-            scores = rng.random(10)
+            scores = rng.random((1, 10))
             low, high = sorted(rng.random(2))
-            assert threshold_decide(ids, scores, high) <= threshold_decide(ids, scores, low)
+            assert threshold_decide(ids, scores, high)[0] <= threshold_decide(ids, scores, low)[0]
 
 
 class TestRankLabels:
     def test_sorted_with_contiguous_ranks(self):
-        ranking = rank_labels(["a", "b", "c"], np.array([0.1, 0.9, 0.5]))
+        (ranking,) = rank_labels(["a", "b", "c"], np.array([[0.1, 0.9, 0.5]]))
         assert ranking == [("b", 0.9, 1), ("c", 0.5, 2), ("a", 0.1, 3)]
 
     def test_ties_break_by_id(self):
-        ranking = rank_labels(["z", "a"], np.array([0.5, 0.5]))
+        (ranking,) = rank_labels(["z", "a"], np.array([[0.5, 0.5]]))
         assert [cid for cid, _, _ in ranking] == ["a", "z"]
 
 
@@ -184,8 +183,7 @@ class TestStacking:
         rankings = []
         gold = []
         for _ in range(30):
-            scores = rng.random(50)
-            rankings.append(rank_labels(ids, scores))
+            rankings.extend(rank_labels(ids, rng.random((1, 50))))
             gold.append(set(rng.choice(ids, size=3, replace=False)))
         model = stacking_train(rankings, gold, top_m=30)
         for ranking in rankings:

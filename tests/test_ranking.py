@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse as sp
+from scipy.special import expit
 
 from semannot.learners import KnnClassifier, LabelMatrix
-from semannot.multilabel import round_half_up
+from semannot.multilabel import cutoff_decide, rank_labels, round_half_up
 from semannot.ranking import (
     CandidateSet,
     L2RClassifier,
     RankerModel,
     generate_candidates,
-    rank_and_cut,
-    rank_candidates,
     ranker_fit,
 )
 from semannot.sparse import vstack
@@ -34,6 +33,17 @@ def labels_of(gold):
 def fit_knn(X, gold):
     labels = labels_of(gold)
     return KnnClassifier(k=1).fit(stack(X), labels), labels
+
+
+def score_row(model, cs, label_ids):
+    """A one-row score block over label_ids laid out as L2RClassifier.scores
+    lays it out: the ranker's probabilities on the candidates, -inf on the
+    other labels."""
+    row = np.full((1, len(label_ids)), -np.inf)
+    row[0, [label_ids.index(cid) for cid in cs.labels]] = expit(
+        cs.features @ model.weights - model.bias
+    )
+    return row
 
 
 def candidates_for(q, knn, priors, k, exclude=None):
@@ -125,7 +135,7 @@ class TestRankerFit:
         model = ranker_fit(candidate_sets, gold_sets, cutoff=1, epochs=10, seed=0)
         correct = 0
         for cs, gold in zip(candidate_sets, gold_sets):
-            top = rank_candidates(model, cs)[0][0]
+            top = rank_labels(cs.labels, score_row(model, cs, cs.labels))[0][0][0]
             correct += top in gold
         assert correct == len(candidate_sets)
 
@@ -143,7 +153,8 @@ class TestRankerFit:
             )
             gold_sets.append(relevant or {"l0"})
         model = ranker_fit(candidate_sets, gold_sets, cutoff=1, epochs=10, seed=0)
-        ranking = rank_candidates(model, candidate_sets[0])
+        cs = candidate_sets[0]
+        (ranking,) = rank_labels(cs.labels, score_row(model, cs, cs.labels))
         assert [cid for cid, _, _ in ranking] == ["l0", "l1", "l2"]
 
     def test_empty_candidate_sets_skipped(self):
@@ -161,18 +172,23 @@ class TestRankerFit:
 
 
 class TestRankAndCut:
-    def make_candidates(self, n):
+    # two labels outside every candidate set, which score -inf
+    LABEL_IDS = [f"l{j}" for j in range(5)] + ["m0", "m1"]
+
+    def rank_and_cut(self, model, n):
         labels = [f"l{j}" for j in range(n)]
         features = np.array([[float(n - j), 1.0, 0.5, 1.0] for j in range(n)])
-        return CandidateSet(labels=labels, features=features)
+        block = score_row(model, CandidateSet(labels=labels, features=features), self.LABEL_IDS)
+        (decided,) = cutoff_decide(self.LABEL_IDS, block, model.cutoff)
+        return decided
 
     def test_cutoff_three_of_five(self):
         model = RankerModel(weights=np.array([1.0, 0, 0, 0]), bias=0.0, cutoff=3)
-        assert rank_and_cut(model, self.make_candidates(5)) == {"l0", "l1", "l2"}
+        assert self.rank_and_cut(model, 5) == {"l0", "l1", "l2"}
 
     def test_fewer_candidates_than_cutoff(self):
         model = RankerModel(weights=np.array([1.0, 0, 0, 0]), bias=0.0, cutoff=3)
-        assert rank_and_cut(model, self.make_candidates(2)) == {"l0", "l1"}
+        assert self.rank_and_cut(model, 2) == {"l0", "l1"}
 
     def test_cutoff_rounding_half_up(self):
         assert round_half_up(5.26) == 5
