@@ -164,42 +164,33 @@ def cmd_stats(args) -> int:
         lemma_table = LemmaTable.load(args.lemma_table) if args.lemma_table else None
         matcher = ConceptMatcher(thesaurus, lemma_table)
 
-        title = count_corpus([preprocess(doc.title, lemma_table) for doc in docs], matcher)
-        title_vocab = title.term_counts.shape[1]
-        stats = corpus_stats(
-            docs,
-            thesaurus,
-            _row_sums(title.term_counts),
-            _row_sums(title.concept_counts),
-            vocabulary_size_title=title_vocab,
-        )
-        print(f"documents                 {stats.n_docs}")
-        print(f"concepts in thesaurus     {stats.n_concepts_in_thesaurus}")
-        print(f"labels used               {stats.n_labels_used}")
-        print(
-            f"labels per doc            {stats.mean_labels_per_doc:.2f} "
-            f"(sd {stats.sd_labels_per_doc:.2f})"
-        )
-        print("-- titles --")
-        print(f"vocabulary size           {title_vocab}")
-        print(f"words per doc             {stats.mean_words_per_doc:.2f}")
-        print(f"concepts per doc          {stats.mean_concepts_per_doc:.2f}")
-
         with_ft = [doc for doc in docs if doc.fulltext is not None]
-        if with_ft:
-            ft = count_corpus([preprocess(doc.fulltext, lemma_table) for doc in with_ft], matcher)
-            ft_vocab = ft.term_counts.shape[1]
-            ft_stats = corpus_stats(
-                with_ft,
-                thesaurus,
-                _row_sums(ft.term_counts),
-                _row_sums(ft.concept_counts),
-                vocabulary_size_fulltext=ft_vocab,
+        for field, field_docs in (("title", docs), ("fulltext", with_ft)):
+            if not field_docs:
+                continue
+            counts = count_corpus(
+                [preprocess(doc.text(field), lemma_table) for doc in field_docs], matcher
             )
-            print(f"-- fulltext ({len(with_ft)} docs) --")
-            print(f"vocabulary size           {ft_vocab}")
-            print(f"words per doc             {ft_stats.mean_words_per_doc:.2f}")
-            print(f"concepts per doc          {ft_stats.mean_concepts_per_doc:.2f}")
+            stats = corpus_stats(
+                field_docs,
+                thesaurus,
+                _row_sums(counts.term_counts),
+                _row_sums(counts.concept_counts),
+            )
+            if field == "title":
+                print(f"documents                 {stats.n_docs}")
+                print(f"concepts in thesaurus     {stats.n_concepts_in_thesaurus}")
+                print(f"labels used               {stats.n_labels_used}")
+                print(
+                    f"labels per doc            {stats.mean_labels_per_doc:.2f} "
+                    f"(sd {stats.sd_labels_per_doc:.2f})"
+                )
+                print("-- titles --")
+            else:
+                print(f"-- fulltext ({len(field_docs)} docs) --")
+            print(f"vocabulary size           {counts.term_counts.shape[1]}")
+            print(f"words per doc             {stats.mean_words_per_doc:.2f}")
+            print(f"concepts per doc          {stats.mean_concepts_per_doc:.2f}")
     except Exception as exc:
         print(f"stats failed: {exc}", file=sys.stderr)
         return 1

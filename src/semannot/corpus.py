@@ -291,8 +291,6 @@ class CorpusStats:
     sd_labels_per_doc: float
     mean_words_per_doc: float
     mean_concepts_per_doc: float
-    vocabulary_size_title: int | None = None
-    vocabulary_size_fulltext: int | None = None
 
 
 def corpus_stats(
@@ -300,8 +298,6 @@ def corpus_stats(
     thesaurus: Thesaurus,
     tokens_per_doc: list[int],
     concepts_per_doc: list[int],
-    vocabulary_size_title: int | None = None,
-    vocabulary_size_fulltext: int | None = None,
 ) -> CorpusStats:
     """Summary statistics of a corpus against its thesaurus.
 
@@ -326,7 +322,5 @@ def corpus_stats(
         sd_labels_per_doc=sd,
         mean_words_per_doc=sum(tokens_per_doc) / len(docs),
         mean_concepts_per_doc=sum(concepts_per_doc) / len(docs),
-        vocabulary_size_title=vocabulary_size_title,
-        vocabulary_size_fulltext=vocabulary_size_fulltext,
     )
 

@@ -155,12 +155,13 @@ class DecisionTree:
         return node["value"]
 
     def to_state(self) -> dict:
-        return {"max_depth": self.max_depth, "root": self.root}
+        """The fitted node tree; the depth cap matters only while fitting."""
+        return self.root
 
     @classmethod
-    def from_state(cls, state: dict) -> "DecisionTree":
-        tree = cls(max_depth=state["max_depth"])
-        tree.root = state["root"]
+    def from_state(cls, root: dict) -> "DecisionTree":
+        tree = cls()
+        tree.root = root
         return tree
 
 

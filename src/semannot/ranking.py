@@ -106,12 +106,13 @@ class L2RClassifier:
         self.alpha = alpha
         self.epochs = epochs
         self.seed = seed
-        self.knn: KnnClassifier | None = None
+        # candidate generation's index; its k is unused, neighbors() asks for self.k
+        self.knn = KnnClassifier(k=1)
         self.priors: np.ndarray | None = None
         self.model: RankerModel | None = None
 
     def fit(self, X: sp.csr_matrix, labels: LabelMatrix) -> "L2RClassifier":
-        self.knn = KnnClassifier(k=1).fit(X, labels)
+        self.knn.fit(X, labels)
         self.priors = labels.priors()
         # leave-one-out: a training document is not its own neighbor
         candidate_sets = self.candidates(X, exclude=np.arange(X.shape[0]))
@@ -125,8 +126,6 @@ class L2RClassifier:
     def candidates(self, X: sp.csr_matrix, exclude: np.ndarray | None = None) -> list[CandidateSet]:
         """One candidate set per row from its k nearest training documents
         (k clamped to the training-set size)."""
-        if self.knn is None:
-            raise RuntimeError("classifier is not fitted")
         idx, sims = self.knn.neighbors(X, k=self.k, exclude=exclude)
         return [
             generate_candidates(i, s, self.knn.labels, self.priors) for i, s in zip(idx, sims)
@@ -134,7 +133,7 @@ class L2RClassifier:
 
     @property
     def label_ids(self) -> tuple[str, ...]:
-        return self.knn.label_ids if self.knn is not None else ()
+        return self.knn.label_ids
 
     def scores(self, X: sp.csr_matrix) -> np.ndarray:
         """(rows, labels) ranker probabilities of each row's candidates, -inf

@@ -1,7 +1,10 @@
 """Versioned JSON container for fitted pipelines.
 
-Arrays are embedded as base64 of their raw little-endian bytes, so weights
-round-trip bitwise and a reloaded model makes exactly the same decisions.
+The container's `config` is the only record of what a model is: load builds
+the vectorizer and classifier from it with the calls training uses, then
+restores only their fitted state.  Arrays are embedded as base64 of their
+raw little-endian bytes, so weights round-trip bitwise and a reloaded model
+makes exactly the same decisions.
 """
 
 from __future__ import annotations
@@ -27,7 +30,10 @@ from .pipeline import FittedPipeline, RunConfig, build_classifier
 from .preprocess import LemmaTable
 from .ranking import L2RClassifier, RankerModel
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+_FLOAT = "<f8"
+_INT = "a signed integer dtype"
 
 
 class ModelFormatError(ValueError):
@@ -43,9 +49,14 @@ def _enc_array(a: np.ndarray) -> dict:
     }
 
 
-def _dec_array(d: dict) -> np.ndarray:
+def _dec_array(d: dict, required: str) -> np.ndarray:
+    """Decode an array whose slot requires the dtype `required`: `_FLOAT`,
+    or `_INT` for any signed integer dtype."""
+    dtype = np.dtype(d["dtype"])
+    if not (dtype.kind == "i" if required == _INT else dtype.str == required):
+        raise ModelFormatError(f"array of dtype {dtype.str} where {required} is required")
     raw = base64.b64decode(d["data"])
-    return np.frombuffer(raw, dtype=np.dtype(d["dtype"])).reshape(d["shape"]).copy()
+    return np.frombuffer(raw, dtype=dtype).reshape(d["shape"]).copy()
 
 
 def _enc_csr(m: sp.csr_matrix) -> dict:
@@ -59,7 +70,11 @@ def _enc_csr(m: sp.csr_matrix) -> dict:
 
 def _dec_csr(d: dict) -> sp.csr_matrix:
     return sp.csr_matrix(
-        (_dec_array(d["data"]), _dec_array(d["indices"]), _dec_array(d["indptr"])),
+        (
+            _dec_array(d["data"], _FLOAT),
+            _dec_array(d["indices"], _INT),
+            _dec_array(d["indptr"], _INT),
+        ),
         shape=tuple(d["shape"]),
     )
 
@@ -82,172 +97,111 @@ def _dec_labels(d: dict) -> LabelMatrix:
     return labels
 
 
-def _enc_weighting(w: WeightingModel | None) -> dict | None:
-    if w is None:
-        return None
-    return {
-        "scheme": w.scheme,
-        "idf": _enc_array(w.idf),
-        "n_docs": w.n_docs,
-        "mean_doc_len": w.mean_doc_len,
-        "k": w.k,
-        "b": w.b,
-    }
+def _enc_weighting(w: WeightingModel) -> dict:
+    return {"idf": _enc_array(w.idf), "n_docs": w.n_docs, "mean_doc_len": w.mean_doc_len}
 
 
-def _dec_weighting(d: dict | None) -> WeightingModel | None:
-    if d is None:
-        return None
+def _dec_weighting(d: dict, vectorizer: TextVectorizer) -> WeightingModel:
+    # the scheme follows the variant; BM25 k and b are the module constants
     return WeightingModel(
-        scheme=d["scheme"],
-        idf=_dec_array(d["idf"]),
+        scheme=vectorizer.scheme,
+        idf=_dec_array(d["idf"], _FLOAT),
         n_docs=d["n_docs"],
         mean_doc_len=d["mean_doc_len"],
-        k=d["k"],
-        b=d["b"],
     )
 
 
-def _enc_vectorizer(v: TextVectorizer) -> dict:
+def _enc_ranker(m: RankerModel) -> dict:
+    return {"weights": _enc_array(m.weights), "bias": m.bias, "cutoff": m.cutoff}
+
+
+def _dec_ranker(d: dict, clf: L2RClassifier) -> RankerModel:
+    return RankerModel(weights=_dec_array(d["weights"], _FLOAT), bias=d["bias"], cutoff=d["cutoff"])
+
+
+def _enc_stacked(m: StackedModel) -> dict:
     return {
-        "variant": v.variant,
-        "vocab": v.vocab.tokens_in_order() if v.vocab is not None else None,
-        "matcher": v.matcher.to_state() if v.matcher is not None else None,
-        "term_weighting": _enc_weighting(v.term_weighting),
-        "concept_weighting": _enc_weighting(v.concept_weighting),
+        "trees": {cid: tree.to_state() for cid, tree in m.trees.items()},
+        "fallback_cutoff": m.fallback_cutoff,
+        "meta_sample_counts": m.meta_sample_counts,
     }
 
 
-def _dec_vectorizer(d: dict) -> TextVectorizer:
-    v = TextVectorizer(d["variant"])
-    v.vocab = (
-        Vocabulary({tok: i for i, tok in enumerate(d["vocab"])})
-        if d["vocab"] is not None
-        else None
+def _dec_stacked(d: dict, clf: StackedClassifier) -> StackedModel:
+    return StackedModel(
+        trees={cid: DecisionTree.from_state(root) for cid, root in d["trees"].items()},
+        top_m=clf.top_m,
+        fallback_cutoff=d["fallback_cutoff"],
+        meta_sample_counts=dict(d["meta_sample_counts"]),
     )
-    v.matcher = ConceptMatcher.from_state(d["matcher"]) if d["matcher"] is not None else None
-    v.term_weighting = _dec_weighting(d["term_weighting"])
-    v.concept_weighting = _dec_weighting(d["concept_weighting"])
-    return v
 
 
-def _enc_classifier(clf) -> dict:
-    if isinstance(clf, KnnClassifier):
+def _fitted_state(obj) -> dict:
+    """The state table of a vectorizer (its variant's blocks) or classifier."""
+    if isinstance(obj, TextVectorizer):
         return {
-            "kind": "knn",
-            "k": clf.k,
-            "matrix": _enc_csr(clf.matrix),
-            "labels": _enc_labels(clf.labels),
+            **(_TERM_STATE if obj.uses_terms else {}),
+            **(_CONCEPT_STATE if obj.uses_concepts else {}),
         }
-    if isinstance(clf, RocchioClassifier):
-        return {
-            "kind": "rocchio",
-            "centroids": _enc_csr(clf.centroids),
-            "label_ids": list(clf.label_ids),
-        }
-    if isinstance(clf, NaiveBayesClassifier):
-        return {
-            "kind": "bayes",
-            "variant": clf.variant,
-            "label_ids": list(clf.label_ids),
-            "const": _enc_array(clf._const),
-            "coef": _enc_array(clf._coef),
-        }
-    if isinstance(clf, LinearClassifier):
-        return {
-            "kind": "linear",
-            "loss": clf.loss,
-            "alpha": clf.alpha,
-            "epochs": clf.epochs,
-            "seed": clf.seed,
-            "label_ids": list(clf.label_ids),
-            "W": _enc_array(clf.W),
-            "b": _enc_array(clf.b),
-        }
-    if isinstance(clf, MlpClassifier):
-        return {
-            "kind": "mlp",
-            "hidden": clf.hidden,
-            "activation": clf.activation,
-            "threshold": clf.threshold,
-            "label_ids": list(clf.label_ids),
-            "params": {key: _enc_array(val) for key, val in clf.params.items()},
-        }
-    if isinstance(clf, L2RClassifier):
-        return {
-            "kind": "l2r",
-            "k": clf.k,
-            "knn": _enc_classifier(clf.knn),
-            "priors": _enc_array(clf.priors),
-            "ranker": {
-                "weights": _enc_array(clf.model.weights),
-                "bias": clf.model.bias,
-                "cutoff": clf.model.cutoff,
-            },
-        }
-    if isinstance(clf, StackedClassifier):
-        return {
-            "kind": "stacked",
-            "base": _enc_classifier(clf.base),
-            "top_m": clf.model.top_m,
-            "fallback_cutoff": clf.model.fallback_cutoff,
-            "trees": {cid: tree.to_state() for cid, tree in clf.model.trees.items()},
-            "meta_sample_counts": clf.model.meta_sample_counts,
-        }
-    raise ModelFormatError(f"cannot serialize classifier of type {type(clf).__name__}")
+    return _CLASSIFIER_STATE[type(obj)]
 
 
-def _dec_classifier(d: dict):
-    kind = d.get("kind")
-    if kind == "knn":
-        clf = KnnClassifier(k=d["k"])
-        clf.matrix = _dec_csr(d["matrix"])
-        clf.labels = _dec_labels(d["labels"])
-        return clf
-    if kind == "rocchio":
-        clf = RocchioClassifier()
-        clf.centroids = _dec_csr(d["centroids"])
-        clf.label_ids = tuple(d["label_ids"])
-        return clf
-    if kind == "bayes":
-        clf = NaiveBayesClassifier(d["variant"])
-        clf.label_ids = tuple(d["label_ids"])
-        clf._const = _dec_array(d["const"])
-        clf._coef = _dec_array(d["coef"])
-        return clf
-    if kind == "linear":
-        clf = LinearClassifier(loss=d["loss"], alpha=d["alpha"], epochs=d["epochs"], seed=d["seed"])
-        clf.label_ids = tuple(d["label_ids"])
-        clf.W = _dec_array(d["W"])
-        clf.b = _dec_array(d["b"])
-        return clf
-    if kind == "mlp":
-        clf = MlpClassifier(
-            hidden=d["hidden"], activation=d["activation"], threshold=d["threshold"]
+def _enc_state(obj) -> dict:
+    return {attr: enc(getattr(obj, attr)) for attr, (enc, _) in _fitted_state(obj).items()}
+
+
+def _restore(obj, d: dict):
+    """Fill the fitted state of `obj`, built from the config, from its block."""
+    table = _fitted_state(obj)
+    if set(d) != set(table):
+        raise ModelFormatError(
+            f"config builds {type(obj).__name__} with state keys {sorted(table)}, "
+            f"model holds {sorted(d)}"
         )
-        clf.label_ids = tuple(d["label_ids"])
-        clf.params = {key: _dec_array(val) for key, val in d["params"].items()}
-        return clf
-    if kind == "l2r":
-        clf = L2RClassifier(k=d["k"])
-        clf.knn = _dec_classifier(d["knn"])
-        clf.priors = _dec_array(d["priors"])
-        clf.model = RankerModel(
-            weights=_dec_array(d["ranker"]["weights"]),
-            bias=d["ranker"]["bias"],
-            cutoff=d["ranker"]["cutoff"],
-        )
-        return clf
-    if kind == "stacked":
-        clf = StackedClassifier(_dec_classifier(d["base"]), top_m=d["top_m"])
-        clf.model = StackedModel(
-            trees={cid: DecisionTree.from_state(s) for cid, s in d["trees"].items()},
-            top_m=d["top_m"],
-            fallback_cutoff=d["fallback_cutoff"],
-            meta_sample_counts=dict(d.get("meta_sample_counts", {})),
-        )
-        return clf
-    raise ModelFormatError(f"unknown classifier kind {kind!r}")
+    for attr, (_, dec) in table.items():
+        setattr(obj, attr, dec(d[attr], obj))
+    return obj
+
+
+# fitted attribute -> (encode(value), decode(stored, owner)); a nested
+# classifier is the one its owner's constructor built, restored in place
+_IDS = (list, lambda d, owner: tuple(d))
+_FLOATS = (_enc_array, lambda d, owner: _dec_array(d, _FLOAT))
+_CSR = (_enc_csr, lambda d, owner: _dec_csr(d))
+_WEIGHTING = (_enc_weighting, _dec_weighting)
+_TERM_STATE = {
+    "vocab": (
+        Vocabulary.tokens_in_order,
+        lambda d, owner: Vocabulary({tok: i for i, tok in enumerate(d)}),
+    ),
+    "term_weighting": _WEIGHTING,
+}
+_CONCEPT_STATE = {
+    "matcher": (ConceptMatcher.to_state, lambda d, owner: ConceptMatcher.from_state(d)),
+    "concept_weighting": _WEIGHTING,
+}
+_CLASSIFIER_STATE = {
+    KnnClassifier: {"matrix": _CSR, "labels": (_enc_labels, lambda d, owner: _dec_labels(d))},
+    RocchioClassifier: {"centroids": _CSR, "label_ids": _IDS},
+    NaiveBayesClassifier: {"label_ids": _IDS, "_const": _FLOATS, "_coef": _FLOATS},
+    LinearClassifier: {"label_ids": _IDS, "W": _FLOATS, "b": _FLOATS},
+    MlpClassifier: {
+        "label_ids": _IDS,
+        "params": (
+            lambda params: {key: _enc_array(val) for key, val in params.items()},
+            lambda d, owner: {key: _dec_array(val, _FLOAT) for key, val in d.items()},
+        ),
+    },
+    L2RClassifier: {
+        "knn": (_enc_state, lambda d, owner: _restore(owner.knn, d)),
+        "priors": _FLOATS,
+        "model": (_enc_ranker, _dec_ranker),
+    },
+    StackedClassifier: {
+        "base": (_enc_state, lambda d, owner: _restore(owner.base, d)),
+        "model": (_enc_stacked, _dec_stacked),
+    },
+}
 
 
 def _dec_config(d: dict) -> RunConfig:
@@ -266,8 +220,8 @@ def save_pipeline(pipeline: FittedPipeline, path) -> None:
         "format_version": FORMAT_VERSION,
         "config": pipeline.config.to_dict(),
         "lemma_table": dict(pipeline.lemma_table.mapping) if pipeline.lemma_table else None,
-        "vectorizer": _enc_vectorizer(pipeline.vectorizer),
-        "classifier": _enc_classifier(pipeline.classifier),
+        "vectorizer": _enc_state(pipeline.vectorizer),
+        "classifier": _enc_state(pipeline.classifier),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(container, fh)
@@ -280,20 +234,10 @@ def load_pipeline(path) -> FittedPipeline:
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {version!r}")
     config = _dec_config(container["config"])
-    classifier = _dec_classifier(container["classifier"])
-    # class names (and a stacked one's base) stored and built from the config
-    stored, built = (
-        "/".join(type(c).__name__ for c in (clf, getattr(clf, "base", None)) if c is not None)
-        for clf in (classifier, build_classifier(config))
-    )
-    if stored != built:
-        raise ModelFormatError(f"model holds {stored}, not config classifier {config.classifier!r}")
-    lemma_table = (
-        LemmaTable(container["lemma_table"]) if container["lemma_table"] is not None else None
-    )
+    lemma_table = container["lemma_table"]
     return FittedPipeline(
         config=config,
-        vectorizer=_dec_vectorizer(container["vectorizer"]),
-        classifier=classifier,
-        lemma_table=lemma_table,
+        vectorizer=_restore(TextVectorizer(config.vectorization), container["vectorizer"]),
+        classifier=_restore(build_classifier(config), container["classifier"]),
+        lemma_table=LemmaTable(lemma_table) if lemma_table is not None else None,
     )

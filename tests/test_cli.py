@@ -157,21 +157,52 @@ def test_annotate_with_out_of_range_label_index_exits_1(data_files, tmp_path, ca
     assert err.startswith("annotation failed: label index out of range")
 
 
+KNN = ("knn", "tf-idf")
+KNN_KEYS = "config builds KnnClassifier with state keys ['labels', 'matrix'], model holds"
+
+
 @pytest.mark.parametrize(
-    "tamper, message",
+    "train, tamper, message",  # train: (classifier, vectorization)
     [
-        (lambda c: c["config"].update(jobs=1), "unknown config key 'jobs'"),
-        (lambda c: c["config"].pop("classifier"), "missing config key 'classifier'"),
-        (lambda c: c.update(format_version=1), "unsupported model format version 1"),
+        (KNN, lambda c: c["config"].update(jobs=1), "unknown config key 'jobs'"),
+        (KNN, lambda c: c["config"].pop("classifier"), "missing config key 'classifier'"),
+        (KNN, lambda c: c.update(format_version=1), "unsupported model format version 1"),
+        (KNN, lambda c: c.update(format_version=2), "unsupported model format version 2"),
+        (KNN, lambda c: c["classifier"].update(k=1), f"{KNN_KEYS} ['k', 'labels', 'matrix']"),
+        (KNN, lambda c: c["classifier"].pop("matrix"), f"{KNN_KEYS} ['labels']"),
+        (
+            ("knn", "ctf-idf"),
+            lambda c: c["config"].update(vectorization="tf-idf"),
+            "config builds TextVectorizer with state keys ['term_weighting', 'vocab'], "
+            "model holds ['concept_weighting', 'matcher', 'term_weighting', 'vocab']",
+        ),
+        # reinterpreting the float weights as integers would change decisions silently
+        (
+            ("lr", "tf-idf"),
+            lambda c: c["classifier"]["W"].update(dtype="<i8"),
+            "array of dtype <i8 where <f8 is required",
+        ),
     ],
-    ids=["extra-config-key", "missing-config-key", "format-version-1"],
+    ids=[
+        "extra-config-key",
+        "missing-config-key",
+        "format-version-1",
+        "format-version-2",
+        "extra-classifier-key",
+        "missing-classifier-key",
+        "ctf-idf-model-config-says-tf-idf",
+        "lr-W-dtype-rewritten-i8",
+    ],
 )
-def test_annotate_refuses_container_in_one_line(data_files, tmp_path, capsys, tamper, message):
+def test_annotate_refuses_container_in_one_line(
+    data_files, tmp_path, capsys, train, tamper, message
+):
     corpus, thesaurus = data_files
     model = str(tmp_path / "model.json")
+    clf, vec = train
     assert main(
         ["train", "--corpus", corpus, "--thesaurus", thesaurus,
-         "--vec", "tf-idf", "--clf", "knn", "--out", model]
+         "--vec", vec, "--clf", clf, "--out", model]
     ) == 0
     container = json.loads(open(model).read())
     tamper(container)
@@ -198,7 +229,7 @@ def test_annotate_refuses_classifier_other_than_config_names(data_files, tmp_pat
     code = main(["annotate", "--model", model, "--corpus", corpus, "--out", str(tmp_path / "x")])
     assert code == 1
     assert capsys.readouterr().err == (
-        "annotation failed: model holds NaiveBayesClassifier, not config classifier 'knn'\n"
+        f"annotation failed: {KNN_KEYS} ['_coef', '_const', 'label_ids']\n"
     )
 
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from semannot.features import VARIANTS
 from semannot.pipeline import CLASSIFIERS, RunConfig, fit_pipeline
 from semannot.preprocess import LemmaTable
 from semannot.serialize import ModelFormatError, load_pipeline, save_pipeline
@@ -12,10 +13,20 @@ from semannot.synthetic import generate_corpus
 CORPUS = generate_corpus(n_labels=5, docs_per_label=10, synonyms_per_concept=1, seed=21)
 
 
-@pytest.mark.parametrize("classifier", CLASSIFIERS)
-def test_round_trip_preserves_decisions(classifier, tmp_path):
+@pytest.mark.parametrize(
+    "classifier, vectorization",
+    [
+        # ctf-idf cases keep the bare classifier name as their id
+        pytest.param(clf, vec, id=clf if vec == "ctf-idf" else f"{clf}-{vec}")
+        for clf in CLASSIFIERS
+        for vec in VARIANTS
+    ],
+)
+def test_round_trip_preserves_decisions(classifier, vectorization, tmp_path):
+    """Every classifier under every vectorization layout (terms only,
+    concepts only, both; weighted or raw counts) decides as before saving."""
     config = RunConfig(
-        vectorization="ctf-idf",
+        vectorization=vectorization,
         classifier=classifier,
         seed=4,
         epochs=3,
@@ -77,20 +88,48 @@ def test_unsupported_version_rejected(tmp_path):
         load_pipeline(path)
 
 
+# learner and vectorizer settings the config determines; none is stored
+HYPERPARAMETERS = {
+    "kind", "loss", "variant", "k", "alpha", "epochs", "seed", "hidden", "activation",
+    "threshold", "top_m", "max_depth", "scheme", "eta0", "min_leaf",
+}
+
+
+def stored_keys(block: dict) -> set[str]:
+    """Keys of a stored block and of every block nested in it; decision-tree
+    nodes are left out, since a split's `threshold` is fitted state."""
+    keys = set(block)
+    for key, value in block.items():
+        if isinstance(value, dict) and key != "trees":
+            keys |= stored_keys(value)
+    return keys
+
+
 def test_container_holds_only_current_keys(tmp_path):
-    """A saved model is format version 2, its config holds exactly the
-    RunConfig fields, and no retired knob is written."""
-    config = RunConfig(vectorization="bm25ct", classifier="lr-dt", seed=0, epochs=2)
-    pipeline = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus)
+    """A saved model is format version 3, its config holds exactly the
+    RunConfig fields, and its vectorizer and classifier blocks hold only
+    fitted state: no hyperparameter the config determines."""
     path = tmp_path / "model.json"
-    save_pipeline(pipeline, path)
-    container = json.loads(path.read_text())
-    assert container["format_version"] == 2
-    assert list(container["config"]) == [f.name for f in dataclasses.fields(RunConfig)]
-    assert not {"k", "b"} & set(container["vectorizer"])
-    classifier = container["classifier"]
-    assert "eta0" not in classifier["base"]
-    assert all("min_leaf" not in tree for tree in classifier["trees"].values())
-    config = RunConfig(vectorization="tf-idf", classifier="bayes-bernoulli", seed=0)
+    for classifier in CLASSIFIERS:
+        config = RunConfig(
+            vectorization="bm25ct", classifier=classifier, seed=0, epochs=2, mlp_hidden=4, l2r_k=5
+        )
+        save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus), path)
+        container = json.loads(path.read_text())
+        assert container["format_version"] == 3
+        assert list(container["config"]) == [f.name for f in dataclasses.fields(RunConfig)]
+        assert not stored_keys(container["classifier"]) & HYPERPARAMETERS, classifier
+        assert not stored_keys(container["vectorizer"]) & HYPERPARAMETERS, classifier
+    vectorizer = container["vectorizer"]
+    assert set(vectorizer) == {"vocab", "term_weighting", "matcher", "concept_weighting"}
+    for weighting in (vectorizer["term_weighting"], vectorizer["concept_weighting"]):
+        assert set(weighting) == {"idf", "n_docs", "mean_doc_len"}
+    classifier = container["classifier"]  # mlp-dt, the last of CLASSIFIERS
+    assert set(classifier) == {"base", "model"}
+    assert set(classifier["base"]) == {"label_ids", "params"}
+    assert set(classifier["model"]) == {"trees", "fallback_cutoff", "meta_sample_counts"}
+    config = RunConfig(vectorization="cf-idf", classifier="bayes-bernoulli", seed=0)
     save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus), path)
-    assert "alpha" not in json.loads(path.read_text())["classifier"]
+    container = json.loads(path.read_text())
+    assert set(container["vectorizer"]) == {"matcher", "concept_weighting"}
+    assert set(container["classifier"]) == {"label_ids", "_const", "_coef"}
