@@ -16,7 +16,7 @@ from .corpus import (
     load_thesaurus,
 )
 from .evaluate import EvalReport, evaluate_run, make_folds, sample_prf
-from .features import ConceptMatcher, TextVectorizer, Vocabulary
+from .features import ConceptMatcher, TextVectorizer
 from .pipeline import CLASSIFIERS, RunConfig, fit_pipeline
 from .preprocess import LemmaTable, lemmatize, preprocess, tokenize
 
@@ -32,7 +32,6 @@ __all__ = [
     "RunConfig",
     "TextVectorizer",
     "Thesaurus",
-    "Vocabulary",
     "CLASSIFIERS",
     "corpus_stats",
     "evaluate_run",

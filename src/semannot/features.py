@@ -42,22 +42,6 @@ _VARIANT_PLAN = {
 }
 
 
-class Vocabulary:
-    """Frozen token -> dense feature index map, fitted on training text only."""
-
-    def __init__(self, index: dict[str, int]):
-        self.index = index
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.index
-
-    def tokens_in_order(self) -> list[str]:
-        return sorted(self.index, key=self.index.get)
-
-
 def count_terms(tokens: list[str], index: dict[str, int]) -> Counter[int]:
     """Term frequencies of one document by column, in the order the terms
     first appear in it; a term new to ``index`` takes the next column."""
@@ -220,7 +204,6 @@ class WeightingModel:
 
     scheme: str
     idf: np.ndarray
-    n_docs: int
     mean_doc_len: float
     k: float = BM25_K
     b: float = BM25_B
@@ -247,7 +230,6 @@ def fit_weighting(
     return WeightingModel(
         scheme=scheme,
         idf=idf,
-        n_docs=n,
         mean_doc_len=float(counts.data.sum()) / n,
         k=k,
         b=b,
@@ -317,7 +299,8 @@ class TextVectorizer:
         self.variant = key
         self.uses_terms, self.uses_concepts, self.scheme = _VARIANT_PLAN[key]
         self.matcher: ConceptMatcher | None = None
-        self.vocab: Vocabulary | None = None
+        # token -> term column, in column order; fitted on training text only
+        self.vocab: dict[str, int] | None = None
         self.term_weighting: WeightingModel | None = None
         self.concept_weighting: WeightingModel | None = None
 
@@ -331,7 +314,7 @@ class TextVectorizer:
             # the order in which a scan of the training token stream meets them
             columns, first = np.unique(counts.term_counts.indices, return_index=True)
             order = columns[np.argsort(first)].tolist()
-            self.vocab = Vocabulary({counts.terms[j]: i for i, j in enumerate(order)})
+            self.vocab = {counts.terms[j]: i for i, j in enumerate(order)}
             self.term_weighting = fit_weighting(self._term_counts(counts), self.scheme)
         if self.uses_concepts:
             self.matcher = counts.matcher
@@ -357,14 +340,13 @@ class TextVectorizer:
     def _term_counts(self, counts: CorpusCounts) -> sp.csr_matrix:
         """Term count rows over the fitted vocabulary, indices sorted within
         each row; terms outside the vocabulary are dropped."""
-        index = self.vocab.index
-        lookup = np.array([index.get(term, -1) for term in counts.terms], dtype=np.int64)
+        lookup = np.array([self.vocab.get(term, -1) for term in counts.terms], dtype=np.int64)
         rows = counts.term_counts
         columns = lookup[rows.indices]
         kept = columns >= 0
         indptr = np.concatenate(([0], np.cumsum(kept)))[rows.indptr]
         X = sp.csr_matrix(
-            (rows.data[kept], columns[kept], indptr), shape=(rows.shape[0], len(index))
+            (rows.data[kept], columns[kept], indptr), shape=(rows.shape[0], len(self.vocab))
         )
         X.sort_indices()
         return X

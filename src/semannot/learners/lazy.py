@@ -61,7 +61,7 @@ class KnnClassifier:
         return self.matrix.shape[0]
 
     def neighbors(
-        self, X: sp.csr_matrix, k: int | None = None, exclude: np.ndarray | None = None
+        self, X: sp.csr_matrix, exclude: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Indices and cosine similarities of each row's k nearest training
         docs, ordered by similarity descending, ties by lowest ordinal.
@@ -71,7 +71,7 @@ class KnnClassifier:
         """
         if self.matrix is None:
             raise RuntimeError("classifier is not fitted")
-        k = min(self.k if k is None else k, self.n_train - (1 if exclude is not None else 0))
+        k = min(self.k, self.n_train - (1 if exclude is not None else 0))
         idx = np.empty((X.shape[0], k), dtype=np.int64)
         sims = np.empty((X.shape[0], k), dtype=np.float64)
         for lo in range(0, X.shape[0], ROW_BLOCK):

@@ -129,7 +129,6 @@ class MlpClassifier:
         if X.shape[0] == 0:
             raise ValueError("empty training set")
         n_docs, n_features = X.shape
-        targets = labels.Y.toarray()
 
         rng = np.random.default_rng(self.seed)
         params = init_params(n_features, self.hidden, labels.n_labels, rng)
@@ -143,7 +142,7 @@ class MlpClassifier:
             for lo in range(0, n_docs, self.batch_size):
                 batch_idx = order[lo:lo + self.batch_size]
                 Xb = X[batch_idx].toarray()
-                Tb = targets[batch_idx]
+                Tb = labels.Y[batch_idx].toarray()
                 mask = (rng.random((len(batch_idx), self.hidden)) >= MLP_DROPOUT).astype(np.float64)
                 loss, grads = loss_and_grads(params, Xb, Tb, self.activation, mask)
                 if not np.isfinite(loss):

@@ -83,6 +83,12 @@ class RunConfig:
             )
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        for name in ("knn_k", "l2r_k", "epochs", "mlp_hidden"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.alpha is not None and not self.alpha > 0:
+            raise ValueError(f"alpha must be > 0, got {self.alpha}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -26,11 +26,12 @@ L2R_K = 45
 class CandidateSet:
     """Candidate labels of one document with their ranking features.
 
-    Feature columns: summed neighbor similarity, neighbor count, training
-    prior, and maximum neighbor similarity.
+    ``labels`` are column indices of the training ``LabelMatrix``.  Feature
+    columns: summed neighbor similarity, neighbor count, training prior,
+    and maximum neighbor similarity.
     """
 
-    labels: list[str]
+    labels: list[int]
     features: np.ndarray
 
 
@@ -57,28 +58,23 @@ def generate_candidates(
             f4[j] = max(f4[j], sim)
     chosen = np.flatnonzero(f2)
     features = np.column_stack([f1[chosen], f2[chosen], priors[chosen], f4[chosen]])
-    return CandidateSet(labels=[labels.label_ids[j] for j in chosen], features=features)
-
-
-@dataclass
-class RankerModel:
-    weights: np.ndarray
-    bias: float
-    cutoff: int
+    return CandidateSet(labels=chosen.tolist(), features=features)
 
 
 def ranker_fit(
     candidate_sets: list[CandidateSet],
-    gold_sets: list[frozenset[str] | set[str]],
-    cutoff: int,
+    gold_sets: list[frozenset],
     alpha: float = LINEAR_ALPHA,
     epochs: int = LINEAR_EPOCHS,
     seed: int = 0,
-) -> RankerModel:
+) -> tuple[np.ndarray, float]:
     """Pointwise logistic ranker: a candidate is relevant iff it is gold.
+    Returns the feature weights and bias; a candidate scores
+    expit(features @ weights - bias).
 
-    Documents with no candidates are skipped.  Trained with the same
-    averaged-SGD machinery as the linear models.
+    Gold sets hold labels of the same kind as the candidate sets.  Documents
+    with no candidates are skipped.  Trained with the same averaged-SGD
+    machinery as the linear models.
     """
     pairs = list(zip(candidate_sets, gold_sets))
     relevance = [label in gold for cs, gold in pairs for label in cs.labels]
@@ -89,11 +85,13 @@ def ranker_fit(
     X = sp.csr_matrix(np.vstack([cs.features for cs, _ in pairs]))
     Y = sp.csr_matrix(np.array(relevance, dtype=np.float64)[:, None])
     W, b = averaged_sgd_train(X, Y, loss="logistic", alpha=alpha, epochs=epochs, seed=seed)
-    return RankerModel(weights=W[0], bias=float(b[0]), cutoff=cutoff)
+    return W[0], float(b[0])
 
 
 class L2RClassifier:
-    """Candidate generation around a kNN index plus the trained ranker."""
+    """A kNN index of the training documents plus the trained ranker's
+    weights; the candidate priors and the rank cutoff are read off the
+    index's training labels."""
 
     def __init__(
         self,
@@ -102,34 +100,36 @@ class L2RClassifier:
         epochs: int = LINEAR_EPOCHS,
         seed: int = 0,
     ):
-        self.k = k
         self.alpha = alpha
         self.epochs = epochs
         self.seed = seed
-        # candidate generation's index; its k is unused, neighbors() asks for self.k
-        self.knn = KnnClassifier(k=1)
-        self.priors: np.ndarray | None = None
-        self.model: RankerModel | None = None
+        self.knn = KnnClassifier(k=k)
+        self.weights: np.ndarray | None = None
+        self.bias: float | None = None
 
     def fit(self, X: sp.csr_matrix, labels: LabelMatrix) -> "L2RClassifier":
         self.knn.fit(X, labels)
-        self.priors = labels.priors()
         # leave-one-out: a training document is not its own neighbor
         candidate_sets = self.candidates(X, exclude=np.arange(X.shape[0]))
-        gold_sets = [labels.row_set(i) for i in range(X.shape[0])]
-        cutoff = max(1, round_half_up(labels.mean_labels_per_doc()))
-        self.model = ranker_fit(
-            candidate_sets, gold_sets, cutoff, alpha=self.alpha, epochs=self.epochs, seed=self.seed
+        Y = labels.Y
+        gold_sets = [frozenset(row.tolist()) for row in np.split(Y.indices, Y.indptr[1:-1])]
+        self.weights, self.bias = ranker_fit(
+            candidate_sets, gold_sets, alpha=self.alpha, epochs=self.epochs, seed=self.seed
         )
         return self
+
+    @property
+    def cutoff(self) -> int:
+        """Rank cutoff: the training mean label count, rounded half up."""
+        return max(1, round_half_up(self.knn.labels.mean_labels_per_doc()))
 
     def candidates(self, X: sp.csr_matrix, exclude: np.ndarray | None = None) -> list[CandidateSet]:
         """One candidate set per row from its k nearest training documents
         (k clamped to the training-set size)."""
-        idx, sims = self.knn.neighbors(X, k=self.k, exclude=exclude)
-        return [
-            generate_candidates(i, s, self.knn.labels, self.priors) for i, s in zip(idx, sims)
-        ]
+        idx, sims = self.knn.neighbors(X, exclude=exclude)
+        labels = self.knn.labels
+        priors = labels.priors()
+        return [generate_candidates(i, s, labels, priors) for i, s in zip(idx, sims)]
 
     @property
     def label_ids(self) -> tuple[str, ...]:
@@ -138,17 +138,13 @@ class L2RClassifier:
     def scores(self, X: sp.csr_matrix) -> np.ndarray:
         """(rows, labels) ranker probabilities of each row's candidates, -inf
         elsewhere; each candidate set is scored by its own product."""
-        candidate_sets = self.candidates(X)
-        column = {cid: j for j, cid in enumerate(self.label_ids)}
-        S = np.full((X.shape[0], len(column)), -np.inf)
-        for row, cs in zip(S, candidate_sets):
-            row[[column[cid] for cid in cs.labels]] = expit(
-                cs.features @ self.model.weights - self.model.bias
-            )
+        S = np.full((X.shape[0], len(self.label_ids)), -np.inf)
+        for row, cs in zip(S, self.candidates(X)):
+            row[cs.labels] = expit(cs.features @ self.weights - self.bias)
         return S
 
     def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
         return rank_labels(self.label_ids, self.scores(X))
 
     def predict(self, X: sp.csr_matrix) -> list[set[str]]:
-        return cutoff_decide(self.label_ids, self.scores(X), self.model.cutoff)
+        return cutoff_decide(self.label_ids, self.scores(X), self.cutoff)

@@ -16,7 +16,7 @@ import json
 import numpy as np
 from scipy import sparse as sp
 
-from .features import ConceptMatcher, TextVectorizer, Vocabulary, WeightingModel
+from .features import ConceptMatcher, TextVectorizer, WeightingModel
 from .learners import (
     KnnClassifier,
     LabelMatrix,
@@ -28,9 +28,9 @@ from .learners import (
 from .multilabel import DecisionTree, StackedClassifier, StackedModel
 from .pipeline import FittedPipeline, RunConfig, build_classifier
 from .preprocess import LemmaTable
-from .ranking import L2RClassifier, RankerModel
+from .ranking import L2RClassifier
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _FLOAT = "<f8"
 _INT = "a signed integer dtype"
@@ -98,7 +98,7 @@ def _dec_labels(d: dict) -> LabelMatrix:
 
 
 def _enc_weighting(w: WeightingModel) -> dict:
-    return {"idf": _enc_array(w.idf), "n_docs": w.n_docs, "mean_doc_len": w.mean_doc_len}
+    return {"idf": _enc_array(w.idf), "mean_doc_len": w.mean_doc_len}
 
 
 def _dec_weighting(d: dict, vectorizer: TextVectorizer) -> WeightingModel:
@@ -106,24 +106,14 @@ def _dec_weighting(d: dict, vectorizer: TextVectorizer) -> WeightingModel:
     return WeightingModel(
         scheme=vectorizer.scheme,
         idf=_dec_array(d["idf"], _FLOAT),
-        n_docs=d["n_docs"],
         mean_doc_len=d["mean_doc_len"],
     )
-
-
-def _enc_ranker(m: RankerModel) -> dict:
-    return {"weights": _enc_array(m.weights), "bias": m.bias, "cutoff": m.cutoff}
-
-
-def _dec_ranker(d: dict, clf: L2RClassifier) -> RankerModel:
-    return RankerModel(weights=_dec_array(d["weights"], _FLOAT), bias=d["bias"], cutoff=d["cutoff"])
 
 
 def _enc_stacked(m: StackedModel) -> dict:
     return {
         "trees": {cid: tree.to_state() for cid, tree in m.trees.items()},
         "fallback_cutoff": m.fallback_cutoff,
-        "meta_sample_counts": m.meta_sample_counts,
     }
 
 
@@ -132,7 +122,6 @@ def _dec_stacked(d: dict, clf: StackedClassifier) -> StackedModel:
         trees={cid: DecisionTree.from_state(root) for cid, root in d["trees"].items()},
         top_m=clf.top_m,
         fallback_cutoff=d["fallback_cutoff"],
-        meta_sample_counts=dict(d["meta_sample_counts"]),
     )
 
 
@@ -160,7 +149,35 @@ def _restore(obj, d: dict):
         )
     for attr, (_, dec) in table.items():
         setattr(obj, attr, dec(d[attr], obj))
+    for name, array, shape in _shape_rules(obj):
+        if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
+            required = ", ".join("*" if n is None else str(n) for n in shape)
+            raise ModelFormatError(
+                f"array {name} of shape {list(array.shape)} where [{required}] is required"
+            )
     return obj
+
+
+def _shape_rules(obj) -> list[tuple[str, np.ndarray, tuple]]:
+    """(name, array, required shape) of the restored arrays whose shape
+    label_ids or the config fixes; None leaves the feature axis open."""
+    n_labels = len(getattr(obj, "label_ids", ()))
+    if isinstance(obj, LinearClassifier):
+        return [("W", obj.W, (n_labels, None)), ("b", obj.b, (n_labels,))]
+    if isinstance(obj, NaiveBayesClassifier):
+        return [("_coef", obj._coef, (n_labels, None)), ("_const", obj._const, (n_labels,))]
+    if isinstance(obj, MlpClassifier):
+        h = obj.hidden
+        shapes = {"W1": (h, None), "b1": (h,), "W2": (n_labels, h), "b2": (n_labels,)}
+        if set(obj.params) != set(shapes):
+            raise ModelFormatError(
+                f"MLP parameters {sorted(obj.params)} where {sorted(shapes)} are required"
+            )
+        return [(key, obj.params[key], shape) for key, shape in shapes.items()]
+    if isinstance(obj, L2RClassifier):
+        # one weight per ranking feature of a CandidateSet
+        return [("weights", obj.weights, (4,))]
+    return []
 
 
 # fitted attribute -> (encode(value), decode(stored, owner)); a nested
@@ -170,10 +187,7 @@ _FLOATS = (_enc_array, lambda d, owner: _dec_array(d, _FLOAT))
 _CSR = (_enc_csr, lambda d, owner: _dec_csr(d))
 _WEIGHTING = (_enc_weighting, _dec_weighting)
 _TERM_STATE = {
-    "vocab": (
-        Vocabulary.tokens_in_order,
-        lambda d, owner: Vocabulary({tok: i for i, tok in enumerate(d)}),
-    ),
+    "vocab": (list, lambda d, owner: {tok: i for i, tok in enumerate(d)}),
     "term_weighting": _WEIGHTING,
 }
 _CONCEPT_STATE = {
@@ -194,8 +208,8 @@ _CLASSIFIER_STATE = {
     },
     L2RClassifier: {
         "knn": (_enc_state, lambda d, owner: _restore(owner.knn, d)),
-        "priors": _FLOATS,
-        "model": (_enc_ranker, _dec_ranker),
+        "weights": _FLOATS,
+        "bias": (float, lambda d, owner: float(d)),
     },
     StackedClassifier: {
         "base": (_enc_state, lambda d, owner: _restore(owner.base, d)),

@@ -77,9 +77,10 @@ def per_row_rankings(clf, X) -> list[list[tuple[str, float, int]]]:
     """Each row's ranking, sorted row by row: L2R ranks each candidate set
     by its own ranker product, every other classifier its row of scores."""
     if isinstance(clf, L2RClassifier):
-        weights, bias = clf.model.weights, clf.model.bias
         return [
-            sorted_ranking(cs.labels, expit(cs.features @ weights - bias))
+            sorted_ranking(
+                [clf.label_ids[j] for j in cs.labels], expit(cs.features @ clf.weights - clf.bias)
+            )
             for cs in clf.candidates(X)
         ]
     return [sorted_ranking(clf.label_ids, row) for row in clf.scores(X)]
@@ -94,7 +95,7 @@ def per_row_predict(clf, X) -> list[set[str]]:
         return [stacking_decide(clf.model, ranking) for ranking in per_row_rankings(clf.base, X)]
     if isinstance(clf, L2RClassifier):
         return [
-            {cid for cid, _, rank in ranking if rank <= clf.model.cutoff}
+            {cid for cid, _, rank in ranking if rank <= clf.cutoff}
             for ranking in per_row_rankings(clf, X)
         ]
     if isinstance(clf, KnnClassifier):

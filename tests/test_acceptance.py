@@ -217,7 +217,7 @@ def test_l2r_cutoff_exhaustive():
     X = TextVectorizer("tf-idf").fit(counts).transform(counts)
     labels = LabelMatrix.from_gold([d.gold_labels for d in docs])
     clf = L2RClassifier(k=10, epochs=3, seed=0).fit(X, labels)
-    cutoff = clf.model.cutoff
+    cutoff = clf.cutoff
     assert cutoff >= 1
     for candidates, predicted in zip(clf.candidates(X), clf.predict(X)):
         assert len(predicted) <= cutoff

@@ -27,7 +27,7 @@ def _block_calls(clf):
         calls["rank"] = base.rank
     if hasattr(base, "neighbors"):
         calls["neighbors"] = lambda X: [
-            list(zip(idx.tolist(), sims.tolist())) for idx, sims in zip(*base.neighbors(X, k=3))
+            list(zip(idx.tolist(), sims.tolist())) for idx, sims in zip(*base.neighbors(X))
         ]
     return calls
 

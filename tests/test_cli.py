@@ -1,5 +1,7 @@
+import base64
 import json
 
+import numpy as np
 import pytest
 
 from semannot.cli import main
@@ -159,10 +161,18 @@ def test_annotate_with_out_of_range_label_index_exits_1(data_files, tmp_path, ca
 
 KNN = ("knn", "tf-idf")
 KNN_KEYS = "config builds KnnClassifier with state keys ['labels', 'matrix'], model holds"
+MLP = ("mlp", "tf-idf", "--mlp-hidden", "8", "--epochs", "2")
+
+
+def cut(array: dict, n: int) -> None:
+    """Keep the first n entries of a stored one-dimensional array."""
+    size = n * np.dtype(array["dtype"]).itemsize
+    data = base64.b64decode(array["data"])[:size]
+    array.update(shape=[n], data=base64.b64encode(data).decode("ascii"))
 
 
 @pytest.mark.parametrize(
-    "train, tamper, message",  # train: (classifier, vectorization)
+    "train, tamper, message",  # train: (classifier, vectorization, *extra flags)
     [
         (KNN, lambda c: c["config"].update(jobs=1), "unknown config key 'jobs'"),
         (KNN, lambda c: c["config"].pop("classifier"), "missing config key 'classifier'"),
@@ -182,6 +192,28 @@ KNN_KEYS = "config builds KnnClassifier with state keys ['labels', 'matrix'], mo
             lambda c: c["classifier"]["W"].update(dtype="<i8"),
             "array of dtype <i8 where <f8 is required",
         ),
+        (KNN, lambda c: c.update(format_version=3), "unsupported model format version 3"),
+        # broadcasting would apply the one bias left to every label
+        (
+            ("lr", "tf-idf"),
+            lambda c: cut(c["classifier"]["b"], 1),
+            "array b of shape [1] where [5] is required",
+        ),
+        (
+            MLP,
+            lambda c: cut(c["classifier"]["params"]["b1"], 7),
+            "array b1 of shape [7] where [8] is required",
+        ),
+        (
+            MLP,
+            lambda c: c["classifier"]["params"].pop("W1"),
+            "MLP parameters ['W2', 'b1', 'b2'] where ['W1', 'W2', 'b1', 'b2'] are required",
+        ),
+        (
+            ("l2r", "tf-idf"),
+            lambda c: cut(c["classifier"]["weights"], 3),
+            "array weights of shape [3] where [4] is required",
+        ),
     ],
     ids=[
         "extra-config-key",
@@ -192,6 +224,11 @@ KNN_KEYS = "config builds KnnClassifier with state keys ['labels', 'matrix'], mo
         "missing-classifier-key",
         "ctf-idf-model-config-says-tf-idf",
         "lr-W-dtype-rewritten-i8",
+        "format-version-3",
+        "lr-b-cut-to-one-entry",
+        "mlp-b1-cut-short",
+        "mlp-W1-missing",
+        "l2r-weights-three-entries",
     ],
 )
 def test_annotate_refuses_container_in_one_line(
@@ -199,10 +236,10 @@ def test_annotate_refuses_container_in_one_line(
 ):
     corpus, thesaurus = data_files
     model = str(tmp_path / "model.json")
-    clf, vec = train
+    clf, vec, *extra = train
     assert main(
         ["train", "--corpus", corpus, "--thesaurus", thesaurus,
-         "--vec", vec, "--clf", clf, "--out", model]
+         "--vec", vec, "--clf", clf, "--out", model, *extra]
     ) == 0
     container = json.loads(open(model).read())
     tamper(container)
@@ -231,6 +268,31 @@ def test_annotate_refuses_classifier_other_than_config_names(data_files, tmp_pat
     assert capsys.readouterr().err == (
         f"annotation failed: {KNN_KEYS} ['_coef', '_const', 'label_ids']\n"
     )
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--knn-k", "0"], "knn_k must be >= 1, got 0"),
+        (["--epochs", "0", "--clf", "lr"], "epochs must be >= 1, got 0"),
+        (["--l2r-k", "0", "--clf", "l2r"], "l2r_k must be >= 1, got 0"),
+        (["--alpha", "0", "--clf", "lr"], "alpha must be > 0, got 0.0"),
+        (["--mlp-hidden", "0", "--clf", "mlp"], "mlp_hidden must be >= 1, got 0"),
+    ],
+    ids=["knn-k-0", "epochs-0", "l2r-k-0", "alpha-0", "mlp-hidden-0"],
+)
+def test_out_of_range_learner_value_exits_2(data_files, tmp_path, capsys, command, flags, message):
+    corpus, thesaurus = data_files
+    outputs = (
+        ["--out-json", str(tmp_path / "r.json"), "--out-csv", str(tmp_path / "r.csv")]
+        if command == "evaluate"
+        else ["--out", str(tmp_path / "model.json")]
+    )
+    code = main([command, "--corpus", corpus, "--thesaurus", thesaurus, *flags, *outputs])
+    assert code == 2
+    assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_stats_prints_table(data_files, capsys):

@@ -97,16 +97,14 @@ def test_test_fold_text_never_reaches_fitted_state(fold, variant):
         fitted.append((vectorizer, vectorizer.transform(counts.rows(train_idx))))
     (honest, honest_train), (tampered, tampered_train) = fitted
     if honest.uses_terms:
-        assert tampered.vocab.tokens_in_order() == honest.vocab.tokens_in_order()
-        assert not set(UNSEEN) & set(tampered.vocab.index)
+        assert list(tampered.vocab) == list(honest.vocab)
+        assert not set(UNSEEN) & set(tampered.vocab)
     for model in ("term_weighting", "concept_weighting"):
         a, b = getattr(honest, model), getattr(tampered, model)
         if a is None:
             assert b is None
             continue
-        assert (a.scheme, a.n_docs, a.mean_doc_len, a.k, a.b) == (
-            b.scheme, b.n_docs, b.mean_doc_len, b.k, b.b
-        )
+        assert (a.scheme, a.mean_doc_len, a.k, a.b) == (b.scheme, b.mean_doc_len, b.k, b.b)
         assert a.idf.tobytes() == b.idf.tobytes()
     assert_same_csr(tampered_train, honest_train)
 

@@ -131,25 +131,21 @@ class TestWeighting:
             fit_weighting(vstack([], 1), "idf")
 
     def test_apply_idf_product(self):
-        model = WeightingModel("idf", np.array([2.0]), n_docs=4, mean_doc_len=1.0)
+        model = WeightingModel("idf", np.array([2.0]), mean_doc_len=1.0)
         assert to_dict(apply_weighting(sv({0: 3.0}, 1), model)) == {0: 6.0}
 
     def test_bm25_b_zero_removes_length(self):
-        model = WeightingModel(
-            "bm25", np.array([1.0]), n_docs=2, mean_doc_len=5.0, k=1.6, b=0.0
-        )
+        model = WeightingModel("bm25", np.array([1.0]), mean_doc_len=5.0, k=1.6, b=0.0)
         out = apply_weighting(sv({0: 1.0}, 1), model)
         assert to_dict(out)[0] == pytest.approx(2.6 / 2.6, abs=1e-12)
 
     def test_bm25_at_mean_length_is_neutral(self):
-        model = WeightingModel(
-            "bm25", np.array([1.0]), n_docs=2, mean_doc_len=1.0, k=1.6, b=0.75
-        )
+        model = WeightingModel("bm25", np.array([1.0]), mean_doc_len=1.0, k=1.6, b=0.75)
         out = apply_weighting(sv({0: 1.0}, 1), model)
         assert to_dict(out)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        model = WeightingModel("idf", np.array([1.0]), n_docs=1, mean_doc_len=1.0)
+        model = WeightingModel("idf", np.array([1.0]), mean_doc_len=1.0)
         with pytest.raises(ValueError, match="dimension"):
             apply_weighting(sv({1: 1.0}, 3), model)
 
@@ -248,7 +244,7 @@ class TestTextVectorizer:
     def test_tf_idf_matches_manual_composition(self, corpus_tokens, rate_thesaurus):
         vec = fitted("tf-idf", corpus_tokens, rate_thesaurus)
         counts = vstack(
-            [{vec.vocab.index[t]: c for t, c in Counter(seq).items()} for seq in corpus_tokens],
+            [{vec.vocab[t]: c for t, c in Counter(seq).items()} for seq in corpus_tokens],
             len(vec.vocab),
         )
         model = fit_weighting(counts, "idf")
@@ -290,7 +286,7 @@ class TestTextVectorizer:
         vec = fitted("ctf-idf", corpus_tokens, rate_thesaurus)
         counts = vec.counts_one(["rate", "rate", "cut"])
         term_dim = len(vec.vocab)
-        assert to_dict(counts)[vec.vocab.index["rate"]] == 2.0
+        assert to_dict(counts)[vec.vocab["rate"]] == 2.0
         assert to_dict(counts)[term_dim + vec.matcher.concept_index["c2"]] == 2.0
 
     def test_all_six_variants_run(self, corpus_tokens, rate_thesaurus):

@@ -71,8 +71,8 @@ class TestKnn:
 
     def test_neighbors_ordering_and_k_clamp(self):
         X = [sv({0: 1.0}, 2), sv({0: 1.0, 1: 1.0}, 2), sv({1: 1.0}, 2)]
-        clf = KnnClassifier(k=1).fit(stack(X), labels_of([{"a"}, {"b"}, {"c"}]))
-        (idx,), (sims,) = clf.neighbors(sv({0: 1.0}, 2), k=10)
+        clf = KnnClassifier(k=10).fit(stack(X), labels_of([{"a"}, {"b"}, {"c"}]))
+        (idx,), (sims,) = clf.neighbors(sv({0: 1.0}, 2))
         assert list(idx) == [0, 1, 2]
         assert sims[0] == pytest.approx(1.0)
         assert sims[1] == pytest.approx(1.0 / math.sqrt(2.0))

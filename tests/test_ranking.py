@@ -5,12 +5,12 @@ import pytest
 from scipy import sparse as sp
 from scipy.special import expit
 
+from semannot import ranking
 from semannot.learners import KnnClassifier, LabelMatrix
 from semannot.multilabel import cutoff_decide, rank_labels, round_half_up
 from semannot.ranking import (
     CandidateSet,
     L2RClassifier,
-    RankerModel,
     generate_candidates,
     ranker_fit,
 )
@@ -30,35 +30,34 @@ def labels_of(gold):
     return LabelMatrix.from_gold([frozenset(g) for g in gold])
 
 
-def fit_knn(X, gold):
+def fit_knn(X, gold, k=1):
     labels = labels_of(gold)
-    return KnnClassifier(k=1).fit(stack(X), labels), labels
+    return KnnClassifier(k=k).fit(stack(X), labels), labels
 
 
 def score_row(model, cs, label_ids):
     """A one-row score block over label_ids laid out as L2RClassifier.scores
     lays it out: the ranker's probabilities on the candidates, -inf on the
-    other labels."""
+    other labels.  ``model`` is ranker_fit's (weights, bias)."""
+    weights, bias = model
     row = np.full((1, len(label_ids)), -np.inf)
-    row[0, [label_ids.index(cid) for cid in cs.labels]] = expit(
-        cs.features @ model.weights - model.bias
-    )
+    row[0, [label_ids.index(cid) for cid in cs.labels]] = expit(cs.features @ weights - bias)
     return row
 
 
-def candidates_for(q, knn, priors, k, exclude=None):
-    """Candidate set of one query row from its k nearest neighbors."""
-    (idx,), (sims,) = knn.neighbors(
-        q, k=k, exclude=None if exclude is None else np.array([exclude])
-    )
-    return generate_candidates(idx, sims, knn.labels, priors)
+def candidates_for(q, knn, priors, exclude=None):
+    """Candidate set of one query row from the index's k nearest
+    neighbors, its label columns read back as label ids."""
+    (idx,), (sims,) = knn.neighbors(q, exclude=None if exclude is None else np.array([exclude]))
+    cs = generate_candidates(idx, sims, knn.labels, priors)
+    return CandidateSet([knn.label_ids[j] for j in cs.labels], cs.features)
 
 
 class TestGenerateCandidates:
     def test_k1_candidates_are_nearest_neighbor_labels(self):
         X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2)]
         knn, labels = fit_knn(X, [{"a", "b"}, {"c"}])
-        cs = candidates_for(sv({0: 2.0}, 2), knn, labels.priors(), k=1)
+        cs = candidates_for(sv({0: 2.0}, 2), knn, labels.priors())
         assert set(cs.labels) == {"a", "b"}
         for fvec in cs.features:
             assert fvec[1] == 1.0  # neighbor count
@@ -70,8 +69,8 @@ class TestGenerateCandidates:
             sv({0: 0.5, 2: math.sqrt(1 - 0.25)}, 3),
             sv({1: 1.0}, 3),
         ]
-        knn, labels = fit_knn(X, [{"c"}, {"c"}, {"d"}])
-        cs = candidates_for(sv({0: 1.0}, 3), knn, labels.priors(), k=3)
+        knn, labels = fit_knn(X, [{"c"}, {"c"}, {"d"}], k=3)
+        cs = candidates_for(sv({0: 1.0}, 3), knn, labels.priors())
         features = dict(zip(cs.labels, cs.features))
         f1, f2, f3, f4 = features["c"]
         assert f1 == pytest.approx(1.4, abs=1e-12)
@@ -81,21 +80,21 @@ class TestGenerateCandidates:
 
     def test_orthogonal_query_still_yields_candidates(self):
         X = [sv({0: 1.0}, 3), sv({1: 1.0}, 3)]
-        knn, labels = fit_knn(X, [{"a"}, {"b"}])
-        cs = candidates_for(sv({2: 1.0}, 3), knn, labels.priors(), k=2)
+        knn, labels = fit_knn(X, [{"a"}, {"b"}], k=2)
+        cs = candidates_for(sv({2: 1.0}, 3), knn, labels.priors())
         assert set(cs.labels) == {"a", "b"}
         assert np.all(cs.features[:, 0] == 0.0)  # all similarities zero
 
     def test_k_clamped_to_training_size(self):
         X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2)]
-        knn, labels = fit_knn(X, [{"a"}, {"b"}])
-        cs = candidates_for(sv({0: 1.0}, 2), knn, labels.priors(), k=45)
+        knn, labels = fit_knn(X, [{"a"}, {"b"}], k=45)
+        cs = candidates_for(sv({0: 1.0}, 2), knn, labels.priors())
         assert set(cs.labels) == {"a", "b"}
 
     def test_exclude_self_removes_one_neighbor(self):
         X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2)]
-        knn, labels = fit_knn(X, [{"a"}, {"b"}])
-        cs = candidates_for(sv({0: 1.0}, 2), knn, labels.priors(), k=2, exclude=0)
+        knn, labels = fit_knn(X, [{"a"}, {"b"}], k=2)
+        cs = candidates_for(sv({0: 1.0}, 2), knn, labels.priors(), exclude=0)
         assert set(cs.labels) == {"b"}
 
     def test_features_invariant_under_training_permutation(self):
@@ -107,11 +106,11 @@ class TestGenerateCandidates:
         ]
         gold = [{f"l{int(rng.integers(0, 3))}"} for _ in range(8)]
         q = sv({int(i): float(rng.random() + 0.1) for i in range(dim)}, dim)
-        knn_a, labels_a = fit_knn(X, gold)
+        knn_a, labels_a = fit_knn(X, gold, k=8)
         perm = list(rng.permutation(8))
-        knn_b, labels_b = fit_knn([X[i] for i in perm], [gold[i] for i in perm])
-        cs_a = candidates_for(q, knn_a, labels_a.priors(), k=8)
-        cs_b = candidates_for(q, knn_b, labels_b.priors(), k=8)
+        knn_b, labels_b = fit_knn([X[i] for i in perm], [gold[i] for i in perm], k=8)
+        cs_a = candidates_for(q, knn_a, labels_a.priors())
+        cs_b = candidates_for(q, knn_b, labels_b.priors())
         assert cs_a.labels == cs_b.labels
         assert np.allclose(cs_a.features, cs_b.features, atol=1e-12)
 
@@ -132,7 +131,7 @@ class TestRankerFit:
                 CandidateSet(labels=labels, features=np.array(features))
             )
             gold_sets.append(relevant)
-        model = ranker_fit(candidate_sets, gold_sets, cutoff=1, epochs=10, seed=0)
+        model = ranker_fit(candidate_sets, gold_sets, epochs=10, seed=0)
         correct = 0
         for cs, gold in zip(candidate_sets, gold_sets):
             top = rank_labels(cs.labels, score_row(model, cs, cs.labels))[0][0][0]
@@ -152,7 +151,7 @@ class TestRankerFit:
                 CandidateSet(labels=labels, features=np.array(features))
             )
             gold_sets.append(relevant or {"l0"})
-        model = ranker_fit(candidate_sets, gold_sets, cutoff=1, epochs=10, seed=0)
+        model = ranker_fit(candidate_sets, gold_sets, epochs=10, seed=0)
         cs = candidate_sets[0]
         (ranking,) = rank_labels(cs.labels, score_row(model, cs, cs.labels))
         assert [cid for cid, _, _ in ranking] == ["l0", "l1", "l2"]
@@ -162,33 +161,33 @@ class TestRankerFit:
         full = CandidateSet(
             labels=["a", "b"], features=np.array([[1.0, 1, 0.5, 1], [0.0, 1, 0.5, 0]])
         )
-        model = ranker_fit([empty, full], [set(), {"a"}], cutoff=1, epochs=3)
-        assert model.cutoff == 1
+        weights, bias = ranker_fit([empty, full], [set(), {"a"}], epochs=3)
+        assert weights.shape == (4,) and np.all(np.isfinite(weights)) and np.isfinite(bias)
 
     def test_no_relevant_candidates_error(self):
         cs = CandidateSet(labels=["a"], features=np.array([[1.0, 1, 0.5, 1]]))
         with pytest.raises(ValueError, match="degenerate"):
-            ranker_fit([cs], [{"other"}], cutoff=1)
+            ranker_fit([cs], [{"other"}])
 
 
 class TestRankAndCut:
     # two labels outside every candidate set, which score -inf
     LABEL_IDS = [f"l{j}" for j in range(5)] + ["m0", "m1"]
 
-    def rank_and_cut(self, model, n):
+    def rank_and_cut(self, model, cutoff, n):
         labels = [f"l{j}" for j in range(n)]
         features = np.array([[float(n - j), 1.0, 0.5, 1.0] for j in range(n)])
         block = score_row(model, CandidateSet(labels=labels, features=features), self.LABEL_IDS)
-        (decided,) = cutoff_decide(self.LABEL_IDS, block, model.cutoff)
+        (decided,) = cutoff_decide(self.LABEL_IDS, block, cutoff)
         return decided
 
     def test_cutoff_three_of_five(self):
-        model = RankerModel(weights=np.array([1.0, 0, 0, 0]), bias=0.0, cutoff=3)
-        assert self.rank_and_cut(model, 5) == {"l0", "l1", "l2"}
+        model = (np.array([1.0, 0, 0, 0]), 0.0)
+        assert self.rank_and_cut(model, 3, 5) == {"l0", "l1", "l2"}
 
     def test_fewer_candidates_than_cutoff(self):
-        model = RankerModel(weights=np.array([1.0, 0, 0, 0]), bias=0.0, cutoff=3)
-        assert self.rank_and_cut(model, 2) == {"l0", "l1"}
+        model = (np.array([1.0, 0, 0, 0]), 0.0)
+        assert self.rank_and_cut(model, 3, 2) == {"l0", "l1"}
 
     def test_cutoff_rounding_half_up(self):
         assert round_half_up(5.26) == 5
@@ -213,11 +212,29 @@ class TestL2RClassifier:
         X, gold = self.make_corpus()
         clf = L2RClassifier(k=5, epochs=5, seed=0).fit(stack(X), labels_of(gold))
         for candidates, predicted in zip(clf.candidates(stack(X)), clf.predict(stack(X))):
-            neighborhood_gold = set(candidates.labels)
-            assert len(predicted) <= clf.model.cutoff
-            if len(candidates.labels) >= clf.model.cutoff:
-                assert len(predicted) == clf.model.cutoff
+            neighborhood_gold = {clf.label_ids[j] for j in candidates.labels}
+            assert len(predicted) <= clf.cutoff
+            if len(candidates.labels) >= clf.cutoff:
+                assert len(predicted) == clf.cutoff
             assert predicted <= neighborhood_gold
+
+    def test_ranker_trains_on_label_columns(self, monkeypatch):
+        """Candidate sets and gold sets reach ranker_fit as the same label
+        columns, so their intersection counts the reachable gold labels."""
+        seen = {}
+        fit = ranking.ranker_fit
+
+        def spy(candidate_sets, gold_sets, **kwargs):
+            seen.update(candidates=candidate_sets, gold=gold_sets)
+            return fit(candidate_sets, gold_sets, **kwargs)
+
+        monkeypatch.setattr(ranking, "ranker_fit", spy)
+        X, gold = self.make_corpus()
+        labels = labels_of(gold)
+        L2RClassifier(k=5, epochs=1).fit(stack(X), labels)
+        columns = set(range(labels.n_labels))
+        assert all(set(cs.labels) <= columns for cs in seen["candidates"])
+        assert seen["gold"] == [{labels.label_ids.index(cid) for cid in g} for g in gold]
 
     def test_learns_signal_on_easy_corpus(self):
         X, gold = self.make_corpus(seed=3)

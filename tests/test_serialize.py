@@ -106,28 +106,34 @@ def stored_keys(block: dict) -> set[str]:
 
 
 def test_container_holds_only_current_keys(tmp_path):
-    """A saved model is format version 3, its config holds exactly the
+    """A saved model is format version 4, its config holds exactly the
     RunConfig fields, and its vectorizer and classifier blocks hold only
-    fitted state: no hyperparameter the config determines."""
+    fitted state that prediction reads: no hyperparameter the config
+    determines, and nothing derivable from other stored state."""
     path = tmp_path / "model.json"
+    blocks = {}
     for classifier in CLASSIFIERS:
         config = RunConfig(
             vectorization="bm25ct", classifier=classifier, seed=0, epochs=2, mlp_hidden=4, l2r_k=5
         )
         save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus), path)
         container = json.loads(path.read_text())
-        assert container["format_version"] == 3
+        assert container["format_version"] == 4
         assert list(container["config"]) == [f.name for f in dataclasses.fields(RunConfig)]
         assert not stored_keys(container["classifier"]) & HYPERPARAMETERS, classifier
         assert not stored_keys(container["vectorizer"]) & HYPERPARAMETERS, classifier
+        blocks[classifier] = container["classifier"]
     vectorizer = container["vectorizer"]
     assert set(vectorizer) == {"vocab", "term_weighting", "matcher", "concept_weighting"}
     for weighting in (vectorizer["term_weighting"], vectorizer["concept_weighting"]):
-        assert set(weighting) == {"idf", "n_docs", "mean_doc_len"}
+        assert set(weighting) == {"idf", "mean_doc_len"}
     classifier = container["classifier"]  # mlp-dt, the last of CLASSIFIERS
     assert set(classifier) == {"base", "model"}
     assert set(classifier["base"]) == {"label_ids", "params"}
-    assert set(classifier["model"]) == {"trees", "fallback_cutoff", "meta_sample_counts"}
+    assert set(classifier["model"]) == {"trees", "fallback_cutoff"}
+    # L2R is its kNN index plus the ranker; priors and cutoff come from the index
+    assert set(blocks["l2r"]) == {"knn", "weights", "bias"}
+    assert set(blocks["l2r-dt"]["base"]) == {"knn", "weights", "bias"}
     config = RunConfig(vectorization="cf-idf", classifier="bayes-bernoulli", seed=0)
     save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus), path)
     container = json.loads(path.read_text())
