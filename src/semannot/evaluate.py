@@ -21,16 +21,11 @@ from .pipeline import RunConfig, count_documents, fit_counts
 from .preprocess import LemmaTable
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    n_docs: int
-    n_folds: int
-    seed: int
-    folds: tuple[tuple[np.ndarray, np.ndarray], ...]  # (train, test) per fold
-
-
-def make_folds(n_docs: int, n_folds: int = 10, seed: int = 0) -> FoldPlan:
-    """Seeded shuffle then contiguous slicing into near-equal test blocks.
+def make_folds(
+    n_docs: int, n_folds: int = 10, seed: int = 0
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Seeded shuffle then contiguous slicing into near-equal test blocks;
+    one (train, test) pair of sorted document ordinals per fold.
 
     Test folds partition the document ordinals: every document appears in
     exactly one test fold, and fold sizes differ by at most one.
@@ -49,7 +44,7 @@ def make_folds(n_docs: int, n_folds: int = 10, seed: int = 0) -> FoldPlan:
         train = np.sort(np.concatenate([permutation[:start], permutation[start + size:]]))
         folds.append((train, test))
         start += size
-    return FoldPlan(n_docs=n_docs, n_folds=n_folds, seed=seed, folds=tuple(folds))
+    return tuple(folds)
 
 
 def sample_prf(predicted: set[str] | frozenset[str], gold: set[str] | frozenset[str]) -> tuple[float, float, float]:
@@ -178,8 +173,8 @@ def evaluate_run(
     elif len(counts) != len(docs):
         raise ValueError(f"counts hold {len(counts)} documents, the corpus {len(docs)}")
     shared = (config, counts, LabelMatrix.from_gold([doc.gold_labels for doc in docs]))
-    plan = make_folds(len(docs), config.folds, config.seed)
-    tasks = [(i, train, test) for i, (train, test) in enumerate(plan.folds)]
+    folds = make_folds(len(docs), config.folds, config.seed)
+    tasks = [(i, train, test) for i, (train, test) in enumerate(folds)]
     if jobs > 1:
         with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=shared) as pool:
             results = list(pool.map(_fold_worker, tasks))

@@ -65,47 +65,17 @@ class ConceptMatcher:
     """
 
     def __init__(self, thesaurus: Thesaurus, lemma_table: LemmaTable | None = None):
-        patterns: dict[tuple[str, ...], set[str]] = {}
-        for cid in thesaurus.sorted_ids():
-            for phrase in thesaurus.get(cid).phrases():
-                tokens = tuple(preprocess(phrase, lemma_table))
-                if tokens:
-                    patterns.setdefault(tokens, set()).add(cid)
-        self._init_from(thesaurus.sorted_ids(), patterns)
-
-    def _init_from(
-        self, concept_ids: list[str], patterns: dict[tuple[str, ...], set[str]]
-    ) -> None:
-        self.concept_index = {cid: i for i, cid in enumerate(concept_ids)}
-        self._patterns = patterns
+        self.thesaurus = thesaurus
+        self.concept_index = {cid: i for i, cid in enumerate(thesaurus.sorted_ids())}
         self._root = _TrieNode()
-        for tokens, owners in patterns.items():
-            node = self._root
-            for token in tokens:
-                node = node.children.setdefault(token, _TrieNode())
-            node.concepts = tuple(sorted(owners))
-
-    def to_state(self) -> dict:
-        ids = sorted(self.concept_index, key=self.concept_index.get)
-        return {
-            "concept_ids": ids,
-            "patterns": [
-                [list(tokens), sorted(owners)] for tokens, owners in sorted(self._patterns.items())
-            ],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ConceptMatcher":
-        matcher = cls.__new__(cls)
-        matcher._init_from(
-            list(state["concept_ids"]),
-            {tuple(tokens): set(owners) for tokens, owners in state["patterns"]},
-        )
-        return matcher
-
-    @property
-    def n_concepts(self) -> int:
-        return len(self.concept_index)
+        for cid in self.concept_index:
+            for phrase in thesaurus.get(cid).phrases():
+                node = self._root
+                for token in preprocess(phrase, lemma_table):
+                    node = node.children.setdefault(token, _TrieNode())
+                # owners in concept-id order, each once; an empty phrase matches nothing
+                if node is not self._root and cid not in node.concepts:
+                    node.concepts += (cid,)
 
     def match_counts(self, tokens: list[str]) -> Counter[str]:
         counts: Counter[str] = Counter()
@@ -187,14 +157,15 @@ def count_corpus(
     concept_counts = None
     if matcher is not None:
         concept_counts = vstack(
-            [extract_concepts(seq, matcher) for seq in token_seqs], matcher.n_concepts
+            [extract_concepts(seq, matcher) for seq in token_seqs], len(matcher.concept_index)
         )
     return CorpusCounts(list(index), term_counts, matcher, concept_counts)
 
 
 @dataclass(frozen=True)
 class WeightingModel:
-    """Per-feature IDF values plus the BM25 corpus statistics.
+    """Per-feature IDF values plus, for BM25 only, the mean training
+    document length.
 
     idf(w) = 1 + ln((N + 1) / (df(w) + 1)); both counts are incremented by
     one, as if one artificial document contained every feature, so features
@@ -204,7 +175,7 @@ class WeightingModel:
 
     scheme: str
     idf: np.ndarray
-    mean_doc_len: float
+    mean_doc_len: float | None
     k: float = BM25_K
     b: float = BM25_B
 
@@ -230,7 +201,7 @@ def fit_weighting(
     return WeightingModel(
         scheme=scheme,
         idf=idf,
-        mean_doc_len=float(counts.data.sum()) / n,
+        mean_doc_len=float(counts.data.sum()) / n if scheme == "bm25" else None,
         k=k,
         b=b,
     )
@@ -330,12 +301,7 @@ class TextVectorizer:
     @property
     def dimension(self) -> int:
         self._check_fitted()
-        dim = 0
-        if self.uses_terms:
-            dim += len(self.vocab)
-        if self.uses_concepts:
-            dim += self.matcher.n_concepts
-        return dim
+        return sum(w.dimension for w in (self.term_weighting, self.concept_weighting) if w)
 
     def _term_counts(self, counts: CorpusCounts) -> sp.csr_matrix:
         """Term count rows over the fitted vocabulary, indices sorted within

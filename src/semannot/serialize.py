@@ -16,6 +16,7 @@ import json
 import numpy as np
 from scipy import sparse as sp
 
+from .corpus import Concept, Thesaurus
 from .features import ConceptMatcher, TextVectorizer, WeightingModel
 from .learners import (
     KnnClassifier,
@@ -30,7 +31,12 @@ from .pipeline import FittedPipeline, RunConfig, build_classifier
 from .preprocess import LemmaTable
 from .ranking import L2RClassifier
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
+_CONTAINER_KEYS = (
+    "format_version", "config", "lemma_table", "thesaurus", "vectorizer", "classifier"
+)
+# weighting scheme -> its stored keys; only BM25 reads the mean document length
+_WEIGHTING_KEYS = {"idf": ("idf",), "bm25": ("idf", "mean_doc_len")}
 
 _FLOAT = "<f8"
 _INT = "a signed integer dtype"
@@ -68,15 +74,16 @@ def _enc_csr(m: sp.csr_matrix) -> dict:
     }
 
 
-def _dec_csr(d: dict) -> sp.csr_matrix:
-    return sp.csr_matrix(
-        (
-            _dec_array(d["data"], _FLOAT),
-            _dec_array(d["indices"], _INT),
-            _dec_array(d["indptr"], _INT),
-        ),
-        shape=tuple(d["shape"]),
-    )
+def _dec_csr(d: dict, name: str) -> sp.csr_matrix:
+    data, indices = _dec_array(d["data"], _FLOAT), _dec_array(d["indices"], _INT)
+    indptr = _dec_array(d["indptr"], _INT)
+    try:
+        # an index out of range would make the sparse products read out of bounds
+        m = sp.csr_matrix((data, indices, indptr), shape=tuple(d["shape"]))
+        m.check_format(full_check=True)
+    except ValueError as exc:
+        raise ModelFormatError(f"sparse {name} is malformed: {exc}") from None
+    return m
 
 
 def _enc_labels(labels: LabelMatrix) -> dict:
@@ -98,16 +105,35 @@ def _dec_labels(d: dict) -> LabelMatrix:
 
 
 def _enc_weighting(w: WeightingModel) -> dict:
-    return {"idf": _enc_array(w.idf), "mean_doc_len": w.mean_doc_len}
+    stored = {"idf": _enc_array(w.idf), "mean_doc_len": w.mean_doc_len}
+    return {key: stored[key] for key in _WEIGHTING_KEYS[w.scheme]}
 
 
 def _dec_weighting(d: dict, vectorizer: TextVectorizer) -> WeightingModel:
     # the scheme follows the variant; BM25 k and b are the module constants
-    return WeightingModel(
-        scheme=vectorizer.scheme,
-        idf=_dec_array(d["idf"], _FLOAT),
-        mean_doc_len=d["mean_doc_len"],
-    )
+    scheme = vectorizer.scheme
+    _check_keys(f"config builds {scheme} weighting with state", _WEIGHTING_KEYS[scheme], d)
+    return WeightingModel(scheme, _dec_array(d["idf"], _FLOAT), d.get("mean_doc_len"))
+
+
+def _dec_matcher(d, vectorizer: TextVectorizer, lemma_table: LemmaTable | None):
+    """The concept matcher, built from the stored training thesaurus
+    {concept_id: [pref, alt, ...]} with the call training makes; None for a
+    terms-only variant."""
+    variant = vectorizer.variant
+    if not vectorizer.uses_concepts:
+        if d is not None:
+            raise ModelFormatError(f"vectorization {variant!r} uses no thesaurus, model holds one")
+        return None
+    if not (isinstance(d, dict) and d and all(
+        isinstance(labels, list) and labels and all(isinstance(l, str) for l in labels)
+        for labels in d.values()
+    )):
+        raise ModelFormatError(
+            f"vectorization {variant!r} needs a thesaurus {{concept_id: [pref, alt, ...]}}"
+        )
+    concepts = {cid: Concept(cid, labels[0], tuple(labels[1:])) for cid, labels in d.items()}
+    return ConceptMatcher(Thesaurus(concepts), lemma_table)
 
 
 def _enc_stacked(m: StackedModel) -> dict:
@@ -139,14 +165,15 @@ def _enc_state(obj) -> dict:
     return {attr: enc(getattr(obj, attr)) for attr, (enc, _) in _fitted_state(obj).items()}
 
 
+def _check_keys(owner: str, keys, d: dict) -> None:
+    if set(d) != set(keys):
+        raise ModelFormatError(f"{owner} keys {sorted(keys)}, model holds {sorted(d)}")
+
+
 def _restore(obj, d: dict):
     """Fill the fitted state of `obj`, built from the config, from its block."""
     table = _fitted_state(obj)
-    if set(d) != set(table):
-        raise ModelFormatError(
-            f"config builds {type(obj).__name__} with state keys {sorted(table)}, "
-            f"model holds {sorted(d)}"
-        )
+    _check_keys(f"config builds {type(obj).__name__} with state", table, d)
     for attr, (_, dec) in table.items():
         setattr(obj, attr, dec(d[attr], obj))
     for name, array, shape in _shape_rules(obj):
@@ -184,19 +211,21 @@ def _shape_rules(obj) -> list[tuple[str, np.ndarray, tuple]]:
 # classifier is the one its owner's constructor built, restored in place
 _IDS = (list, lambda d, owner: tuple(d))
 _FLOATS = (_enc_array, lambda d, owner: _dec_array(d, _FLOAT))
-_CSR = (_enc_csr, lambda d, owner: _dec_csr(d))
 _WEIGHTING = (_enc_weighting, _dec_weighting)
 _TERM_STATE = {
     "vocab": (list, lambda d, owner: {tok: i for i, tok in enumerate(d)}),
     "term_weighting": _WEIGHTING,
 }
-_CONCEPT_STATE = {
-    "matcher": (ConceptMatcher.to_state, lambda d, owner: ConceptMatcher.from_state(d)),
-    "concept_weighting": _WEIGHTING,
-}
+_CONCEPT_STATE = {"concept_weighting": _WEIGHTING}
 _CLASSIFIER_STATE = {
-    KnnClassifier: {"matrix": _CSR, "labels": (_enc_labels, lambda d, owner: _dec_labels(d))},
-    RocchioClassifier: {"centroids": _CSR, "label_ids": _IDS},
+    KnnClassifier: {
+        "matrix": (_enc_csr, lambda d, owner: _dec_csr(d, "matrix")),
+        "labels": (_enc_labels, lambda d, owner: _dec_labels(d)),
+    },
+    RocchioClassifier: {
+        "centroids": (_enc_csr, lambda d, owner: _dec_csr(d, "centroids")),
+        "label_ids": _IDS,
+    },
     NaiveBayesClassifier: {"label_ids": _IDS, "_const": _FLOATS, "_coef": _FLOATS},
     LinearClassifier: {"label_ids": _IDS, "W": _FLOATS, "b": _FLOATS},
     MlpClassifier: {
@@ -230,10 +259,15 @@ def _dec_config(d: dict) -> RunConfig:
 
 
 def save_pipeline(pipeline: FittedPipeline, path) -> None:
+    matcher = pipeline.vectorizer.matcher
     container = {
         "format_version": FORMAT_VERSION,
         "config": pipeline.config.to_dict(),
+        # training inputs; load rebuilds the concept matcher from them
         "lemma_table": dict(pipeline.lemma_table.mapping) if pipeline.lemma_table else None,
+        "thesaurus": None if matcher is None else {
+            cid: list(concept.phrases()) for cid, concept in matcher.thesaurus.concepts.items()
+        },
         "vectorizer": _enc_state(pipeline.vectorizer),
         "classifier": _enc_state(pipeline.classifier),
     }
@@ -247,11 +281,14 @@ def load_pipeline(path) -> FittedPipeline:
     version = container.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {version!r}")
+    _check_keys(f"format version {version} has top-level", _CONTAINER_KEYS, container)
     config = _dec_config(container["config"])
-    lemma_table = container["lemma_table"]
+    lemma_table = None if container["lemma_table"] is None else LemmaTable(container["lemma_table"])
+    vectorizer = _restore(TextVectorizer(config.vectorization), container["vectorizer"])
+    vectorizer.matcher = _dec_matcher(container["thesaurus"], vectorizer, lemma_table)
     return FittedPipeline(
         config=config,
-        vectorizer=_restore(TextVectorizer(config.vectorization), container["vectorizer"]),
+        vectorizer=vectorizer,
         classifier=_restore(build_classifier(config), container["classifier"]),
-        lemma_table=LemmaTable(lemma_table) if lemma_table is not None else None,
+        lemma_table=lemma_table,
     )

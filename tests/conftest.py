@@ -8,6 +8,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 from semannot.corpus import Concept, Document, Thesaurus
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "subprocess: run the command under test in its own process"
+    )
+
+
 @pytest.fixture
 def rate_thesaurus() -> Thesaurus:
     """Two concepts where one phrase is a prefix of the other."""

@@ -23,6 +23,7 @@ from semannot.features import (
 )
 from semannot.learners import KnnClassifier, LinearClassifier, NaiveBayesClassifier
 from semannot.multilabel import StackedClassifier, stacking_decide
+from semannot.preprocess import LemmaTable, preprocess
 from semannot.ranking import L2RClassifier
 from semannot.sparse import vstack
 
@@ -62,6 +63,20 @@ def naive_longest_match(
         else:
             pos += 1
     return counts
+
+
+def thesaurus_patterns(
+    thesaurus: Thesaurus, table: LemmaTable | None = None
+) -> dict[tuple[str, ...], set[str]]:
+    """Every phrase of the thesaurus, preprocessed, with the concepts owning
+    it; a phrase that preprocesses to no tokens is left out."""
+    patterns: dict[tuple[str, ...], set[str]] = {}
+    for cid in thesaurus.sorted_ids():
+        for phrase in thesaurus.get(cid).phrases():
+            tokens = tuple(preprocess(phrase, table))
+            if tokens:
+                patterns.setdefault(tokens, set()).add(cid)
+    return patterns
 
 
 def sorted_ranking(label_ids, scores) -> list[tuple[str, float, int]]:
@@ -236,7 +251,7 @@ def per_fold_matrices(
         return vstack(rows, len(vocab))
 
     def concept_rows(seqs):
-        return vstack([extract_concepts(seq, matcher) for seq in seqs], matcher.n_concepts)
+        return vstack([extract_concepts(seq, matcher) for seq in seqs], len(matcher.concept_index))
 
     counters = []
     if uses_terms:

@@ -33,6 +33,7 @@ from oracles import (
     random_count_vectors,
     random_thesaurus,
     random_token_stream,
+    thesaurus_patterns,
 )
 
 
@@ -63,14 +64,10 @@ def test_longest_match_oracle():
     for _ in range(200):
         thesaurus = random_thesaurus(rng, max_phrases=50)
         matcher = ConceptMatcher(thesaurus)
-        patterns: dict[tuple[str, ...], set[str]] = {}
-        for cid in thesaurus.sorted_ids():
-            for phrase in thesaurus.get(cid).phrases():
-                tokens = tuple(preprocess(phrase))
-                if tokens:
-                    patterns.setdefault(tokens, set()).add(cid)
         stream = random_token_stream(rng)
-        assert matcher.match_counts(stream) == naive_longest_match(stream, patterns)
+        assert matcher.match_counts(stream) == naive_longest_match(
+            stream, thesaurus_patterns(thesaurus)
+        )
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     report(f"longest-match oracle (200 pairs, {elapsed:.2f}s)")
@@ -92,10 +89,10 @@ def test_fold_partition():
     for _ in range(100):
         n_folds = int(rng.integers(2, 11))
         n_docs = int(rng.integers(n_folds, 200))
-        plan = make_folds(n_docs, n_folds, seed=int(rng.integers(0, 10_000)))
-        covered = np.concatenate([test for _, test in plan.folds])
+        folds = make_folds(n_docs, n_folds, seed=int(rng.integers(0, 10_000)))
+        covered = np.concatenate([test for _, test in folds])
         assert sorted(covered.tolist()) == list(range(n_docs))
-        sizes = [len(test) for _, test in plan.folds]
+        sizes = [len(test) for _, test in folds]
         assert max(sizes) - min(sizes) <= 1
     report("fold partition (100 random plans)")
 

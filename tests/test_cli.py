@@ -1,9 +1,14 @@
 import base64
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semannot
 from semannot.cli import main
 from semannot.corpus import dump_corpus_jsonl, dump_thesaurus_tsv, load_corpus, load_thesaurus
 from semannot.synthetic import generate_corpus
@@ -171,6 +176,38 @@ def cut(array: dict, n: int) -> None:
     array.update(shape=[n], data=base64.b64encode(data).decode("ascii"))
 
 
+def rewrite(array: dict, positions: list[int], values: list[int]) -> None:
+    """Set entries of a stored one-dimensional array."""
+    entries = np.frombuffer(base64.b64decode(array["data"]), dtype=array["dtype"]).copy()
+    entries[positions] = values
+    array["data"] = base64.b64encode(entries.tobytes()).decode("ascii")
+
+
+def swap(array: dict, i: int, j: int) -> None:
+    """Exchange two entries of a stored one-dimensional array."""
+    entries = np.frombuffer(base64.b64decode(array["data"]), dtype=array["dtype"])
+    rewrite(array, [i, j], [entries[j], entries[i]])
+
+
+def annotate_in_subprocess(argv: list[str]) -> tuple[int, str]:
+    """Run the CLI in its own process, so a crash in native code is an exit
+    status rather than the end of the test run."""
+    src = str(Path(semannot.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "semannot.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    return done.returncode, done.stderr
+
+
+CTF = ("knn", "ctf-idf")
+CONTAINER_KEYS = (
+    "['classifier', 'config', 'format_version', 'lemma_table', 'thesaurus', 'vectorizer']"
+)
+NO_THESAURUS = "vectorization 'ctf-idf' needs a thesaurus {concept_id: [pref, alt, ...]}"
+
+
 @pytest.mark.parametrize(
     "train, tamper, message",  # train: (classifier, vectorization, *extra flags)
     [
@@ -181,10 +218,10 @@ def cut(array: dict, n: int) -> None:
         (KNN, lambda c: c["classifier"].update(k=1), f"{KNN_KEYS} ['k', 'labels', 'matrix']"),
         (KNN, lambda c: c["classifier"].pop("matrix"), f"{KNN_KEYS} ['labels']"),
         (
-            ("knn", "ctf-idf"),
+            CTF,
             lambda c: c["config"].update(vectorization="tf-idf"),
             "config builds TextVectorizer with state keys ['term_weighting', 'vocab'], "
-            "model holds ['concept_weighting', 'matcher', 'term_weighting', 'vocab']",
+            "model holds ['concept_weighting', 'term_weighting', 'vocab']",
         ),
         # reinterpreting the float weights as integers would change decisions silently
         (
@@ -214,6 +251,45 @@ def cut(array: dict, n: int) -> None:
             lambda c: cut(c["classifier"]["weights"], 3),
             "array weights of shape [3] where [4] is required",
         ),
+        (KNN, lambda c: c.update(format_version=4), "unsupported model format version 4"),
+        (
+            CTF,
+            lambda c: c.pop("thesaurus"),
+            f"format version 5 has top-level keys {CONTAINER_KEYS}, model holds "
+            "['classifier', 'config', 'format_version', 'lemma_table', 'vectorizer']",
+        ),
+        (CTF, lambda c: c.update(thesaurus=None), NO_THESAURUS),
+        (CTF, lambda c: c["thesaurus"].update({next(iter(c["thesaurus"])): []}), NO_THESAURUS),
+        (
+            KNN,
+            lambda c: c.update(thesaurus={"C1": ["interest rate"]}),
+            "vectorization 'tf-idf' uses no thesaurus, model holds one",
+        ),
+        # unchecked, the sparse product reads far out of bounds: the process dies (SIGSEGV)
+        pytest.param(
+            CTF,
+            lambda c: rewrite(c["classifier"]["matrix"]["indices"], [0], [2**31 - 1]),
+            "sparse matrix is malformed: indices must be < 129",
+            marks=pytest.mark.subprocess,
+        ),
+        # a decreasing indptr shifts rows onto other documents' labels
+        (
+            KNN,
+            lambda c: swap(c["classifier"]["matrix"]["indptr"], 1, 2),
+            "sparse matrix is malformed: indptr must be a non-decreasing sequence",
+        ),
+        (
+            KNN,
+            lambda c: c["vectorizer"]["term_weighting"].update(mean_doc_len=3.0),
+            "config builds idf weighting with state keys ['idf'], "
+            "model holds ['idf', 'mean_doc_len']",
+        ),
+        (
+            ("knn", "bm25"),
+            lambda c: c["vectorizer"]["term_weighting"].pop("mean_doc_len"),
+            "config builds bm25 weighting with state keys ['idf', 'mean_doc_len'], "
+            "model holds ['idf']",
+        ),
     ],
     ids=[
         "extra-config-key",
@@ -229,10 +305,19 @@ def cut(array: dict, n: int) -> None:
         "mlp-b1-cut-short",
         "mlp-W1-missing",
         "l2r-weights-three-entries",
+        "format-version-4",
+        "thesaurus-key-missing",
+        "ctf-idf-thesaurus-null",
+        "ctf-idf-concept-entry-empty",
+        "tf-idf-model-carries-thesaurus",
+        "knn-matrix-index-out-of-range",
+        "knn-matrix-indptr-decreasing",
+        "idf-block-holds-mean-doc-len",
+        "bm25-block-without-mean-doc-len",
     ],
 )
 def test_annotate_refuses_container_in_one_line(
-    data_files, tmp_path, capsys, train, tamper, message
+    data_files, tmp_path, capsys, request, train, tamper, message
 ):
     corpus, thesaurus = data_files
     model = str(tmp_path / "model.json")
@@ -245,9 +330,13 @@ def test_annotate_refuses_container_in_one_line(
     tamper(container)
     open(model, "w").write(json.dumps(container))
     capsys.readouterr()
-    code = main(["annotate", "--model", model, "--corpus", corpus, "--out", str(tmp_path / "x")])
+    argv = ["annotate", "--model", model, "--corpus", corpus, "--out", str(tmp_path / "x")]
+    if request.node.get_closest_marker("subprocess"):
+        code, err = annotate_in_subprocess(argv)
+    else:
+        code, err = main(argv), capsys.readouterr().err
     assert code == 1
-    assert capsys.readouterr().err == f"annotation failed: {message}\n"
+    assert err == f"annotation failed: {message}\n"
 
 
 def test_annotate_refuses_classifier_other_than_config_names(data_files, tmp_path, capsys):

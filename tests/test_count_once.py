@@ -50,7 +50,7 @@ def test_fold_matrices_equal_per_fold_oracle(field, variant):
     token_seqs = [preprocess(doc.text(field)) for doc in CORPUS.documents]
     matcher = ConceptMatcher(CORPUS.thesaurus)
     counts = count_corpus(token_seqs, matcher)
-    for train_idx, test_idx in make_folds(len(token_seqs), 10, seed=3).folds:
+    for train_idx, test_idx in make_folds(len(token_seqs), 10, seed=3):
         vectorizer = TextVectorizer(variant).fit(counts.rows(train_idx))
         train, test = counts.rows(train_idx), counts.rows(test_idx)
         for weighted, rows in ((True, vectorizer.transform), (False, vectorizer.transform_counts)):

@@ -16,12 +16,12 @@ from semannot.synthetic import generate_corpus
 
 class TestMakeFolds:
     def test_ten_of_ten_singleton_folds(self):
-        plan = make_folds(10, 10, seed=0)
-        assert all(len(test) == 1 for _, test in plan.folds)
+        folds = make_folds(10, 10, seed=0)
+        assert all(len(test) == 1 for _, test in folds)
 
     def test_twelve_of_ten_remainder_distribution(self):
-        plan = make_folds(12, 10, seed=1)
-        sizes = sorted(len(test) for _, test in plan.folds)
+        folds = make_folds(12, 10, seed=1)
+        sizes = sorted(len(test) for _, test in folds)
         assert sizes == [1] * 8 + [2, 2]
 
     def test_partition_property(self):
@@ -29,12 +29,12 @@ class TestMakeFolds:
         for _ in range(30):
             n_folds = int(rng.integers(2, 11))
             n_docs = int(rng.integers(n_folds, 60))
-            plan = make_folds(n_docs, n_folds, seed=int(rng.integers(0, 1000)))
-            seen = np.concatenate([test for _, test in plan.folds])
+            folds = make_folds(n_docs, n_folds, seed=int(rng.integers(0, 1000)))
+            seen = np.concatenate([test for _, test in folds])
             assert sorted(seen.tolist()) == list(range(n_docs))
-            sizes = [len(test) for _, test in plan.folds]
+            sizes = [len(test) for _, test in folds]
             assert max(sizes) - min(sizes) <= 1
-            for train, test in plan.folds:
+            for train, test in folds:
                 assert set(train.tolist()) | set(test.tolist()) == set(range(n_docs))
                 assert not set(train.tolist()) & set(test.tolist())
 
@@ -46,7 +46,7 @@ class TestMakeFolds:
         a = make_folds(30, 3, seed=0)
         b = make_folds(30, 3, seed=1)
         assert any(
-            not np.array_equal(ta[1], tb[1]) for ta, tb in zip(a.folds, b.folds)
+            not np.array_equal(ta[1], tb[1]) for ta, tb in zip(a, b)
         )
 
 
@@ -158,8 +158,8 @@ def test_no_leakage_from_test_fold_gold_labels(monkeypatch):
     docs = made.documents
     config = RunConfig(vectorization="ctf-idf", classifier="lr-dt", folds=4, seed=0, epochs=3)
     counts = count_documents([config], docs, made.thesaurus)
-    plan = make_folds(len(docs), 4, seed=0)
-    train_idx, test_idx = plan.folds[0]
+    folds = make_folds(len(docs), 4, seed=0)
+    train_idx, test_idx = folds[0]
     # the label sets each run_fold call scores, in test-row order
     scored: list[list[set[str]]] = []
 

@@ -29,6 +29,7 @@ from oracles import (
     random_count_vectors,
     random_thesaurus,
     random_token_stream,
+    thesaurus_patterns,
 )
 
 
@@ -218,14 +219,10 @@ def test_longest_match_matches_naive_oracle():
     for _ in range(40):
         thesaurus = random_thesaurus(rng)
         matcher = ConceptMatcher(thesaurus)
-        patterns: dict[tuple[str, ...], set[str]] = {}
-        for cid in thesaurus.sorted_ids():
-            for phrase in thesaurus.get(cid).phrases():
-                tokens = tuple(preprocess(phrase))
-                if tokens:
-                    patterns.setdefault(tokens, set()).add(cid)
         stream = random_token_stream(rng)
-        assert matcher.match_counts(stream) == naive_longest_match(stream, patterns)
+        assert matcher.match_counts(stream) == naive_longest_match(
+            stream, thesaurus_patterns(thesaurus)
+        )
 
 
 def fitted(variant, token_seqs, thesaurus):

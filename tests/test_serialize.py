@@ -1,12 +1,17 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from semannot.features import VARIANTS
+from oracles import ORACLE_TOKENS, naive_longest_match, thesaurus_patterns
+from semannot.corpus import Concept, Document, Thesaurus
+from semannot.features import VARIANTS, ConceptMatcher, count_corpus
 from semannot.pipeline import CLASSIFIERS, RunConfig, fit_pipeline
-from semannot.preprocess import LemmaTable
+from semannot.preprocess import LemmaTable, preprocess
 from semannot.serialize import ModelFormatError, load_pipeline, save_pipeline
 from semannot.synthetic import generate_corpus
 
@@ -76,6 +81,70 @@ def test_lemma_table_travels_with_model(tmp_path):
     assert load_pipeline(path).lemma_table.mapping == {"datumz": "datum"}
 
 
+def test_cf_idf_round_trip_rebuilds_matcher_with_stored_lemma_table(tmp_path):
+    """Load builds the matcher from the stored thesaurus and lemma table: the
+    reloaded pipeline counts concepts and decides as the original does, and
+    a matcher built without the table counts differently."""
+    # maps the preferred label of C0000 onto a keyword of its documents
+    table = LemmaTable({"siga": "kuab"})
+    assert CORPUS.thesaurus.get("C0000").pref_label == "siga"
+    config = RunConfig(vectorization="cf-idf", classifier="knn", seed=0)
+    pipeline = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus, lemma_table=table)
+    path = tmp_path / "model.json"
+    save_pipeline(pipeline, path)
+    reloaded = load_pipeline(path)
+    seqs = [preprocess(doc.title, table) for doc in CORPUS.documents]
+    counts = reloaded.count(seqs).concept_counts.toarray()
+    assert np.array_equal(counts, pipeline.count(seqs).concept_counts.toarray())
+    untabled = count_corpus(seqs, ConceptMatcher(CORPUS.thesaurus)).concept_counts.toarray()
+    assert not np.array_equal(counts, untabled)
+    for doc in CORPUS.documents:
+        assert reloaded.predict_document(doc) == pipeline.predict_document(doc)
+
+
+@st.composite
+def matcher_cases(draw):
+    """A small thesaurus over the oracle tokens, an optional lemma table
+    mapping some of them onto others, and token streams to scan."""
+    phrase = st.lists(st.sampled_from(ORACLE_TOKENS), min_size=1, max_size=3).map(" ".join)
+    concepts = {}
+    for i in range(draw(st.integers(1, 5))):
+        labels = draw(st.lists(phrase, min_size=1, max_size=3, unique=True))
+        concepts[f"c{i}"] = Concept(f"c{i}", labels[0], tuple(labels[1:]))
+    surfaces = draw(st.sets(st.sampled_from(ORACLE_TOKENS), max_size=2))
+    lemmas = st.sampled_from([t for t in ORACLE_TOKENS if t not in surfaces])
+    tables = st.fixed_dictionaries(dict.fromkeys(surfaces, lemmas)).map(LemmaTable)
+    table = draw(st.none() | tables)
+    stream = st.lists(st.sampled_from(ORACLE_TOKENS), max_size=12)
+    return Thesaurus(concepts), table, draw(st.lists(stream, min_size=1, max_size=4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(matcher_cases())
+def test_reloaded_matcher_counts_as_training_and_oracle(case):
+    """The matcher a saved cf-idf model reloads counts every token stream as
+    the training matcher and the naive longest-match scan do."""
+    thesaurus, table, streams = case
+    first = thesaurus.sorted_ids()[0]
+    docs = [
+        Document(f"d{i}", " ".join(stream), None, frozenset({first}))
+        for i, stream in enumerate(streams)
+    ]
+    config = RunConfig(vectorization="cf-idf", classifier="knn", seed=0)
+    pipeline = fit_pipeline(config, docs, thesaurus, lemma_table=table)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_pipeline(pipeline, path)
+        reloaded = load_pipeline(path).vectorizer.matcher
+    trained = pipeline.vectorizer.matcher
+    assert reloaded.concept_index == trained.concept_index
+    patterns = thesaurus_patterns(thesaurus, table)
+    for stream in streams:
+        expected = naive_longest_match(stream, patterns)
+        assert trained.match_counts(stream) == expected
+        assert reloaded.match_counts(stream) == expected
+
+
 def test_unsupported_version_rejected(tmp_path):
     config = RunConfig(vectorization="tf-idf", classifier="knn", seed=0)
     pipeline = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus)
@@ -106,10 +175,11 @@ def stored_keys(block: dict) -> set[str]:
 
 
 def test_container_holds_only_current_keys(tmp_path):
-    """A saved model is format version 4, its config holds exactly the
-    RunConfig fields, and its vectorizer and classifier blocks hold only
-    fitted state that prediction reads: no hyperparameter the config
-    determines, and nothing derivable from other stored state."""
+    """A saved model is format version 5, its config holds exactly the
+    RunConfig fields, it stores the training thesaurus and lemma table as
+    inputs, and its vectorizer and classifier blocks hold only fitted state
+    that prediction reads: no hyperparameter the config determines, no
+    matcher, and nothing derivable from other stored state."""
     path = tmp_path / "model.json"
     blocks = {}
     for classifier in CLASSIFIERS:
@@ -118,13 +188,21 @@ def test_container_holds_only_current_keys(tmp_path):
         )
         save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus), path)
         container = json.loads(path.read_text())
-        assert container["format_version"] == 4
+        assert list(container) == [
+            "format_version", "config", "lemma_table", "thesaurus", "vectorizer", "classifier"
+        ]
+        assert container["format_version"] == 5
         assert list(container["config"]) == [f.name for f in dataclasses.fields(RunConfig)]
         assert not stored_keys(container["classifier"]) & HYPERPARAMETERS, classifier
         assert not stored_keys(container["vectorizer"]) & HYPERPARAMETERS, classifier
         blocks[classifier] = container["classifier"]
+    assert container["thesaurus"] == {
+        cid: [concept.pref_label, *concept.alt_labels]
+        for cid, concept in CORPUS.thesaurus.concepts.items()
+    }
     vectorizer = container["vectorizer"]
-    assert set(vectorizer) == {"vocab", "term_weighting", "matcher", "concept_weighting"}
+    assert set(vectorizer) == {"vocab", "term_weighting", "concept_weighting"}
+    # only BM25 reads the mean document length
     for weighting in (vectorizer["term_weighting"], vectorizer["concept_weighting"]):
         assert set(weighting) == {"idf", "mean_doc_len"}
     classifier = container["classifier"]  # mlp-dt, the last of CLASSIFIERS
@@ -137,5 +215,13 @@ def test_container_holds_only_current_keys(tmp_path):
     config = RunConfig(vectorization="cf-idf", classifier="bayes-bernoulli", seed=0)
     save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus), path)
     container = json.loads(path.read_text())
-    assert set(container["vectorizer"]) == {"matcher", "concept_weighting"}
+    assert set(container["vectorizer"]) == {"concept_weighting"}
+    assert set(container["vectorizer"]["concept_weighting"]) == {"idf"}
     assert set(container["classifier"]) == {"label_ids", "_const", "_coef"}
+    assert container["thesaurus"] is not None
+    config = RunConfig(vectorization="tf-idf", classifier="knn", seed=0)
+    save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus), path)
+    container = json.loads(path.read_text())
+    assert container["thesaurus"] is None
+    assert set(container["vectorizer"]) == {"vocab", "term_weighting"}
+    assert set(container["vectorizer"]["term_weighting"]) == {"idf"}
