@@ -20,9 +20,9 @@ from .corpus import (
     load_thesaurus,
 )
 from .evaluate import CSV_HEADER, csv_line, evaluate_run
-from .features import VARIANTS, ConceptMatcher, count_corpus, dump_vectors
-from .pipeline import CLASSIFIERS, FIELDS, RunConfig, count_documents, fit_pipeline
-from .preprocess import LemmaTable, preprocess
+from .features import VARIANTS, ConceptMatcher, dump_vectors
+from .pipeline import CLASSIFIERS, FIELDS, RunConfig, concept_matcher, count_documents, fit_pipeline
+from .preprocess import LemmaTable
 from .serialize import load_pipeline, save_pipeline
 from .sparse import ROW_BLOCK
 
@@ -79,7 +79,8 @@ def cmd_evaluate(args) -> int:
             configs = [dataclasses.replace(config, classifier=c) for c in CLASSIFIERS]
         else:
             configs = [config]
-        counts = count_documents(configs, docs, thesaurus, lemma_table)
+        matcher = concept_matcher(configs, thesaurus, lemma_table)
+        counts = count_documents(docs, config.field, lemma_table, matcher)
         reports = []
         for cfg in configs:
             report = evaluate_run(cfg, docs, thesaurus, lemma_table, counts=counts, jobs=args.jobs)
@@ -118,8 +119,7 @@ def cmd_train(args) -> int:
         pipeline = fit_pipeline(config, docs, thesaurus, lemma_table)
         save_pipeline(pipeline, args.out)
         if args.dump_vectors:
-            seqs = [preprocess(doc.text(config.field), lemma_table) for doc in docs]
-            X = pipeline.vectorize(pipeline.count(seqs))
+            X = pipeline.vectorize(pipeline.count(docs))
             dump_vectors(args.dump_vectors, [d.doc_id for d in docs], X)
     except Exception as exc:
         print(f"training failed: {exc}", file=sys.stderr)
@@ -131,14 +131,11 @@ def cmd_train(args) -> int:
 def cmd_annotate(args) -> int:
     try:
         pipeline = load_pipeline(args.model)
-        field = pipeline.config.field
-        docs = load_corpus(args.corpus, field, require_labels=False).documents
+        docs = load_corpus(args.corpus, pipeline.config.field, require_labels=False).documents
         with open(args.out, "w", encoding="utf-8") as fh:
             for start in range(0, len(docs), ROW_BLOCK):
                 block = docs[start:start + ROW_BLOCK]
-                counts = pipeline.count(
-                    [preprocess(doc.text(field), pipeline.lemma_table) for doc in block]
-                )
+                counts = pipeline.count(block)
                 predictions = [p for _, rows in pipeline.predict_blocks(counts) for p in rows]
                 for doc, predicted in zip(block, predictions):
                     fh.write(json.dumps({"id": doc.doc_id, "labels": sorted(predicted)}) + "\n")
@@ -156,21 +153,17 @@ def _row_sums(counts) -> list[int]:
 
 def cmd_stats(args) -> int:
     try:
-        thesaurus = load_thesaurus(args.thesaurus, args.thesaurus_format)
-        loaded = load_corpus(args.corpus, "title", thesaurus=thesaurus)
-        docs = loaded.documents
+        # loaded by title, the default field
+        docs, thesaurus, lemma_table = _load_inputs(_config_from_args(args))
         if not docs:
             raise ValueError("no usable documents")
-        lemma_table = LemmaTable.load(args.lemma_table) if args.lemma_table else None
         matcher = ConceptMatcher(thesaurus, lemma_table)
 
         with_ft = [doc for doc in docs if doc.fulltext is not None]
         for field, field_docs in (("title", docs), ("fulltext", with_ft)):
             if not field_docs:
                 continue
-            counts = count_corpus(
-                [preprocess(doc.text(field), lemma_table) for doc in field_docs], matcher
-            )
+            counts = count_documents(field_docs, field, lemma_table, matcher)
             stats = corpus_stats(
                 field_docs,
                 thesaurus,

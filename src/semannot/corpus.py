@@ -79,12 +79,6 @@ class CorpusLoadResult:
     n_empty_labels: int = 0
     n_unknown_labels: int = 0
 
-    def __iter__(self):
-        return iter(self.documents)
-
-    def __len__(self) -> int:
-        return len(self.documents)
-
 
 def load_corpus(
     path,
@@ -293,6 +287,12 @@ class CorpusStats:
     mean_concepts_per_doc: float
 
 
+def mean_sd(values: list[float]) -> tuple[float, float]:
+    """Mean and population standard deviation."""
+    mean = sum(values) / len(values)
+    return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+
+
 def corpus_stats(
     docs: list[Document],
     thesaurus: Thesaurus,
@@ -311,9 +311,7 @@ def corpus_stats(
     used = set()
     for doc in docs:
         used.update(doc.gold_labels)
-    counts = [len(doc.gold_labels) for doc in docs]
-    mean = sum(counts) / len(counts)
-    sd = math.sqrt(sum((c - mean) ** 2 for c in counts) / len(counts))
+    mean, sd = mean_sd([len(doc.gold_labels) for doc in docs])
     return CorpusStats(
         n_docs=len(docs),
         n_concepts_in_thesaurus=len(thesaurus),

@@ -8,16 +8,15 @@ whose training documents all fall into the test fold are not excluded.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Document, Thesaurus
+from .corpus import Document, Thesaurus, mean_sd
 from .features import CorpusCounts
 from .learners import LabelMatrix
-from .pipeline import RunConfig, count_documents, fit_counts
+from .pipeline import RunConfig, concept_matcher, count_documents, fit_counts
 from .preprocess import LemmaTable
 
 
@@ -147,11 +146,6 @@ class EvalReport:
     zero_vector_queries: int
 
 
-def _mean_sd(values: list[float]) -> tuple[float, float]:
-    mean = sum(values) / len(values)
-    return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-
-
 def evaluate_run(
     config: RunConfig,
     docs: list[Document],
@@ -169,7 +163,8 @@ def evaluate_run(
     """
     config.validate()
     if counts is None:
-        counts = count_documents([config], docs, thesaurus, lemma_table)
+        matcher = concept_matcher([config], thesaurus, lemma_table)
+        counts = count_documents(docs, config.field, lemma_table, matcher)
     elif len(counts) != len(docs):
         raise ValueError(f"counts hold {len(counts)} documents, the corpus {len(docs)}")
     shared = (config, counts, LabelMatrix.from_gold([doc.gold_labels for doc in docs]))
@@ -181,9 +176,9 @@ def evaluate_run(
     else:
         results = [_run_task(shared, task) for task in tasks]
     results.sort(key=lambda fr: fr.fold)
-    mean_p, sd_p = _mean_sd([fr.precision for fr in results])
-    mean_r, sd_r = _mean_sd([fr.recall for fr in results])
-    mean_f, sd_f = _mean_sd([fr.f1 for fr in results])
+    mean_p, sd_p = mean_sd([fr.precision for fr in results])
+    mean_r, sd_r = mean_sd([fr.recall for fr in results])
+    mean_f, sd_f = mean_sd([fr.f1 for fr in results])
     return EvalReport(
         config=config.to_dict(),
         folds=results,

@@ -24,7 +24,7 @@ from scipy import sparse as sp
 
 from .corpus import Thesaurus
 from .preprocess import LemmaTable, preprocess
-from .sparse import row_norms, vstack
+from .sparse import l2_normalize, vstack
 
 BM25_K = 1.6
 BM25_B = 0.75
@@ -115,13 +115,12 @@ class CorpusCounts:
     Each row of ``term_counts`` stores its entries in the order its terms
     first appear in the document, so the rows of any subset of documents
     still give that subset's own first-seen term order.  ``concept_counts``
-    has one column per concept index of ``matcher`` and is present exactly
-    when a matcher was given.
+    has one column per concept index of the matcher the documents were
+    counted with, and is present exactly when one was given.
     """
 
     terms: list[str]
     term_counts: sp.csr_matrix
-    matcher: ConceptMatcher | None = None
     concept_counts: sp.csr_matrix | None = None
 
     def __len__(self) -> int:
@@ -140,7 +139,7 @@ class CorpusCounts:
 def count_corpus(
     token_seqs: Sequence[list[str]], matcher: ConceptMatcher | None = None
 ) -> CorpusCounts:
-    """Count every document once: its terms, and its concepts when a
+    """Count every token sequence once: its terms, and its concepts when a
     matcher is given.  The one place token sequences become counts."""
     index: dict[str, int] = {}
     rows = [count_terms(seq, index) for seq in token_seqs]
@@ -159,7 +158,7 @@ def count_corpus(
         concept_counts = vstack(
             [extract_concepts(seq, matcher) for seq in token_seqs], len(matcher.concept_index)
         )
-    return CorpusCounts(list(index), term_counts, matcher, concept_counts)
+    return CorpusCounts(list(index), term_counts, concept_counts)
 
 
 @dataclass(frozen=True)
@@ -231,14 +230,6 @@ def apply_weighting(X: sp.csr_matrix, model: WeightingModel) -> sp.csr_matrix:
     return sp.csr_matrix((weights, X.indices, X.indptr), shape=X.shape)
 
 
-def l2_normalize(X: sp.csr_matrix) -> sp.csr_matrix:
-    """Scale every row to unit Euclidean norm; all-zero rows pass through."""
-    norms = row_norms(X)
-    factors = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 0.0)
-    data = X.data * np.repeat(factors, np.diff(X.indptr))
-    return sp.csr_matrix((data, X.indices, X.indptr), shape=X.shape)
-
-
 def concat(*blocks: sp.csr_matrix) -> sp.csr_matrix:
     """Concatenate feature blocks column-wise; later blocks' indices shift
     past the earlier ones.
@@ -258,7 +249,8 @@ class TextVectorizer:
     rows of the training documents only; transform() applies the identical
     pipeline to the count rows of any documents.  transform_counts()
     exposes the raw pre-weighting counts in the same index layout (the
-    count-based classifiers consume these).
+    count-based classifiers consume these).  A concept variant reads count
+    rows taken with a concept matcher.
     """
 
     def __init__(self, variant: str):
@@ -269,7 +261,6 @@ class TextVectorizer:
             )
         self.variant = key
         self.uses_terms, self.uses_concepts, self.scheme = _VARIANT_PLAN[key]
-        self.matcher: ConceptMatcher | None = None
         # token -> term column, in column order; fitted on training text only
         self.vocab: dict[str, int] | None = None
         self.term_weighting: WeightingModel | None = None
@@ -278,7 +269,7 @@ class TextVectorizer:
     def fit(self, counts: CorpusCounts) -> "TextVectorizer":
         if not len(counts):
             raise ValueError("cannot fit a vectorizer on an empty training set")
-        if self.uses_concepts and counts.matcher is None:
+        if self.uses_concepts and counts.concept_counts is None:
             raise ValueError(f"vectorization {self.variant!r} needs a thesaurus")
         if self.uses_terms:
             # columns in order of their first entry in the training rows:
@@ -288,7 +279,6 @@ class TextVectorizer:
             self.vocab = {counts.terms[j]: i for i, j in enumerate(order)}
             self.term_weighting = fit_weighting(self._term_counts(counts), self.scheme)
         if self.uses_concepts:
-            self.matcher = counts.matcher
             self.concept_weighting = fit_weighting(counts.concept_counts, self.scheme)
         return self
 
@@ -333,11 +323,11 @@ class TextVectorizer:
     def transform_counts(self, counts: CorpusCounts) -> sp.csr_matrix:
         return concat(*[c for c, _ in self._blocks(counts)])
 
-    def transform_one(self, tokens: list[str]) -> sp.csr_matrix:
-        return self.transform(count_corpus([tokens], self.matcher))
+    def transform_one(self, tokens: list[str], matcher: ConceptMatcher | None = None):
+        return self.transform(count_corpus([tokens], matcher))
 
-    def counts_one(self, tokens: list[str]) -> sp.csr_matrix:
-        return self.transform_counts(count_corpus([tokens], self.matcher))
+    def counts_one(self, tokens: list[str], matcher: ConceptMatcher | None = None):
+        return self.transform_counts(count_corpus([tokens], matcher))
 
 
 def dump_vectors(path, doc_ids: list[str], X: sp.csr_matrix) -> None:

@@ -7,16 +7,10 @@ import numpy as np
 from scipy import sparse as sp
 
 from ..multilabel import RankedPrediction, rank_labels, threshold_decide
-from ..sparse import ROW_BLOCK, row_norms
+from ..sparse import ROW_BLOCK, l2_normalize
 from .labels import LabelMatrix
 
 KNN_K = 1
-
-
-def _normalize_rows(matrix: sp.csr_matrix) -> sp.csr_matrix:
-    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
-    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    return (sp.diags(scale) @ matrix).tocsr()
 
 
 def _cosines(stored: sp.csr_matrix, X: sp.csr_matrix) -> np.ndarray:
@@ -25,12 +19,7 @@ def _cosines(stored: sp.csr_matrix, X: sp.csr_matrix) -> np.ndarray:
     The product runs over each stored row's entries in their stored order,
     so a query's similarities do not depend on the block it is scored in.
     """
-    norms = np.repeat(row_norms(X), np.diff(X.indptr))
-    unit = sp.csr_matrix(
-        (np.divide(X.data, norms, out=np.zeros_like(X.data), where=norms > 0), X.indices, X.indptr),
-        shape=X.shape,
-    )
-    return (stored @ unit.T).T.toarray()
+    return (stored @ l2_normalize(X).T).T.toarray()
 
 
 class KnnClassifier:
@@ -52,7 +41,7 @@ class KnnClassifier:
             raise ValueError("empty training set")
         if X.shape[0] != labels.n_docs:
             raise ValueError("X and labels must align")
-        self.matrix = _normalize_rows(X)
+        self.matrix = l2_normalize(X)
         self.labels = labels
         return self
 
@@ -113,10 +102,8 @@ class RocchioClassifier:
     def fit(self, X: sp.csr_matrix, labels: LabelMatrix) -> "RocchioClassifier":
         if X.shape[0] == 0:
             raise ValueError("empty training set")
-        counts = np.asarray(labels.Y.sum(axis=0)).ravel()
-        sums = (labels.Y.T @ X).tocsr()
-        scale = np.divide(1.0, counts, out=np.zeros_like(counts), where=counts > 0)
-        self.centroids = _normalize_rows((sp.diags(scale) @ sums).tocsr())
+        # a unit centroid is the unit sum of the label's rows; the mean is not needed
+        self.centroids = l2_normalize((labels.Y.T @ X).tocsr())
         self.label_ids = labels.label_ids
         return self
 

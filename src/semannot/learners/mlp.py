@@ -26,7 +26,11 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-ACTIVATIONS = ("relu", "tanh")
+# hidden activation -> (f(z), f' written in terms of h = f(z))
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda h: (h > 0.0).astype(np.float64)),
+    "tanh": (np.tanh, lambda h: 1.0 - h * h),
+}
 
 
 class TrainingDiverged(RuntimeError):
@@ -45,6 +49,14 @@ def init_params(n_features: int, hidden: int, n_labels: int, rng: np.random.Gene
     }
 
 
+def hidden_layer(params: dict, X: np.ndarray | sp.csr_matrix, activation: str):
+    """Hidden activations H = f(W1 x + b1) of every row, and f' as a function of H."""
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    f, df = ACTIVATIONS[activation]
+    return f(X @ params["W1"].T + params["b1"]), df
+
+
 def forward_scores(params: dict, X: np.ndarray | sp.csr_matrix, activation: str) -> np.ndarray:
     """Per-label probabilities with dropout disabled (prediction path).
 
@@ -52,8 +64,7 @@ def forward_scores(params: dict, X: np.ndarray | sp.csr_matrix, activation: str)
     its kernel by the number of rows, which would make a document's scores
     depend on the block it is scored in.
     """
-    Z1 = X @ params["W1"].T + params["b1"]
-    H = np.maximum(Z1, 0.0) if activation == "relu" else np.tanh(Z1)
+    H, _ = hidden_layer(params, X, activation)
     return expit(np.einsum("ij,kj->ik", H, params["W2"]) + params["b2"])
 
 
@@ -69,15 +80,8 @@ def loss_and_grads(
     When a dropout mask is given the hidden activations are masked and
     rescaled by 1/(1-MLP_DROPOUT); the gradient flows through the same mask.
     """
-    Z1 = X @ params["W1"].T + params["b1"]
-    if activation == "relu":
-        H = np.maximum(Z1, 0.0)
-        dH = (Z1 > 0.0).astype(np.float64)
-    elif activation == "tanh":
-        H = np.tanh(Z1)
-        dH = 1.0 - H * H
-    else:
-        raise ValueError(f"unknown activation {activation!r}")
+    H, df = hidden_layer(params, X, activation)
+    dH = df(H)
     if dropout_mask is not None:
         keep = dropout_mask / (1.0 - MLP_DROPOUT)
         Hd = H * keep

@@ -62,8 +62,9 @@ def cutoff_decide(label_ids: Sequence[str], scores: np.ndarray, cutoff: int) -> 
     return [{cid for cid, _, _ in ranking[:cutoff]} for ranking in rank_labels(label_ids, scores)]
 
 
-def round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def rcut(mean_labels: float) -> int:
+    """RCut: the mean label count per document rounded half up, at least 1."""
+    return max(1, int(math.floor(mean_labels + 0.5)))
 
 
 # --- CART decision trees on (score, rank) meta-features ------------------
@@ -203,8 +204,7 @@ def stacking_train(
         y = np.array([target for _, _, target in rows], dtype=np.int64)
         trees[cid] = DecisionTree().fit(X, y)
         counts[cid] = len(rows)
-    mean_labels = sum(len(g) for g in gold_sets) / len(gold_sets)
-    cutoff = max(1, round_half_up(mean_labels))
+    cutoff = rcut(sum(len(g) for g in gold_sets) / len(gold_sets))
     return StackedModel(trees=trees, top_m=top_m, fallback_cutoff=cutoff, meta_sample_counts=counts)
 
 

@@ -10,7 +10,7 @@ from typing import Iterator, Sequence
 from scipy import sparse as sp
 
 from .corpus import Document, Thesaurus
-from .features import VARIANTS, ConceptMatcher, CorpusCounts, TextVectorizer, count_corpus
+from .features import ConceptMatcher, CorpusCounts, TextVectorizer, count_corpus
 from .learners import (
     KnnClassifier,
     LabelMatrix,
@@ -73,10 +73,7 @@ class RunConfig:
     def validate(self) -> None:
         if self.field not in FIELDS:
             raise ValueError(f"unknown field {self.field!r}; valid: {', '.join(FIELDS)}")
-        if self.vectorization.lower() not in VARIANTS:
-            raise ValueError(
-                f"unknown vectorization {self.vectorization!r}; valid: {', '.join(VARIANTS)}"
-            )
+        TextVectorizer(self.vectorization)  # refuses an unknown variant
         if self.classifier not in CLASSIFIERS:
             raise ValueError(
                 f"unknown classifier {self.classifier!r}; valid: {', '.join(CLASSIFIERS)}"
@@ -128,35 +125,41 @@ def build_classifier(config: RunConfig):
     raise ValueError(f"unknown classifier {kind!r}")
 
 
+def concept_matcher(
+    configs: Sequence[RunConfig], thesaurus: Thesaurus, lemma_table: LemmaTable | None = None
+) -> ConceptMatcher | None:
+    """The matcher that counting for the configs needs; None unless one of
+    their vectorizations uses concepts."""
+    uses = any(TextVectorizer(config.vectorization).uses_concepts for config in configs)
+    return ConceptMatcher(thesaurus, lemma_table) if uses else None
+
+
 def count_documents(
-    configs: Sequence[RunConfig],
-    docs: list[Document],
-    thesaurus: Thesaurus,
+    docs: Sequence[Document],
+    field: str,
     lemma_table: LemmaTable | None = None,
+    matcher: ConceptMatcher | None = None,
 ) -> CorpusCounts:
-    """Preprocess and count the configs' field of every document once; all
-    configs share that field.  Concepts are matched only when a config's
-    vectorization uses them."""
-    if any(TextVectorizer(config.vectorization).uses_concepts for config in configs):
-        matcher = ConceptMatcher(thesaurus, lemma_table)
-    else:
-        matcher = None
-    field = configs[0].field
+    """Preprocess and count the given field of every document once, matching
+    concepts when a matcher is given.  The one place document text becomes
+    counts."""
     return count_corpus([preprocess(doc.text(field), lemma_table) for doc in docs], matcher)
 
 
 @dataclass
 class FittedPipeline:
-    """A vectorizer and classifier fitted together, ready to annotate."""
+    """A vectorizer and classifier fitted together, ready to annotate, with
+    what counts documents for them: the lemma table and concept matcher."""
 
     config: RunConfig
     vectorizer: TextVectorizer
     classifier: object
     lemma_table: LemmaTable | None = dc_field(default=None, repr=False)
+    matcher: ConceptMatcher | None = dc_field(default=None, repr=False)
 
-    def count(self, token_seqs: Sequence[list[str]]) -> CorpusCounts:
-        """Counts of preprocessed documents, with this pipeline's concept matcher."""
-        return count_corpus(token_seqs, self.vectorizer.matcher)
+    def count(self, docs: Sequence[Document]) -> CorpusCounts:
+        """Counts of the documents' configured field."""
+        return count_documents(docs, self.config.field, self.lemma_table, self.matcher)
 
     def vectorize(self, counts: CorpusCounts) -> sp.csr_matrix:
         """Classifier input rows: raw counts for the count-based classifiers,
@@ -175,8 +178,7 @@ class FittedPipeline:
             yield X, self.classifier.predict(X)
 
     def predict_document(self, doc: Document) -> set[str]:
-        tokens = preprocess(doc.text(self.config.field), self.lemma_table)
-        return self.classifier.predict(self.vectorize(self.count([tokens])))[0]
+        return self.classifier.predict(self.vectorize(self.count([doc])))[0]
 
 
 def fit_counts(
@@ -184,11 +186,12 @@ def fit_counts(
     counts: CorpusCounts,
     labels: LabelMatrix,
     lemma_table: LemmaTable | None = None,
+    matcher: ConceptMatcher | None = None,
 ) -> FittedPipeline:
     """Fit vectorizer and classifier on counted documents and their gold
-    labels (no held-out split)."""
+    labels (no held-out split), counted with ``lemma_table`` and ``matcher``."""
     vectorizer = TextVectorizer(config.vectorization).fit(counts)
-    pipeline = FittedPipeline(config, vectorizer, build_classifier(config), lemma_table)
+    pipeline = FittedPipeline(config, vectorizer, build_classifier(config), lemma_table, matcher)
     pipeline.classifier.fit(pipeline.vectorize(counts), labels)
     return pipeline
 
@@ -202,6 +205,7 @@ def fit_pipeline(
     """Fit vectorizer and classifier on the given documents (no held-out
     split)."""
     config.validate()
-    counts = count_documents([config], docs, thesaurus, lemma_table)
+    matcher = concept_matcher([config], thesaurus, lemma_table)
+    counts = count_documents(docs, config.field, lemma_table, matcher)
     labels = LabelMatrix.from_gold([doc.gold_labels for doc in docs])
-    return fit_counts(config, counts, labels, lemma_table)
+    return fit_counts(config, counts, labels, lemma_table, matcher)

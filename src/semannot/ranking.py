@@ -17,7 +17,7 @@ from scipy.special import expit
 from .learners.labels import LabelMatrix
 from .learners.lazy import KnnClassifier
 from .learners.linear import LINEAR_ALPHA, LINEAR_EPOCHS, averaged_sgd_train
-from .multilabel import RankedPrediction, cutoff_decide, rank_labels, round_half_up
+from .multilabel import RankedPrediction, cutoff_decide, rank_labels, rcut
 
 L2R_K = 45
 
@@ -120,8 +120,8 @@ class L2RClassifier:
 
     @property
     def cutoff(self) -> int:
-        """Rank cutoff: the training mean label count, rounded half up."""
-        return max(1, round_half_up(self.knn.labels.mean_labels_per_doc()))
+        """Rank cutoff: RCut of the training label counts."""
+        return rcut(self.knn.labels.mean_labels_per_doc())
 
     def candidates(self, X: sp.csr_matrix, exclude: np.ndarray | None = None) -> list[CandidateSet]:
         """One candidate set per row from its k nearest training documents

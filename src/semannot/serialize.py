@@ -28,7 +28,7 @@ from .learners import (
 )
 from .multilabel import DecisionTree, StackedClassifier, StackedModel
 from .pipeline import FittedPipeline, RunConfig, build_classifier
-from .preprocess import LemmaTable
+from .preprocess import LemmaTable, LemmaTableError
 from .ranking import L2RClassifier
 
 FORMAT_VERSION = 5
@@ -116,6 +116,15 @@ def _dec_weighting(d: dict, vectorizer: TextVectorizer) -> WeightingModel:
     return WeightingModel(scheme, _dec_array(d["idf"], _FLOAT), d.get("mean_doc_len"))
 
 
+def _dec_lemma_table(d) -> LemmaTable | None:
+    if d is not None and not (isinstance(d, dict) and all(isinstance(v, str) for v in d.values())):
+        raise ModelFormatError("lemma_table must be null or a {surface: lemma} map of strings")
+    try:
+        return None if d is None else LemmaTable(d)
+    except LemmaTableError as exc:
+        raise ModelFormatError(f"lemma_table is malformed: {exc}") from None
+
+
 def _dec_matcher(d, vectorizer: TextVectorizer, lemma_table: LemmaTable | None):
     """The concept matcher, built from the stored training thesaurus
     {concept_id: [pref, alt, ...]} with the call training makes; None for a
@@ -133,6 +142,9 @@ def _dec_matcher(d, vectorizer: TextVectorizer, lemma_table: LemmaTable | None):
             f"vectorization {variant!r} needs a thesaurus {{concept_id: [pref, alt, ...]}}"
         )
     concepts = {cid: Concept(cid, labels[0], tuple(labels[1:])) for cid, labels in d.items()}
+    n_idf = vectorizer.concept_weighting.dimension
+    if n_idf != len(concepts):
+        raise ModelFormatError(f"concept idf of length {n_idf} for {len(concepts)} thesaurus concepts")
     return ConceptMatcher(Thesaurus(concepts), lemma_table)
 
 
@@ -170,13 +182,17 @@ def _check_keys(owner: str, keys, d: dict) -> None:
         raise ModelFormatError(f"{owner} keys {sorted(keys)}, model holds {sorted(d)}")
 
 
-def _restore(obj, d: dict):
-    """Fill the fitted state of `obj`, built from the config, from its block."""
+def _restore(obj, d: dict, width: int | None = None):
+    """Fill the fitted state of `obj`, built from the config, from its block;
+    a classifier's arrays must have `width` features."""
     table = _fitted_state(obj)
     _check_keys(f"config builds {type(obj).__name__} with state", table, d)
     for attr, (_, dec) in table.items():
-        setattr(obj, attr, dec(d[attr], obj))
-    for name, array, shape in _shape_rules(obj):
+        if dec is None:
+            _restore(getattr(obj, attr), d[attr], width)
+        else:
+            setattr(obj, attr, dec(d[attr], obj))
+    for name, array, shape in _shape_rules(obj, width):
         if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
             required = ", ".join("*" if n is None else str(n) for n in shape)
             raise ModelFormatError(
@@ -185,17 +201,23 @@ def _restore(obj, d: dict):
     return obj
 
 
-def _shape_rules(obj) -> list[tuple[str, np.ndarray, tuple]]:
-    """(name, array, required shape) of the restored arrays whose shape
-    label_ids or the config fixes; None leaves the feature axis open."""
+def _shape_rules(obj, width: int | None) -> list[tuple[str, np.ndarray, tuple]]:
+    """(name, array, required shape) of the restored arrays whose shape the
+    vocabulary, label_ids, the config or `width` fixes; None leaves it open."""
+    if isinstance(obj, TextVectorizer):
+        return [("term idf", obj.term_weighting.idf, (len(obj.vocab),))] if obj.uses_terms else []
     n_labels = len(getattr(obj, "label_ids", ()))
+    if isinstance(obj, KnnClassifier):
+        return [("matrix", obj.matrix, (obj.labels.n_docs, width))]
+    if isinstance(obj, RocchioClassifier):
+        return [("centroids", obj.centroids, (n_labels, width))]
     if isinstance(obj, LinearClassifier):
-        return [("W", obj.W, (n_labels, None)), ("b", obj.b, (n_labels,))]
+        return [("W", obj.W, (n_labels, width)), ("b", obj.b, (n_labels,))]
     if isinstance(obj, NaiveBayesClassifier):
-        return [("_coef", obj._coef, (n_labels, None)), ("_const", obj._const, (n_labels,))]
+        return [("_coef", obj._coef, (n_labels, width)), ("_const", obj._const, (n_labels,))]
     if isinstance(obj, MlpClassifier):
         h = obj.hidden
-        shapes = {"W1": (h, None), "b1": (h,), "W2": (n_labels, h), "b2": (n_labels,)}
+        shapes = {"W1": (h, width), "b1": (h,), "W2": (n_labels, h), "b2": (n_labels,)}
         if set(obj.params) != set(shapes):
             raise ModelFormatError(
                 f"MLP parameters {sorted(obj.params)} where {sorted(shapes)} are required"
@@ -207,8 +229,9 @@ def _shape_rules(obj) -> list[tuple[str, np.ndarray, tuple]]:
     return []
 
 
-# fitted attribute -> (encode(value), decode(stored, owner)); a nested
-# classifier is the one its owner's constructor built, restored in place
+# fitted attribute -> (encode(value), decode(stored, owner)); decode None marks
+# a nested classifier, the one its owner's constructor built, restored in place
+_NESTED = (_enc_state, None)
 _IDS = (list, lambda d, owner: tuple(d))
 _FLOATS = (_enc_array, lambda d, owner: _dec_array(d, _FLOAT))
 _WEIGHTING = (_enc_weighting, _dec_weighting)
@@ -236,12 +259,12 @@ _CLASSIFIER_STATE = {
         ),
     },
     L2RClassifier: {
-        "knn": (_enc_state, lambda d, owner: _restore(owner.knn, d)),
+        "knn": _NESTED,
         "weights": _FLOATS,
         "bias": (float, lambda d, owner: float(d)),
     },
     StackedClassifier: {
-        "base": (_enc_state, lambda d, owner: _restore(owner.base, d)),
+        "base": _NESTED,
         "model": (_enc_stacked, _dec_stacked),
     },
 }
@@ -259,7 +282,7 @@ def _dec_config(d: dict) -> RunConfig:
 
 
 def save_pipeline(pipeline: FittedPipeline, path) -> None:
-    matcher = pipeline.vectorizer.matcher
+    matcher = pipeline.matcher
     container = {
         "format_version": FORMAT_VERSION,
         "config": pipeline.config.to_dict(),
@@ -283,12 +306,8 @@ def load_pipeline(path) -> FittedPipeline:
         raise ModelFormatError(f"unsupported model format version {version!r}")
     _check_keys(f"format version {version} has top-level", _CONTAINER_KEYS, container)
     config = _dec_config(container["config"])
-    lemma_table = None if container["lemma_table"] is None else LemmaTable(container["lemma_table"])
+    lemma_table = _dec_lemma_table(container["lemma_table"])
     vectorizer = _restore(TextVectorizer(config.vectorization), container["vectorizer"])
-    vectorizer.matcher = _dec_matcher(container["thesaurus"], vectorizer, lemma_table)
-    return FittedPipeline(
-        config=config,
-        vectorizer=vectorizer,
-        classifier=_restore(build_classifier(config), container["classifier"]),
-        lemma_table=lemma_table,
-    )
+    matcher = _dec_matcher(container["thesaurus"], vectorizer, lemma_table)
+    classifier = _restore(build_classifier(config), container["classifier"], vectorizer.dimension)
+    return FittedPipeline(config, vectorizer, classifier, lemma_table, matcher)

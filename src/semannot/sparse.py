@@ -47,3 +47,11 @@ def row_norms(X: sp.csr_matrix) -> np.ndarray:
         dtype=np.float64,
     )
 
+
+def l2_normalize(X: sp.csr_matrix) -> sp.csr_matrix:
+    """Scale every row to unit Euclidean norm; all-zero rows pass through."""
+    norms = row_norms(X)
+    factors = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 0.0)
+    data = X.data * np.repeat(factors, np.diff(X.indptr))
+    return sp.csr_matrix((data, X.indices, X.indptr), shape=X.shape)
+

@@ -19,13 +19,12 @@ from semannot.features import (
     concat,
     extract_concepts,
     fit_weighting,
-    l2_normalize,
 )
 from semannot.learners import KnnClassifier, LinearClassifier, NaiveBayesClassifier
 from semannot.multilabel import StackedClassifier, stacking_decide
 from semannot.preprocess import LemmaTable, preprocess
 from semannot.ranking import L2RClassifier
-from semannot.sparse import vstack
+from semannot.sparse import l2_normalize, vstack
 
 
 def brute_force_idf(matrix: sp.csr_matrix, dimension: int) -> list[float]:

@@ -194,7 +194,7 @@ def test_stacking_containment_exhaustive():
         )
         pipeline = fit_pipeline(config, made.documents, made.thesaurus)
         stacked = pipeline.classifier
-        X = pipeline.vectorize(pipeline.count([preprocess(doc.title) for doc in made.documents]))
+        X = pipeline.vectorize(pipeline.count(made.documents))
         for ranking, predicted in zip(stacked.base.rank(X), stacked.predict(X)):
             base_top = {cid for cid, _, _ in ranking[:30]}
             assert predicted <= base_top

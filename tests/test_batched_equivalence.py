@@ -12,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import per_row_predict
+from semannot.corpus import Document
 from semannot.features import VARIANTS
 from semannot.pipeline import CLASSIFIERS, RunConfig, fit_pipeline
-from semannot.preprocess import preprocess
 from semannot.sparse import ROW_BLOCK
 from semannot.synthetic import generate_corpus
 
@@ -60,8 +60,8 @@ def fitted_pipelines(draw, classifier):
     pipeline = fit_pipeline(config, made.documents, made.thesaurus)
     # training titles, plus an empty and an out-of-vocabulary query whose
     # feature rows are all zero
-    token_seqs = [preprocess(d.title) for d in made.documents] + [[], ["zzunseen"]]
-    return pipeline, token_seqs
+    queries = [Document("q0", "", None, frozenset()), Document("q1", "zzunseen", None, frozenset())]
+    return pipeline, made.documents + queries
 
 
 PROPERTY = settings(
@@ -78,8 +78,8 @@ def test_block_equals_row_by_row(classifier):
     @PROPERTY
     @given(fitted_pipelines(classifier), st.integers(1, 40))
     def check(fitted, extra_rows):
-        pipeline, token_seqs = fitted
-        rows = pipeline.vectorize(pipeline.count(token_seqs))
+        pipeline, docs = fitted
+        rows = pipeline.vectorize(pipeline.count(docs))
         n = rows.shape[0]
         # one block longer than ROW_BLOCK that revisits every row
         order = np.arange(ROW_BLOCK + extra_rows) % n
@@ -100,8 +100,8 @@ def test_predict_equals_per_row_rules(classifier):
     @PROPERTY
     @given(fitted_pipelines(classifier))
     def check(fitted):
-        pipeline, token_seqs = fitted
-        X = pipeline.vectorize(pipeline.count(token_seqs))
+        pipeline, docs = fitted
+        X = pipeline.vectorize(pipeline.count(docs))
         assert pipeline.classifier.predict(X) == per_row_predict(pipeline.classifier, X)
 
     check()

@@ -11,6 +11,7 @@ import pytest
 import semannot
 from semannot.cli import main
 from semannot.corpus import dump_corpus_jsonl, dump_thesaurus_tsv, load_corpus, load_thesaurus
+from semannot.serialize import load_pipeline
 from semannot.synthetic import generate_corpus
 
 
@@ -124,9 +125,15 @@ def test_train_annotate_self_retrieval(data_files, tmp_path):
     assert len(predictions) == len(gold)
     for record in predictions:
         assert set(record["labels"]) == gold[record["id"]]
-    # vector dump is valid JSONL aligned with the corpus
+    # the vector dump holds the rows the model's pipeline makes of the corpus
     dump = [json.loads(line) for line in open(tmp_path / "vectors.jsonl")]
-    assert len(dump) == len(gold)
+    docs = load_corpus(corpus, "title").documents
+    pipeline = load_pipeline(model)
+    X = pipeline.vectorize(pipeline.count(docs))
+    assert [row["id"] for row in dump] == [doc.doc_id for doc in docs]
+    for i, row in enumerate(dump):
+        assert row["indices"] == X.indices[X.indptr[i]:X.indptr[i + 1]].tolist()
+        assert row["weights"] == X.data[X.indptr[i]:X.indptr[i + 1]].tolist()
 
 
 def test_annotate_with_tampered_model_exits_1(data_files, tmp_path, capsys):
@@ -176,6 +183,19 @@ def cut(array: dict, n: int) -> None:
     array.update(shape=[n], data=base64.b64encode(data).decode("ascii"))
 
 
+def widen(array: dict, n: int) -> None:
+    """Append n zero columns to a stored two-dimensional array."""
+    entries = np.frombuffer(base64.b64decode(array["data"]), dtype=array["dtype"])
+    entries = entries.reshape(array["shape"])
+    wider = np.hstack([entries, np.zeros((entries.shape[0], n), dtype=entries.dtype)])
+    array.update(shape=list(wider.shape), data=base64.b64encode(wider.tobytes()).decode("ascii"))
+
+
+def declare_wider(matrix: dict, n: int) -> None:
+    """Declare a stored sparse matrix n columns wider than its entries need."""
+    matrix["shape"][1] += n
+
+
 def rewrite(array: dict, positions: list[int], values: list[int]) -> None:
     """Set entries of a stored one-dimensional array."""
     entries = np.frombuffer(base64.b64decode(array["data"]), dtype=array["dtype"]).copy()
@@ -206,6 +226,7 @@ CONTAINER_KEYS = (
     "['classifier', 'config', 'format_version', 'lemma_table', 'thesaurus', 'vectorizer']"
 )
 NO_THESAURUS = "vectorization 'ctf-idf' needs a thesaurus {concept_id: [pref, alt, ...]}"
+NOT_A_LEMMA_TABLE = "lemma_table must be null or a {surface: lemma} map of strings"
 
 
 @pytest.mark.parametrize(
@@ -290,6 +311,57 @@ NO_THESAURUS = "vectorization 'ctf-idf' needs a thesaurus {concept_id: [pref, al
             "config builds bm25 weighting with state keys ['idf', 'mean_doc_len'], "
             "model holds ['idf']",
         ),
+        # an integer lemma matches no token: the model annotated as if untabled
+        (CTF, lambda c: c.update(lemma_table={"siga": 3}), NOT_A_LEMMA_TABLE),
+        (CTF, lambda c: c.update(lemma_table=["siga"]), NOT_A_LEMMA_TABLE),
+        (
+            CTF,
+            lambda c: c.update(lemma_table={"sigas": "siga", "siga": "kuab"}),
+            "lemma_table is malformed: lemma 'siga' (for surface 'sigas') "
+            "is not a fixed point of the table",
+        ),
+        # the feature axis is checked against the vectorizer's dimension at load,
+        # not by the prediction code
+        (
+            ("lr", "tf-idf"),
+            lambda c: widen(c["classifier"]["W"], 1),
+            "array W of shape [5, 125] where [5, 124] is required",
+        ),
+        (
+            KNN,
+            lambda c: cut(c["vectorizer"]["term_weighting"]["idf"], 123),
+            "array term idf of shape [123] where [124] is required",
+        ),
+        (
+            CTF,
+            lambda c: cut(c["vectorizer"]["concept_weighting"]["idf"], 4),
+            "concept idf of length 4 for 5 thesaurus concepts",
+        ),
+        (
+            KNN,
+            lambda c: declare_wider(c["classifier"]["matrix"], 5),
+            "array matrix of shape [50, 129] where [50, 124] is required",
+        ),
+        (
+            ("rocchio-dt", "ctf-idf"),
+            lambda c: declare_wider(c["classifier"]["base"]["centroids"], 1),
+            "array centroids of shape [5, 130] where [5, 129] is required",
+        ),
+        (
+            ("l2r", "tf-idf"),
+            lambda c: declare_wider(c["classifier"]["knn"]["matrix"], 1),
+            "array matrix of shape [50, 125] where [50, 124] is required",
+        ),
+        (
+            ("bayes-multinomial", "tf-idf"),
+            lambda c: widen(c["classifier"]["_coef"], 2),
+            "array _coef of shape [5, 126] where [5, 124] is required",
+        ),
+        (
+            MLP,
+            lambda c: widen(c["classifier"]["params"]["W1"], 1),
+            "array W1 of shape [8, 125] where [8, 124] is required",
+        ),
     ],
     ids=[
         "extra-config-key",
@@ -314,6 +386,17 @@ NO_THESAURUS = "vectorization 'ctf-idf' needs a thesaurus {concept_id: [pref, al
         "knn-matrix-indptr-decreasing",
         "idf-block-holds-mean-doc-len",
         "bm25-block-without-mean-doc-len",
+        "lemma-table-integer-lemma",
+        "lemma-table-list",
+        "lemma-table-not-fixed-point",
+        "lr-W-extra-column",
+        "term-idf-cut-by-one",
+        "concept-idf-cut-by-one",
+        "knn-matrix-declared-wider",
+        "rocchio-centroids-declared-wider",
+        "l2r-matrix-declared-wider",
+        "bayes-coef-extra-columns",
+        "mlp-W1-extra-column",
     ],
 )
 def test_annotate_refuses_container_in_one_line(
@@ -387,10 +470,20 @@ def test_out_of_range_learner_value_exits_2(data_files, tmp_path, capsys, comman
 def test_stats_prints_table(data_files, capsys):
     corpus, thesaurus = data_files
     assert main(["stats", "--corpus", corpus, "--thesaurus", thesaurus]) == 0
-    out = capsys.readouterr().out
-    assert "documents                 50" in out
-    assert "concepts in thesaurus     5" in out
-    assert "-- fulltext" in out
+    assert capsys.readouterr().out == (
+        "documents                 50\n"
+        "concepts in thesaurus     5\n"
+        "labels used               5\n"
+        "labels per doc            2.24 (sd 0.79)\n"
+        "-- titles --\n"
+        "vocabulary size           124\n"
+        "words per doc             13.20\n"
+        "concepts per doc          2.24\n"
+        "-- fulltext (50 docs) --\n"
+        "vocabulary size           220\n"
+        "words per doc             52.80\n"
+        "concepts per doc          8.96\n"
+    )
 
 
 def test_generate_round_trips_through_loaders(tmp_path):

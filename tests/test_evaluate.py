@@ -7,7 +7,7 @@ import semannot.evaluate as ev
 import semannot.pipeline as pl
 from semannot.corpus import Concept, Document, Thesaurus
 from semannot.evaluate import evaluate_run, make_folds, run_fold, sample_prf
-from semannot.features import count_corpus
+from semannot.features import ConceptMatcher, count_corpus
 from semannot.learners import LabelMatrix
 from semannot.pipeline import RunConfig, count_documents
 from semannot.preprocess import preprocess
@@ -157,7 +157,7 @@ def test_no_leakage_from_test_fold_gold_labels(monkeypatch):
     made = generate_corpus(n_labels=5, docs_per_label=8, seed=11)
     docs = made.documents
     config = RunConfig(vectorization="ctf-idf", classifier="lr-dt", folds=4, seed=0, epochs=3)
-    counts = count_documents([config], docs, made.thesaurus)
+    counts = count_documents(docs, config.field, matcher=ConceptMatcher(made.thesaurus))
     folds = make_folds(len(docs), 4, seed=0)
     train_idx, test_idx = folds[0]
     # the label sets each run_fold call scores, in test-row order

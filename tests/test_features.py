@@ -18,10 +18,9 @@ from semannot.features import (
     dump_vectors,
     extract_concepts,
     fit_weighting,
-    l2_normalize,
 )
 from semannot.preprocess import preprocess
-from semannot.sparse import row_norms, vstack
+from semannot.sparse import l2_normalize, row_norms, vstack
 
 from oracles import (
     brute_force_idf,
@@ -252,11 +251,12 @@ class TestTextVectorizer:
 
     def test_ctf_idf_is_concat_of_blocks(self, corpus_tokens, rate_thesaurus):
         both = fitted("ctf-idf", corpus_tokens, rate_thesaurus)
+        matcher = ConceptMatcher(rate_thesaurus)
         terms = fitted("tf-idf", corpus_tokens, rate_thesaurus)
         concepts = fitted("cf-idf", corpus_tokens, rate_thesaurus)
         for seq in corpus_tokens:
-            expected = concat(terms.transform_one(seq), concepts.transform_one(seq))
-            assert to_dict(both.transform_one(seq)) == to_dict(expected)
+            expected = concat(terms.transform_one(seq), concepts.transform_one(seq, matcher))
+            assert to_dict(both.transform_one(seq, matcher)) == to_dict(expected)
 
     def test_unseen_tokens_transform_to_zero_vector(self, corpus_tokens, rate_thesaurus):
         vec = fitted("tf-idf", corpus_tokens, rate_thesaurus)
@@ -273,18 +273,20 @@ class TestTextVectorizer:
 
     def test_transform_deterministic_bitwise(self, corpus_tokens, rate_thesaurus):
         first = fitted("bm25ct", corpus_tokens, rate_thesaurus)
+        matcher = ConceptMatcher(rate_thesaurus)
         second = fitted("bm25ct", corpus_tokens, rate_thesaurus)
         for seq in corpus_tokens:
-            a, b = first.transform_one(seq), second.transform_one(seq)
+            a, b = first.transform_one(seq, matcher), second.transform_one(seq, matcher)
             assert np.array_equal(a.indices, b.indices)
             assert np.array_equal(a.data, b.data)
 
     def test_transform_counts_are_raw(self, corpus_tokens, rate_thesaurus):
         vec = fitted("ctf-idf", corpus_tokens, rate_thesaurus)
-        counts = vec.counts_one(["rate", "rate", "cut"])
+        matcher = ConceptMatcher(rate_thesaurus)
+        counts = vec.counts_one(["rate", "rate", "cut"], matcher)
         term_dim = len(vec.vocab)
         assert to_dict(counts)[vec.vocab["rate"]] == 2.0
-        assert to_dict(counts)[term_dim + vec.matcher.concept_index["c2"]] == 2.0
+        assert to_dict(counts)[term_dim + matcher.concept_index["c2"]] == 2.0
 
     def test_all_six_variants_run(self, corpus_tokens, rate_thesaurus):
         counts = count_corpus(corpus_tokens, ConceptMatcher(rate_thesaurus))

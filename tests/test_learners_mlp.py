@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semannot.learners import LabelMatrix, MlpClassifier, TrainingDiverged
-from semannot.learners.mlp import forward_scores, init_params, loss_and_grads
+from semannot.learners.mlp import forward_scores, hidden_layer, init_params, loss_and_grads
 from semannot.sparse import vstack
 
 from oracles import central_difference_grads, gradient_relative_error as relative_error
@@ -95,3 +95,22 @@ def test_non_finite_loss_aborts_with_diagnostic():
 def test_unknown_activation_rejected():
     with pytest.raises(ValueError, match="activation"):
         MlpClassifier(activation="swish")
+    # the prediction and the training path refuse it too, rather than fall back to one
+    params = init_params(3, 2, 2, np.random.default_rng(0))
+    X, T = np.ones((1, 3)), np.zeros((1, 2))
+    with pytest.raises(ValueError, match="unknown activation 'swish'"):
+        forward_scores(params, X, "swish")
+    with pytest.raises(ValueError, match="unknown activation 'swish'"):
+        loss_and_grads(params, X, T, "swish")
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_derivative_from_activations_equals_derivative_from_inputs(activation):
+    """f' read off H = f(Z) equals f' computed from Z, bit for bit."""
+    params = init_params(6, 16, 3, np.random.default_rng(4))
+    X = np.random.default_rng(5).normal(size=(9, 6))
+    X[0] = 0.0  # a row whose pre-activations are exactly the zero biases
+    Z = X @ params["W1"].T + params["b1"]
+    H, df = hidden_layer(params, X, activation)
+    expected = (Z > 0.0).astype(np.float64) if activation == "relu" else 1.0 - np.tanh(Z) ** 2
+    assert np.array_equal(df(H), expected)

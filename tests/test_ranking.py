@@ -7,7 +7,7 @@ from scipy.special import expit
 
 from semannot import ranking
 from semannot.learners import KnnClassifier, LabelMatrix
-from semannot.multilabel import cutoff_decide, rank_labels, round_half_up
+from semannot.multilabel import cutoff_decide, rank_labels, rcut
 from semannot.ranking import (
     CandidateSet,
     L2RClassifier,
@@ -190,9 +190,10 @@ class TestRankAndCut:
         assert self.rank_and_cut(model, 3, 2) == {"l0", "l1"}
 
     def test_cutoff_rounding_half_up(self):
-        assert round_half_up(5.26) == 5
-        assert round_half_up(2.5) == 3
-        assert round_half_up(2.49) == 2
+        assert rcut(5.26) == 5
+        assert rcut(2.5) == 3
+        assert rcut(2.49) == 2
+        assert rcut(0.4) == 1
 
 
 class TestL2RClassifier:

@@ -94,8 +94,8 @@ def test_cf_idf_round_trip_rebuilds_matcher_with_stored_lemma_table(tmp_path):
     save_pipeline(pipeline, path)
     reloaded = load_pipeline(path)
     seqs = [preprocess(doc.title, table) for doc in CORPUS.documents]
-    counts = reloaded.count(seqs).concept_counts.toarray()
-    assert np.array_equal(counts, pipeline.count(seqs).concept_counts.toarray())
+    counts = reloaded.count(CORPUS.documents).concept_counts.toarray()
+    assert np.array_equal(counts, pipeline.count(CORPUS.documents).concept_counts.toarray())
     untabled = count_corpus(seqs, ConceptMatcher(CORPUS.thesaurus)).concept_counts.toarray()
     assert not np.array_equal(counts, untabled)
     for doc in CORPUS.documents:
@@ -135,8 +135,8 @@ def test_reloaded_matcher_counts_as_training_and_oracle(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         save_pipeline(pipeline, path)
-        reloaded = load_pipeline(path).vectorizer.matcher
-    trained = pipeline.vectorizer.matcher
+        reloaded = load_pipeline(path).matcher
+    trained = pipeline.matcher
     assert reloaded.concept_index == trained.concept_index
     patterns = thesaurus_patterns(thesaurus, table)
     for stream in streams:
