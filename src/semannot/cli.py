@@ -12,41 +12,40 @@ import json
 import sys
 
 from . import synthetic
-from .corpus import (
-    dump_corpus_jsonl,
-    dump_thesaurus_tsv,
-    corpus_stats,
-    load_corpus,
-    load_thesaurus,
-)
+from .corpus import corpus_stats, dump_corpus_jsonl, dump_thesaurus_tsv, load_corpus, load_thesaurus
 from .evaluate import CSV_HEADER, csv_line, evaluate_run
 from .features import VARIANTS, ConceptMatcher, dump_vectors
-from .pipeline import CLASSIFIERS, FIELDS, RunConfig, concept_matcher, count_documents, fit_pipeline
+from .pipeline import (
+    CLASSIFIERS, FIELDS, ConfigError, RunConfig, concept_matcher, count_documents, fit_pipeline
+)
 from .preprocess import LemmaTable
 from .serialize import load_pipeline, save_pipeline
 from .sparse import ROW_BLOCK
 
 
-def _config_flags() -> argparse.ArgumentParser:
-    """Flags that set RunConfig fields, each stored under its field's name.
-    They have no defaults of their own: a flag left out keeps the field's
+def _config_flags(inputs_only: bool = False) -> argparse.ArgumentParser:
+    """Flags that set RunConfig fields, each stored under its field's name;
+    with `inputs_only`, just the four that name a run's input files.  They
+    have no defaults of their own: a flag left out keeps the field's
     RunConfig default."""
     p = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    p.add_argument("--corpus", required=True, help="JSON-lines corpus path")
-    p.add_argument("--thesaurus", required=True, help="thesaurus path")
-    p.add_argument("--thesaurus-format", choices=("tsv", "ntriples"))
-    p.add_argument("--field", choices=FIELDS)
-    p.add_argument("--vec", dest="vectorization", choices=VARIANTS, help="vectorization variant")
-    p.add_argument("--clf", dest="classifier", choices=CLASSIFIERS, help="classifier")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lemma-table", help="optional surface<TAB>lemma file")
-    p.add_argument("--knn-k", type=int)
-    p.add_argument("--l2r-k", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--mlp-hidden", type=int)
-    p.add_argument("--mlp-threshold", type=float)
-    p.add_argument("--mlp-activation", choices=("relu", "tanh"))
+    add_input = p.add_argument
+    add_setting = (lambda *args, **kwargs: None) if inputs_only else p.add_argument
+    add_input("--corpus", required=True, help="JSON-lines corpus path")
+    add_input("--thesaurus", required=True, help="thesaurus path")
+    add_input("--thesaurus-format", choices=("tsv", "ntriples"))
+    add_setting("--field", choices=FIELDS)
+    add_setting("--vec", dest="vectorization", choices=VARIANTS, help="vectorization variant")
+    add_setting("--clf", dest="classifier", choices=CLASSIFIERS, help="classifier")
+    add_setting("--seed", type=int)
+    add_input("--lemma-table", help="optional surface<TAB>lemma file")
+    add_setting("--knn-k", type=int)
+    add_setting("--l2r-k", type=int)
+    add_setting("--epochs", type=int)
+    add_setting("--alpha", type=float)
+    add_setting("--mlp-hidden", type=int)
+    add_setting("--mlp-threshold", type=float)
+    add_setting("--mlp-activation", choices=("relu", "tanh"))
     return p
 
 
@@ -54,7 +53,10 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(**{name: val for name, val in vars(args).items() if name in _CONFIG_FIELDS})
+    """The RunConfig the flags set; ConfigError if validate refuses it."""
+    config = RunConfig(**{name: val for name, val in vars(args).items() if name in _CONFIG_FIELDS})
+    config.validate()
+    return config
 
 
 def _load_inputs(config: RunConfig):
@@ -64,86 +66,61 @@ def _load_inputs(config: RunConfig):
     return loaded.documents, thesaurus, lemma_table
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> None:
     config = _config_from_args(args)
-    try:
-        config.validate()
-    except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    try:
-        docs, thesaurus, lemma_table = _load_inputs(config)
-        if args.grid == "vectorizations":
-            configs = [dataclasses.replace(config, vectorization=v) for v in VARIANTS]
-        elif args.grid == "classifiers":
-            configs = [dataclasses.replace(config, classifier=c) for c in CLASSIFIERS]
-        else:
-            configs = [config]
-        matcher = concept_matcher(configs, thesaurus, lemma_table)
-        counts = count_documents(docs, config.field, lemma_table, matcher)
-        reports = []
-        for cfg in configs:
-            report = evaluate_run(cfg, docs, thesaurus, lemma_table, counts=counts, jobs=args.jobs)
-            reports.append(report)
-            print(
-                f"{cfg.field} {cfg.vectorization} {cfg.classifier} "
-                f"mean sample F1: {report.mean_f1:.4f}"
-            )
-        payload = (
-            dataclasses.asdict(reports[0])
-            if len(reports) == 1
-            else {"reports": [dataclasses.asdict(r) for r in reports]}
+    docs, thesaurus, lemma_table = _load_inputs(config)
+    if args.grid == "vectorizations":
+        configs = [dataclasses.replace(config, vectorization=v) for v in VARIANTS]
+    elif args.grid == "classifiers":
+        configs = [dataclasses.replace(config, classifier=c) for c in CLASSIFIERS]
+    else:
+        configs = [config]
+    matcher = concept_matcher(configs, thesaurus, lemma_table)
+    counts = count_documents(docs, config.field, lemma_table, matcher)
+    reports = []
+    for cfg in configs:
+        report = evaluate_run(cfg, docs, thesaurus, lemma_table, counts=counts, jobs=args.jobs)
+        reports.append(report)
+        print(
+            f"{cfg.field} {cfg.vectorization} {cfg.classifier} "
+            f"mean sample F1: {report.mean_f1:.4f}"
         )
-        with open(args.out_json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for report in reports:
-                fh.write(csv_line(report) + "\n")
-    except Exception as exc:
-        print(f"evaluation failed: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    payload = (
+        dataclasses.asdict(reports[0])
+        if len(reports) == 1
+        else {"reports": [dataclasses.asdict(r) for r in reports]}
+    )
+    with open(args.out_json, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    with open(args.out_csv, "w", encoding="utf-8") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for report in reports:
+            fh.write(csv_line(report) + "\n")
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     config = _config_from_args(args)
-    try:
-        config.validate()
-    except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    try:
-        docs, thesaurus, lemma_table = _load_inputs(config)
-        pipeline = fit_pipeline(config, docs, thesaurus, lemma_table)
-        save_pipeline(pipeline, args.out)
-        if args.dump_vectors:
-            X = pipeline.vectorize(pipeline.count(docs))
-            dump_vectors(args.dump_vectors, [d.doc_id for d in docs], X)
-    except Exception as exc:
-        print(f"training failed: {exc}", file=sys.stderr)
-        return 1
+    docs, thesaurus, lemma_table = _load_inputs(config)
+    pipeline = fit_pipeline(config, docs, thesaurus, lemma_table)
+    save_pipeline(pipeline, args.out)
+    if args.dump_vectors:
+        X = pipeline.vectorize(pipeline.count(docs))
+        dump_vectors(args.dump_vectors, [d.doc_id for d in docs], X)
     print(f"model written to {args.out}")
-    return 0
 
 
-def cmd_annotate(args) -> int:
-    try:
-        pipeline = load_pipeline(args.model)
-        docs = load_corpus(args.corpus, pipeline.config.field, require_labels=False).documents
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for start in range(0, len(docs), ROW_BLOCK):
-                block = docs[start:start + ROW_BLOCK]
-                counts = pipeline.count(block)
-                predictions = [p for _, rows in pipeline.predict_blocks(counts) for p in rows]
-                for doc, predicted in zip(block, predictions):
-                    fh.write(json.dumps({"id": doc.doc_id, "labels": sorted(predicted)}) + "\n")
-    except Exception as exc:
-        print(f"annotation failed: {exc}", file=sys.stderr)
-        return 1
+def cmd_annotate(args) -> None:
+    pipeline = load_pipeline(args.model)
+    docs = load_corpus(args.corpus, pipeline.config.field, require_labels=False).documents
+    with open(args.out, "w", encoding="utf-8") as fh:
+        for start in range(0, len(docs), ROW_BLOCK):
+            block = docs[start:start + ROW_BLOCK]
+            counts = pipeline.count(block)
+            predictions = [p for _, rows in pipeline.predict_blocks(counts) for p in rows]
+            for doc, predicted in zip(block, predictions):
+                fh.write(json.dumps({"id": doc.doc_id, "labels": sorted(predicted)}) + "\n")
     print(f"annotations written to {args.out}")
-    return 0
 
 
 def _row_sums(counts) -> list[int]:
@@ -151,72 +128,59 @@ def _row_sums(counts) -> list[int]:
     return [int(total) for total in counts.sum(axis=1).A1]
 
 
-def cmd_stats(args) -> int:
-    try:
-        # loaded by title, the default field
-        docs, thesaurus, lemma_table = _load_inputs(_config_from_args(args))
-        if not docs:
-            raise ValueError("no usable documents")
-        matcher = ConceptMatcher(thesaurus, lemma_table)
+def cmd_stats(args) -> None:
+    # loaded by title, the default field
+    docs, thesaurus, lemma_table = _load_inputs(_config_from_args(args))
+    if not docs:
+        raise ValueError("no usable documents")
+    matcher = ConceptMatcher(thesaurus, lemma_table)
 
-        with_ft = [doc for doc in docs if doc.fulltext is not None]
-        for field, field_docs in (("title", docs), ("fulltext", with_ft)):
-            if not field_docs:
-                continue
-            counts = count_documents(field_docs, field, lemma_table, matcher)
-            stats = corpus_stats(
-                field_docs,
-                thesaurus,
-                _row_sums(counts.term_counts),
-                _row_sums(counts.concept_counts),
+    with_ft = [doc for doc in docs if doc.fulltext is not None]
+    for field, field_docs in (("title", docs), ("fulltext", with_ft)):
+        if not field_docs:
+            continue
+        counts = count_documents(field_docs, field, lemma_table, matcher)
+        stats = corpus_stats(
+            field_docs, thesaurus, _row_sums(counts.term_counts), _row_sums(counts.concept_counts)
+        )
+        if field == "title":
+            print(f"documents                 {stats.n_docs}")
+            print(f"concepts in thesaurus     {stats.n_concepts_in_thesaurus}")
+            print(f"labels used               {stats.n_labels_used}")
+            print(
+                f"labels per doc            {stats.mean_labels_per_doc:.2f} "
+                f"(sd {stats.sd_labels_per_doc:.2f})"
             )
-            if field == "title":
-                print(f"documents                 {stats.n_docs}")
-                print(f"concepts in thesaurus     {stats.n_concepts_in_thesaurus}")
-                print(f"labels used               {stats.n_labels_used}")
-                print(
-                    f"labels per doc            {stats.mean_labels_per_doc:.2f} "
-                    f"(sd {stats.sd_labels_per_doc:.2f})"
-                )
-                print("-- titles --")
-            else:
-                print(f"-- fulltext ({len(field_docs)} docs) --")
-            print(f"vocabulary size           {counts.term_counts.shape[1]}")
-            print(f"words per doc             {stats.mean_words_per_doc:.2f}")
-            print(f"concepts per doc          {stats.mean_concepts_per_doc:.2f}")
-    except Exception as exc:
-        print(f"stats failed: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_generate(args) -> int:
-    try:
-        if args.preset:
-            made = getattr(synthetic, f"{args.preset}_corpus")(seed=args.seed)
+            print("-- titles --")
         else:
-            made = synthetic.generate_corpus(
-                n_labels=args.labels,
-                docs_per_label=args.docs_per_label,
-                labels_per_doc=(1, min(3, args.labels)),
-                keywords_per_label=args.keywords_per_label,
-                keyword_overlap=args.overlap,
-                synonyms_per_concept=args.synonyms,
-                synonym_rate=args.synonym_rate,
-                title_keywords=args.title_keywords,
-                noise_words=args.noise_words,
-                seed=args.seed,
-            )
-        dump_corpus_jsonl(made.documents, args.out_corpus)
-        dump_thesaurus_tsv(made.thesaurus, args.out_thesaurus)
-    except Exception as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return 1
+            print(f"-- fulltext ({len(field_docs)} docs) --")
+        print(f"vocabulary size           {counts.term_counts.shape[1]}")
+        print(f"words per doc             {stats.mean_words_per_doc:.2f}")
+        print(f"concepts per doc          {stats.mean_concepts_per_doc:.2f}")
+
+
+def cmd_generate(args) -> None:
+    if args.preset:
+        made = getattr(synthetic, f"{args.preset}_corpus")(seed=args.seed)
+    else:
+        made = synthetic.generate_corpus(
+            n_labels=args.labels,
+            docs_per_label=args.docs_per_label,
+            labels_per_doc=(1, min(3, args.labels)),
+            keywords_per_label=args.keywords_per_label,
+            keyword_overlap=args.overlap,
+            synonyms_per_concept=args.synonyms,
+            synonym_rate=args.synonym_rate,
+            title_keywords=args.title_keywords,
+            noise_words=args.noise_words,
+            seed=args.seed,
+        )
+    dump_corpus_jsonl(made.documents, args.out_corpus)
+    dump_thesaurus_tsv(made.thesaurus, args.out_thesaurus)
     print(
         f"wrote {len(made.documents)} documents to {args.out_corpus} and "
         f"{len(made.thesaurus)} concepts to {args.out_thesaurus}"
     )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,27 +199,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--grid", choices=("vectorizations", "classifiers"), default=None)
     p_eval.add_argument("--out-json", default="eval_report.json")
     p_eval.add_argument("--out-csv", default="eval_report.csv")
-    p_eval.set_defaults(func=cmd_evaluate)
+    p_eval.set_defaults(func=cmd_evaluate, failure="evaluation")
 
     p_train = sub.add_parser(
         "train", parents=[config_flags], help="fit a pipeline on a full corpus and save it"
     )
     p_train.add_argument("--out", required=True, help="model file to write")
     p_train.add_argument("--dump-vectors", default=None, help="debug JSONL of training vectors")
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_train, failure="training")
 
     p_ann = sub.add_parser("annotate", help="apply a trained model to an unlabeled corpus")
     p_ann.add_argument("--model", required=True)
     p_ann.add_argument("--corpus", required=True)
     p_ann.add_argument("--out", required=True, help="JSONL of (id, labels) to write")
-    p_ann.set_defaults(func=cmd_annotate)
+    p_ann.set_defaults(func=cmd_annotate, failure="annotation")
 
-    p_stats = sub.add_parser("stats", help="corpus statistics table")
-    p_stats.add_argument("--corpus", required=True)
-    p_stats.add_argument("--thesaurus", required=True)
-    p_stats.add_argument("--thesaurus-format", choices=("tsv", "ntriples"), default="tsv")
-    p_stats.add_argument("--lemma-table", default=None)
-    p_stats.set_defaults(func=cmd_stats)
+    p_stats = sub.add_parser(
+        "stats", parents=[_config_flags(inputs_only=True)], help="corpus statistics table"
+    )
+    p_stats.set_defaults(func=cmd_stats, failure="stats")
 
     p_gen = sub.add_parser("generate", help="write a synthetic corpus and thesaurus")
     p_gen.add_argument("--out-corpus", required=True)
@@ -270,14 +232,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--title-keywords", type=int, default=4)
     p_gen.add_argument("--noise-words", type=int, default=2)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.set_defaults(func=cmd_generate)
+    p_gen.set_defaults(func=cmd_generate, failure="generation")
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command.  The one place that turns its outcome into an exit
+    code: 0, or 2 and one `invalid configuration` line for a refused
+    RunConfig, or 1 and one `<failure> failed` line for any other error."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except ConfigError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"{args.failure} failed: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

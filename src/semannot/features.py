@@ -175,20 +175,13 @@ class WeightingModel:
     scheme: str
     idf: np.ndarray
     mean_doc_len: float | None
-    k: float = BM25_K
-    b: float = BM25_B
 
     @property
     def dimension(self) -> int:
         return len(self.idf)
 
 
-def fit_weighting(
-    counts: sp.csr_matrix,
-    scheme: str,
-    k: float = BM25_K,
-    b: float = BM25_B,
-) -> WeightingModel:
+def fit_weighting(counts: sp.csr_matrix, scheme: str) -> WeightingModel:
     """Fit IDF (and BM25 length statistics) on training count rows."""
     if scheme not in ("idf", "bm25"):
         raise ValueError(f"unknown weighting scheme {scheme!r}")
@@ -201,8 +194,6 @@ def fit_weighting(
         scheme=scheme,
         idf=idf,
         mean_doc_len=float(counts.data.sum()) / n if scheme == "bm25" else None,
-        k=k,
-        b=b,
     )
 
 
@@ -210,8 +201,9 @@ def apply_weighting(X: sp.csr_matrix, model: WeightingModel) -> sp.csr_matrix:
     """Re-weight raw count rows under the fitted model.
 
     bm25 uses the Okapi saturation form
-    idf * tf * (k + 1) / (tf + k * (1 - b + b * len / mean_len)) with the
-    document length taken as the sum of the row's raw counts.
+    idf * tf * (k + 1) / (tf + k * (1 - b + b * len / mean_len)) at the fixed
+    k = BM25_K and b = BM25_B, with the document length taken as the sum of
+    the row's raw counts.
     """
     if X.shape[1] != model.dimension:
         raise ValueError(
@@ -225,8 +217,8 @@ def apply_weighting(X: sp.csr_matrix, model: WeightingModel) -> sp.csr_matrix:
         # counts are whole numbers, so row sums are exact in any order
         lengths = np.repeat(np.asarray(X.sum(axis=1)).ravel(), np.diff(X.indptr))
         rel_len = lengths / model.mean_doc_len if model.mean_doc_len > 0 else 1.0
-        denom = tf + model.k * (1.0 - model.b + model.b * rel_len)
-        weights = idf * tf * (model.k + 1.0) / denom
+        denom = tf + BM25_K * (1.0 - BM25_B + BM25_B * rel_len)
+        weights = idf * tf * (BM25_K + 1.0) / denom
     return sp.csr_matrix((weights, X.indices, X.indptr), shape=X.shape)
 
 

@@ -38,15 +38,12 @@ class NaiveBayesClassifier:
         alpha = NB_ALPHA
         matrix = self._inputs(X_counts)
         n_docs = matrix.shape[0]
+        # every label of a LabelMatrix (from_gold or take) has a positive row
+        self.label_ids = labels.label_ids
         n_pos = np.asarray(labels.Y.sum(axis=0)).ravel()
-        included = n_pos > 0  # labels without a positive training doc are excluded
-        self.label_ids = tuple(
-            cid for cid, keep in zip(labels.label_ids, included) if keep
-        )
-        pos = np.asarray((labels.Y.T @ matrix).todense())[included]
+        pos = np.asarray((labels.Y.T @ matrix).todense())
         total = np.asarray(matrix.sum(axis=0)).ravel()
         neg = total[None, :] - pos
-        n_pos = n_pos[included]
         n_neg = n_docs - n_pos
         log_prior_odds = np.log(n_pos + alpha) - np.log(n_neg + alpha)
 
@@ -81,7 +78,7 @@ class NaiveBayesClassifier:
         return sp.csr_matrix((np.ones_like(X.data), X.indices, X.indptr), shape=X.shape)
 
     def scores(self, X: sp.csr_matrix) -> np.ndarray:
-        """(rows, included labels) posterior log-odds."""
+        """(rows, labels) posterior log-odds."""
         if self._coef is None:
             raise RuntimeError("classifier is not fitted")
         if X.shape[1] != self._coef.shape[1]:

@@ -23,6 +23,8 @@ from .sparse import ROW_BLOCK
 RankedPrediction = list[tuple[str, float, int]]
 
 STACKING_TOP_M = 30
+# depth cap of the per-label meta-trees; a stored tree deeper than it is refused
+TREE_MAX_DEPTH = 10
 
 
 def rank_labels(label_ids: Sequence[str], scores: np.ndarray) -> list[RankedPrediction]:
@@ -86,7 +88,7 @@ class DecisionTree:
     predicting 0.
     """
 
-    def __init__(self, max_depth: int = 10):
+    def __init__(self, max_depth: int = TREE_MAX_DEPTH):
         self.max_depth = max_depth
         self.root: dict | None = None
 

@@ -10,7 +10,7 @@ from typing import Iterator, Sequence
 from scipy import sparse as sp
 
 from .corpus import Document, Thesaurus
-from .features import ConceptMatcher, CorpusCounts, TextVectorizer, count_corpus
+from .features import VARIANTS, ConceptMatcher, CorpusCounts, TextVectorizer, count_corpus
 from .learners import (
     KnnClassifier,
     LabelMatrix,
@@ -47,6 +47,10 @@ FIELDS = ("title", "fulltext")
 _COUNT_BASED = ("bayes-bernoulli", "bayes-multinomial")
 
 
+class ConfigError(ValueError):
+    """A RunConfig that validate refuses."""
+
+
 @dataclass
 class RunConfig:
     """What a run computes: the corpus, the pipeline path and the learner
@@ -72,20 +76,26 @@ class RunConfig:
 
     def validate(self) -> None:
         if self.field not in FIELDS:
-            raise ValueError(f"unknown field {self.field!r}; valid: {', '.join(FIELDS)}")
-        TextVectorizer(self.vectorization)  # refuses an unknown variant
+            raise ConfigError(f"unknown field {self.field!r}; valid: {', '.join(FIELDS)}")
+        if self.vectorization.lower() not in VARIANTS:
+            raise ConfigError(
+                f"unknown vectorization {self.vectorization!r}; valid: {', '.join(VARIANTS)}"
+            )
         if self.classifier not in CLASSIFIERS:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown classifier {self.classifier!r}; valid: {', '.join(CLASSIFIERS)}"
             )
         if self.folds < 2:
-            raise ValueError("folds must be >= 2")
+            raise ConfigError("folds must be >= 2")
         for name in ("knn_k", "l2r_k", "epochs", "mlp_hidden"):
             value = getattr(self, name)
             if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.alpha is not None and not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
+        # NaN and the infinities fail the comparison too
+        if not 0 < self.mlp_threshold < 1:
+            raise ConfigError(f"mlp_threshold must be in (0, 1), got {self.mlp_threshold}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import math
 
 import numpy as np
 from scipy import sparse as sp
@@ -26,8 +27,8 @@ from .learners import (
     NaiveBayesClassifier,
     RocchioClassifier,
 )
-from .multilabel import DecisionTree, StackedClassifier, StackedModel
-from .pipeline import FittedPipeline, RunConfig, build_classifier
+from .multilabel import TREE_MAX_DEPTH, DecisionTree, StackedClassifier, StackedModel
+from .pipeline import ConfigError, FittedPipeline, RunConfig, build_classifier
 from .preprocess import LemmaTable, LemmaTableError
 from .ranking import L2RClassifier
 
@@ -155,7 +156,25 @@ def _enc_stacked(m: StackedModel) -> dict:
     }
 
 
+def _tree_ok(node, depth: int = 0) -> bool:
+    """Whether predict_one walks every path of a stored meta-tree to a 0/1
+    verdict over (score, rank), no deeper than fitting grows one."""
+    if depth > TREE_MAX_DEPTH or not isinstance(node, dict):
+        return False
+    if node.get("leaf"):  # predict_one's own leaf test
+        return node.keys() == {"leaf", "value"} and node["value"] in (0, 1)
+    return (
+        node.keys() == {"leaf", "feature", "threshold", "left", "right"}
+        and isinstance(node["feature"], int) and node["feature"] in (0, 1)
+        and isinstance(node["threshold"], float) and math.isfinite(node["threshold"])
+        and _tree_ok(node["left"], depth + 1) and _tree_ok(node["right"], depth + 1)
+    )
+
+
 def _dec_stacked(d: dict, clf: StackedClassifier) -> StackedModel:
+    for cid, root in d["trees"].items():
+        if not _tree_ok(root):
+            raise ModelFormatError(f"stacking tree {cid!r} is malformed or too deep")
     return StackedModel(
         trees={cid: DecisionTree.from_state(root) for cid, root in d["trees"].items()},
         top_m=clf.top_m,
@@ -306,6 +325,10 @@ def load_pipeline(path) -> FittedPipeline:
         raise ModelFormatError(f"unsupported model format version {version!r}")
     _check_keys(f"format version {version} has top-level", _CONTAINER_KEYS, container)
     config = _dec_config(container["config"])
+    try:
+        config.validate()  # the check the CLI flags get
+    except ConfigError as exc:
+        raise ModelFormatError(f"config refused: {exc}") from None
     lemma_table = _dec_lemma_table(container["lemma_table"])
     vectorizer = _restore(TextVectorizer(config.vectorization), container["vectorizer"])
     matcher = _dec_matcher(container["thesaurus"], vectorizer, lemma_table)

@@ -227,6 +227,14 @@ CONTAINER_KEYS = (
 )
 NO_THESAURUS = "vectorization 'ctf-idf' needs a thesaurus {concept_id: [pref, alt, ...]}"
 NOT_A_LEMMA_TABLE = "lemma_table must be null or a {surface: lemma} map of strings"
+STACKED = ("lr-dt", "tf-idf")
+MALFORMED_TREE = "stacking tree 'C0000' is malformed or too deep"
+
+
+def tree(container: dict) -> dict:
+    """The stored meta-tree of label C0000 in a stacked model; on the test
+    corpus its root is a split on the score with two leaf children."""
+    return container["classifier"]["model"]["trees"]["C0000"]
 
 
 @pytest.mark.parametrize(
@@ -362,6 +370,24 @@ NOT_A_LEMMA_TABLE = "lemma_table must be null or a {surface: lemma} map of strin
             lambda c: widen(c["classifier"]["params"]["W1"], 1),
             "array W1 of shape [8, 125] where [8, 124] is required",
         ),
+        # the config check the flags get runs on a stored config too: each
+        # of these annotated every document with no label
+        (
+            MLP,
+            lambda c: c["config"].update(mlp_threshold=float("nan")),
+            "config refused: mlp_threshold must be in (0, 1), got nan",
+        ),
+        (
+            MLP,
+            lambda c: c["config"].update(mlp_threshold=1.5),
+            "config refused: mlp_threshold must be in (0, 1), got 1.5",
+        ),
+        # unchecked, the first two changed decisions silently and the next
+        # two failed inside prediction
+        (STACKED, lambda c: tree(c).update(threshold=float("nan")), MALFORMED_TREE),
+        (STACKED, lambda c: tree(c)["right"].update(value=5), MALFORMED_TREE),
+        (STACKED, lambda c: tree(c).update(feature=7), MALFORMED_TREE),
+        (STACKED, lambda c: tree(c).pop("left"), MALFORMED_TREE),
     ],
     ids=[
         "extra-config-key",
@@ -397,6 +423,12 @@ NOT_A_LEMMA_TABLE = "lemma_table must be null or a {surface: lemma} map of strin
         "l2r-matrix-declared-wider",
         "bayes-coef-extra-columns",
         "mlp-W1-extra-column",
+        "mlp-threshold-nan",
+        "mlp-threshold-above-1",
+        "stacking-threshold-nan",
+        "stacking-leaf-value-5",
+        "stacking-feature-7",
+        "stacking-split-without-left",
     ],
 )
 def test_annotate_refuses_container_in_one_line(
@@ -451,8 +483,13 @@ def test_annotate_refuses_classifier_other_than_config_names(data_files, tmp_pat
         (["--l2r-k", "0", "--clf", "l2r"], "l2r_k must be >= 1, got 0"),
         (["--alpha", "0", "--clf", "lr"], "alpha must be > 0, got 0.0"),
         (["--mlp-hidden", "0", "--clf", "mlp"], "mlp_hidden must be >= 1, got 0"),
+        (["--mlp-threshold", "nan", "--clf", "mlp"], "mlp_threshold must be in (0, 1), got nan"),
+        (["--mlp-threshold", "1.5", "--clf", "mlp"], "mlp_threshold must be in (0, 1), got 1.5"),
     ],
-    ids=["knn-k-0", "epochs-0", "l2r-k-0", "alpha-0", "mlp-hidden-0"],
+    ids=[
+        "knn-k-0", "epochs-0", "l2r-k-0", "alpha-0", "mlp-hidden-0",
+        "mlp-threshold-nan", "mlp-threshold-1.5",
+    ],
 )
 def test_out_of_range_learner_value_exits_2(data_files, tmp_path, capsys, command, flags, message):
     corpus, thesaurus = data_files
@@ -595,3 +632,37 @@ def test_unwritable_report_path_exits_1(data_files, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("evaluation failed: ")
+
+
+@pytest.mark.parametrize(
+    "command, failure",
+    [
+        ("evaluate", "evaluation"),
+        ("train", "training"),
+        ("annotate", "annotation"),
+        ("stats", "stats"),
+        ("generate", "generation"),
+    ],
+)
+def test_failing_command_exits_1_in_one_line(data_files, tmp_path, capsys, command, failure):
+    """Every command reports a runtime failure the same way: exit 1 and one
+    stderr line prefixed with the command's own failure noun."""
+    corpus, thesaurus = data_files
+    missing = str(tmp_path / "missing.jsonl")
+    unwritable = str(tmp_path / "no-dir" / "out")
+    flags = {
+        "evaluate": ["--corpus", missing, "--thesaurus", thesaurus],
+        "train": ["--corpus", missing, "--thesaurus", thesaurus, "--out", unwritable],
+        "annotate": ["--model", missing, "--corpus", corpus, "--out", unwritable],
+        "stats": ["--corpus", missing, "--thesaurus", thesaurus],
+        "generate": [
+            "--labels", "2", "--docs-per-label", "2",
+            "--out-corpus", unwritable, "--out-thesaurus", unwritable,
+        ],
+    }[command]
+    code = main([command, *flags])
+    assert code == 1
+    path = unwritable if command == "generate" else missing
+    assert capsys.readouterr().err == (
+        f"{failure} failed: [Errno 2] No such file or directory: {path!r}\n"
+    )

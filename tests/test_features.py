@@ -134,13 +134,15 @@ class TestWeighting:
         model = WeightingModel("idf", np.array([2.0]), mean_doc_len=1.0)
         assert to_dict(apply_weighting(sv({0: 3.0}, 1), model)) == {0: 6.0}
 
-    def test_bm25_b_zero_removes_length(self):
-        model = WeightingModel("bm25", np.array([1.0]), mean_doc_len=5.0, k=1.6, b=0.0)
+    def test_bm25_short_document_okapi_value(self):
+        # k = 1.6, b = 0.75, len / mean_len = 1 / 5:
+        # 1 * 1 * 2.6 / (1 + 1.6 * (0.25 + 0.75 * 0.2)) = 2.6 / 1.64
+        model = WeightingModel("bm25", np.array([1.0]), mean_doc_len=5.0)
         out = apply_weighting(sv({0: 1.0}, 1), model)
-        assert to_dict(out)[0] == pytest.approx(2.6 / 2.6, abs=1e-12)
+        assert to_dict(out)[0] == pytest.approx(2.6 / 1.64, abs=1e-12)
 
     def test_bm25_at_mean_length_is_neutral(self):
-        model = WeightingModel("bm25", np.array([1.0]), mean_doc_len=1.0, k=1.6, b=0.75)
+        model = WeightingModel("bm25", np.array([1.0]), mean_doc_len=1.0)
         out = apply_weighting(sv({0: 1.0}, 1), model)
         assert to_dict(out)[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -153,12 +155,15 @@ class TestWeighting:
         with pytest.raises(ValueError, match="scheme"):
             fit_weighting(sv({0: 1.0}, 1), "tfidf-ish")
 
-    def test_bm25_b_zero_ignores_padding(self):
-        # same TF at feature 0 but very different document lengths
-        model = fit_weighting(vstack([{0: 2.0}, {0: 2.0, 1: 50.0}], 2), "bm25", b=0.0)
+    def test_bm25_padding_lowers_okapi_value(self):
+        # same TF at feature 0 but very different document lengths; feature 0
+        # is in both training rows (idf 1) and the mean length is 54 / 2 = 27
+        model = fit_weighting(vstack([{0: 2.0}, {0: 2.0, 1: 50.0}], 2), "bm25")
         short = apply_weighting(sv({0: 2.0}, 2), model)
         padded = apply_weighting(sv({0: 2.0, 1: 50.0}, 2), model)
-        assert to_dict(short)[0] == to_dict(padded)[0]
+        # 2 * 2.6 / (2 + 1.6 * (0.25 + 0.75 * len / 27)) at len 2 and len 52
+        assert to_dict(short)[0] == pytest.approx(2 * 2.6 * 27 / 67.2, abs=1e-12)
+        assert to_dict(padded)[0] == pytest.approx(2 * 2.6 * 27 / 127.2, abs=1e-12)
 
     def test_idf_strictly_decreasing_in_df(self):
         n = 10

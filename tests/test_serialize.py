@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import ORACLE_TOKENS, naive_longest_match, thesaurus_patterns
 from semannot.corpus import Concept, Document, Thesaurus
 from semannot.features import VARIANTS, ConceptMatcher, count_corpus
+from semannot.multilabel import TREE_MAX_DEPTH
 from semannot.pipeline import CLASSIFIERS, RunConfig, fit_pipeline
 from semannot.preprocess import LemmaTable, preprocess
 from semannot.serialize import ModelFormatError, load_pipeline, save_pipeline
@@ -225,3 +226,28 @@ def test_container_holds_only_current_keys(tmp_path):
     assert container["thesaurus"] is None
     assert set(container["vectorizer"]) == {"vocab", "term_weighting"}
     assert set(container["vectorizer"]["term_weighting"]) == {"idf"}
+
+
+def test_stacking_tree_depth_cap_is_inclusive(tmp_path):
+    """A stored meta-tree as deep as fitting can grow one loads and decides;
+    one split deeper is refused."""
+    config = RunConfig(vectorization="tf-idf", classifier="lr-dt", seed=0, epochs=3)
+    path = tmp_path / "model.json"
+    save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus), path)
+    container = json.loads(path.read_text())
+    trees = container["classifier"]["model"]["trees"]
+
+    def store_chain(depth: int) -> None:
+        """Replace the first label's tree by `depth` splits on the rank."""
+        node = {"leaf": True, "value": 1}
+        for _ in range(depth):
+            node = {"leaf": False, "feature": 1, "threshold": 1e9, "left": node, "right": node}
+        trees[min(trees)] = node
+        path.write_text(json.dumps(container))
+
+    store_chain(TREE_MAX_DEPTH)
+    reloaded = load_pipeline(path)
+    assert all(reloaded.predict_document(doc) for doc in CORPUS.documents)
+    store_chain(TREE_MAX_DEPTH + 1)
+    with pytest.raises(ModelFormatError, match="is malformed or too deep"):
+        load_pipeline(path)
