@@ -3,22 +3,9 @@ SGD linear models, MLP)."""
 
 from .labels import LabelMatrix
 from .lazy import KnnClassifier, RocchioClassifier
-from .bayes import NaiveBayesClassifier, NB_ALPHA
-from .linear import (
-    LinearClassifier,
-    averaged_sgd_train,
-    LINEAR_ALPHA,
-    LINEAR_EPOCHS,
-    LINEAR_ETA0,
-)
-from .mlp import (
-    MlpClassifier,
-    TrainingDiverged,
-    forward_scores,
-    init_params,
-    loss_and_grads,
-    MLP_THRESHOLD,
-)
+from .bayes import NaiveBayesClassifier
+from .linear import LinearClassifier
+from .mlp import MlpClassifier, TrainingDiverged
 
 __all__ = [
     "LabelMatrix",
@@ -28,13 +15,4 @@ __all__ = [
     "LinearClassifier",
     "MlpClassifier",
     "TrainingDiverged",
-    "averaged_sgd_train",
-    "forward_scores",
-    "init_params",
-    "loss_and_grads",
-    "NB_ALPHA",
-    "LINEAR_ALPHA",
-    "LINEAR_EPOCHS",
-    "LINEAR_ETA0",
-    "MLP_THRESHOLD",
 ]

@@ -2,7 +2,7 @@
 
 One weight vector per label is trained under binary relevance with the
 learning rate schedule eta(t) = 1 / (alpha * (t0 + t)); t0 is set so that
-the schedule starts at a configurable eta0.  The weights used at
+the schedule starts at LINEAR_ETA0.  The weights used at
 prediction time are the average of the post-update iterates from the
 second epoch onward.
 
@@ -41,7 +41,6 @@ def averaged_sgd_train(
     Y: sp.csr_matrix,
     loss: str = "logistic",
     alpha: float = LINEAR_ALPHA,
-    eta0: float = LINEAR_ETA0,
     epochs: int = LINEAR_EPOCHS,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -66,7 +65,7 @@ def averaged_sgd_train(
         raise ValueError("label rows must align with X")
     n_labels = Y.shape[1]
     positives = np.split(Y.indices, Y.indptr[1:-1])
-    t0 = 1.0 / (alpha * eta0)
+    t0 = 1.0 / (alpha * LINEAR_ETA0)
 
     V = np.zeros((n_labels, n_features), dtype=np.float64)
     B = np.zeros(n_labels, dtype=np.float64)

@@ -111,8 +111,6 @@ class MlpClassifier:
         hidden: int = MLP_HIDDEN,
         activation: str = "relu",
         epochs: int = MLP_EPOCHS,
-        batch_size: int = MLP_BATCH,
-        learning_rate: float = MLP_LEARNING_RATE,
         threshold: float = MLP_THRESHOLD,
         seed: int = 0,
     ):
@@ -121,8 +119,6 @@ class MlpClassifier:
         self.hidden = hidden
         self.activation = activation
         self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
         self.threshold = threshold
         self.seed = seed
         self.label_ids: tuple[str, ...] = ()
@@ -143,8 +139,8 @@ class MlpClassifier:
             order = rng.permutation(n_docs)
             epoch_loss = 0.0
             n_batches = 0
-            for lo in range(0, n_docs, self.batch_size):
-                batch_idx = order[lo:lo + self.batch_size]
+            for lo in range(0, n_docs, MLP_BATCH):
+                batch_idx = order[lo:lo + MLP_BATCH]
                 Xb = X[batch_idx].toarray()
                 Tb = labels.Y[batch_idx].toarray()
                 mask = (rng.random((len(batch_idx), self.hidden)) >= MLP_DROPOUT).astype(np.float64)
@@ -163,7 +159,7 @@ class MlpClassifier:
                     v += (1.0 - ADAM_BETA2) * grad * grad
                     m_hat = m / (1.0 - ADAM_BETA1 ** step)
                     v_hat = v / (1.0 - ADAM_BETA2 ** step)
-                    params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                    params[key] -= MLP_LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                 epoch_loss += loss
                 n_batches += 1
             self.epoch_losses.append(epoch_loss / max(1, n_batches))

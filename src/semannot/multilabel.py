@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -52,9 +52,7 @@ def binary_relevance_decide(label_ids: Sequence[str], decisions: np.ndarray) -> 
     return [{label_ids[j] for j in np.flatnonzero(row)} for row in block]
 
 
-def threshold_decide(
-    label_ids: Sequence[str], scores: np.ndarray, theta: float = 0.2
-) -> list[set[str]]:
+def threshold_decide(label_ids: Sequence[str], scores: np.ndarray, theta: float) -> list[set[str]]:
     """Per row of a (rows, L) score block, the labels scoring strictly above theta."""
     return binary_relevance_decide(label_ids, np.asarray(scores) > theta)
 
@@ -72,10 +70,8 @@ def rcut(mean_labels: float) -> int:
 # --- CART decision trees on (score, rank) meta-features ------------------
 
 
-def _gini(n_pos: float, n: float) -> float:
-    if n == 0:
-        return 0.0
-    p = n_pos / n
+def _gini(p: float | np.ndarray) -> float | np.ndarray:
+    """Gini impurity of a node whose positive share is p (a float or an array)."""
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
@@ -88,9 +84,8 @@ class DecisionTree:
     predicting 0.
     """
 
-    def __init__(self, max_depth: int = TREE_MAX_DEPTH):
-        self.max_depth = max_depth
-        self.root: dict | None = None
+    def __init__(self, root: dict | None = None):
+        self.root = root  # the fitted node tree
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
         X = np.asarray(X, dtype=np.float64)
@@ -105,7 +100,7 @@ class DecisionTree:
     def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> dict:
         n = len(y)
         n_pos = int(y.sum())
-        if depth >= self.max_depth or n_pos in (0, n):
+        if depth >= TREE_MAX_DEPTH or n_pos in (0, n):
             return self._leaf(y)
         split = self._best_split(X, y)
         if split is None:
@@ -121,9 +116,8 @@ class DecisionTree:
         }
 
     def _best_split(self, X: np.ndarray, y: np.ndarray) -> tuple[int, float] | None:
-        n = len(y)
-        parent = _gini(float(y.sum()), float(n))
-        best_impurity = parent
+        n, n_pos = len(y), float(y.sum())
+        best_impurity = _gini(n_pos / n)
         best: tuple[int, float] | None = None
         for feature in range(X.shape[1]):
             col = X[:, feature]
@@ -137,12 +131,8 @@ class DecisionTree:
             n_left = (boundaries + 1).astype(np.float64)
             n_right = n - n_left
             pos_left = cum_pos[boundaries].astype(np.float64)
-            pos_right = float(y.sum()) - pos_left
-            pl = pos_left / n_left
-            pr = pos_right / n_right
-            gini_left = 1.0 - pl * pl - (1.0 - pl) * (1.0 - pl)
-            gini_right = 1.0 - pr * pr - (1.0 - pr) * (1.0 - pr)
-            weighted = (n_left * gini_left + n_right * gini_right) / n
+            left = n_left * _gini(pos_left / n_left)
+            weighted = (left + n_right * _gini((n_pos - pos_left) / n_right)) / n
             at = int(np.argmin(weighted))
             if weighted[at] < best_impurity:
                 best_impurity = float(weighted[at])
@@ -157,16 +147,6 @@ class DecisionTree:
             node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
         return node["value"]
 
-    def to_state(self) -> dict:
-        """The fitted node tree; the depth cap matters only while fitting."""
-        return self.root
-
-    @classmethod
-    def from_state(cls, root: dict) -> "DecisionTree":
-        tree = cls()
-        tree.root = root
-        return tree
-
 
 # --- stacking -------------------------------------------------------------
 
@@ -176,7 +156,7 @@ class StackedModel:
     """Per-label meta-trees over (score, rank) plus the fallback cutoff rule."""
 
     trees: dict[str, DecisionTree]
-    top_m: int = STACKING_TOP_M
+    top_m: ClassVar[int] = STACKING_TOP_M
     fallback_cutoff: int = 1
     meta_sample_counts: dict[str, int] = field(default_factory=dict)
 
@@ -184,7 +164,6 @@ class StackedModel:
 def stacking_train(
     rankings: list[RankedPrediction],
     gold_sets: list[set[str] | frozenset[str]],
-    top_m: int = STACKING_TOP_M,
 ) -> StackedModel:
     """Train one meta-tree per label from base rankings on training documents.
 
@@ -197,7 +176,7 @@ def stacking_train(
         raise ValueError("rankings and gold sets must align")
     samples: dict[str, list[tuple[float, int, int]]] = {}
     for ranking, gold in zip(rankings, gold_sets):
-        for cid, score, rank in ranking[:top_m]:
+        for cid, score, rank in ranking[:STACKING_TOP_M]:
             samples.setdefault(cid, []).append((score, rank, int(cid in gold)))
     trees: dict[str, DecisionTree] = {}
     counts: dict[str, int] = {}
@@ -207,7 +186,7 @@ def stacking_train(
         trees[cid] = DecisionTree().fit(X, y)
         counts[cid] = len(rows)
     cutoff = rcut(sum(len(g) for g in gold_sets) / len(gold_sets))
-    return StackedModel(trees=trees, top_m=top_m, fallback_cutoff=cutoff, meta_sample_counts=counts)
+    return StackedModel(trees=trees, fallback_cutoff=cutoff, meta_sample_counts=counts)
 
 
 def stacking_decide(model: StackedModel, ranking: RankedPrediction) -> set[str]:
@@ -237,21 +216,20 @@ class StackedClassifier:
     is carved out.
     """
 
-    def __init__(self, base, top_m: int = STACKING_TOP_M):
+    def __init__(self, base):
         self.base = base
-        self.top_m = top_m
         self.model: StackedModel | None = None
 
     def fit(self, X, labels) -> "StackedClassifier":
         self.base.fit(X, labels)
         # only the top-m of each ranking reaches the meta-trees
         rankings = [
-            ranking[:self.top_m]
+            ranking[:STACKING_TOP_M]
             for lo in range(0, X.shape[0], ROW_BLOCK)
             for ranking in self.base.rank(X[lo:lo + ROW_BLOCK])
         ]
         gold_sets = [labels.row_set(i) for i in range(labels.n_docs)]
-        self.model = stacking_train(rankings, gold_sets, top_m=self.top_m)
+        self.model = stacking_train(rankings, gold_sets)
         return self
 
     def predict(self, X) -> list[set[str]]:

@@ -4,6 +4,7 @@ through the processing pipeline."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field as dc_field
 from typing import Iterator, Sequence
 
@@ -93,6 +94,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.alpha is not None and not self.alpha > 0:
             raise ConfigError(f"alpha must be > 0, got {self.alpha}")
+        if self.alpha == math.inf:
+            raise ConfigError(f"alpha must be finite, got {self.alpha}")
         # NaN and the infinities fail the comparison too
         if not 0 < self.mlp_threshold < 1:
             raise ConfigError(f"mlp_threshold must be in (0, 1), got {self.mlp_threshold}")

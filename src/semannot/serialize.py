@@ -62,8 +62,10 @@ def _dec_array(d: dict, required: str) -> np.ndarray:
     dtype = np.dtype(d["dtype"])
     if not (dtype.kind == "i" if required == _INT else dtype.str == required):
         raise ModelFormatError(f"array of dtype {dtype.str} where {required} is required")
-    raw = base64.b64decode(d["data"])
-    return np.frombuffer(raw, dtype=dtype).reshape(d["shape"]).copy()
+    a = np.frombuffer(base64.b64decode(d["data"]), dtype=dtype).reshape(d["shape"]).copy()
+    if required == _FLOAT and not np.isfinite(a).all():
+        raise ModelFormatError(f"array of dtype {dtype.str} holds NaN or infinity")
+    return a
 
 
 def _enc_csr(m: sp.csr_matrix) -> dict:
@@ -114,7 +116,16 @@ def _dec_weighting(d: dict, vectorizer: TextVectorizer) -> WeightingModel:
     # the scheme follows the variant; BM25 k and b are the module constants
     scheme = vectorizer.scheme
     _check_keys(f"config builds {scheme} weighting with state", _WEIGHTING_KEYS[scheme], d)
-    return WeightingModel(scheme, _dec_array(d["idf"], _FLOAT), d.get("mean_doc_len"))
+    mean = _dec_number(d["mean_doc_len"], "mean_doc_len", 0.0) if scheme == "bm25" else None
+    return WeightingModel(scheme, _dec_array(d["idf"], _FLOAT), mean)
+
+
+def _dec_number(d, name: str, low: float = -math.inf) -> float:
+    """A stored scalar: a finite JSON number, not a bool or a string, of at least `low`."""
+    if isinstance(d, bool) or not isinstance(d, (int, float)) or not math.isfinite(d) or d < low:
+        at_least = "" if low == -math.inf else f" >= {low:g}"
+        raise ModelFormatError(f"{name} must be a finite number{at_least}, got {d!r}")
+    return float(d)
 
 
 def _dec_lemma_table(d) -> LemmaTable | None:
@@ -151,7 +162,7 @@ def _dec_matcher(d, vectorizer: TextVectorizer, lemma_table: LemmaTable | None):
 
 def _enc_stacked(m: StackedModel) -> dict:
     return {
-        "trees": {cid: tree.to_state() for cid, tree in m.trees.items()},
+        "trees": {cid: tree.root for cid, tree in m.trees.items()},
         "fallback_cutoff": m.fallback_cutoff,
     }
 
@@ -172,14 +183,19 @@ def _tree_ok(node, depth: int = 0) -> bool:
 
 
 def _dec_stacked(d: dict, clf: StackedClassifier) -> StackedModel:
+    """Trees only for the base's labels (restored first); a label never in a top-m has none."""
+    _check_keys("a stacking model has", ("trees", "fallback_cutoff"), d)
+    cutoff = d["fallback_cutoff"]
+    if type(cutoff) is not int or cutoff < 1:
+        raise ModelFormatError(f"fallback_cutoff must be an integer >= 1, got {cutoff!r}")
+    known = set(clf.base.label_ids)
     for cid, root in d["trees"].items():
+        if cid not in known:
+            raise ModelFormatError(f"stacking tree {cid!r} is for a label the base does not rank")
         if not _tree_ok(root):
             raise ModelFormatError(f"stacking tree {cid!r} is malformed or too deep")
-    return StackedModel(
-        trees={cid: DecisionTree.from_state(root) for cid, root in d["trees"].items()},
-        top_m=clf.top_m,
-        fallback_cutoff=d["fallback_cutoff"],
-    )
+    trees = {cid: DecisionTree(root) for cid, root in d["trees"].items()}
+    return StackedModel(trees=trees, fallback_cutoff=cutoff)
 
 
 def _fitted_state(obj) -> dict:
@@ -280,7 +296,7 @@ _CLASSIFIER_STATE = {
     L2RClassifier: {
         "knn": _NESTED,
         "weights": _FLOATS,
-        "bias": (float, lambda d, owner: float(d)),
+        "bias": (float, lambda d, owner: _dec_number(d, "bias")),
     },
     StackedClassifier: {
         "base": _NESTED,

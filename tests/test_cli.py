@@ -229,6 +229,9 @@ NO_THESAURUS = "vectorization 'ctf-idf' needs a thesaurus {concept_id: [pref, al
 NOT_A_LEMMA_TABLE = "lemma_table must be null or a {surface: lemma} map of strings"
 STACKED = ("lr-dt", "tf-idf")
 MALFORMED_TREE = "stacking tree 'C0000' is malformed or too deep"
+L2R = ("l2r", "tf-idf")
+NON_FINITE = "array of dtype <f8 holds NaN or infinity"
+BAD_BIAS = "bias must be a finite number, got"
 
 
 def tree(container: dict) -> dict:
@@ -388,6 +391,74 @@ def tree(container: dict) -> dict:
         (STACKED, lambda c: tree(c)["right"].update(value=5), MALFORMED_TREE),
         (STACKED, lambda c: tree(c).update(feature=7), MALFORMED_TREE),
         (STACKED, lambda c: tree(c).pop("left"), MALFORMED_TREE),
+        # unchecked, all but the last annotated with exit 0 (an infinite alpha or
+        # a NaN bias left every document without a label) and a string
+        # mean_doc_len failed inside prediction
+        (
+            L2R,
+            lambda c: c["config"].update(alpha=float("inf")),
+            "config refused: alpha must be finite, got inf",
+        ),
+        (
+            STACKED,
+            lambda c: c["classifier"]["model"].update(fallback_cutoff="x"),
+            "fallback_cutoff must be an integer >= 1, got 'x'",
+        ),
+        (
+            STACKED,
+            lambda c: c["classifier"]["model"].update(fallback_cutoff=-5),
+            "fallback_cutoff must be an integer >= 1, got -5",
+        ),
+        (
+            STACKED,
+            lambda c: c["classifier"]["model"].update(fallback_cutoff=1.5),
+            "fallback_cutoff must be an integer >= 1, got 1.5",
+        ),
+        (
+            STACKED,
+            lambda c: c["classifier"]["model"].update(fallback_cutoff=True),
+            "fallback_cutoff must be an integer >= 1, got True",
+        ),
+        (
+            STACKED,
+            lambda c: c["classifier"]["model"]["trees"].update(ZZZ=tree(c)),
+            "stacking tree 'ZZZ' is for a label the base does not rank",
+        ),
+        (
+            STACKED,
+            lambda c: c["classifier"]["model"].update(top_m=3),
+            "a stacking model has keys ['fallback_cutoff', 'trees'], "
+            "model holds ['fallback_cutoff', 'top_m', 'trees']",
+        ),
+        (
+            ("lr", "tf-idf"),
+            lambda c: rewrite(c["classifier"]["b"], list(range(5)), [float("nan")] * 5),
+            NON_FINITE,
+        ),
+        (
+            MLP,
+            lambda c: rewrite(c["classifier"]["params"]["W1"], [3], [float("inf")]),
+            NON_FINITE,
+        ),
+        (L2R, lambda c: c["classifier"].update(bias="nan"), f"{BAD_BIAS} 'nan'"),
+        (L2R, lambda c: c["classifier"].update(bias=float("inf")), f"{BAD_BIAS} inf"),
+        (L2R, lambda c: c["classifier"].update(bias=True), f"{BAD_BIAS} True"),
+        (L2R, lambda c: c["classifier"].update(bias="7"), f"{BAD_BIAS} '7'"),
+        (
+            ("knn", "bm25"),
+            lambda c: c["vectorizer"]["term_weighting"].update(mean_doc_len=-1.0),
+            "mean_doc_len must be a finite number >= 0, got -1.0",
+        ),
+        (
+            ("knn", "bm25"),
+            lambda c: c["vectorizer"]["term_weighting"].update(mean_doc_len=float("nan")),
+            "mean_doc_len must be a finite number >= 0, got nan",
+        ),
+        (
+            ("knn", "bm25"),
+            lambda c: c["vectorizer"]["term_weighting"].update(mean_doc_len="13.2"),
+            "mean_doc_len must be a finite number >= 0, got '13.2'",
+        ),
     ],
     ids=[
         "extra-config-key",
@@ -429,6 +500,22 @@ def tree(container: dict) -> dict:
         "stacking-leaf-value-5",
         "stacking-feature-7",
         "stacking-split-without-left",
+        "l2r-alpha-infinity",
+        "stacking-fallback-cutoff-string",
+        "stacking-fallback-cutoff-negative",
+        "stacking-fallback-cutoff-fraction",
+        "stacking-fallback-cutoff-bool",
+        "stacking-tree-for-unknown-label",
+        "stacking-model-stores-top-m",
+        "lr-b-all-nan",
+        "mlp-W1-infinity",
+        "l2r-bias-string-nan",
+        "l2r-bias-infinity",
+        "l2r-bias-bool",
+        "l2r-bias-string-number",
+        "bm25-mean-doc-len-negative",
+        "bm25-mean-doc-len-nan",
+        "bm25-mean-doc-len-string",
     ],
 )
 def test_annotate_refuses_container_in_one_line(
@@ -482,12 +569,13 @@ def test_annotate_refuses_classifier_other_than_config_names(data_files, tmp_pat
         (["--epochs", "0", "--clf", "lr"], "epochs must be >= 1, got 0"),
         (["--l2r-k", "0", "--clf", "l2r"], "l2r_k must be >= 1, got 0"),
         (["--alpha", "0", "--clf", "lr"], "alpha must be > 0, got 0.0"),
+        (["--alpha", "inf", "--clf", "lr"], "alpha must be finite, got inf"),
         (["--mlp-hidden", "0", "--clf", "mlp"], "mlp_hidden must be >= 1, got 0"),
         (["--mlp-threshold", "nan", "--clf", "mlp"], "mlp_threshold must be in (0, 1), got nan"),
         (["--mlp-threshold", "1.5", "--clf", "mlp"], "mlp_threshold must be in (0, 1), got 1.5"),
     ],
     ids=[
-        "knn-k-0", "epochs-0", "l2r-k-0", "alpha-0", "mlp-hidden-0",
+        "knn-k-0", "epochs-0", "l2r-k-0", "alpha-0", "alpha-inf", "mlp-hidden-0",
         "mlp-threshold-nan", "mlp-threshold-1.5",
     ],
 )

@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse as sp
 
 from semannot.learners import LabelMatrix, LinearClassifier
-from semannot.learners.linear import _loss_gradient, averaged_sgd_train
+from semannot.learners.linear import LINEAR_ETA0, _loss_gradient, averaged_sgd_train
 from semannot.sparse import vstack
 
 
@@ -24,12 +24,12 @@ def indicator(rows, n_labels):
     return sp.csr_matrix(dense)
 
 
-def reference_sgd(X_rows, label_rows, n_labels, loss, alpha, eta0, epochs, seed):
+def reference_sgd(X_rows, label_rows, n_labels, loss, alpha, epochs, seed):
     """Plain per-label SGD that records every post-update iterate from the
     second epoch onward; the mean of the recording is the averaging oracle."""
     n_docs = len(X_rows)
     n_features = len(X_rows[0])
-    t0 = 1.0 / (alpha * eta0)
+    t0 = 1.0 / (alpha * LINEAR_ETA0)
     W_final = np.zeros((n_labels, n_features))
     B_final = np.zeros(n_labels)
     recorded_w = []
@@ -85,7 +85,7 @@ def test_averaged_weights_match_recorded_iterate_oracle(loss, epochs):
     vectors, rows = small_problem(seed=4)
     dense = list(vectors.toarray())
     # a larger alpha makes the regularization shrink actually matter
-    kwargs = dict(loss=loss, alpha=1e-3, eta0=0.5, epochs=epochs, seed=9)
+    kwargs = dict(loss=loss, alpha=1e-3, epochs=epochs, seed=9)
     W, B = averaged_sgd_train(vectors, indicator(rows, 2), **kwargs)
     W_ref, B_ref = reference_sgd(dense, rows, 2, **kwargs)
     assert np.allclose(W, W_ref, rtol=1e-9, atol=1e-12)
@@ -93,10 +93,11 @@ def test_averaged_weights_match_recorded_iterate_oracle(loss, epochs):
 
 
 def test_averaging_oracle_under_strong_regularization():
-    # heavy shrink magnifies any error in the lazy-scaling bookkeeping
+    # heavy shrink magnifies any error in the lazy-scaling bookkeeping; the
+    # shrink 1 - 1/(t0 + t), t0 = 1/(alpha * LINEAR_ETA0), depends on alpha only
     vectors, rows = small_problem(seed=13, n_docs=9, n_labels=3)
     dense = list(vectors.toarray())
-    kwargs = dict(loss="hinge", alpha=1e-2, eta0=2.0, epochs=8, seed=21)
+    kwargs = dict(loss="hinge", alpha=2e-2, epochs=8, seed=21)
     W, B = averaged_sgd_train(vectors, indicator(rows, 3), **kwargs)
     W_ref, B_ref = reference_sgd(dense, rows, 3, **kwargs)
     assert np.allclose(W, W_ref, rtol=1e-9, atol=1e-12)
@@ -105,20 +106,17 @@ def test_averaging_oracle_under_strong_regularization():
 
 def test_first_step_uses_eta0():
     # from zero weights, logistic gradient at margin 0 is -y/2, so the first
-    # update lands at 0.5 * eta0 * y * x
-    eta0 = 2.0
+    # update lands at 0.5 * LINEAR_ETA0 * y * x
     X = sv({0: 1.0}, 1)
-    W, B = averaged_sgd_train(
-        X, indicator([[0]], 1), loss="logistic", alpha=1e-7, eta0=eta0, epochs=1, seed=0
-    )
-    assert W[0, 0] == pytest.approx(0.5 * eta0, rel=1e-9)
-    assert B[0] == pytest.approx(-0.5 * eta0, rel=1e-9)
+    W, B = averaged_sgd_train(X, indicator([[0]], 1), loss="logistic", alpha=1e-7, epochs=1, seed=0)
+    assert W[0, 0] == pytest.approx(0.5 * LINEAR_ETA0, rel=1e-9)
+    assert B[0] == pytest.approx(-0.5 * LINEAR_ETA0, rel=1e-9)
 
 
 def test_single_epoch_returns_final_iterate():
     vectors, rows = small_problem(seed=2)
     dense = list(vectors.toarray())
-    kwargs = dict(loss="logistic", alpha=1e-4, eta0=1.0, epochs=1, seed=3)
+    kwargs = dict(loss="logistic", alpha=1e-4, epochs=1, seed=3)
     W, B = averaged_sgd_train(vectors, indicator(rows, 2), **kwargs)
     W_ref, B_ref = reference_sgd(dense, rows, 2, **kwargs)
     assert np.allclose(W, W_ref, rtol=1e-9, atol=1e-12)

@@ -3,6 +3,8 @@ import pytest
 
 from semannot.learners import LabelMatrix, RocchioClassifier
 from semannot.multilabel import (
+    STACKING_TOP_M,
+    TREE_MAX_DEPTH,
     DecisionTree,
     StackedClassifier,
     binary_relevance_decide,
@@ -31,13 +33,13 @@ class TestBinaryRelevance:
 
 class TestThreshold:
     def test_default_theta(self):
-        assert threshold_decide(["a", "b"], [[0.3, 0.1]]) == [{"a"}]
+        assert threshold_decide(["a", "b"], [[0.3, 0.1]], 0.2) == [{"a"}]
 
     def test_theta_zero_keeps_positive_scores(self):
         assert threshold_decide(["a", "b", "c"], [[0.5, 0.0, 0.01]], theta=0.0) == [{"a", "c"}]
 
     def test_boundary_is_strict(self):
-        assert threshold_decide(["a"], [[0.2]]) == [set()]
+        assert threshold_decide(["a"], [[0.2]], 0.2) == [set()]
 
     def test_raising_theta_never_adds_labels(self):
         rng = np.random.default_rng(0)
@@ -87,26 +89,30 @@ class TestDecisionTree:
         assert tree.predict_one([1.0, 1]) == 0
 
     def test_depth_cap_respected(self):
+        # random labels on 200 distinct rows: unbounded, the tree would grow
+        # deeper than the cap, so reaching it exactly shows the cap binding
         rng = np.random.default_rng(3)
         X = rng.random((200, 2))
         y = (rng.random(200) < 0.5).astype(int)
-        tree = DecisionTree(max_depth=2).fit(X, y)
+        tree = DecisionTree().fit(X, y)
 
         def depth(node):
             if node["leaf"]:
                 return 0
             return 1 + max(depth(node["left"]), depth(node["right"]))
 
-        assert depth(tree.root) <= 2
+        assert depth(tree.root) == TREE_MAX_DEPTH
 
     def test_unique_rows_reproduce_training_labels(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            n = int(rng.integers(2, 30))
+            # every split peels off at least one row, so a node at the depth
+            # cap holds at most n - TREE_MAX_DEPTH <= 1 row: the cap cuts no path
+            n = int(rng.integers(2, TREE_MAX_DEPTH + 2))
             X = rng.permutation(n).reshape(-1, 1).astype(float)
             X = np.hstack([X, rng.random((n, 1))])
             y = (rng.random(n) < 0.5).astype(int)
-            tree = DecisionTree(max_depth=30).fit(X, y)
+            tree = DecisionTree().fit(X, y)
             for features, target in zip(X, y):
                 assert tree.predict_one(features) == target
 
@@ -114,7 +120,7 @@ class TestDecisionTree:
         X = np.array([[0.9, 1], [0.1, 2], [0.4, 3], [0.7, 1]])
         y = np.array([1, 0, 0, 1])
         tree = DecisionTree().fit(X, y)
-        clone = DecisionTree.from_state(tree.to_state())
+        clone = DecisionTree(tree.root)
         for features in X:
             assert clone.predict_one(features) == tree.predict_one(features)
 
@@ -137,7 +143,7 @@ class TestStacking:
             ranking_from([("y", 0.6), ("x", 0.5)]),
         ]
         gold = [{"x"}, {"x"}, {"x"}, {"y"}, {"y"}, {"y"}]
-        model = stacking_train(rankings, gold, top_m=30)
+        model = stacking_train(rankings, gold)
         x_tree = model.trees["x"]
         assert x_tree.root["feature"] == 1  # splits on rank
         assert x_tree.root["threshold"] == 1.0
@@ -146,14 +152,14 @@ class TestStacking:
 
     def test_label_outside_top_m_never_assigned(self):
         long_ranking = ranking_from([(f"l{i:02d}", 1.0 - i * 0.01) for i in range(40)])
-        model = stacking_train([long_ranking], [{"l35"}], top_m=30)
+        model = stacking_train([long_ranking], [{"l35"}])
         assert "l35" not in model.trees  # never entered a top-30
         decided = stacking_decide(model, long_ranking)
         assert "l35" not in decided
 
     def test_treeless_label_falls_back_to_cutoff(self):
         train_ranking = ranking_from([("a", 0.9), ("b", 0.8)])
-        model = stacking_train([train_ranking], [{"a", "b"}], top_m=30)
+        model = stacking_train([train_ranking], [{"a", "b"}])
         # "c" never appeared in training rankings -> no tree -> rank cutoff rule
         test_ranking = ranking_from([("c", 0.9), ("d", 0.1), ("e", 0.05)])
         assert model.fallback_cutoff == 2
@@ -167,14 +173,14 @@ class TestStacking:
             pairs.append(("deep", 0.05))  # rank 25, low score, always gold
             rankings.append(ranking_from(pairs))
             gold.append({"deep"})
-        model = stacking_train(rankings, gold, top_m=30)
+        model = stacking_train(rankings, gold)
         decided = stacking_decide(model, rankings[0])
         assert "deep" in decided  # fallback cutoff (1) would have rejected rank 25
 
     def test_all_trees_negative_gives_empty_set(self):
         rankings = [ranking_from([("a", 0.9), ("b", 0.8)]) for _ in range(5)]
         gold = [set({"zzz"}) for _ in range(5)]  # a and b never relevant
-        model = stacking_train(rankings, gold, top_m=30)
+        model = stacking_train(rankings, gold)
         assert stacking_decide(model, rankings[0]) == set()
 
     def test_containment_in_top_m(self):
@@ -185,28 +191,30 @@ class TestStacking:
         for _ in range(30):
             rankings.extend(rank_labels(ids, rng.random((1, 50))))
             gold.append(set(rng.choice(ids, size=3, replace=False)))
-        model = stacking_train(rankings, gold, top_m=30)
+        model = stacking_train(rankings, gold)
         for ranking in rankings:
             decided = stacking_decide(model, ranking)
-            top = {cid for cid, _, _ in ranking[:30]}
+            top = {cid for cid, _, _ in ranking[:STACKING_TOP_M]}
             assert decided <= top
 
 
 def test_stacked_classifier_predictions_within_base_top_m(tiny_corpus, rate_thesaurus):
     rng = np.random.default_rng(9)
-    dim = 6
+    dim, n, n_labels = 6, 120, STACKING_TOP_M + 10
     X = vstack(
         [
             {int(j): float(rng.integers(1, 4)) for j in rng.choice(dim, 2, replace=False)}
-            for _ in range(15)
+            for _ in range(n)
         ],
         dim,
     )
-    gold = [{f"l{int(rng.integers(0, 4))}"} for _ in range(15)]
+    # every label is gold somewhere, so each ranking runs past the top-m
+    gold = [{f"l{i % n_labels}"} for i in range(n)]
     labels = LabelMatrix.from_gold([frozenset(g) for g in gold])
-    stacked = StackedClassifier(RocchioClassifier(), top_m=3).fit(X, labels)
+    stacked = StackedClassifier(RocchioClassifier()).fit(X, labels)
     for ranking, predicted in zip(stacked.base.rank(X), stacked.predict(X)):
-        base_top = {cid for cid, _, _ in ranking[:3]}
+        assert len(ranking) == n_labels
+        base_top = {cid for cid, _, _ in ranking[:STACKING_TOP_M]}
         assert predicted <= base_top
 
 
@@ -235,13 +243,14 @@ def test_stacking_meta_training_ranks_row_blocks():
         ],
         dim,
     )
-    gold = [frozenset({f"l{int(rng.integers(0, 5))}"}) for _ in range(n)]
+    # more labels than the top-m, so the block-wise fit truncates its rankings
+    gold = [frozenset({f"l{int(rng.integers(0, STACKING_TOP_M + 10))}"}) for _ in range(n)]
     spy = SpyBase()
-    stacked = StackedClassifier(spy, top_m=3).fit(X, LabelMatrix.from_gold(gold))
+    stacked = StackedClassifier(spy).fit(X, LabelMatrix.from_gold(gold))
     assert max(spy.rows_seen) <= ROW_BLOCK
     assert sum(spy.rows_seen) == n
     # the trees are those of one ranking of all training rows
-    whole = stacking_train(spy.inner.rank(X), gold, top_m=3)
-    assert {cid: tree.to_state() for cid, tree in stacked.model.trees.items()} == {
-        cid: tree.to_state() for cid, tree in whole.trees.items()
+    whole = stacking_train(spy.inner.rank(X), gold)
+    assert {cid: tree.root for cid, tree in stacked.model.trees.items()} == {
+        cid: tree.root for cid, tree in whole.trees.items()
     }
