@@ -8,13 +8,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 
 from . import synthetic
-from .corpus import corpus_stats, dump_corpus_jsonl, dump_thesaurus_tsv, load_corpus, load_thesaurus
+from .corpus import (
+    THESAURUS_FORMATS, corpus_stats, dump_corpus_jsonl, dump_thesaurus_tsv, load_corpus,
+    load_thesaurus,
+)
 from .evaluate import CSV_HEADER, csv_line, evaluate_run
 from .features import VARIANTS, ConceptMatcher, dump_vectors
+from .learners.mlp import ACTIVATIONS
 from .pipeline import (
     CLASSIFIERS, FIELDS, ConfigError, RunConfig, concept_matcher, count_documents, fit_pipeline
 )
@@ -33,7 +38,7 @@ def _config_flags(inputs_only: bool = False) -> argparse.ArgumentParser:
     add_setting = (lambda *args, **kwargs: None) if inputs_only else p.add_argument
     add_input("--corpus", required=True, help="JSON-lines corpus path")
     add_input("--thesaurus", required=True, help="thesaurus path")
-    add_input("--thesaurus-format", choices=("tsv", "ntriples"))
+    add_input("--thesaurus-format", choices=THESAURUS_FORMATS)
     add_setting("--field", choices=FIELDS)
     add_setting("--vec", dest="vectorization", choices=VARIANTS, help="vectorization variant")
     add_setting("--clf", dest="classifier", choices=CLASSIFIERS, help="classifier")
@@ -45,7 +50,7 @@ def _config_flags(inputs_only: bool = False) -> argparse.ArgumentParser:
     add_setting("--alpha", type=float)
     add_setting("--mlp-hidden", type=int)
     add_setting("--mlp-threshold", type=float)
-    add_setting("--mlp-activation", choices=("relu", "tanh"))
+    add_setting("--mlp-activation", choices=tuple(ACTIVATIONS))
     return p
 
 
@@ -123,11 +128,6 @@ def cmd_annotate(args) -> None:
     print(f"annotations written to {args.out}")
 
 
-def _row_sums(counts) -> list[int]:
-    """Per-document totals of a count matrix (whole numbers)."""
-    return [int(total) for total in counts.sum(axis=1).A1]
-
-
 def cmd_stats(args) -> None:
     # loaded by title, the default field
     docs, thesaurus, lemma_table = _load_inputs(_config_from_args(args))
@@ -141,7 +141,7 @@ def cmd_stats(args) -> None:
             continue
         counts = count_documents(field_docs, field, lemma_table, matcher)
         stats = corpus_stats(
-            field_docs, thesaurus, _row_sums(counts.term_counts), _row_sums(counts.concept_counts)
+            field_docs, thesaurus, int(counts.term_counts.sum()), int(counts.concept_counts.sum())
         )
         if field == "title":
             print(f"documents                 {stats.n_docs}")
@@ -159,22 +159,13 @@ def cmd_stats(args) -> None:
         print(f"concepts per doc          {stats.mean_concepts_per_doc:.2f}")
 
 
+# the generate flags, each stored under its generate_corpus parameter's name
+_GENERATOR_PARAMS = inspect.signature(synthetic.generate_corpus).parameters
+
+
 def cmd_generate(args) -> None:
-    if args.preset:
-        made = getattr(synthetic, f"{args.preset}_corpus")(seed=args.seed)
-    else:
-        made = synthetic.generate_corpus(
-            n_labels=args.labels,
-            docs_per_label=args.docs_per_label,
-            labels_per_doc=(1, min(3, args.labels)),
-            keywords_per_label=args.keywords_per_label,
-            keyword_overlap=args.overlap,
-            synonyms_per_concept=args.synonyms,
-            synonym_rate=args.synonym_rate,
-            title_keywords=args.title_keywords,
-            noise_words=args.noise_words,
-            seed=args.seed,
-        )
+    flags = {name: val for name, val in vars(args).items() if name in _GENERATOR_PARAMS}
+    made = synthetic.generate_corpus(**{**synthetic.PRESETS.get(args.preset, {}), **flags})
     dump_corpus_jsonl(made.documents, args.out_corpus)
     dump_thesaurus_tsv(made.thesaurus, args.out_thesaurus)
     print(
@@ -219,19 +210,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_stats.set_defaults(func=cmd_stats, failure="stats")
 
-    p_gen = sub.add_parser("generate", help="write a synthetic corpus and thesaurus")
+    # the generator flags have no defaults of their own: a flag left out keeps
+    # the preset's value, or generate_corpus's default
+    p_gen = sub.add_parser(
+        "generate", help="write a synthetic corpus and thesaurus",
+        argument_default=argparse.SUPPRESS,
+    )
     p_gen.add_argument("--out-corpus", required=True)
     p_gen.add_argument("--out-thesaurus", required=True)
-    p_gen.add_argument("--preset", choices=("separable", "noisy", "synonym"), default=None)
-    p_gen.add_argument("--labels", type=int, default=20)
-    p_gen.add_argument("--docs-per-label", type=int, default=50)
-    p_gen.add_argument("--keywords-per-label", type=int, default=8)
-    p_gen.add_argument("--overlap", type=float, default=0.0)
-    p_gen.add_argument("--synonyms", type=int, default=0)
-    p_gen.add_argument("--synonym-rate", type=float, default=0.0)
-    p_gen.add_argument("--title-keywords", type=int, default=4)
-    p_gen.add_argument("--noise-words", type=int, default=2)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--preset", choices=tuple(synthetic.PRESETS), default=None)
+    p_gen.add_argument("--labels", dest="n_labels", type=int, metavar="LABELS")
+    p_gen.add_argument("--docs-per-label", type=int)
+    p_gen.add_argument("--keywords-per-label", type=int)
+    p_gen.add_argument("--overlap", dest="keyword_overlap", type=float, metavar="OVERLAP")
+    p_gen.add_argument("--synonyms", dest="synonyms_per_concept", type=int, metavar="SYNONYMS")
+    p_gen.add_argument("--synonym-rate", type=float)
+    p_gen.add_argument("--title-keywords", type=int)
+    p_gen.add_argument("--noise-words", type=int)
+    p_gen.add_argument("--seed", type=int)
     p_gen.set_defaults(func=cmd_generate, failure="generation")
 
     return parser

@@ -152,27 +152,23 @@ _LITERAL_OBJECT = re.compile(
 _SUBJECT_PREDICATE = re.compile(r"^<(?P<subject>[^>]*)>\s+<(?P<predicate>[^>]*)>\s+(?P<rest>.*)$")
 
 _NT_UNESCAPES = {"\\\\": "\\", '\\"': '"', "\\n": "\n", "\\t": "\t", "\\r": "\r"}
+_NT_ESCAPE = re.compile(r"\\.")
 
 
 def _unescape_literal(lex: str) -> str:
-    out = []
-    i = 0
-    while i < len(lex):
-        if lex[i] == "\\" and i + 1 < len(lex):
-            pair = lex[i:i + 2]
-            if pair in _NT_UNESCAPES:
-                out.append(_NT_UNESCAPES[pair])
-                i += 2
-                continue
-        out.append(lex[i])
-        i += 1
-    return "".join(out)
+    """Decode the five N-Triples escapes; any other escape stays as written."""
+    return _NT_ESCAPE.sub(lambda m: _NT_UNESCAPES.get(m.group(), m.group()), lex)
+
+
+def _alts(pref: str, alts) -> tuple[str, ...]:
+    """Alternative labels in first-seen order, without repeats or the
+    preferred label."""
+    return tuple(alt for alt in dict.fromkeys(alts) if alt != pref)
 
 
 def _parse_ntriples(path) -> Thesaurus:
     prefs: dict[str, str] = {}
-    alts: dict[str, list[str]] = {}
-    subjects: list[str] = []
+    alts: dict[str, list[str]] = {}  # every subject, in first-seen order
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -192,9 +188,7 @@ def _parse_ntriples(path) -> Thesaurus:
                 )
             subject = match.group("subject")
             value = _unescape_literal(literal.group("lex"))
-            if subject not in alts:
-                alts[subject] = []
-                subjects.append(subject)
+            alts.setdefault(subject, [])
             if local == "prefLabel":
                 if subject in prefs and prefs[subject] != value:
                     raise ThesaurusFormatError(
@@ -204,15 +198,10 @@ def _parse_ntriples(path) -> Thesaurus:
             else:
                 alts[subject].append(value)
     concepts: dict[str, Concept] = {}
-    for subject in subjects:
+    for subject in alts:
         if subject not in prefs:
             raise ThesaurusFormatError(f"concept <{subject}> has no preferred label")
-        pref = prefs[subject]
-        uniq = []
-        for alt in alts[subject]:
-            if alt != pref and alt not in uniq:
-                uniq.append(alt)
-        concepts[subject] = Concept(subject, pref, tuple(uniq))
+        concepts[subject] = Concept(subject, prefs[subject], _alts(prefs[subject], alts[subject]))
     return Thesaurus(concepts)
 
 
@@ -231,13 +220,12 @@ def _parse_tsv(path) -> Thesaurus:
             concept_id, pref = parts[0], parts[1]
             if concept_id in concepts:
                 raise ThesaurusFormatError(f"{path}:{lineno}: duplicate concept {concept_id!r}")
-            alt_field = parts[2] if len(parts) == 3 else ""
-            uniq: list[str] = []
-            for alt in alt_field.split("|"):
-                if alt and alt != pref and alt not in uniq:
-                    uniq.append(alt)
-            concepts[concept_id] = Concept(concept_id, pref, tuple(uniq))
+            alts = parts[2].split("|") if len(parts) == 3 else []
+            concepts[concept_id] = Concept(concept_id, pref, _alts(pref, filter(None, alts)))
     return Thesaurus(concepts)
+
+
+THESAURUS_FORMATS = ("tsv", "ntriples")
 
 
 def load_thesaurus(path, format: str = "tsv") -> Thesaurus:
@@ -294,20 +282,16 @@ def mean_sd(values: list[float]) -> tuple[float, float]:
 
 
 def corpus_stats(
-    docs: list[Document],
-    thesaurus: Thesaurus,
-    tokens_per_doc: list[int],
-    concepts_per_doc: list[int],
+    docs: list[Document], thesaurus: Thesaurus, n_tokens: int, n_concepts: int
 ) -> CorpusStats:
-    """Summary statistics of a corpus against its thesaurus.
+    """Summary statistics of a corpus against its thesaurus, given the
+    corpus's total token and concept-mention counts.
 
     Standard deviations are population SDs; the label count |L| is the size
     of the union of all gold label sets.
     """
     if not docs:
         raise ValueError("empty corpus")
-    if len(tokens_per_doc) != len(docs) or len(concepts_per_doc) != len(docs):
-        raise ValueError("per-document count lists must align with docs")
     used = set()
     for doc in docs:
         used.update(doc.gold_labels)
@@ -318,7 +302,6 @@ def corpus_stats(
         n_labels_used=len(used),
         mean_labels_per_doc=mean,
         sd_labels_per_doc=sd,
-        mean_words_per_doc=sum(tokens_per_doc) / len(docs),
-        mean_concepts_per_doc=sum(concepts_per_doc) / len(docs),
+        mean_words_per_doc=n_tokens / len(docs),
+        mean_concepts_per_doc=n_concepts / len(docs),
     )
-

@@ -96,7 +96,7 @@ def averaged_sgd_train(
             t += 1
             shrink = 1.0 - eta * alpha
             if shrink <= 0.0:
-                raise ValueError("learning rate too large: weights collapsed to zero")
+                raise ValueError(f"alpha must be < 1, got {alpha}: the weights shrank to zero")
             scale *= shrink
             update = (-(eta / scale) * grad)[:, None] * xv[None, :]
             V[:, idx] += update

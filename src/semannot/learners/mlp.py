@@ -148,7 +148,7 @@ class MlpClassifier:
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch {n_batches}; "
-                        "consider the tanh activation or a lower learning rate"
+                        "consider the tanh activation"
                     )
                 step += 1
                 for key, grad in grads.items():

@@ -10,7 +10,7 @@ from typing import Iterator, Sequence
 
 from scipy import sparse as sp
 
-from .corpus import Document, Thesaurus
+from .corpus import THESAURUS_FORMATS, Document, Thesaurus
 from .features import VARIANTS, ConceptMatcher, CorpusCounts, TextVectorizer, count_corpus
 from .learners import (
     KnnClassifier,
@@ -22,7 +22,7 @@ from .learners import (
 )
 from .learners.lazy import KNN_K
 from .learners.linear import LINEAR_ALPHA, LINEAR_EPOCHS
-from .learners.mlp import MLP_EPOCHS, MLP_HIDDEN, MLP_THRESHOLD
+from .learners.mlp import ACTIVATIONS, MLP_EPOCHS, MLP_HIDDEN, MLP_THRESHOLD
 from .multilabel import StackedClassifier
 from .preprocess import LemmaTable, preprocess
 from .ranking import L2R_K, L2RClassifier
@@ -46,6 +46,11 @@ FIELDS = ("title", "fulltext")
 
 # classifiers consuming raw pre-weighting counts instead of weighted vectors
 _COUNT_BASED = ("bayes-bernoulli", "bayes-multinomial")
+
+# RunConfig fields that hold an integer, and those that hold any number (a
+# bool is neither); epochs and alpha may also be None, the learner's default
+_INTEGER_FIELDS = ("folds", "seed", "knn_k", "l2r_k", "epochs", "mlp_hidden")
+_NUMBER_FIELDS = ("alpha", "mlp_threshold")
 
 
 class ConfigError(ValueError):
@@ -76,9 +81,16 @@ class RunConfig:
     mlp_activation: str = "relu"
 
     def validate(self) -> None:
+        """Raise ConfigError unless every field has a usable type and value;
+        a model file's config is outside input, so types are checked too."""
+        if self.thesaurus_format not in THESAURUS_FORMATS:
+            raise ConfigError(
+                f"unknown thesaurus_format {self.thesaurus_format!r}; "
+                f"valid: {', '.join(THESAURUS_FORMATS)}"
+            )
         if self.field not in FIELDS:
             raise ConfigError(f"unknown field {self.field!r}; valid: {', '.join(FIELDS)}")
-        if self.vectorization.lower() not in VARIANTS:
+        if not (isinstance(self.vectorization, str) and self.vectorization.lower() in VARIANTS):
             raise ConfigError(
                 f"unknown vectorization {self.vectorization!r}; valid: {', '.join(VARIANTS)}"
             )
@@ -86,6 +98,18 @@ class RunConfig:
             raise ConfigError(
                 f"unknown classifier {self.classifier!r}; valid: {', '.join(CLASSIFIERS)}"
             )
+        if self.mlp_activation not in tuple(ACTIVATIONS):
+            raise ConfigError(
+                f"unknown mlp_activation {self.mlp_activation!r}; valid: {', '.join(ACTIVATIONS)}"
+            )
+        for name in _INTEGER_FIELDS + _NUMBER_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in ("epochs", "alpha"):
+                continue
+            integer = name in _INTEGER_FIELDS
+            if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+                what = "an integer" if integer else "a number"
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
         for name in ("knn_k", "l2r_k", "epochs", "mlp_hidden"):
@@ -96,6 +120,10 @@ class RunConfig:
             raise ConfigError(f"alpha must be > 0, got {self.alpha}")
         if self.alpha == math.inf:
             raise ConfigError(f"alpha must be finite, got {self.alpha}")
+        # the first SGD step shrinks the weights by 1 - alpha * LINEAR_ETA0,
+        # with LINEAR_ETA0 = 1
+        if self.alpha is not None and self.alpha >= 1:
+            raise ConfigError(f"alpha must be < 1, got {self.alpha}")
         # NaN and the infinities fail the comparison too
         if not 0 < self.mlp_threshold < 1:
             raise ConfigError(f"mlp_threshold must be in (0, 1), got {self.mlp_threshold}")

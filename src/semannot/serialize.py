@@ -188,6 +188,10 @@ def _dec_stacked(d: dict, clf: StackedClassifier) -> StackedModel:
     cutoff = d["fallback_cutoff"]
     if type(cutoff) is not int or cutoff < 1:
         raise ModelFormatError(f"fallback_cutoff must be an integer >= 1, got {cutoff!r}")
+    if not isinstance(d["trees"], dict):
+        raise ModelFormatError(
+            f"stacking trees must be a {{label_id: tree}} map, got {type(d['trees']).__name__}"
+        )
     known = set(clf.base.label_ids)
     for cid, root in d["trees"].items():
         if cid not in known:

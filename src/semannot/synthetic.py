@@ -39,7 +39,7 @@ class SyntheticCorpus:
 def generate_corpus(
     n_labels: int = 20,
     docs_per_label: int = 50,
-    labels_per_doc: tuple[int, int] = (1, 3),
+    labels_per_doc: tuple[int, int] | None = None,
     keywords_per_label: int = 8,
     keyword_overlap: float = 0.0,
     synonyms_per_concept: int = 0,
@@ -53,12 +53,15 @@ def generate_corpus(
     """Build a labeled corpus of n_labels * docs_per_label documents.
 
     Every document carries one primary label plus up to
-    labels_per_doc[1] - 1 extra ones.  A title mentions, for each of its
+    labels_per_doc[1] - 1 extra ones; labels_per_doc defaults to
+    (1, min(3, n_labels)).  A title mentions, for each of its
     labels, the label's signature concept (preferred phrase, or one of its
     synonym phrases with probability synonym_rate) and a sample of the
     label's keywords; keyword_overlap is the fraction of keyword slots
     drawn from a pool shared across all labels.
     """
+    if labels_per_doc is None:
+        labels_per_doc = (1, min(3, n_labels))
     if not 1 <= labels_per_doc[0] <= labels_per_doc[1] <= n_labels:
         raise ValueError("labels_per_doc range must fit within n_labels")
     rng = np.random.default_rng(seed)
@@ -127,50 +130,22 @@ def generate_corpus(
     return SyntheticCorpus(documents=documents, thesaurus=thesaurus)
 
 
-def separable_corpus(seed: int = 0) -> SyntheticCorpus:
-    """1,000 documents over 20 labels with disjoint keyword signals."""
-    return generate_corpus(
-        n_labels=20,
-        docs_per_label=50,
-        labels_per_doc=(1, 3),
-        keywords_per_label=8,
-        keyword_overlap=0.0,
-        synonym_rate=0.0,
-        title_keywords=4,
-        noise_words=2,
-        seed=seed,
-    )
-
-
-def noisy_corpus(seed: int = 0) -> SyntheticCorpus:
-    """Label keyword pools overlap by 30% and titles carry extra noise."""
-    return generate_corpus(
-        n_labels=20,
-        docs_per_label=40,
-        labels_per_doc=(1, 3),
-        keywords_per_label=10,
-        keyword_overlap=0.3,
-        synonym_rate=0.0,
-        title_keywords=3,
+# The named corpora of `semannot generate --preset`: each maps to the
+# generate_corpus settings that differ from its defaults.
+PRESETS: dict[str, dict] = {
+    # 1,000 documents over 20 labels with disjoint keyword signals
+    "separable": {},
+    # label keyword pools overlap by 30% and titles carry extra noise
+    "noisy": dict(
+        docs_per_label=40, keywords_per_label=10, keyword_overlap=0.3, title_keywords=3,
         noise_words=4,
-        seed=seed,
-    )
-
-
-def synonym_corpus(seed: int = 0) -> SyntheticCorpus:
-    """Same-label documents rarely share a surface form: each concept has
-    three synonym phrases used at a high rate, so only concept extraction
-    unifies them."""
-    return generate_corpus(
-        n_labels=12,
-        docs_per_label=40,
-        labels_per_doc=(1, 2),
-        keywords_per_label=4,
-        keyword_overlap=0.0,
-        synonyms_per_concept=3,
-        synonym_rate=0.75,
-        title_keywords=1,
-        noise_words=4,
+    ),
+    # same-label documents rarely share a surface form: each concept has
+    # three synonym phrases used at a high rate, so only concept extraction
+    # unifies them
+    "synonym": dict(
+        n_labels=12, docs_per_label=40, labels_per_doc=(1, 2), keywords_per_label=4,
+        synonyms_per_concept=3, synonym_rate=0.75, title_keywords=1, noise_words=4,
         noise_vocab=300,
-        seed=seed,
-    )
+    ),
+}

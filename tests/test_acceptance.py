@@ -23,7 +23,7 @@ from semannot.learners.mlp import init_params, loss_and_grads
 from semannot.pipeline import RunConfig, fit_pipeline
 from semannot.preprocess import preprocess
 from semannot.ranking import L2RClassifier
-from semannot.synthetic import generate_corpus, noisy_corpus, separable_corpus, synonym_corpus
+from semannot.synthetic import PRESETS, generate_corpus
 
 from oracles import (
     brute_force_idf,
@@ -118,7 +118,7 @@ def test_mlp_gradient_check():
     report(f"MLP gradient check (max rel err {worst:.2e}, {elapsed:.2f}s)")
 
 
-SEPARABLE = separable_corpus(seed=11)
+SEPARABLE = generate_corpus(**PRESETS["separable"], seed=11)
 
 
 def test_separable_task_logistic_regression():
@@ -150,7 +150,7 @@ def test_separable_task_mlp():
 def test_eager_beats_lazy_direction():
     """On the 30%-overlap noisy corpus, binary-relevance LR attains at least
     the kNN mean F1 under identical folds and seed."""
-    made = noisy_corpus(seed=7)
+    made = generate_corpus(**PRESETS["noisy"], seed=7)
     lr = evaluate_run(
         RunConfig(vectorization="tf-idf", classifier="lr", folds=10, seed=42, epochs=10),
         made.documents,
@@ -168,7 +168,7 @@ def test_eager_beats_lazy_direction():
 def test_ctf_benefit_direction():
     """On the synonym-injected corpus, kNN on the concatenated term+concept
     features attains at least the kNN term-only mean F1, same folds/seed."""
-    made = synonym_corpus(seed=5)
+    made = generate_corpus(**PRESETS["synonym"], seed=5)
     ctf = evaluate_run(
         RunConfig(vectorization="ctf-idf", classifier="knn", folds=10, seed=42),
         made.documents,

@@ -232,6 +232,8 @@ MALFORMED_TREE = "stacking tree 'C0000' is malformed or too deep"
 L2R = ("l2r", "tf-idf")
 NON_FINITE = "array of dtype <f8 holds NaN or infinity"
 BAD_BIAS = "bias must be a finite number, got"
+REFUSED = "config refused:"
+NOT_TREES = "stacking trees must be a {label_id: tree} map, got"
 
 
 def tree(container: dict) -> dict:
@@ -459,6 +461,69 @@ def tree(container: dict) -> dict:
             lambda c: c["vectorizer"]["term_weighting"].update(mean_doc_len="13.2"),
             "mean_doc_len must be a finite number >= 0, got '13.2'",
         ),
+        # unchecked, the first two failed inside prediction, the next four
+        # failed without being reported as a refused config, and the rest
+        # annotated with exit 0
+        (
+            KNN,
+            lambda c: c["config"].update(knn_k=1.5),
+            f"{REFUSED} knn_k must be an integer, got 1.5",
+        ),
+        (
+            KNN,
+            lambda c: c["config"].update(knn_k=True),
+            f"{REFUSED} knn_k must be an integer, got True",
+        ),
+        (
+            KNN,
+            lambda c: c["config"].update(folds="10"),
+            f"{REFUSED} folds must be an integer, got '10'",
+        ),
+        (
+            MLP,
+            lambda c: c["config"].update(mlp_activation="sigmoid"),
+            f"{REFUSED} unknown mlp_activation 'sigmoid'; valid: relu, tanh",
+        ),
+        (
+            MLP,
+            lambda c: c["config"].update(mlp_threshold="0.5"),
+            f"{REFUSED} mlp_threshold must be a number, got '0.5'",
+        ),
+        (
+            KNN,
+            lambda c: c["config"].update(vectorization=5),
+            f"{REFUSED} unknown vectorization 5; valid: tf-idf, bm25, cf-idf, bm25c, ctf-idf, bm25ct",
+        ),
+        (
+            KNN,
+            lambda c: c["config"].update(seed="x"),
+            f"{REFUSED} seed must be an integer, got 'x'",
+        ),
+        (
+            KNN,
+            lambda c: c["config"].update(thesaurus_format="xml"),
+            f"{REFUSED} unknown thesaurus_format 'xml'; valid: tsv, ntriples",
+        ),
+        (
+            MLP,
+            lambda c: c["config"].update(mlp_hidden=8.0),
+            f"{REFUSED} mlp_hidden must be an integer, got 8.0",
+        ),
+        (
+            ("lr", "tf-idf"),
+            lambda c: c["config"].update(epochs=2.5),
+            f"{REFUSED} epochs must be an integer, got 2.5",
+        ),
+        (
+            L2R,
+            lambda c: c["config"].update(alpha=True),
+            f"{REFUSED} alpha must be a number, got True",
+        ),
+        (L2R, lambda c: c["config"].update(alpha=1.0), f"{REFUSED} alpha must be < 1, got 1.0"),
+        # unchecked, each failed inside load with a message naming no slot
+        (STACKED, lambda c: c["classifier"]["model"].update(trees=[]), f"{NOT_TREES} list"),
+        (STACKED, lambda c: c["classifier"]["model"].update(trees="x"), f"{NOT_TREES} str"),
+        (STACKED, lambda c: c["classifier"]["model"].update(trees=None), f"{NOT_TREES} NoneType"),
     ],
     ids=[
         "extra-config-key",
@@ -516,6 +581,21 @@ def tree(container: dict) -> dict:
         "bm25-mean-doc-len-negative",
         "bm25-mean-doc-len-nan",
         "bm25-mean-doc-len-string",
+        "config-knn-k-fraction",
+        "config-knn-k-bool",
+        "config-folds-string",
+        "config-mlp-activation-sigmoid",
+        "config-mlp-threshold-string",
+        "config-vectorization-number",
+        "config-seed-string",
+        "config-thesaurus-format-xml",
+        "config-mlp-hidden-float",
+        "config-epochs-fraction",
+        "config-alpha-bool",
+        "config-alpha-1",
+        "stacking-trees-list",
+        "stacking-trees-string",
+        "stacking-trees-null",
     ],
 )
 def test_annotate_refuses_container_in_one_line(
@@ -570,12 +650,15 @@ def test_annotate_refuses_classifier_other_than_config_names(data_files, tmp_pat
         (["--l2r-k", "0", "--clf", "l2r"], "l2r_k must be >= 1, got 0"),
         (["--alpha", "0", "--clf", "lr"], "alpha must be > 0, got 0.0"),
         (["--alpha", "inf", "--clf", "lr"], "alpha must be finite, got inf"),
+        (["--alpha", "1", "--clf", "lr"], "alpha must be < 1, got 1.0"),
+        (["--alpha", "1.5", "--clf", "l2r"], "alpha must be < 1, got 1.5"),
         (["--mlp-hidden", "0", "--clf", "mlp"], "mlp_hidden must be >= 1, got 0"),
         (["--mlp-threshold", "nan", "--clf", "mlp"], "mlp_threshold must be in (0, 1), got nan"),
         (["--mlp-threshold", "1.5", "--clf", "mlp"], "mlp_threshold must be in (0, 1), got 1.5"),
     ],
     ids=[
-        "knn-k-0", "epochs-0", "l2r-k-0", "alpha-0", "alpha-inf", "mlp-hidden-0",
+        "knn-k-0", "epochs-0", "l2r-k-0", "alpha-0", "alpha-inf", "alpha-1", "l2r-alpha-1.5",
+        "mlp-hidden-0",
         "mlp-threshold-nan", "mlp-threshold-1.5",
     ],
 )
@@ -628,6 +711,25 @@ def test_generate_round_trips_through_loaders(tmp_path):
     docs = load_corpus(out_corpus, "title", thesaurus=thesaurus).documents
     assert len(docs) == 12 * 40
     assert all(doc.gold_labels for doc in docs)
+
+
+def test_generate_flag_overrides_preset(tmp_path, capsys):
+    out_corpus = str(tmp_path / "gen.jsonl")
+    out_thesaurus = str(tmp_path / "gen.tsv")
+    code = main(
+        [
+            "generate",
+            "--preset", "noisy",
+            "--labels", "5",
+            "--out-corpus", out_corpus,
+            "--out-thesaurus", out_thesaurus,
+        ]
+    )
+    assert code == 0
+    # five labels of the preset's 40 documents each
+    assert capsys.readouterr().out.startswith("wrote 200 documents to ")
+    assert len(load_corpus(out_corpus, "title").documents) == 200
+    assert len(load_thesaurus(out_thesaurus, "tsv")) == 5
 
 
 def test_generate_with_two_labels_narrows_labels_per_doc(tmp_path):

@@ -155,6 +155,45 @@ class TestLoadThesaurus:
         with pytest.raises(ThesaurusFormatError, match="no preferred label"):
             load_thesaurus(path, "ntriples")
 
+    @pytest.mark.parametrize(
+        "lexical, decoded",
+        [
+            (r"say \"rate\"", 'say "rate"'),
+            (r"a\\b", "a\\b"),
+            (r"a\nb", "a\nb"),
+            (r"a\tb", "a\tb"),
+            (r"a\rb", "a\rb"),
+            # an escape outside the five stays as written
+            (r"\u0041", "\\u0041"),
+            # an escaped backslash, then a plain n
+            (r"\\n", "\\n"),
+        ],
+    )
+    def test_ntriples_escapes(self, tmp_path, lexical, decoded):
+        path = tmp_path / "thesaurus.nt"
+        path.write_text(f'<c1> <http://x/prefLabel> "{lexical}"@en .\n', encoding="utf-8")
+        assert load_thesaurus(path, "ntriples").get("c1").pref_label == decoded
+
+    def test_ntriples_alt_labels_first_seen_without_repeats_or_pref(self, tmp_path):
+        path = tmp_path / "thesaurus.nt"
+        path.write_text(
+            "".join(
+                f'<c1> <http://x/{predicate}> "{value}" .\n'
+                for predicate, value in [
+                    ("altLabel", "rates"), ("prefLabel", "rate"), ("altLabel", "rate"),
+                    ("altLabel", ""), ("altLabel", "rates"), ("altLabel", "yield"),
+                ]
+            ),
+            encoding="utf-8",
+        )
+        # an empty literal is a label of its own in N-Triples
+        assert load_thesaurus(path, "ntriples").get("c1").alt_labels == ("rates", "", "yield")
+
+    def test_tsv_alt_labels_first_seen_without_repeats_pref_or_empties(self, tmp_path):
+        path = tmp_path / "thesaurus.tsv"
+        path.write_text("c1\trate\trates|rate||rates|yield|\n", encoding="utf-8")
+        assert load_thesaurus(path, "tsv").get("c1").alt_labels == ("rates", "yield")
+
     def test_tsv_minimal_row(self, tmp_path):
         path = tmp_path / "thesaurus.tsv"
         path.write_text("c2\tinflation\t\n", encoding="utf-8")
@@ -206,7 +245,7 @@ class TestCorpusStats:
             ],
         )
         docs = load_corpus(path, "title", thesaurus=thesaurus).documents
-        stats = corpus_stats(docs, thesaurus, [3, 5], [1, 0])
+        stats = corpus_stats(docs, thesaurus, 8, 1)
         assert stats.n_labels_used == 2
         assert stats.mean_labels_per_doc == pytest.approx(1.5)
         assert stats.sd_labels_per_doc == pytest.approx(0.5)  # population SD
@@ -218,14 +257,14 @@ class TestCorpusStats:
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"id": "1", "title": "t", "labels": ["a"]}])
         docs = load_corpus(path, "title", thesaurus=thesaurus).documents
-        stats = corpus_stats(docs, thesaurus, [2], [0])
+        stats = corpus_stats(docs, thesaurus, 2, 0)
         assert stats.mean_labels_per_doc == 1.0
         assert stats.sd_labels_per_doc == 0.0
 
     def test_empty_corpus_error(self):
         thesaurus = Thesaurus({"a": Concept("a", "aa")})
         with pytest.raises(ValueError, match="empty"):
-            corpus_stats([], thesaurus, [], [])
+            corpus_stats([], thesaurus, 0, 0)
 
     def test_labels_used_matches_brute_force_union(self, tmp_path):
         rng = random.Random(3)
@@ -239,7 +278,7 @@ class TestCorpusStats:
             path = tmp_path / f"s{trial}.jsonl"
             write_jsonl(path, records)
             docs = load_corpus(path, "title", thesaurus=thesaurus).documents
-            stats = corpus_stats(docs, thesaurus, [0] * len(docs), [0] * len(docs))
+            stats = corpus_stats(docs, thesaurus, 0, 0)
             union = set()
             for doc in docs:
                 union |= doc.gold_labels
@@ -268,7 +307,7 @@ def test_economics_reference_statistics():
     docs = load_corpus(
         os.path.join(ECON_DIR, "corpus.jsonl"), "title", thesaurus=thesaurus
     ).documents
-    stats = corpus_stats(docs, thesaurus, [0] * len(docs), [0] * len(docs))
+    stats = corpus_stats(docs, thesaurus, 0, 0)
     assert stats.n_docs == 62_924
     assert stats.n_concepts_in_thesaurus == 6_217
     assert stats.n_labels_used == 4_682

@@ -113,6 +113,14 @@ def test_first_step_uses_eta0():
     assert B[0] == pytest.approx(-0.5 * LINEAR_ETA0, rel=1e-9)
 
 
+def test_alpha_of_one_is_refused_at_the_first_step():
+    # the first step shrinks the weights by 1 - alpha * LINEAR_ETA0, which is 0 here
+    X = sv({0: 1.0}, 1)
+    with pytest.raises(ValueError) as refused:
+        averaged_sgd_train(X, indicator([[0]], 1), alpha=1.0, epochs=1)
+    assert str(refused.value) == "alpha must be < 1, got 1.0: the weights shrank to zero"
+
+
 def test_single_epoch_returns_final_iterate():
     vectors, rows = small_problem(seed=2)
     dense = list(vectors.toarray())

@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 
+from semannot.corpus import dump_corpus_jsonl, dump_thesaurus_tsv
 from semannot.preprocess import lemmatize, tokenize
-from semannot.synthetic import generate_corpus, noisy_corpus, separable_corpus, synonym_corpus
+from semannot.synthetic import PRESETS, generate_corpus
 
 
 def test_document_count_and_nonempty_gold():
@@ -35,7 +38,7 @@ def test_generated_words_survive_preprocessing_unchanged():
 
 
 def test_synonym_corpus_uses_alternative_phrases():
-    made = synonym_corpus(seed=5)
+    made = generate_corpus(**PRESETS["synonym"], seed=5)
     alt_forms = {
         alt for concept in made.thesaurus.concepts.values() for alt in concept.alt_labels
     }
@@ -47,9 +50,43 @@ def test_synonym_corpus_uses_alternative_phrases():
 
 
 def test_presets_have_expected_shapes():
-    assert len(separable_corpus(seed=0).documents) == 1000
-    assert len(noisy_corpus(seed=0).documents) == 800
-    assert len(synonym_corpus(seed=0).documents) == 480
+    assert len(generate_corpus(**PRESETS["separable"], seed=0).documents) == 1000
+    assert len(generate_corpus(**PRESETS["noisy"], seed=0).documents) == 800
+    assert len(generate_corpus(**PRESETS["synonym"], seed=0).documents) == 480
+
+
+# sha256 of each preset's corpus and thesaurus files at seed 0, as written
+# when the presets were three functions
+PRESET_DIGESTS = {
+    "separable": (
+        "6cd51383e158026037b76c60a725ba6f6954472daa76508d1418c117483c753d",
+        "95c3c8f5f6c0bd49b12c3de70a749eb1f6ebe06ff487b4570133c9f861133ccd",
+    ),
+    "noisy": (
+        "e48596ad22b91ed4e20f81c321f5e7139c9c0cf3139dd8de825f3bee8c4e556b",
+        "95c3c8f5f6c0bd49b12c3de70a749eb1f6ebe06ff487b4570133c9f861133ccd",
+    ),
+    "synonym": (
+        "0d53d9ee9504efd3f933d0bd73d788736f8818a1b00290600b9fad45b9e125f9",
+        "954ff2bb50f54c0933ef57224cb4f1baa45bc0c07509738005c56283c66898c4",
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_DIGESTS))
+def test_preset_output_is_pinned(tmp_path, preset):
+    made = generate_corpus(**PRESETS[preset], seed=0)
+    corpus, thesaurus = tmp_path / "c.jsonl", tmp_path / "t.tsv"
+    dump_corpus_jsonl(made.documents, corpus)
+    dump_thesaurus_tsv(made.thesaurus, thesaurus)
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (corpus, thesaurus))
+    assert digests == PRESET_DIGESTS[preset]
+
+
+def test_default_labels_per_doc_narrows_to_few_labels():
+    made = generate_corpus(n_labels=2, docs_per_label=2)
+    assert len(made.documents) == 4
+    assert all(1 <= len(doc.gold_labels) <= 2 for doc in made.documents)
 
 
 def test_invalid_label_range_rejected():
