@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import sys
 
@@ -21,7 +20,8 @@ from .evaluate import CSV_HEADER, csv_line, evaluate_run
 from .features import VARIANTS, ConceptMatcher, dump_vectors
 from .learners.mlp import ACTIVATIONS
 from .pipeline import (
-    CLASSIFIERS, FIELDS, ConfigError, RunConfig, concept_matcher, count_documents, fit_pipeline
+    CLASSIFIERS, FIELDS, ConfigError, RunConfig, concept_matcher, count_documents, count_training,
+    fit_pipeline,
 )
 from .preprocess import LemmaTable
 from .serialize import load_pipeline, save_pipeline
@@ -107,11 +107,12 @@ def cmd_evaluate(args) -> None:
 def cmd_train(args) -> None:
     config = _config_from_args(args)
     docs, thesaurus, lemma_table = _load_inputs(config)
-    pipeline = fit_pipeline(config, docs, thesaurus, lemma_table)
+    counted = count_training(config, docs, thesaurus, lemma_table)
+    pipeline = fit_pipeline(config, docs, thesaurus, lemma_table, counted=counted)
     save_pipeline(pipeline, args.out)
     if args.dump_vectors:
-        X = pipeline.vectorize(pipeline.count(docs))
-        dump_vectors(args.dump_vectors, [d.doc_id for d in docs], X)
+        _, counts = counted
+        dump_vectors(args.dump_vectors, [d.doc_id for d in docs], pipeline.vectorize(counts))
     print(f"model written to {args.out}")
 
 
@@ -159,13 +160,27 @@ def cmd_stats(args) -> None:
         print(f"concepts per doc          {stats.mean_concepts_per_doc:.2f}")
 
 
-# the generate flags, each stored under its generate_corpus parameter's name
-_GENERATOR_PARAMS = inspect.signature(synthetic.generate_corpus).parameters
+# each generate_corpus parameter that a generate flag sets: the flag, its type
+_GENERATOR_FLAGS = {
+    "n_labels": ("--labels", int),
+    "docs_per_label": ("--docs-per-label", int),
+    "keywords_per_label": ("--keywords-per-label", int),
+    "keyword_overlap": ("--overlap", float),
+    "synonyms_per_concept": ("--synonyms", int),
+    "synonym_rate": ("--synonym-rate", float),
+    "title_keywords": ("--title-keywords", int),
+    "noise_words": ("--noise-words", int),
+    "seed": ("--seed", int),
+}
 
 
 def cmd_generate(args) -> None:
-    flags = {name: val for name, val in vars(args).items() if name in _GENERATOR_PARAMS}
-    made = synthetic.generate_corpus(**{**synthetic.PRESETS.get(args.preset, {}), **flags})
+    flags = {name: val for name, val in vars(args).items() if name in _GENERATOR_FLAGS}
+    try:
+        made = synthetic.generate_corpus(**{**synthetic.PRESETS.get(args.preset, {}), **flags})
+    except synthetic.SettingError as exc:
+        flag, _ = _GENERATOR_FLAGS.get(exc.name, (exc.name, None))
+        raise ConfigError(f"{flag} {exc.requirement}") from exc
     dump_corpus_jsonl(made.documents, args.out_corpus)
     dump_thesaurus_tsv(made.thesaurus, args.out_thesaurus)
     print(
@@ -219,15 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out-corpus", required=True)
     p_gen.add_argument("--out-thesaurus", required=True)
     p_gen.add_argument("--preset", choices=tuple(synthetic.PRESETS), default=None)
-    p_gen.add_argument("--labels", dest="n_labels", type=int, metavar="LABELS")
-    p_gen.add_argument("--docs-per-label", type=int)
-    p_gen.add_argument("--keywords-per-label", type=int)
-    p_gen.add_argument("--overlap", dest="keyword_overlap", type=float, metavar="OVERLAP")
-    p_gen.add_argument("--synonyms", dest="synonyms_per_concept", type=int, metavar="SYNONYMS")
-    p_gen.add_argument("--synonym-rate", type=float)
-    p_gen.add_argument("--title-keywords", type=int)
-    p_gen.add_argument("--noise-words", type=int)
-    p_gen.add_argument("--seed", type=int)
+    for name, (flag, kind) in _GENERATOR_FLAGS.items():
+        p_gen.add_argument(flag, dest=name, type=kind, metavar=flag[2:].upper().replace("-", "_"))
     p_gen.set_defaults(func=cmd_generate, failure="generation")
 
     return parser

@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from .learners.labels import LabelMatrix
 from .learners.lazy import KnnClassifier
-from .learners.linear import LINEAR_ALPHA, LINEAR_EPOCHS, averaged_sgd_train
+from .learners.linear import LINEAR_ALPHA, LINEAR_EPOCHS, averaged_sgd_train_single
 from .multilabel import RankedPrediction, cutoff_decide, rank_labels, rcut
 
 L2R_K = 45
@@ -47,15 +47,22 @@ def generate_candidates(
     ``KnnClassifier.neighbors``: nearest training ordinals and their cosine
     similarities, most similar first.
     """
+    Y = labels.Y
+    starts = Y.indptr[idx]
+    lengths = Y.indptr[idx + 1] - starts
+    # each neighbor's label columns in stored order, neighbor by neighbor;
+    # the ufunc .at forms accumulate in that order, as a loop over them would
+    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    columns = Y.indices[offsets + np.arange(len(offsets))]
+    weights = np.repeat(sims, lengths)
     f1 = np.zeros(labels.n_labels)
     f2 = np.zeros(labels.n_labels)
     f4 = np.zeros(labels.n_labels)
-    Y = labels.Y
-    for i, sim in zip(idx, sims):
-        for j in Y.indices[Y.indptr[i]:Y.indptr[i + 1]]:
-            f1[j] += sim
-            f2[j] += 1.0
-            f4[j] = max(f4[j], sim)
+    np.add.at(f1, columns, weights)
+    np.add.at(f2, columns, 1.0)
+    # + 0.0 turns a -0.0 similarity into 0.0, so the maximum stays +0.0
+    # wherever max() would have kept it
+    np.maximum.at(f4, columns, weights + 0.0)
     chosen = np.flatnonzero(f2)
     features = np.column_stack([f1[chosen], f2[chosen], priors[chosen], f4[chosen]])
     return CandidateSet(labels=chosen.tolist(), features=features)
@@ -73,8 +80,8 @@ def ranker_fit(
     expit(features @ weights - bias).
 
     Gold sets hold labels of the same kind as the candidate sets.  Documents
-    with no candidates are skipped.  Trained with the same averaged-SGD
-    machinery as the linear models.
+    with no candidates are skipped.  Trained by the linear models'
+    averaged SGD in its single-output form.
     """
     pairs = list(zip(candidate_sets, gold_sets))
     relevance = [label in gold for cs, gold in pairs for label in cs.labels]
@@ -83,9 +90,7 @@ def ranker_fit(
     if not any(relevance):
         raise ValueError("degenerate corpus: no relevant candidates anywhere")
     X = sp.csr_matrix(np.vstack([cs.features for cs, _ in pairs]))
-    Y = sp.csr_matrix(np.array(relevance, dtype=np.float64)[:, None])
-    W, b = averaged_sgd_train(X, Y, loss="logistic", alpha=alpha, epochs=epochs, seed=seed)
-    return W[0], float(b[0])
+    return averaged_sgd_train_single(X, np.array(relevance), alpha=alpha, epochs=epochs, seed=seed)
 
 
 class L2RClassifier:

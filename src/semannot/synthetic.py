@@ -30,6 +30,39 @@ def _word(prefix: str, n: int) -> str:
     return prefix + "".join(reversed(digits))
 
 
+class SettingError(ValueError):
+    """A generate_corpus argument outside its range: ``name`` is the
+    parameter, ``requirement`` what its value must be."""
+
+    def __init__(self, name: str, requirement: str):
+        super().__init__(f"{name} {requirement}")
+        self.name = name
+        self.requirement = requirement
+
+
+# generate_corpus parameters that count something, with their least value
+_COUNT_MINIMUMS = {
+    "n_labels": 1,
+    "docs_per_label": 0,
+    "keywords_per_label": 0,
+    "synonyms_per_concept": 0,
+    "title_keywords": 0,
+    "noise_words": 0,
+    "noise_vocab": 1,
+    "fulltext_factor": 0,
+}
+
+
+def _check_settings(settings: dict) -> None:
+    for name, least in _COUNT_MINIMUMS.items():
+        if settings[name] < least:
+            raise SettingError(name, f"must be >= {least}, got {settings[name]}")
+    for name in ("keyword_overlap", "synonym_rate"):
+        # NaN fails the comparison too
+        if not 0.0 <= settings[name] <= 1.0:
+            raise SettingError(name, f"must be within [0, 1], got {settings[name]}")
+
+
 @dataclass
 class SyntheticCorpus:
     documents: list[Document]
@@ -58,8 +91,10 @@ def generate_corpus(
     labels, the label's signature concept (preferred phrase, or one of its
     synonym phrases with probability synonym_rate) and a sample of the
     label's keywords; keyword_overlap is the fraction of keyword slots
-    drawn from a pool shared across all labels.
+    drawn from a pool shared across all labels.  A setting outside its
+    range raises SettingError.
     """
+    _check_settings(locals())
     if labels_per_doc is None:
         labels_per_doc = (1, min(3, n_labels))
     if not 1 <= labels_per_doc[0] <= labels_per_doc[1] <= n_labels:

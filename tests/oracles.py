@@ -23,7 +23,7 @@ from semannot.features import (
 from semannot.learners import KnnClassifier, LinearClassifier, NaiveBayesClassifier
 from semannot.multilabel import StackedClassifier, stacking_decide
 from semannot.preprocess import LemmaTable, preprocess
-from semannot.ranking import L2RClassifier
+from semannot.ranking import CandidateSet, L2RClassifier
 from semannot.sparse import l2_normalize, vstack
 
 
@@ -127,6 +127,23 @@ def per_row_predict(clf, X) -> list[set[str]]:
     else:
         rows, theta = clf.scores(X), clf.threshold
     return [{cid for cid, s in zip(clf.label_ids, row) if s > theta} for row in rows]
+
+
+def loop_candidates(idx, sims, labels, priors) -> CandidateSet:
+    """One document's candidate set built neighbor by neighbor and label by
+    label: the reference for ``generate_candidates``."""
+    f1 = np.zeros(labels.n_labels)
+    f2 = np.zeros(labels.n_labels)
+    f4 = np.zeros(labels.n_labels)
+    Y = labels.Y
+    for i, sim in zip(idx, sims):
+        for j in Y.indices[Y.indptr[i]:Y.indptr[i + 1]]:
+            f1[j] += sim
+            f2[j] += 1.0
+            f4[j] = max(f4[j], sim)
+    chosen = np.flatnonzero(f2)
+    features = np.column_stack([f1[chosen], f2[chosen], priors[chosen], f4[chosen]])
+    return CandidateSet(labels=chosen.tolist(), features=features)
 
 
 # stable under tokenization and the suffix lemmatizer (no trailing 's')

@@ -750,6 +750,32 @@ def test_generate_with_two_labels_narrows_labels_per_doc(tmp_path):
     assert all(1 <= len(doc.gold_labels) <= 2 for doc in docs)
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # used to fail inside rng.choice, drawing more shared keywords than exist
+        (["--overlap", "2"], "--overlap must be within [0, 1], got 2.0"),
+        # used to fail with "negative dimensions are not allowed"
+        (["--title-keywords", "-3"], "--title-keywords must be >= 0, got -3"),
+        # used to report a labels_per_doc range no flag sets
+        (["--labels", "0"], "--labels must be >= 1, got 0"),
+        # used to behave as a rate of 0
+        (["--synonym-rate", "-1"], "--synonym-rate must be within [0, 1], got -1.0"),
+    ],
+)
+def test_generate_out_of_range_flag_exits_2(tmp_path, capsys, flags, message):
+    out_corpus = tmp_path / "gen.jsonl"
+    code = main(
+        [
+            "generate", "--labels", "3", "--docs-per-label", "2", *flags,
+            "--out-corpus", str(out_corpus), "--out-thesaurus", str(tmp_path / "gen.tsv"),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+    assert not out_corpus.exists()
+
+
 def test_grid_classifiers_one_row_each(tmp_path):
     made = generate_corpus(n_labels=4, docs_per_label=8, seed=6)
     corpus = tmp_path / "c.jsonl"

@@ -142,3 +142,46 @@ def test_grid_counts_each_document_once(tmp_path, monkeypatch):
     n_phrases = sum(len(c.phrases()) for c in made.thesaurus.concepts.values())
     assert calls["match"] == len(made.documents)
     assert calls["preprocess"] == len(made.documents) + n_phrases
+
+
+def test_train_dump_vectors_counts_each_document_once(tmp_path, monkeypatch):
+    """train --dump-vectors writes the rows the classifier was fitted on from
+    the counts made for fitting: every document is preprocessed and
+    concept-matched once, and the dump equals a separate count of the same
+    documents through the fitted pipeline."""
+    made = generate_corpus(n_labels=3, docs_per_label=5, synonyms_per_concept=1, seed=8)
+    corpus, thesaurus = tmp_path / "corpus.jsonl", tmp_path / "thesaurus.tsv"
+    dump_corpus_jsonl(made.documents, corpus)
+    dump_thesaurus_tsv(made.thesaurus, thesaurus)
+    argv = [
+        "train", "--corpus", str(corpus), "--thesaurus", str(thesaurus), "--clf", "l2r-dt",
+        "--out", str(tmp_path / "model.json"), "--dump-vectors", str(tmp_path / "vectors.jsonl"),
+    ]
+    calls = {"match": 0, "preprocess": 0}
+    original_match = ConceptMatcher.match_counts
+    original_preprocess = pl.preprocess
+
+    def counting_match(self, tokens):
+        calls["match"] += 1
+        return original_match(self, tokens)
+
+    def counting_preprocess(text, table=None):
+        calls["preprocess"] += 1
+        return original_preprocess(text, table)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ConceptMatcher, "match_counts", counting_match)
+        patched.setattr(pl, "preprocess", counting_preprocess)
+        patched.setattr(features, "preprocess", counting_preprocess)
+        assert main(argv) == 0
+    n_phrases = sum(len(c.phrases()) for c in made.thesaurus.concepts.values())
+    assert calls["match"] == len(made.documents)
+    assert calls["preprocess"] == len(made.documents) + n_phrases
+
+    pipeline = pl.fit_pipeline(pl.RunConfig(classifier="l2r-dt"), made.documents, made.thesaurus)
+    expected = tmp_path / "expected.jsonl"
+    features.dump_vectors(
+        expected, [d.doc_id for d in made.documents],
+        pipeline.vectorize(pipeline.count(made.documents)),
+    )
+    assert (tmp_path / "vectors.jsonl").read_bytes() == expected.read_bytes()

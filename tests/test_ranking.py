@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse as sp
 from scipy.special import expit
 
@@ -15,6 +16,8 @@ from semannot.ranking import (
     ranker_fit,
 )
 from semannot.sparse import vstack
+
+from oracles import loop_candidates
 
 
 def sv(entries, dim):
@@ -113,6 +116,69 @@ class TestGenerateCandidates:
         cs_b = candidates_for(q, knn_b, labels_b.priors())
         assert cs_a.labels == cs_b.labels
         assert np.allclose(cs_a.features, cs_b.features, atol=1e-12)
+
+
+def assert_same_candidates(got, expected):
+    assert got.labels == expected.labels
+    assert got.features.shape == expected.features.shape
+    assert got.features.dtype == expected.features.dtype
+    assert got.features.tobytes() == expected.features.tobytes()
+
+
+# cosine-like similarities: exact zeros of both signs, negatives, repeats
+SIMILARITY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, -0.5]),
+    st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def neighborhoods(draw):
+    """Gold label rows of a training set over few labels (so neighbors
+    share labels), and one query's neighbors: k clamped to the training
+    size, most similar first as ``KnnClassifier.neighbors`` orders them."""
+    n_labels = draw(st.integers(1, 5))
+    n_train = draw(st.integers(1, 8))
+    gold = draw(
+        st.lists(
+            st.sets(st.integers(0, n_labels - 1), min_size=1),
+            min_size=n_train, max_size=n_train,
+        )
+    )
+    k = min(draw(st.integers(0, 12)), n_train)
+    idx = draw(st.permutations(range(n_train)))[:k]
+    sims = sorted(draw(st.lists(SIMILARITY, min_size=k, max_size=k)), reverse=True)
+    return gold, np.array(idx, dtype=np.int64), np.array(sims, dtype=np.float64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(neighborhoods())
+def test_candidates_equal_neighbor_loop_oracle(neighborhood):
+    gold, idx, sims = neighborhood
+    labels = labels_of([{f"l{j}" for j in row} for row in gold])
+    priors = labels.priors()
+    assert_same_candidates(
+        generate_candidates(idx, sims, labels, priors), loop_candidates(idx, sims, labels, priors)
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_classifier_candidates_equal_neighbor_loop_oracle(seed):
+    """Through the kNN index: k above the training size, signed feature
+    values (so cosines can be negative) and an all-zero query (cosine 0)."""
+    rng = np.random.default_rng(seed)
+    X = sp.csr_matrix(rng.normal(size=(9, 4)) * rng.integers(0, 2, size=(9, 4)))
+    labels = labels_of([{f"l{j}" for j in rng.choice(4, rng.integers(1, 3))} for _ in range(9)])
+    clf = L2RClassifier(k=45)
+    clf.knn.fit(X, labels)
+    queries = sp.vstack([sp.csr_matrix(rng.normal(size=(5, 4))), sp.csr_matrix((1, 4))], "csr")
+    for exclude, rows in ((None, queries), (np.arange(9), X)):
+        idx, sims = clf.knn.neighbors(rows, exclude=exclude)
+        assert idx.shape[1] == (9 if exclude is None else 8)
+        priors = labels.priors()
+        expected = [loop_candidates(i, s, labels, priors) for i, s in zip(idx, sims)]
+        for got, want in zip(clf.candidates(rows, exclude=exclude), expected):
+            assert_same_candidates(got, want)
 
 
 class TestRankerFit:

@@ -4,7 +4,7 @@ import pytest
 
 from semannot.corpus import dump_corpus_jsonl, dump_thesaurus_tsv
 from semannot.preprocess import lemmatize, tokenize
-from semannot.synthetic import PRESETS, generate_corpus
+from semannot.synthetic import PRESETS, SettingError, generate_corpus
 
 
 def test_document_count_and_nonempty_gold():
@@ -92,3 +92,26 @@ def test_default_labels_per_doc_narrows_to_few_labels():
 def test_invalid_label_range_rejected():
     with pytest.raises(ValueError, match="labels_per_doc"):
         generate_corpus(n_labels=3, labels_per_doc=(1, 5))
+
+
+@pytest.mark.parametrize(
+    "settings, name",
+    [
+        (dict(n_labels=0), "n_labels"),
+        (dict(docs_per_label=-1), "docs_per_label"),
+        (dict(keywords_per_label=-1), "keywords_per_label"),
+        (dict(keyword_overlap=1.5), "keyword_overlap"),
+        (dict(keyword_overlap=float("nan")), "keyword_overlap"),
+        (dict(synonyms_per_concept=-2), "synonyms_per_concept"),
+        (dict(synonym_rate=-0.5), "synonym_rate"),
+        (dict(title_keywords=-1), "title_keywords"),
+        (dict(noise_words=-4), "noise_words"),
+        (dict(noise_vocab=0), "noise_vocab"),
+        (dict(fulltext_factor=-1), "fulltext_factor"),
+    ],
+)
+def test_out_of_range_setting_is_refused_by_name(settings, name):
+    with pytest.raises(SettingError) as refused:
+        generate_corpus(**settings)
+    assert refused.value.name == name
+    assert str(refused.value).startswith(f"{name} must be ")
