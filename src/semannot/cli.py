@@ -18,10 +18,10 @@ from .corpus import (
 )
 from .evaluate import CSV_HEADER, csv_line, evaluate_run
 from .features import VARIANTS, ConceptMatcher, dump_vectors
+from .learners.labels import LabelMatrix
 from .learners.mlp import ACTIVATIONS
 from .pipeline import (
-    CLASSIFIERS, FIELDS, ConfigError, RunConfig, concept_matcher, count_documents, count_training,
-    fit_pipeline,
+    CLASSIFIERS, FIELDS, ConfigError, RunConfig, concept_matcher, count_documents, fit_counts
 )
 from .preprocess import LemmaTable
 from .serialize import load_pipeline, save_pipeline
@@ -107,11 +107,12 @@ def cmd_evaluate(args) -> None:
 def cmd_train(args) -> None:
     config = _config_from_args(args)
     docs, thesaurus, lemma_table = _load_inputs(config)
-    counted = count_training(config, docs, thesaurus, lemma_table)
-    pipeline = fit_pipeline(config, docs, thesaurus, lemma_table, counted=counted)
+    matcher = concept_matcher([config], thesaurus, lemma_table)
+    counts = count_documents(docs, config.field, lemma_table, matcher)
+    labels = LabelMatrix.from_gold([doc.gold_labels for doc in docs])
+    pipeline = fit_counts(config, counts, labels, lemma_table, matcher)
     save_pipeline(pipeline, args.out)
     if args.dump_vectors:
-        _, counts = counted
         dump_vectors(args.dump_vectors, [d.doc_id for d in docs], pipeline.vectorize(counts))
     print(f"model written to {args.out}")
 
@@ -179,8 +180,7 @@ def cmd_generate(args) -> None:
     try:
         made = synthetic.generate_corpus(**{**synthetic.PRESETS.get(args.preset, {}), **flags})
     except synthetic.SettingError as exc:
-        flag, _ = _GENERATOR_FLAGS.get(exc.name, (exc.name, None))
-        raise ConfigError(f"{flag} {exc.requirement}") from exc
+        raise ConfigError(f"{_GENERATOR_FLAGS[exc.name][0]} {exc.requirement}") from exc
     dump_corpus_jsonl(made.documents, args.out_corpus)
     dump_thesaurus_tsv(made.thesaurus, args.out_thesaurus)
     print(

@@ -237,30 +237,16 @@ def fit_counts(
     return pipeline
 
 
-def count_training(
-    config: RunConfig,
-    docs: Sequence[Document],
-    thesaurus: Thesaurus,
-    lemma_table: LemmaTable | None = None,
-) -> tuple[ConceptMatcher | None, CorpusCounts]:
-    """The concept matcher the config's vectorization needs, and the
-    documents' counts made with it."""
-    matcher = concept_matcher([config], thesaurus, lemma_table)
-    return matcher, count_documents(docs, config.field, lemma_table, matcher)
-
-
 def fit_pipeline(
     config: RunConfig,
     docs: list[Document],
     thesaurus: Thesaurus,
     lemma_table: LemmaTable | None = None,
-    counted: tuple[ConceptMatcher | None, CorpusCounts] | None = None,
 ) -> FittedPipeline:
     """Fit vectorizer and classifier on the given documents (no held-out
-    split).  ``counted`` is what ``count_training`` returned for the same
-    arguments, for a caller that needs the counts too; without it the
-    documents are counted here."""
+    split)."""
     config.validate()
-    matcher, counts = counted or count_training(config, docs, thesaurus, lemma_table)
+    matcher = concept_matcher([config], thesaurus, lemma_table)
+    counts = count_documents(docs, config.field, lemma_table, matcher)
     labels = LabelMatrix.from_gold([doc.gold_labels for doc in docs])
     return fit_counts(config, counts, labels, lemma_table, matcher)
