@@ -72,6 +72,8 @@ def _load_inputs(config: RunConfig):
 
 
 def cmd_evaluate(args) -> None:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     config = _config_from_args(args)
     docs, thesaurus, lemma_table = _load_inputs(config)
     if args.grid == "vectorizations":

@@ -88,15 +88,8 @@ def run_fold(
         zero_vec += int(np.count_nonzero(np.diff(X.indptr) == 0))
         predictions.extend(block_predictions)
 
-    precisions, recalls, f1s = [], [], []
-    empty = 0
-    for i, predicted in zip(test_idx, predictions):
-        if not predicted:
-            empty += 1
-        p, r, f1 = sample_prf(predicted, labels.row_set(i))
-        precisions.append(p)
-        recalls.append(r)
-        f1s.append(f1)
+    prf = [sample_prf(predicted, labels.row_set(i)) for i, predicted in zip(test_idx, predictions)]
+    precisions, recalls, f1s = zip(*prf)
     n = len(test_idx)
     return FoldResult(
         fold=fold_index,
@@ -104,7 +97,7 @@ def run_fold(
         precision=sum(precisions) / n,
         recall=sum(recalls) / n,
         f1=sum(f1s) / n,
-        empty_predictions=empty,
+        empty_predictions=sum(1 for predicted in predictions if not predicted),
         zero_vector_queries=zero_vec,
     )
 
@@ -158,8 +151,8 @@ def evaluate_run(
 
     ``counts``, when given, are the documents' counts from
     ``count_documents`` for this config's field, shared by several runs.
-    With ``jobs > 1`` the folds run in that many worker processes; the
-    report is the same for any ``jobs``.
+    With ``jobs > 1`` the folds run in that many worker processes, at most
+    one per fold; the report is the same for any ``jobs``.
     """
     config.validate()
     if counts is None:
@@ -171,7 +164,8 @@ def evaluate_run(
     folds = make_folds(len(docs), config.folds, config.seed)
     tasks = [(i, train, test) for i, (train, test) in enumerate(folds)]
     if jobs > 1:
-        with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=shared) as pool:
+        workers = min(jobs, len(tasks))
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=shared) as pool:
             results = list(pool.map(_fold_worker, tasks))
     else:
         results = [_run_task(shared, task) for task in tasks]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse as sp
 
-from ..multilabel import RankedPrediction, rank_labels, threshold_decide
+from ..multilabel import rank_labels, threshold_decide
 from .labels import LabelMatrix
 
 NB_ALPHA = 1e-5
@@ -88,5 +88,5 @@ class NaiveBayesClassifier:
     def predict(self, X: sp.csr_matrix) -> list[set[str]]:
         return threshold_decide(self.label_ids, self.scores(X), 0.0)
 
-    def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
+    def rank(self, X: sp.csr_matrix) -> np.ndarray:
         return rank_labels(self.label_ids, self.scores(X))

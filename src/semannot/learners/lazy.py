@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse as sp
 
-from ..multilabel import RankedPrediction, rank_labels, threshold_decide
+from ..multilabel import rank_labels, threshold_decide
 from ..sparse import ROW_BLOCK, l2_normalize
 from .labels import LabelMatrix
 
@@ -113,5 +113,5 @@ class RocchioClassifier:
             raise RuntimeError("classifier is not fitted")
         return _cosines(self.centroids, X)
 
-    def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
+    def rank(self, X: sp.csr_matrix) -> np.ndarray:
         return rank_labels(self.label_ids, self.scores(X))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse as sp
 from scipy.special import expit
 
-from ..multilabel import RankedPrediction, rank_labels, threshold_decide
+from ..multilabel import rank_labels, threshold_decide
 from .labels import LabelMatrix
 
 LINEAR_ALPHA = 1e-7
@@ -248,5 +248,5 @@ class LinearClassifier:
         margins = self.margins(X)
         return expit(margins) if self.loss == "logistic" else margins
 
-    def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
+    def rank(self, X: sp.csr_matrix) -> np.ndarray:
         return rank_labels(self.label_ids, self.scores(X))

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import sparse as sp
 from scipy.special import expit
 
-from ..multilabel import RankedPrediction, rank_labels, threshold_decide
+from ..multilabel import rank_labels, threshold_decide
 from .labels import LabelMatrix
 
 MLP_HIDDEN = 1000
@@ -178,5 +178,5 @@ class MlpClassifier:
     def predict(self, X: sp.csr_matrix) -> list[set[str]]:
         return threshold_decide(self.label_ids, self.scores(X), self.threshold)
 
-    def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
+    def rank(self, X: sp.csr_matrix) -> np.ndarray:
         return rank_labels(self.label_ids, self.scores(X))

@@ -5,9 +5,8 @@ A classifier scores a block of rows once, as a (rows, L) float64 block over
 its label_ids; a rule turns it into one label set per row.  The rules are
 Yang's thresholding strategies (SIGIR 2001): fixed thresholds, rank cutoff
 (RCut), and stacking, which learns each label's rule from (score, rank).
-
-A ranked prediction is a list of (concept_id, score, rank) triples with
-scores non-increasing and ranks contiguous from 1.
+The rank-based rules read a rank block, rank_labels' (rows, L) companion
+of the score block.
 """
 
 from __future__ import annotations
@@ -20,28 +19,22 @@ import numpy as np
 
 from .sparse import ROW_BLOCK
 
-RankedPrediction = list[tuple[str, float, int]]
-
 STACKING_TOP_M = 30
 # depth cap of the per-label meta-trees; a stored tree deeper than it is refused
 TREE_MAX_DEPTH = 10
 
 
-def rank_labels(label_ids: Sequence[str], scores: np.ndarray) -> list[RankedPrediction]:
-    """One RankedPrediction per row of a (rows, L) score block: labels by
-    score descending, ties by id, ranks from 1.  A -inf score marks a label
-    the row does not rank; it is left out of the row's ranking."""
+def rank_labels(label_ids: Sequence[str], scores: np.ndarray) -> np.ndarray:
+    """The (rows, L) int64 rank block of a (rows, L) score block: each label's
+    1-based rank in its row, by score descending, ties by id; 0 for a -inf
+    score, which marks a label the row does not rank."""
     block = np.asarray(scores, dtype=np.float64)
     # columns in id order, so the stable sort breaks ties (0.0 == -0.0) by id
     by_id = np.array(sorted(range(len(label_ids)), key=label_ids.__getitem__), dtype=np.intp)
     order = by_id[np.argsort(-block[:, by_id], axis=1, kind="stable")]
-    ranked = np.take_along_axis(block, order, 1)
-    # -inf sorts last, so every row keeps a prefix
-    kept = np.count_nonzero(ranked > -np.inf, axis=1)
-    return [
-        [(label_ids[i], s, pos + 1) for pos, (i, s) in enumerate(zip(row[:n], row_scores[:n]))]
-        for row, row_scores, n in zip(order.tolist(), ranked.tolist(), kept.tolist())
-    ]
+    # a label's rank is its position in order, the inverse permutation; -inf
+    # sorts last, so the labels a row ranks keep ranks 1..n
+    return np.where(block > -np.inf, np.argsort(order, axis=1) + 1, 0).astype(np.int64)
 
 
 def binary_relevance_decide(label_ids: Sequence[str], decisions: np.ndarray) -> list[set[str]]:
@@ -59,7 +52,8 @@ def threshold_decide(label_ids: Sequence[str], scores: np.ndarray, theta: float)
 
 def cutoff_decide(label_ids: Sequence[str], scores: np.ndarray, cutoff: int) -> list[set[str]]:
     """Per row of a (rows, L) score block, the labels rank_labels ranks within the cutoff."""
-    return [{cid for cid, _, _ in ranking[:cutoff]} for ranking in rank_labels(label_ids, scores)]
+    ranks = rank_labels(label_ids, scores)
+    return binary_relevance_decide(label_ids, (ranks >= 1) & (ranks <= cutoff))
 
 
 def rcut(mean_labels: float) -> int:
@@ -139,13 +133,23 @@ class DecisionTree:
                 best = (feature, float(sorted_col[boundaries[at]]))
         return best
 
-    def predict_one(self, x: Sequence[float]) -> int:
-        node = self.root
-        if node is None:
+    def predict(self, meta: np.ndarray) -> np.ndarray:
+        """The 0/1 verdicts, as bools, for the rows of an (n, 2) (score, rank)
+        block: the row indices are partitioned down the nodes, a row going
+        left where its feature is <= the node's threshold."""
+        if self.root is None:
             raise RuntimeError("tree is not fitted")
-        while not node["leaf"]:
-            node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-        return node["value"]
+        meta = np.asarray(meta, dtype=np.float64)
+        verdicts = np.zeros(len(meta), dtype=bool)
+        pending = [(self.root, np.arange(len(meta)))]
+        while pending:
+            node, rows = pending.pop()
+            if node["leaf"]:
+                verdicts[rows] = node["value"]
+            else:
+                left = meta[rows, node["feature"]] <= node["threshold"]
+                pending += [(node["left"], rows[left]), (node["right"], rows[~left])]
+        return verdicts
 
 
 # --- stacking -------------------------------------------------------------
@@ -160,60 +164,57 @@ class StackedModel:
     fallback_cutoff: int = 1
     meta_sample_counts: dict[str, int] = field(default_factory=dict)
 
+    def decide(self, label_ids: Sequence[str], scores: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """The boolean (rows, L) decisions for a score block and its rank
+        block: a label ranked within the top-m follows its tree's verdict or,
+        without a tree, is assigned iff ranked within the fallback cutoff."""
+        top = (ranks >= 1) & (ranks <= self.top_m)
+        decided = top & (ranks <= self.fallback_cutoff)
+        for j in np.flatnonzero(top.any(axis=0)):
+            tree = self.trees.get(label_ids[j])
+            if tree is not None:
+                rows = np.flatnonzero(top[:, j])
+                decided[rows, j] = tree.predict(np.column_stack([scores[rows, j], ranks[rows, j]]))
+        return decided
+
 
 def stacking_train(
-    rankings: list[RankedPrediction],
-    gold_sets: list[set[str] | frozenset[str]],
+    label_ids: Sequence[str], columns: np.ndarray, meta: np.ndarray, gold: np.ndarray,
+    fallback_cutoff: int,
 ) -> StackedModel:
-    """Train one meta-tree per label from base rankings on training documents.
+    """Train one meta-tree per label from base rankings of training documents.
 
-    Each training document contributes one (score, rank) sample for every
-    label in its top-m base ranking, labeled with gold membership.  Labels
-    that never enter a top-m ranking get no tree; prediction falls back to
-    the average-label-count cutoff for them.
+    Sample i, in document order, is label_ids[columns[i]] in a top-m base
+    ranking, with (score, rank) features meta[i] and gold membership gold[i].
+    A label never in a top-m ranking gets no tree; the fallback cutoff decides it.
     """
-    if len(rankings) != len(gold_sets):
-        raise ValueError("rankings and gold sets must align")
-    samples: dict[str, list[tuple[float, int, int]]] = {}
-    for ranking, gold in zip(rankings, gold_sets):
-        for cid, score, rank in ranking[:STACKING_TOP_M]:
-            samples.setdefault(cid, []).append((score, rank, int(cid in gold)))
-    trees: dict[str, DecisionTree] = {}
-    counts: dict[str, int] = {}
-    for cid, rows in samples.items():
-        X = np.array([[score, float(rank)] for score, rank, _ in rows], dtype=np.float64)
-        y = np.array([target for _, _, target in rows], dtype=np.int64)
-        trees[cid] = DecisionTree().fit(X, y)
-        counts[cid] = len(rows)
-    cutoff = rcut(sum(len(g) for g in gold_sets) / len(gold_sets))
-    return StackedModel(trees=trees, fallback_cutoff=cutoff, meta_sample_counts=counts)
+    if not len(columns) == len(meta) == len(gold):
+        raise ValueError("columns, meta-features and gold bits must align")
+    # grouped by label, each label's samples still in document order
+    bounds = np.cumsum(np.bincount(columns, minlength=len(label_ids)))[:-1]
+    groups = np.split(np.argsort(columns, kind="stable"), bounds)
+    samples = {label_ids[j]: rows for j, rows in enumerate(groups) if len(rows)}
+    trees = {cid: DecisionTree().fit(meta[rows], gold[rows]) for cid, rows in samples.items()}
+    counts = {cid: len(rows) for cid, rows in samples.items()}
+    return StackedModel(trees=trees, fallback_cutoff=fallback_cutoff, meta_sample_counts=counts)
 
 
-def stacking_decide(model: StackedModel, ranking: RankedPrediction) -> set[str]:
-    """Binary decisions for the labels in the top-m of a base ranking.
-
-    A label with a trained tree follows its verdict; a tree-less label is
-    assigned iff its base rank is within the fallback cutoff.  Labels
-    outside the top-m are never assigned.
-    """
-    decided: set[str] = set()
-    for cid, score, rank in ranking[:model.top_m]:
-        tree = model.trees.get(cid)
-        if tree is not None:
-            if tree.predict_one((score, float(rank))):
-                decided.add(cid)
-        elif rank <= model.fallback_cutoff:
-            decided.add(cid)
-    return decided
+def stacking_decide(model: StackedModel, ranking: list[tuple[str, float, int]]) -> set[str]:
+    """StackedModel.decide for one ranking of (concept_id, score, rank)
+    triples, ranks contiguous from 1: the labels it assigns."""
+    label_ids = [cid for cid, _, _ in ranking]
+    scores = np.array([[score for _, score, _ in ranking]], dtype=np.float64)
+    ranks = np.array([[rank for _, _, rank in ranking]], dtype=np.int64)
+    return binary_relevance_decide(label_ids, model.decide(label_ids, scores, ranks))[0]
 
 
 class StackedClassifier:
     """Wrap a ranking base classifier with the decision-tree meta-layer.
 
-    The base must expose fit(X, labels) and rank(X) -> one RankedPrediction
-    per row.  Meta-training runs on the base's rankings of the training
-    documents themselves, ranked ROW_BLOCK rows at a time; no held-out split
-    is carved out.
+    The base must expose fit(X, labels), label_ids and scores(X) -> a
+    (rows, L) score block.  Meta-training runs on the base's rankings of
+    the training documents themselves, scored ROW_BLOCK rows at a time; no
+    held-out split is carved out.
     """
 
     def __init__(self, base):
@@ -222,17 +223,23 @@ class StackedClassifier:
 
     def fit(self, X, labels) -> "StackedClassifier":
         self.base.fit(X, labels)
-        # only the top-m of each ranking reaches the meta-trees
-        rankings = [
-            ranking[:STACKING_TOP_M]
-            for lo in range(0, X.shape[0], ROW_BLOCK)
-            for ranking in self.base.rank(X[lo:lo + ROW_BLOCK])
-        ]
-        gold_sets = [labels.row_set(i) for i in range(labels.n_docs)]
-        self.model = stacking_train(rankings, gold_sets)
+        label_ids = self.base.label_ids
+        samples = []
+        for lo in range(0, X.shape[0], ROW_BLOCK):
+            S = self.base.scores(X[lo:lo + ROW_BLOCK])
+            R = rank_labels(label_ids, S)
+            # only the top-m of each ranking reaches the meta-trees
+            rows, cols = np.nonzero((R >= 1) & (R <= STACKING_TOP_M))
+            gold = labels.Y[lo:lo + ROW_BLOCK].toarray()[rows, cols] > 0
+            samples.append((cols, np.column_stack([S[rows, cols], R[rows, cols]]), gold))
+        cols, meta, gold = (np.concatenate(parts) for parts in zip(*samples))
+        self.model = stacking_train(label_ids, cols, meta, gold, rcut(labels.mean_labels_per_doc()))
         return self
 
     def predict(self, X) -> list[set[str]]:
         if self.model is None:
             raise RuntimeError("classifier is not fitted")
-        return [stacking_decide(self.model, ranking) for ranking in self.base.rank(X)]
+        label_ids = self.base.label_ids
+        S = self.base.scores(X)
+        decided = self.model.decide(label_ids, S, rank_labels(label_ids, S))
+        return binary_relevance_decide(label_ids, decided)

@@ -17,7 +17,7 @@ from scipy.special import expit
 from .learners.labels import LabelMatrix
 from .learners.lazy import KnnClassifier
 from .learners.linear import LINEAR_ALPHA, LINEAR_EPOCHS, averaged_sgd_train_single
-from .multilabel import RankedPrediction, cutoff_decide, rank_labels, rcut
+from .multilabel import cutoff_decide, rcut
 
 L2R_K = 45
 
@@ -147,9 +147,6 @@ class L2RClassifier:
         for row, cs in zip(S, self.candidates(X)):
             row[cs.labels] = expit(cs.features @ self.weights - self.bias)
         return S
-
-    def rank(self, X: sp.csr_matrix) -> list[RankedPrediction]:
-        return rank_labels(self.label_ids, self.scores(X))
 
     def predict(self, X: sp.csr_matrix) -> list[set[str]]:
         return cutoff_decide(self.label_ids, self.scores(X), self.cutoff)

@@ -168,11 +168,11 @@ def _enc_stacked(m: StackedModel) -> dict:
 
 
 def _tree_ok(node, depth: int = 0) -> bool:
-    """Whether predict_one walks every path of a stored meta-tree to a 0/1
-    verdict over (score, rank), no deeper than fitting grows one."""
+    """Whether DecisionTree.predict walks every path of a stored meta-tree to
+    a 0/1 verdict over (score, rank), no deeper than fitting grows one."""
     if depth > TREE_MAX_DEPTH or not isinstance(node, dict):
         return False
-    if node.get("leaf"):  # predict_one's own leaf test
+    if node.get("leaf"):  # DecisionTree.predict's own leaf test
         return node.keys() == {"leaf", "value"} and node["value"] in (0, 1)
     return (
         node.keys() == {"leaf", "feature", "threshold", "left", "right"}

@@ -95,10 +95,11 @@ def generate_corpus(
     range raises SettingError.
     """
     _check_settings(locals())
-    if labels_per_doc is None:
-        labels_per_doc = (1, min(3, n_labels))
-    if not 1 <= labels_per_doc[0] <= labels_per_doc[1] <= n_labels:
-        raise ValueError("labels_per_doc range must fit within n_labels")
+    lo, hi = (1, min(3, n_labels)) if labels_per_doc is None else labels_per_doc
+    if hi > n_labels:
+        raise SettingError("n_labels", f"must be >= {hi} for labels_per_doc {lo, hi}, got {n_labels}")
+    if not 1 <= lo <= hi:
+        raise ValueError(f"labels_per_doc must be a range 1 <= low <= high, got {lo, hi}")
     rng = np.random.default_rng(seed)
 
     shared_pool = [_word("sh", i) for i in range(max(keywords_per_label, 4))]
@@ -140,7 +141,6 @@ def generate_corpus(
         return tokens
 
     documents: list[Document] = []
-    lo, hi = labels_per_doc
     index = 0
     for primary in range(n_labels):
         for _ in range(docs_per_label):

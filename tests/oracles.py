@@ -21,7 +21,7 @@ from semannot.features import (
     fit_weighting,
 )
 from semannot.learners import KnnClassifier, LinearClassifier, NaiveBayesClassifier
-from semannot.multilabel import StackedClassifier, stacking_decide
+from semannot.multilabel import STACKING_TOP_M, StackedClassifier
 from semannot.preprocess import LemmaTable, preprocess
 from semannot.ranking import CandidateSet, L2RClassifier
 from semannot.sparse import l2_normalize, vstack
@@ -87,6 +87,34 @@ def sorted_ranking(label_ids, scores) -> list[tuple[str, float, int]]:
     return [(label_ids[i], float(scores[i]), pos + 1) for pos, i in enumerate(order)]
 
 
+def ranked_ids(label_ids, ranks) -> list[str]:
+    """The labels of one rank-block row in rank order, rank-0 labels left out."""
+    return [label_ids[j] for j in sorted(range(len(label_ids)), key=lambda j: ranks[j]) if ranks[j]]
+
+
+def walk_tree(node: dict, x) -> int:
+    """A stored meta-tree's 0/1 verdict for one (score, rank) pair, walking
+    its dict nodes from the root: x[feature] <= threshold goes left."""
+    while not node["leaf"]:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node["value"]
+
+
+def per_ranking_stacking(model, ranking) -> set[str]:
+    """The stacking rule on one (concept_id, score, rank) ranking: each label
+    of its first STACKING_TOP_M entries follows its tree's verdict, or,
+    without a tree, is assigned iff its rank is within the fallback cutoff."""
+    decided = set()
+    for cid, score, rank in ranking[:STACKING_TOP_M]:
+        tree = model.trees.get(cid)
+        if tree is not None:
+            if walk_tree(tree.root, (score, float(rank))):
+                decided.add(cid)
+        elif rank <= model.fallback_cutoff:
+            decided.add(cid)
+    return decided
+
+
 def per_row_rankings(clf, X) -> list[list[tuple[str, float, int]]]:
     """Each row's ranking, sorted row by row: L2R ranks each candidate set
     by its own ranker product, every other classifier its row of scores."""
@@ -106,7 +134,8 @@ def per_row_predict(clf, X) -> list[set[str]]:
     (linear) or of the log-odds (Naive Bayes), the fixed MLP threshold,
     rank-and-cut per candidate set (L2R), and stacking per ranking."""
     if isinstance(clf, StackedClassifier):
-        return [stacking_decide(clf.model, ranking) for ranking in per_row_rankings(clf.base, X)]
+        rankings = per_row_rankings(clf.base, X)
+        return [per_ranking_stacking(clf.model, ranking) for ranking in rankings]
     if isinstance(clf, L2RClassifier):
         return [
             {cid for cid, _, rank in ranking if rank <= clf.cutoff}

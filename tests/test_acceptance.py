@@ -20,6 +20,7 @@ from semannot.evaluate import evaluate_run, make_folds, sample_prf
 from semannot.features import ConceptMatcher, fit_weighting
 from semannot.learners import LabelMatrix
 from semannot.learners.mlp import init_params, loss_and_grads
+from semannot.multilabel import rank_labels
 from semannot.pipeline import RunConfig, fit_pipeline
 from semannot.preprocess import preprocess
 from semannot.ranking import L2RClassifier
@@ -33,6 +34,7 @@ from oracles import (
     random_count_vectors,
     random_thesaurus,
     random_token_stream,
+    ranked_ids,
     thesaurus_patterns,
 )
 
@@ -195,8 +197,9 @@ def test_stacking_containment_exhaustive():
         pipeline = fit_pipeline(config, made.documents, made.thesaurus)
         stacked = pipeline.classifier
         X = pipeline.vectorize(pipeline.count(made.documents))
-        for ranking, predicted in zip(stacked.base.rank(X), stacked.predict(X)):
-            base_top = {cid for cid, _, _ in ranking[:30]}
+        S = stacked.base.scores(X)
+        for ranks, predicted in zip(rank_labels(stacked.base.label_ids, S), stacked.predict(X)):
+            base_top = set(ranked_ids(stacked.base.label_ids, ranks)[:30])
             assert predicted <= base_top
             checked += 1
     report(f"stacking containment ({checked} document/classifier pairs)")

@@ -24,7 +24,7 @@ def _block_calls(clf):
     base = getattr(clf, "base", clf)
     calls = {"predict": clf.predict, "scores": lambda X: base.scores(X).tolist()}
     if hasattr(base, "rank"):
-        calls["rank"] = base.rank
+        calls["rank"] = lambda X: base.rank(X).tolist()
     if hasattr(base, "neighbors"):
         calls["neighbors"] = lambda X: [
             list(zip(idx.tolist(), sims.tolist())) for idx, sims in zip(*base.neighbors(X))

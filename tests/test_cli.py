@@ -761,6 +761,11 @@ def test_generate_with_two_labels_narrows_labels_per_doc(tmp_path):
         (["--labels", "0"], "--labels must be >= 1, got 0"),
         # used to behave as a rate of 0
         (["--synonym-rate", "-1"], "--synonym-rate must be within [0, 1], got -1.0"),
+        # used to exit 1 naming the preset's labels_per_doc range, not the flag
+        (
+            ["--preset", "synonym", "--labels", "1"],
+            "--labels must be >= 2 for labels_per_doc (1, 2), got 1",
+        ),
     ],
 )
 def test_generate_out_of_range_flag_exits_2(tmp_path, capsys, flags, message):
@@ -838,6 +843,23 @@ def test_missing_corpus_file_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_evaluate_refuses_jobs_below_one_before_reading_input(tmp_path, capsys, jobs):
+    """The corpus does not exist: reading it would exit 1, not 2."""
+    code = main(
+        [
+            "evaluate",
+            "--corpus", str(tmp_path / "nope.jsonl"),
+            "--thesaurus", str(tmp_path / "nope.tsv"),
+            "--jobs", jobs,
+            "--out-json", str(tmp_path / "r.json"), "--out-csv", str(tmp_path / "r.csv"),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"invalid configuration: --jobs must be >= 1, got {jobs}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_unwritable_report_path_exits_1(data_files, tmp_path, capsys):

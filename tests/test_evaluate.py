@@ -249,3 +249,33 @@ def test_fold_tasks_carry_only_fold_indices(monkeypatch):
     assert len(counts) == labels.n_docs == len(made.documents)
     sequential = evaluate_run(config, made.documents, made.thesaurus, jobs=1)
     assert dataclasses.asdict(report)["folds"] == dataclasses.asdict(sequential)["folds"]
+
+
+@pytest.mark.parametrize("jobs, workers", [(2, 2), (3, 3), (8, 3)])
+def test_pool_holds_at_most_one_worker_per_fold(monkeypatch, jobs, workers):
+    """A pool starts all its workers at once, so --jobs beyond the fold
+    count is capped there; no process starts here, the pool is a recorder."""
+    made = generate_corpus(n_labels=3, docs_per_label=6, seed=4)
+    config = RunConfig(vectorization="ctf-idf", classifier="knn", folds=3, seed=0)
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(ev, "_worker_shared", None)
+    report = evaluate_run(config, made.documents, made.thesaurus, jobs=jobs)
+    assert sizes == [workers]
+    sequential = evaluate_run(config, made.documents, made.thesaurus, jobs=1)
+    assert dataclasses.asdict(report) == dataclasses.asdict(sequential)

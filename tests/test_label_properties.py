@@ -35,11 +35,14 @@ def score_blocks(draw):
 def test_block_ranking_equals_per_row_sort(block):
     label_ids, scores = block
     rankings = rank_labels(label_ids, scores)
-    assert len(rankings) == len(scores)
+    assert rankings.shape == scores.shape and rankings.dtype == np.int64
     for ranking, row in zip(rankings, scores):
-        # repr tells -0.0 from 0.0
-        assert repr(ranking) == repr(sorted_ranking(label_ids, row))
-        assert repr(rank_labels(tuple(label_ids), row[None, :])) == repr([ranking])
+        # unranked (-inf) labels hold rank 0
+        expected = [0] * len(label_ids)
+        for cid, _, rank in sorted_ranking(label_ids, row):
+            expected[label_ids.index(cid)] = rank
+        assert ranking.tolist() == expected
+        assert rank_labels(tuple(label_ids), row[None, :]).tolist() == [expected]
 
 
 GOLD_SETS = st.lists(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse as sp
 
+from oracles import ranked_ids
 from semannot.corpus import Concept, Document, Thesaurus
 from semannot.learners import LabelMatrix, NaiveBayesClassifier
 from semannot.pipeline import RunConfig, fit_pipeline
@@ -30,8 +31,8 @@ def labels_of(gold):
 def test_single_label_ranks_first():
     X = [sv({0: 2.0}, 2), sv({1: 1.0}, 2)]
     clf = NaiveBayesClassifier("multinomial").fit(stack(X), labels_of([{"only"}, {"only"}]))
-    (ranking,) = clf.rank(sv({0: 1.0}, 2))
-    assert ranking[0][0] == "only"
+    (ranks,) = clf.rank(sv({0: 1.0}, 2))
+    assert ranked_ids(clf.label_ids, ranks)[0] == "only"
 
 
 def test_bernoulli_hand_posterior_four_docs():
@@ -115,8 +116,8 @@ def test_multinomial_scales_with_count():
 def test_discriminative_feature_ranks_label_first():
     X = [sv({0: 1.0, 2: 1.0}, 3), sv({1: 1.0, 2: 1.0}, 3)]
     clf = NaiveBayesClassifier("bernoulli").fit(stack(X), labels_of([{"a"}, {"b"}]))
-    (ranking,) = clf.rank(sv({1: 1.0}, 3))
-    assert ranking[0][0] == "b"
+    (ranks,) = clf.rank(sv({1: 1.0}, 3))
+    assert ranked_ids(clf.label_ids, ranks)[0] == "b"
 
 
 def test_unknown_variant_rejected():

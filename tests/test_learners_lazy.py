@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse as sp
 
+from oracles import ranked_ids
 from semannot.learners import KnnClassifier, LabelMatrix, RocchioClassifier
 from semannot.sparse import vstack
 
@@ -99,27 +100,30 @@ class TestRocchio:
     def test_centroid_equal_to_query_ranks_first(self):
         X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2)]
         clf = RocchioClassifier().fit(stack(X), labels_of([{"a"}, {"b"}]))
-        (ranking,) = clf.rank(sv({0: 2.0}, 2))
-        assert ranking[0][0] == "a"
-        assert ranking[0][1] == pytest.approx(1.0)
-        assert ranking[0][2] == 1
+        q = sv({0: 2.0}, 2)
+        (ranks,) = clf.rank(q)
+        first = ranks.tolist().index(1)
+        assert clf.label_ids[first] == "a"
+        assert clf.scores(q)[0, first] == pytest.approx(1.0)
+        assert sorted(ranks.tolist()) == [1, 2]
 
     def test_orthogonal_centroid_scores_zero(self):
         X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2)]
         clf = RocchioClassifier().fit(stack(X), labels_of([{"a"}, {"b"}]))
-        ranking = dict((cid, score) for cid, score, _ in clf.rank(sv({0: 1.0}, 2))[0])
+        ranking = dict(zip(clf.label_ids, clf.scores(sv({0: 1.0}, 2))[0]))
         assert ranking["b"] == pytest.approx(0.0)
 
     def test_three_label_hand_ordering(self):
         # centroids: A=[1,0], B=[0,1], C=[1,1]; query [2,1]
         X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2), sv({0: 1.0, 1: 1.0}, 2)]
         clf = RocchioClassifier().fit(stack(X), labels_of([{"A"}, {"B"}, {"C"}]))
-        (ranking,) = clf.rank(sv({0: 2.0, 1: 1.0}, 2))
+        q = sv({0: 2.0, 1: 1.0}, 2)
+        (ranks,) = clf.rank(q)
         cos_a = 2.0 / math.sqrt(5.0)
         cos_b = 1.0 / math.sqrt(5.0)
         cos_c = 3.0 / (math.sqrt(2.0) * math.sqrt(5.0))
-        assert [cid for cid, _, _ in ranking] == ["C", "A", "B"]
-        scores = {cid: score for cid, score, _ in ranking}
+        assert ranked_ids(clf.label_ids, ranks) == ["C", "A", "B"]
+        scores = dict(zip(clf.label_ids, clf.scores(q)[0]))
         assert scores["A"] == pytest.approx(cos_a)
         assert scores["B"] == pytest.approx(cos_b)
         assert scores["C"] == pytest.approx(cos_c)
@@ -128,7 +132,7 @@ class TestRocchio:
         # label "a" has two docs; centroid direction is their mean
         X = [sv({0: 1.0}, 2), sv({1: 1.0}, 2), sv({0: 1.0}, 2)]
         clf = RocchioClassifier().fit(stack(X), labels_of([{"a"}, {"a"}, {"b"}]))
-        ranking = {cid: s for cid, s, _ in clf.rank(sv({0: 1.0, 1: 1.0}, 2))[0]}
+        ranking = dict(zip(clf.label_ids, clf.scores(sv({0: 1.0, 1: 1.0}, 2))[0]))
         # centroid of a = [0.5, 0.5] -> cos to [1,1] is 1.0
         assert ranking["a"] == pytest.approx(1.0)
 
@@ -136,4 +140,4 @@ class TestRocchio:
         X = [sv({0: 3.0, 1: 1.0}, 2), sv({1: 2.0}, 2)]
         clf = RocchioClassifier().fit(stack(X), labels_of([{"a"}, {"b"}]))
         q = sv({0: 0.3, 1: 0.9}, 2)
-        assert [c for c, _, _ in clf.rank(q)[0]] == [c for c, _, _ in clf.rank(q * 11.0)[0]]
+        assert clf.rank(q).tolist() == clf.rank(q * 11.0).tolist()

@@ -192,10 +192,11 @@ def test_rank_scores_non_increasing():
     vectors, rows = small_problem(seed=6, n_docs=8, n_labels=3)
     gold = [{f"l{j}" for j in row} for row in rows]
     clf = LinearClassifier(epochs=3, seed=2).fit(vectors, labels_of(gold))
-    (ranking,) = clf.rank(vectors[0])
-    scores = [s for _, s, _ in ranking]
+    (ranks,) = clf.rank(vectors[0])
+    by_rank = np.argsort(ranks)
+    scores = clf.scores(vectors[0])[0, by_rank].tolist()
     assert scores == sorted(scores, reverse=True)
-    assert [r for _, _, r in ranking] == list(range(1, len(ranking) + 1))
+    assert ranks[by_rank].tolist() == list(range(1, len(ranks) + 1))
 
 
 # The single-output trainer against the general one, bit for bit.  Rows are

@@ -17,7 +17,7 @@ from semannot.ranking import (
 )
 from semannot.sparse import vstack
 
-from oracles import loop_candidates
+from oracles import loop_candidates, ranked_ids
 
 
 def sv(entries, dim):
@@ -200,7 +200,7 @@ class TestRankerFit:
         model = ranker_fit(candidate_sets, gold_sets, epochs=10, seed=0)
         correct = 0
         for cs, gold in zip(candidate_sets, gold_sets):
-            top = rank_labels(cs.labels, score_row(model, cs, cs.labels))[0][0][0]
+            top = ranked_ids(cs.labels, rank_labels(cs.labels, score_row(model, cs, cs.labels))[0])[0]
             correct += top in gold
         assert correct == len(candidate_sets)
 
@@ -219,8 +219,8 @@ class TestRankerFit:
             gold_sets.append(relevant or {"l0"})
         model = ranker_fit(candidate_sets, gold_sets, epochs=10, seed=0)
         cs = candidate_sets[0]
-        (ranking,) = rank_labels(cs.labels, score_row(model, cs, cs.labels))
-        assert [cid for cid, _, _ in ranking] == ["l0", "l1", "l2"]
+        (ranks,) = rank_labels(cs.labels, score_row(model, cs, cs.labels))
+        assert ranked_ids(cs.labels, ranks) == ["l0", "l1", "l2"]
 
     def test_empty_candidate_sets_skipped(self):
         empty = CandidateSet(labels=[], features=np.empty((0, 4)))
