@@ -112,10 +112,10 @@ def cmd_train(args) -> None:
     matcher = concept_matcher([config], thesaurus, lemma_table)
     counts = count_documents(docs, config.field, lemma_table, matcher)
     labels = LabelMatrix.from_gold([doc.gold_labels for doc in docs])
-    pipeline = fit_counts(config, counts, labels, lemma_table, matcher)
+    pipeline, X = fit_counts(config, counts, labels, lemma_table, matcher)
     save_pipeline(pipeline, args.out)
     if args.dump_vectors:
-        dump_vectors(args.dump_vectors, [d.doc_id for d in docs], pipeline.vectorize(counts))
+        dump_vectors(args.dump_vectors, [d.doc_id for d in docs], X)
     print(f"model written to {args.out}")
 
 

@@ -81,7 +81,7 @@ def run_fold(
 ) -> FoldResult:
     """Fit on the train rows only and score the test rows against their
     gold labels; ``counts`` and ``labels`` hold every document of the corpus."""
-    pipeline = fit_counts(config, counts.rows(train_idx), labels.take(train_idx))
+    pipeline, _ = fit_counts(config, counts.rows(train_idx), labels.take(train_idx))
     predictions: list[set[str]] = []
     zero_vec = 0
     for X, block_predictions in pipeline.predict_blocks(counts.rows(test_idx)):

@@ -25,6 +25,9 @@ MLP_BATCH = 256
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# entries of a parameter that one in-place Adam update pass covers; bounds
+# the update's scratch to two arrays of this length
+ADAM_CHUNK = 32768
 
 # hidden activation -> (f(z), f' written in terms of h = f(z))
 ACTIVATIONS = {
@@ -74,11 +77,14 @@ def loss_and_grads(
     T: np.ndarray,
     activation: str = "relu",
     dropout_mask: np.ndarray | None = None,
+    grads: dict | None = None,
 ) -> tuple[float, dict]:
     """Mean-over-batch of label-summed binary cross-entropy, with gradients.
 
     When a dropout mask is given the hidden activations are masked and
     rescaled by 1/(1-MLP_DROPOUT); the gradient flows through the same mask.
+    The gradients are written into ``grads``, one array per parameter, and
+    into newly allocated arrays when it is None; both give the same bits.
     """
     H, df = hidden_layer(params, X, activation)
     dH = df(H)
@@ -92,17 +98,56 @@ def loss_and_grads(
     # BCE(y, t) = softplus(y) - t*y, summed over labels, averaged over batch
     loss = float((np.logaddexp(0.0, Y) - T * Y).sum() / batch)
     Gy = (expit(Y) - T) / batch
-    grads = {
-        "W2": Gy.T @ Hd,
-        "b2": Gy.sum(axis=0),
-    }
+    if grads is None:
+        grads = dict.fromkeys(params)
+    grads["W2"] = np.matmul(Gy.T, Hd, out=grads["W2"])
+    grads["b2"] = np.sum(Gy, axis=0, out=grads["b2"])
     Gh = Gy @ params["W2"]
     if dropout_mask is not None:
         Gh = Gh * keep
     Gz = Gh * dH
-    grads["W1"] = Gz.T @ X
-    grads["b1"] = Gz.sum(axis=0)
+    grads["W1"] = np.matmul(Gz.T, X, out=grads["W1"])
+    grads["b1"] = np.sum(Gz, axis=0, out=grads["b1"])
     return loss, grads
+
+
+def adam_step(
+    p: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    g: np.ndarray,
+    c1: float,
+    c2: float,
+    scratch: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """One Adam update of parameter ``p`` from gradient ``g``, in place.
+
+    ``c1`` and ``c2`` are the bias corrections 1 - beta**step.  Each entry
+    gets exactly m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p -= (lr*(m/c1)) / (sqrt(v/c2) + eps), so the result does not depend on
+    ADAM_CHUNK.  ``p``, ``m``, ``v`` and ``g`` must be C-contiguous: the
+    update runs over flat views of them, ADAM_CHUNK entries at a time,
+    through the two ``scratch`` arrays of at least ADAM_CHUNK entries.
+    """
+    p, m, v, g = (a.reshape(-1) for a in (p, m, v, g))
+    for lo in range(0, p.size, ADAM_CHUNK):
+        chunk = slice(lo, lo + ADAM_CHUNK)
+        pc, mc, vc, gc = p[chunk], m[chunk], v[chunk], g[chunk]
+        t, u = (s[:pc.size] for s in scratch)
+        mc *= ADAM_BETA1
+        np.multiply(gc, 1.0 - ADAM_BETA1, out=t)
+        mc += t
+        vc *= ADAM_BETA2
+        np.multiply(gc, 1.0 - ADAM_BETA2, out=t)
+        t *= gc
+        vc += t
+        np.divide(vc, c2, out=u)
+        np.sqrt(u, out=u)
+        u += ADAM_EPS
+        np.divide(mc, c1, out=t)
+        t *= MLP_LEARNING_RATE
+        t /= u
+        pc -= t
 
 
 class MlpClassifier:
@@ -131,8 +176,12 @@ class MlpClassifier:
         n_docs, n_features = X.shape
 
         rng = np.random.default_rng(self.seed)
+        # params, moments, gradients and scratch are allocated once per fit,
+        # C-contiguous: adam_step updates flat views of them in place
         params = init_params(n_features, self.hidden, labels.n_labels, rng)
         moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
+        grads = {k: np.empty_like(v) for k, v in params.items()}
+        scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
         step = 0
         self.epoch_losses = []
         for epoch in range(self.epochs):
@@ -144,22 +193,17 @@ class MlpClassifier:
                 Xb = X[batch_idx].toarray()
                 Tb = labels.Y[batch_idx].toarray()
                 mask = (rng.random((len(batch_idx), self.hidden)) >= MLP_DROPOUT).astype(np.float64)
-                loss, grads = loss_and_grads(params, Xb, Tb, self.activation, mask)
+                loss, _ = loss_and_grads(params, Xb, Tb, self.activation, mask, grads)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch {n_batches}; "
                         "consider the tanh activation"
                     )
                 step += 1
+                c1 = 1.0 - ADAM_BETA1 ** step
+                c2 = 1.0 - ADAM_BETA2 ** step
                 for key, grad in grads.items():
-                    m, v = moments[key]
-                    m *= ADAM_BETA1
-                    m += (1.0 - ADAM_BETA1) * grad
-                    v *= ADAM_BETA2
-                    v += (1.0 - ADAM_BETA2) * grad * grad
-                    m_hat = m / (1.0 - ADAM_BETA1 ** step)
-                    v_hat = v / (1.0 - ADAM_BETA2 ** step)
-                    params[key] -= MLP_LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                    adam_step(params[key], *moments[key], grad, c1, c2, scratch)
                 epoch_loss += loss
                 n_batches += 1
             self.epoch_losses.append(epoch_loss / max(1, n_batches))

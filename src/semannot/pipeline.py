@@ -228,13 +228,15 @@ def fit_counts(
     labels: LabelMatrix,
     lemma_table: LemmaTable | None = None,
     matcher: ConceptMatcher | None = None,
-) -> FittedPipeline:
+) -> tuple[FittedPipeline, sp.csr_matrix]:
     """Fit vectorizer and classifier on counted documents and their gold
-    labels (no held-out split), counted with ``lemma_table`` and ``matcher``."""
+    labels (no held-out split), counted with ``lemma_table`` and ``matcher``.
+    Returns the pipeline and the classifier input rows it was fitted on."""
     vectorizer = TextVectorizer(config.vectorization).fit(counts)
     pipeline = FittedPipeline(config, vectorizer, build_classifier(config), lemma_table, matcher)
-    pipeline.classifier.fit(pipeline.vectorize(counts), labels)
-    return pipeline
+    X = pipeline.vectorize(counts)
+    pipeline.classifier.fit(X, labels)
+    return pipeline, X
 
 
 def fit_pipeline(
@@ -249,4 +251,4 @@ def fit_pipeline(
     matcher = concept_matcher([config], thesaurus, lemma_table)
     counts = count_documents(docs, config.field, lemma_table, matcher)
     labels = LabelMatrix.from_gold([doc.gold_labels for doc in docs])
-    return fit_counts(config, counts, labels, lemma_table, matcher)
+    return fit_counts(config, counts, labels, lemma_table, matcher)[0]

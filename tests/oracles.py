@@ -242,6 +242,77 @@ def central_difference_grads(params, X, T, activation, epsilon=1e-5):
     return grads
 
 
+def reference_mlp_fit(
+    X: sp.csr_matrix, Y: sp.csr_matrix, hidden: int, activation: str, epochs: int, seed: int
+):
+    """(params, epoch_losses) of MlpClassifier.fit on rows X and label
+    indicator rows Y, by the out-of-place loop: every step builds a fresh
+    gradient dict and a fresh temporary for each term of Adam's update.
+    The bitwise reference for the in-place training loop."""
+    from semannot.learners.mlp import (
+        ADAM_BETA1,
+        ADAM_BETA2,
+        ADAM_EPS,
+        MLP_BATCH,
+        MLP_DROPOUT,
+        MLP_LEARNING_RATE,
+    )
+
+    f, df = {
+        "relu": (lambda z: np.maximum(z, 0.0), lambda h: (h > 0.0).astype(np.float64)),
+        "tanh": (np.tanh, lambda h: 1.0 - h * h),
+    }[activation]
+    n_docs, n_features = X.shape
+    n_labels = Y.shape[1]
+    rng = np.random.default_rng(seed)
+    s1 = np.sqrt(2.0 / (n_features + hidden))
+    s2 = np.sqrt(2.0 / (hidden + n_labels))
+    params = {
+        "W1": rng.normal(0.0, s1, size=(hidden, n_features)),
+        "b1": np.zeros(hidden, dtype=np.float64),
+        "W2": rng.normal(0.0, s2, size=(n_labels, hidden)),
+        "b2": np.zeros(n_labels, dtype=np.float64),
+    }
+    moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
+    step = 0
+    epoch_losses = []
+    for _ in range(epochs):
+        order = rng.permutation(n_docs)
+        epoch_loss = 0.0
+        n_batches = 0
+        for lo in range(0, n_docs, MLP_BATCH):
+            batch_idx = order[lo:lo + MLP_BATCH]
+            Xb = X[batch_idx].toarray()
+            Tb = Y[batch_idx].toarray()
+            mask = (rng.random((len(batch_idx), hidden)) >= MLP_DROPOUT).astype(np.float64)
+            H = f(Xb @ params["W1"].T + params["b1"])
+            dH = df(H)
+            keep = mask / (1.0 - MLP_DROPOUT)
+            Hd = H * keep
+            Yb = Hd @ params["W2"].T + params["b2"]
+            batch = Xb.shape[0]
+            loss = float((np.logaddexp(0.0, Yb) - Tb * Yb).sum() / batch)
+            Gy = (expit(Yb) - Tb) / batch
+            grads = {"W2": Gy.T @ Hd, "b2": Gy.sum(axis=0)}
+            Gz = (Gy @ params["W2"]) * keep * dH
+            grads["W1"] = Gz.T @ Xb
+            grads["b1"] = Gz.sum(axis=0)
+            step += 1
+            for key, grad in grads.items():
+                m, v = moments[key]
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * grad
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * grad * grad
+                m_hat = m / (1.0 - ADAM_BETA1 ** step)
+                v_hat = v / (1.0 - ADAM_BETA2 ** step)
+                params[key] -= MLP_LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            epoch_loss += loss
+            n_batches += 1
+        epoch_losses.append(epoch_loss / n_batches)
+    return params, epoch_losses
+
+
 def gradient_relative_error(a: np.ndarray, b: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
     return float(np.max(np.abs(a - b) / denom))

@@ -147,8 +147,8 @@ def test_grid_counts_each_document_once(tmp_path, monkeypatch):
 def test_train_dump_vectors_counts_each_document_once(tmp_path, monkeypatch):
     """train --dump-vectors writes the rows the classifier was fitted on from
     the counts made for fitting: every document is preprocessed and
-    concept-matched once, and the dump equals a separate count of the same
-    documents through the fitted pipeline."""
+    concept-matched once, the counts are vectorized once, and the dump equals
+    a separate count of the same documents through the fitted pipeline."""
     made = generate_corpus(n_labels=3, docs_per_label=5, synonyms_per_concept=1, seed=8)
     corpus, thesaurus = tmp_path / "corpus.jsonl", tmp_path / "thesaurus.tsv"
     dump_corpus_jsonl(made.documents, corpus)
@@ -157,9 +157,10 @@ def test_train_dump_vectors_counts_each_document_once(tmp_path, monkeypatch):
         "train", "--corpus", str(corpus), "--thesaurus", str(thesaurus), "--clf", "l2r-dt",
         "--out", str(tmp_path / "model.json"), "--dump-vectors", str(tmp_path / "vectors.jsonl"),
     ]
-    calls = {"match": 0, "preprocess": 0}
+    calls = {"match": 0, "preprocess": 0, "transform": 0}
     original_match = ConceptMatcher.match_counts
     original_preprocess = pl.preprocess
+    original_transform = TextVectorizer.transform
 
     def counting_match(self, tokens):
         calls["match"] += 1
@@ -169,14 +170,20 @@ def test_train_dump_vectors_counts_each_document_once(tmp_path, monkeypatch):
         calls["preprocess"] += 1
         return original_preprocess(text, table)
 
+    def counting_transform(self, counts):
+        calls["transform"] += 1
+        return original_transform(self, counts)
+
     with monkeypatch.context() as patched:
         patched.setattr(ConceptMatcher, "match_counts", counting_match)
         patched.setattr(pl, "preprocess", counting_preprocess)
         patched.setattr(features, "preprocess", counting_preprocess)
+        patched.setattr(TextVectorizer, "transform", counting_transform)
         assert main(argv) == 0
     n_phrases = sum(len(c.phrases()) for c in made.thesaurus.concepts.values())
     assert calls["match"] == len(made.documents)
     assert calls["preprocess"] == len(made.documents) + n_phrases
+    assert calls["transform"] == 1
 
     pipeline = pl.fit_pipeline(pl.RunConfig(classifier="l2r-dt"), made.documents, made.thesaurus)
     expected = tmp_path / "expected.jsonl"

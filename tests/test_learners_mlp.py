@@ -1,11 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy import sparse as sp
 
 from semannot.learners import LabelMatrix, MlpClassifier, TrainingDiverged
-from semannot.learners.mlp import forward_scores, hidden_layer, init_params, loss_and_grads
+from semannot.learners.mlp import (
+    ADAM_CHUNK,
+    MLP_BATCH,
+    forward_scores,
+    hidden_layer,
+    init_params,
+    loss_and_grads,
+)
 from semannot.sparse import vstack
 
-from oracles import central_difference_grads, gradient_relative_error as relative_error
+from oracles import (
+    central_difference_grads,
+    gradient_relative_error as relative_error,
+    reference_mlp_fit,
+)
 
 
 def labels_of(gold):
@@ -115,3 +130,58 @@ def test_derivative_from_activations_equals_derivative_from_inputs(activation):
     H, df = hidden_layer(params, X, activation)
     expected = (Z > 0.0).astype(np.float64) if activation == "relu" else 1.0 - np.tanh(Z) ** 2
     assert np.array_equal(df(H), expected)
+
+
+def random_training_set(n_rows, n_features, n_labels, seed):
+    rng = np.random.default_rng(seed)
+    X = sp.random(n_rows, n_features, density=0.2, format="csr", random_state=rng)
+    sizes = rng.integers(1, min(n_labels, 2) + 1, size=n_rows)
+    gold = [{f"l{j}" for j in rng.choice(n_labels, size=k, replace=False)} for k in sizes]
+    return X, labels_of(gold)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    n_rows=st.integers(1, 2 * MLP_BATCH + 20),
+    n_features=st.integers(1, 40),
+    hidden=st.integers(1, 16),
+    n_labels=st.integers(1, 5),
+    activation=st.sampled_from(["relu", "tanh"]),
+    epochs=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# hidden 40 x 900 features: W1 spans more than one Adam chunk and ends in a partial one
+@example(
+    n_rows=MLP_BATCH + 37, n_features=900, hidden=40, n_labels=3, activation="relu", epochs=3, seed=7
+)
+@example(
+    n_rows=MLP_BATCH + 37, n_features=900, hidden=40, n_labels=4, activation="tanh", epochs=2, seed=8
+)
+def test_fit_equals_out_of_place_oracle_bitwise(
+    n_rows, n_features, hidden, n_labels, activation, epochs, seed
+):
+    """Training in preallocated buffers with in-place Adam gives the bits
+    of the loop that allocates every gradient and update term afresh."""
+    assert 40 * 900 > ADAM_CHUNK and 40 * 900 % ADAM_CHUNK
+    X, labels = random_training_set(n_rows, n_features, n_labels, seed)
+    clf = MlpClassifier(hidden=hidden, activation=activation, epochs=epochs, seed=seed).fit(X, labels)
+    params, epoch_losses = reference_mlp_fit(X, labels.Y, hidden, activation, epochs, seed)
+    assert list(clf.params) == list(params)
+    for key in params:
+        assert np.array_equal(clf.params[key], params[key]), key
+    assert np.array_equal(clf.epoch_losses, epoch_losses)
+
+
+def test_training_peak_memory_stays_under_five_first_layers():
+    """Params, both Adam moments and one gradient buffer are four W1-sized
+    arrays; an update that allocates W1-sized temporaries goes past five."""
+    hidden, n_features = 256, 4000
+    X, labels = random_training_set(64, n_features, 5, seed=3)
+    w1_bytes = hidden * n_features * 8
+    tracemalloc.start()
+    try:
+        MlpClassifier(hidden=hidden, epochs=3, seed=0).fit(X, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * w1_bytes, f"training peaked at {peak / w1_bytes:.2f} x W1"
