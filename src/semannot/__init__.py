@@ -15,7 +15,7 @@ from .corpus import (
     load_corpus,
     load_thesaurus,
 )
-from .evaluate import EvalReport, evaluate_run, make_folds, sample_prf
+from .evaluate import EvalReport, evaluate_grid, evaluate_run, make_folds, sample_prf
 from .features import ConceptMatcher, TextVectorizer
 from .pipeline import CLASSIFIERS, RunConfig, fit_pipeline
 from .preprocess import LemmaTable, lemmatize, preprocess, tokenize
@@ -34,6 +34,7 @@ __all__ = [
     "Thesaurus",
     "CLASSIFIERS",
     "corpus_stats",
+    "evaluate_grid",
     "evaluate_run",
     "fit_pipeline",
     "lemmatize",

@@ -13,16 +13,13 @@ import sys
 
 from . import synthetic
 from .corpus import (
-    THESAURUS_FORMATS, corpus_stats, dump_corpus_jsonl, dump_thesaurus_tsv, load_corpus,
+    FIELDS, THESAURUS_FORMATS, corpus_stats, dump_corpus_jsonl, dump_thesaurus_tsv, load_corpus,
     load_thesaurus,
 )
-from .evaluate import CSV_HEADER, csv_line, evaluate_run
+from .evaluate import CSV_HEADER, csv_line, evaluate_grid
 from .features import VARIANTS, ConceptMatcher, dump_vectors
-from .learners.labels import LabelMatrix
 from .learners.mlp import ACTIVATIONS
-from .pipeline import (
-    CLASSIFIERS, FIELDS, ConfigError, RunConfig, concept_matcher, count_documents, fit_counts
-)
+from .pipeline import CLASSIFIERS, ConfigError, RunConfig, count_documents, fit_pipeline
 from .preprocess import LemmaTable
 from .serialize import load_pipeline, save_pipeline
 from .sparse import ROW_BLOCK
@@ -82,14 +79,12 @@ def cmd_evaluate(args) -> None:
         configs = [dataclasses.replace(config, classifier=c) for c in CLASSIFIERS]
     else:
         configs = [config]
-    matcher = concept_matcher(configs, thesaurus, lemma_table)
-    counts = count_documents(docs, config.field, lemma_table, matcher)
     reports = []
-    for cfg in configs:
-        report = evaluate_run(cfg, docs, thesaurus, lemma_table, counts=counts, jobs=args.jobs)
+    for report in evaluate_grid(configs, docs, thesaurus, lemma_table, args.jobs):
         reports.append(report)
+        cfg = report.config
         print(
-            f"{cfg.field} {cfg.vectorization} {cfg.classifier} "
+            f"{cfg['field']} {cfg['vectorization']} {cfg['classifier']} "
             f"mean sample F1: {report.mean_f1:.4f}"
         )
     payload = (
@@ -109,10 +104,7 @@ def cmd_evaluate(args) -> None:
 def cmd_train(args) -> None:
     config = _config_from_args(args)
     docs, thesaurus, lemma_table = _load_inputs(config)
-    matcher = concept_matcher([config], thesaurus, lemma_table)
-    counts = count_documents(docs, config.field, lemma_table, matcher)
-    labels = LabelMatrix.from_gold([doc.gold_labels for doc in docs])
-    pipeline, X = fit_counts(config, counts, labels, lemma_table, matcher)
+    pipeline, X = fit_pipeline(config, docs, thesaurus, lemma_table)
     save_pipeline(pipeline, args.out)
     if args.dump_vectors:
         dump_vectors(args.dump_vectors, [d.doc_id for d in docs], X)

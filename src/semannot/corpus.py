@@ -14,6 +14,10 @@ import re
 from dataclasses import dataclass
 
 
+# the text fields of a document that a run can annotate from
+FIELDS = ("title", "fulltext")
+
+
 class CorpusFormatError(ValueError):
     pass
 
@@ -30,13 +34,12 @@ class Document:
     gold_labels: frozenset[str]
 
     def text(self, field_name: str) -> str:
-        if field_name == "title":
-            return self.title
-        if field_name == "fulltext":
-            if self.fulltext is None:
-                raise ValueError(f"document {self.doc_id} has no fulltext")
-            return self.fulltext
-        raise ValueError(f"unknown field {field_name!r}")
+        if field_name not in FIELDS:
+            raise ValueError(f"unknown field {field_name!r}")
+        text = getattr(self, field_name)
+        if text is None:
+            raise ValueError(f"document {self.doc_id} has no {field_name}")
+        return text
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ def load_corpus(
     warning count; the document survives if at least one label remains.
     ``require_labels=False`` admits unlabeled documents (annotation input).
     """
-    if field_name not in ("title", "fulltext"):
+    if field_name not in FIELDS:
         raise ValueError(f"unknown field {field_name!r}")
     result = CorpusLoadResult(documents=[])
     seen_ids: set[str] = set()

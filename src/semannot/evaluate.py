@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -140,28 +141,19 @@ class EvalReport:
 
 
 def evaluate_run(
-    config: RunConfig,
-    docs: list[Document],
-    thesaurus: Thesaurus,
-    lemma_table: LemmaTable | None = None,
-    counts: CorpusCounts | None = None,
-    jobs: int = 1,
+    config: RunConfig, counts: CorpusCounts, labels: LabelMatrix, jobs: int = 1
 ) -> EvalReport:
-    """Full cross-validated run of one pipeline configuration.
+    """Full cross-validated run of one pipeline configuration over the
+    documents' counts of this config's field and their gold labels.
 
-    ``counts``, when given, are the documents' counts from
-    ``count_documents`` for this config's field, shared by several runs.
     With ``jobs > 1`` the folds run in that many worker processes, at most
     one per fold; the report is the same for any ``jobs``.
     """
     config.validate()
-    if counts is None:
-        matcher = concept_matcher([config], thesaurus, lemma_table)
-        counts = count_documents(docs, config.field, lemma_table, matcher)
-    elif len(counts) != len(docs):
-        raise ValueError(f"counts hold {len(counts)} documents, the corpus {len(docs)}")
-    shared = (config, counts, LabelMatrix.from_gold([doc.gold_labels for doc in docs]))
-    folds = make_folds(len(docs), config.folds, config.seed)
+    if len(counts) != labels.n_docs:
+        raise ValueError(f"counts hold {len(counts)} documents, the labels {labels.n_docs}")
+    shared = (config, counts, labels)
+    folds = make_folds(len(counts), config.folds, config.seed)
     tasks = [(i, train, test) for i, (train, test) in enumerate(folds)]
     if jobs > 1:
         workers = min(jobs, len(tasks))
@@ -185,6 +177,23 @@ def evaluate_run(
         empty_predictions=sum(fr.empty_predictions for fr in results),
         zero_vector_queries=sum(fr.zero_vector_queries for fr in results),
     )
+
+
+def evaluate_grid(
+    configs: Sequence[RunConfig], docs: Sequence[Document], thesaurus: Thesaurus,
+    lemma_table: LemmaTable | None = None, jobs: int = 1,
+) -> Iterator[EvalReport]:
+    """One cross-validated report per config, in order.  Every config is
+    validated first; then one concept matcher and one gold LabelMatrix are
+    built and each field the configs use is counted once, for all runs."""
+    for config in configs:
+        config.validate()
+    matcher = concept_matcher(configs, thesaurus, lemma_table)
+    labels = LabelMatrix.from_gold([doc.gold_labels for doc in docs])
+    fields = dict.fromkeys(config.field for config in configs)
+    counts = {field: count_documents(docs, field, lemma_table, matcher) for field in fields}
+    for config in configs:
+        yield evaluate_run(config, counts[config.field], labels, jobs)
 
 
 CSV_HEADER = (

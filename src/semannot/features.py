@@ -24,7 +24,7 @@ from scipy import sparse as sp
 
 from .corpus import Thesaurus
 from .preprocess import LemmaTable, preprocess
-from .sparse import l2_normalize, vstack
+from .sparse import l2_normalize
 
 BM25_K = 1.6
 BM25_B = 0.75
@@ -101,12 +101,6 @@ class ConceptMatcher:
         return counts
 
 
-def extract_concepts(tokens: list[str], matcher: ConceptMatcher) -> dict[int, float]:
-    """Concept frequencies by concept index, from the longest-match scan."""
-    counts = matcher.match_counts(tokens)
-    return {matcher.concept_index[cid]: float(c) for cid, c in counts.items()}
-
-
 @dataclass(frozen=True)
 class CorpusCounts:
     """Raw term and concept counts of a list of documents, one row each.
@@ -136,6 +130,14 @@ class CorpusCounts:
         )
 
 
+def _count_rows(rows: Sequence[dict[int, int]], n_columns: int) -> sp.csr_matrix:
+    """One CSR row per column -> count map, entries in the map's order."""
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    counts = np.fromiter(chain.from_iterable(row.values() for row in rows), np.float64, indptr[-1])
+    columns = np.fromiter(chain.from_iterable(rows), np.int64, indptr[-1])
+    return sp.csr_matrix((counts, columns, indptr), shape=(len(rows), n_columns))
+
+
 def count_corpus(
     token_seqs: Sequence[list[str]], matcher: ConceptMatcher | None = None
 ) -> CorpusCounts:
@@ -143,21 +145,13 @@ def count_corpus(
     matcher is given.  The one place token sequences become counts."""
     index: dict[str, int] = {}
     rows = [count_terms(seq, index) for seq in token_seqs]
-    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
-    nnz = int(indptr[-1])
-    term_counts = sp.csr_matrix(
-        (
-            np.fromiter(chain.from_iterable(row.values() for row in rows), np.float64, nnz),
-            np.fromiter(chain.from_iterable(rows), np.int64, nnz),
-            indptr,
-        ),
-        shape=(len(rows), len(index)),
-    )
+    term_counts = _count_rows(rows, len(index))
     concept_counts = None
     if matcher is not None:
-        concept_counts = vstack(
-            [extract_concepts(seq, matcher) for seq in token_seqs], len(matcher.concept_index)
-        )
+        columns = matcher.concept_index
+        rows = [{columns[c]: n for c, n in matcher.match_counts(seq).items()} for seq in token_seqs]
+        concept_counts = _count_rows(rows, len(columns))
+        concept_counts.sort_indices()
     return CorpusCounts(list(index), term_counts, concept_counts)
 
 

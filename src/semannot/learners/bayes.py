@@ -17,6 +17,17 @@ from .labels import LabelMatrix
 NB_ALPHA = 1e-5
 
 
+def log_distributions(counts: np.ndarray, alpha: float) -> np.ndarray:
+    """Smoothed log feature distribution of each row of (L, F) per-class
+    feature counts, as the multinomial variant fits it.  An empty
+    vocabulary leaves (L, 0) distributions with nothing to normalize, and
+    decisions rest on the prior odds alone."""
+    n_features = counts.shape[1]
+    z = counts.sum(axis=1) + alpha * n_features
+    log_z = np.log(z, out=np.zeros_like(z), where=n_features > 0)
+    return np.log(counts + alpha) - log_z[:, None]
+
+
 class NaiveBayesClassifier:
     """One-vs-rest Naive Bayes; scores are per-label posterior log-odds."""
 
@@ -28,9 +39,6 @@ class NaiveBayesClassifier:
         # per-label log-odds parameters, precomputed at fit time
         self._const: np.ndarray | None = None   # prior + presence-independent terms
         self._coef: np.ndarray | None = None    # (L, F) added per occurrence/presence
-        # multinomial only: fitted per-class log feature distributions
-        self.log_theta_pos: np.ndarray | None = None
-        self.log_theta_neg: np.ndarray | None = None
 
     def fit(self, X_counts: sp.csr_matrix, labels: LabelMatrix) -> "NaiveBayesClassifier":
         if X_counts.shape[0] == 0:
@@ -48,16 +56,7 @@ class NaiveBayesClassifier:
         log_prior_odds = np.log(n_pos + alpha) - np.log(n_neg + alpha)
 
         if self.variant == "multinomial":
-            n_features = matrix.shape[1]
-            z_pos = pos.sum(axis=1) + alpha * n_features
-            z_neg = neg.sum(axis=1) + alpha * n_features
-            # an empty vocabulary leaves (L, 0) distributions with nothing to
-            # normalize, and decisions rest on the prior odds alone
-            log_z_pos = np.log(z_pos, out=np.zeros_like(z_pos), where=n_features > 0)
-            log_z_neg = np.log(z_neg, out=np.zeros_like(z_neg), where=n_features > 0)
-            self.log_theta_pos = np.log(pos + alpha) - log_z_pos[:, None]
-            self.log_theta_neg = np.log(neg + alpha) - log_z_neg[:, None]
-            self._coef = self.log_theta_pos - self.log_theta_neg
+            self._coef = log_distributions(pos, alpha) - log_distributions(neg, alpha)
             self._const = log_prior_odds
         else:
             theta_pos = (pos + alpha) / (n_pos + 2.0 * alpha)[:, None]

@@ -10,7 +10,7 @@ from typing import Iterator, Sequence
 
 from scipy import sparse as sp
 
-from .corpus import THESAURUS_FORMATS, Document, Thesaurus
+from .corpus import FIELDS, THESAURUS_FORMATS, Document, Thesaurus
 from .features import VARIANTS, ConceptMatcher, CorpusCounts, TextVectorizer, count_corpus
 from .learners import (
     KnnClassifier,
@@ -41,8 +41,6 @@ CLASSIFIERS = (
     "mlp",
     "mlp-dt",
 )
-
-FIELDS = ("title", "fulltext")
 
 # classifiers consuming raw pre-weighting counts instead of weighted vectors
 _COUNT_BASED = ("bayes-bernoulli", "bayes-multinomial")
@@ -112,6 +110,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("knn_k", "l2r_k", "epochs", "mlp_hidden"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -241,14 +241,14 @@ def fit_counts(
 
 def fit_pipeline(
     config: RunConfig,
-    docs: list[Document],
+    docs: Sequence[Document],
     thesaurus: Thesaurus,
     lemma_table: LemmaTable | None = None,
-) -> FittedPipeline:
+) -> tuple[FittedPipeline, sp.csr_matrix]:
     """Fit vectorizer and classifier on the given documents (no held-out
-    split)."""
+    split); returns the pipeline and the input rows it was fitted on."""
     config.validate()
     matcher = concept_matcher([config], thesaurus, lemma_table)
     counts = count_documents(docs, config.field, lemma_table, matcher)
     labels = LabelMatrix.from_gold([doc.gold_labels for doc in docs])
-    return fit_counts(config, counts, labels, lemma_table, matcher)[0]
+    return fit_counts(config, counts, labels, lemma_table, matcher)

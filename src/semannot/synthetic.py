@@ -40,8 +40,8 @@ class SettingError(ValueError):
         self.requirement = requirement
 
 
-# generate_corpus parameters that count something, with their least value
-_COUNT_MINIMUMS = {
+# generate_corpus integer parameters, with their least value
+_MINIMUMS = {
     "n_labels": 1,
     "docs_per_label": 0,
     "keywords_per_label": 0,
@@ -50,11 +50,12 @@ _COUNT_MINIMUMS = {
     "noise_words": 0,
     "noise_vocab": 1,
     "fulltext_factor": 0,
+    "seed": 0,
 }
 
 
 def _check_settings(settings: dict) -> None:
-    for name, least in _COUNT_MINIMUMS.items():
+    for name, least in _MINIMUMS.items():
         if settings[name] < least:
             raise SettingError(name, f"must be >= {least}, got {settings[name]}")
     for name in ("keyword_overlap", "synonym_rate"):

@@ -17,7 +17,6 @@ from semannot.features import (
     ConceptMatcher,
     apply_weighting,
     concat,
-    extract_concepts,
     fit_weighting,
 )
 from semannot.learners import KnnClassifier, LinearClassifier, NaiveBayesClassifier
@@ -25,6 +24,20 @@ from semannot.multilabel import STACKING_TOP_M, StackedClassifier
 from semannot.preprocess import LemmaTable, preprocess
 from semannot.ranking import CandidateSet, L2RClassifier
 from semannot.sparse import l2_normalize, vstack
+
+
+def extract_concepts(tokens: list[str], matcher: ConceptMatcher) -> dict[int, float]:
+    """Concept frequencies by concept index, from the matcher's longest-match
+    scan of one document."""
+    counts = matcher.match_counts(tokens)
+    return {matcher.concept_index[cid]: float(c) for cid, c in counts.items()}
+
+
+def concept_rows(token_seqs, matcher: ConceptMatcher) -> sp.csr_matrix:
+    """Concept count rows stacked one document at a time: the reference for
+    count_corpus's concept block."""
+    rows = [extract_concepts(seq, matcher) for seq in token_seqs]
+    return vstack(rows, len(matcher.concept_index))
 
 
 def brute_force_idf(matrix: sp.csr_matrix, dimension: int) -> list[float]:
@@ -366,14 +379,11 @@ def per_fold_matrices(
             rows.append(row)
         return vstack(rows, len(vocab))
 
-    def concept_rows(seqs):
-        return vstack([extract_concepts(seq, matcher) for seq in seqs], len(matcher.concept_index))
-
     counters = []
     if uses_terms:
         counters.append(term_rows)
     if uses_concepts:
-        counters.append(concept_rows)
+        counters.append(lambda seqs: concept_rows(seqs, matcher))
     models = [fit_weighting(count(train), scheme) for count in counters]
 
     def rows(seqs):

@@ -16,7 +16,7 @@ import pytest
 
 from semannot.cli import main
 from semannot.corpus import dump_corpus_jsonl, dump_thesaurus_tsv, load_corpus, load_thesaurus
-from semannot.evaluate import evaluate_run, make_folds, sample_prf
+from semannot.evaluate import evaluate_grid, make_folds, sample_prf
 from semannot.features import ConceptMatcher, fit_weighting
 from semannot.learners import LabelMatrix
 from semannot.learners.mlp import init_params, loss_and_grads
@@ -128,7 +128,7 @@ def test_separable_task_logistic_regression():
     1,000-doc corpus under 10-fold CV within 10 epochs, under 60 s."""
     started = time.perf_counter()
     config = RunConfig(vectorization="tf-idf", classifier="lr", folds=10, seed=42, epochs=10)
-    result = evaluate_run(config, SEPARABLE.documents, SEPARABLE.thesaurus)
+    (result,) = evaluate_grid([config], SEPARABLE.documents, SEPARABLE.thesaurus)
     elapsed = time.perf_counter() - started
     assert result.mean_f1 >= 0.95
     assert elapsed < 60.0
@@ -142,7 +142,7 @@ def test_separable_task_mlp():
     config = RunConfig(
         vectorization="tf-idf", classifier="mlp", folds=10, seed=42, mlp_hidden=64
     )
-    result = evaluate_run(config, SEPARABLE.documents, SEPARABLE.thesaurus)
+    (result,) = evaluate_grid([config], SEPARABLE.documents, SEPARABLE.thesaurus)
     elapsed = time.perf_counter() - started
     assert result.mean_f1 >= 0.95
     assert elapsed < 60.0
@@ -153,13 +153,11 @@ def test_eager_beats_lazy_direction():
     """On the 30%-overlap noisy corpus, binary-relevance LR attains at least
     the kNN mean F1 under identical folds and seed."""
     made = generate_corpus(**PRESETS["noisy"], seed=7)
-    lr = evaluate_run(
-        RunConfig(vectorization="tf-idf", classifier="lr", folds=10, seed=42, epochs=10),
-        made.documents,
-        made.thesaurus,
-    )
-    knn = evaluate_run(
-        RunConfig(vectorization="tf-idf", classifier="knn", folds=10, seed=42),
+    lr, knn = evaluate_grid(
+        [
+            RunConfig(vectorization="tf-idf", classifier="lr", folds=10, seed=42, epochs=10),
+            RunConfig(vectorization="tf-idf", classifier="knn", folds=10, seed=42),
+        ],
         made.documents,
         made.thesaurus,
     )
@@ -171,13 +169,11 @@ def test_ctf_benefit_direction():
     """On the synonym-injected corpus, kNN on the concatenated term+concept
     features attains at least the kNN term-only mean F1, same folds/seed."""
     made = generate_corpus(**PRESETS["synonym"], seed=5)
-    ctf = evaluate_run(
-        RunConfig(vectorization="ctf-idf", classifier="knn", folds=10, seed=42),
-        made.documents,
-        made.thesaurus,
-    )
-    tf = evaluate_run(
-        RunConfig(vectorization="tf-idf", classifier="knn", folds=10, seed=42),
+    ctf, tf = evaluate_grid(
+        [
+            RunConfig(vectorization="ctf-idf", classifier="knn", folds=10, seed=42),
+            RunConfig(vectorization="tf-idf", classifier="knn", folds=10, seed=42),
+        ],
         made.documents,
         made.thesaurus,
     )
@@ -194,7 +190,7 @@ def test_stacking_containment_exhaustive():
         config = RunConfig(
             vectorization="ctf-idf", classifier=kind, seed=2, epochs=3, mlp_hidden=8, l2r_k=5
         )
-        pipeline = fit_pipeline(config, made.documents, made.thesaurus)
+        pipeline, _ = fit_pipeline(config, made.documents, made.thesaurus)
         stacked = pipeline.classifier
         X = pipeline.vectorize(pipeline.count(made.documents))
         S = stacked.base.scores(X)
@@ -312,16 +308,14 @@ def test_rcv1_reference_scores():
     docs = load_corpus(
         os.path.join(RCV1_DIR, "corpus.jsonl"), "title", thesaurus=thesaurus
     ).documents
-    knn = evaluate_run(
-        RunConfig(vectorization="ctf-idf", classifier="knn", folds=10, seed=0),
+    knn, mlp = evaluate_grid(
+        [
+            RunConfig(vectorization="ctf-idf", classifier="knn", folds=10, seed=0),
+            RunConfig(vectorization="ctf-idf", classifier="mlp", folds=10, seed=0),
+        ],
         docs,
         thesaurus,
     )
     assert abs(knn.mean_f1 - 0.717) <= 0.03
-    mlp = evaluate_run(
-        RunConfig(vectorization="ctf-idf", classifier="mlp", folds=10, seed=0),
-        docs,
-        thesaurus,
-    )
     assert abs(mlp.mean_f1 - 0.812) <= 0.03
     report("reference scores on licensed news corpus")

@@ -57,7 +57,7 @@ def fitted_pipelines(draw, classifier):
         knn_k=draw(st.integers(1, 30)),
         l2r_k=draw(st.integers(1, 6)),
     )
-    pipeline = fit_pipeline(config, made.documents, made.thesaurus)
+    pipeline, _ = fit_pipeline(config, made.documents, made.thesaurus)
     # training titles, plus an empty and an out-of-vocabulary query whose
     # feature rows are all zero
     queries = [Document("q0", "", None, frozenset()), Document("q1", "zzunseen", None, frozenset())]

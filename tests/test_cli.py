@@ -501,6 +501,11 @@ def tree(container: dict) -> dict:
         ),
         (
             KNN,
+            lambda c: c["config"].update(seed=-1),
+            f"{REFUSED} seed must be >= 0, got -1",
+        ),
+        (
+            KNN,
             lambda c: c["config"].update(thesaurus_format="xml"),
             f"{REFUSED} unknown thesaurus_format 'xml'; valid: tsv, ntriples",
         ),
@@ -588,6 +593,7 @@ def tree(container: dict) -> dict:
         "config-mlp-threshold-string",
         "config-vectorization-number",
         "config-seed-string",
+        "config-seed-negative",
         "config-thesaurus-format-xml",
         "config-mlp-hidden-float",
         "config-epochs-fraction",
@@ -655,11 +661,13 @@ def test_annotate_refuses_classifier_other_than_config_names(data_files, tmp_pat
         (["--mlp-hidden", "0", "--clf", "mlp"], "mlp_hidden must be >= 1, got 0"),
         (["--mlp-threshold", "nan", "--clf", "mlp"], "mlp_threshold must be in (0, 1), got nan"),
         (["--mlp-threshold", "1.5", "--clf", "mlp"], "mlp_threshold must be in (0, 1), got 1.5"),
+        # used to exit 1 with numpy's "expected non-negative integer"
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
     ],
     ids=[
         "knn-k-0", "epochs-0", "l2r-k-0", "alpha-0", "alpha-inf", "alpha-1", "l2r-alpha-1.5",
         "mlp-hidden-0",
-        "mlp-threshold-nan", "mlp-threshold-1.5",
+        "mlp-threshold-nan", "mlp-threshold-1.5", "seed-negative",
     ],
 )
 def test_out_of_range_learner_value_exits_2(data_files, tmp_path, capsys, command, flags, message):
@@ -766,6 +774,8 @@ def test_generate_with_two_labels_narrows_labels_per_doc(tmp_path):
             ["--preset", "synonym", "--labels", "1"],
             "--labels must be >= 2 for labels_per_doc (1, 2), got 1",
         ),
+        # used to exit 1 with numpy's "expected non-negative integer"
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
     ],
 )
 def test_generate_out_of_range_flag_exits_2(tmp_path, capsys, flags, message):

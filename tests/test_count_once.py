@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import semannot.cli as cli
 import semannot.features as features
 import semannot.pipeline as pl
 from semannot.cli import main
 from semannot.corpus import Concept, Thesaurus, dump_corpus_jsonl, dump_thesaurus_tsv
 from semannot.evaluate import make_folds
 from semannot.features import VARIANTS, ConceptMatcher, TextVectorizer, count_corpus
+from semannot.learners import LabelMatrix
 from semannot.preprocess import preprocess
 from semannot.synthetic import generate_corpus
 
@@ -111,14 +113,16 @@ def test_test_fold_text_never_reaches_fitted_state(fold, variant):
 
 def test_grid_counts_each_document_once(tmp_path, monkeypatch):
     """A --grid vectorizations run preprocesses and concept-matches every
-    document once, and preprocesses each thesaurus phrase once."""
+    document once, preprocesses each thesaurus phrase once, and collects the
+    gold labels into one LabelMatrix."""
     made = generate_corpus(n_labels=3, docs_per_label=5, synonyms_per_concept=1, seed=8)
     corpus, thesaurus = tmp_path / "corpus.jsonl", tmp_path / "thesaurus.tsv"
     dump_corpus_jsonl(made.documents, corpus)
     dump_thesaurus_tsv(made.thesaurus, thesaurus)
-    calls = {"match": 0, "preprocess": 0}
+    calls = {"match": 0, "preprocess": 0, "labels": 0}
     original_match = ConceptMatcher.match_counts
     original_preprocess = pl.preprocess
+    original_from_gold = LabelMatrix.from_gold.__func__
 
     def counting_match(self, tokens):
         calls["match"] += 1
@@ -128,9 +132,14 @@ def test_grid_counts_each_document_once(tmp_path, monkeypatch):
         calls["preprocess"] += 1
         return original_preprocess(text, table)
 
+    def counting_from_gold(cls, gold_sets):
+        calls["labels"] += 1
+        return original_from_gold(cls, gold_sets)
+
     monkeypatch.setattr(ConceptMatcher, "match_counts", counting_match)
     monkeypatch.setattr(pl, "preprocess", counting_preprocess)
     monkeypatch.setattr(features, "preprocess", counting_preprocess)
+    monkeypatch.setattr(LabelMatrix, "from_gold", classmethod(counting_from_gold))
     code = main(
         [
             "evaluate", "--corpus", str(corpus), "--thesaurus", str(thesaurus),
@@ -142,13 +151,15 @@ def test_grid_counts_each_document_once(tmp_path, monkeypatch):
     n_phrases = sum(len(c.phrases()) for c in made.thesaurus.concepts.values())
     assert calls["match"] == len(made.documents)
     assert calls["preprocess"] == len(made.documents) + n_phrases
+    assert calls["labels"] == 1
 
 
 def test_train_dump_vectors_counts_each_document_once(tmp_path, monkeypatch):
     """train --dump-vectors writes the rows the classifier was fitted on from
-    the counts made for fitting: every document is preprocessed and
-    concept-matched once, the counts are vectorized once, and the dump equals
-    a separate count of the same documents through the fitted pipeline."""
+    the counts made for fitting: train enters fit_pipeline once, every
+    document is preprocessed and concept-matched once, the counts are
+    vectorized once, and the dump equals a separate count of the same
+    documents through the fitted pipeline."""
     made = generate_corpus(n_labels=3, docs_per_label=5, synonyms_per_concept=1, seed=8)
     corpus, thesaurus = tmp_path / "corpus.jsonl", tmp_path / "thesaurus.tsv"
     dump_corpus_jsonl(made.documents, corpus)
@@ -157,10 +168,15 @@ def test_train_dump_vectors_counts_each_document_once(tmp_path, monkeypatch):
         "train", "--corpus", str(corpus), "--thesaurus", str(thesaurus), "--clf", "l2r-dt",
         "--out", str(tmp_path / "model.json"), "--dump-vectors", str(tmp_path / "vectors.jsonl"),
     ]
-    calls = {"match": 0, "preprocess": 0, "transform": 0}
+    calls = {"fit": 0, "match": 0, "preprocess": 0, "transform": 0}
+    original_fit = cli.fit_pipeline
     original_match = ConceptMatcher.match_counts
     original_preprocess = pl.preprocess
     original_transform = TextVectorizer.transform
+
+    def counting_fit(*args, **kwargs):
+        calls["fit"] += 1
+        return original_fit(*args, **kwargs)
 
     def counting_match(self, tokens):
         calls["match"] += 1
@@ -175,6 +191,7 @@ def test_train_dump_vectors_counts_each_document_once(tmp_path, monkeypatch):
         return original_transform(self, counts)
 
     with monkeypatch.context() as patched:
+        patched.setattr(cli, "fit_pipeline", counting_fit)
         patched.setattr(ConceptMatcher, "match_counts", counting_match)
         patched.setattr(pl, "preprocess", counting_preprocess)
         patched.setattr(features, "preprocess", counting_preprocess)
@@ -184,8 +201,9 @@ def test_train_dump_vectors_counts_each_document_once(tmp_path, monkeypatch):
     assert calls["match"] == len(made.documents)
     assert calls["preprocess"] == len(made.documents) + n_phrases
     assert calls["transform"] == 1
+    assert calls["fit"] == 1
 
-    pipeline = pl.fit_pipeline(pl.RunConfig(classifier="l2r-dt"), made.documents, made.thesaurus)
+    pipeline, _ = pl.fit_pipeline(pl.RunConfig(classifier="l2r-dt"), made.documents, made.thesaurus)
     expected = tmp_path / "expected.jsonl"
     features.dump_vectors(
         expected, [d.doc_id for d in made.documents],

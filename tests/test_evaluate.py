@@ -6,10 +6,10 @@ import pytest
 import semannot.evaluate as ev
 import semannot.pipeline as pl
 from semannot.corpus import Concept, Document, Thesaurus
-from semannot.evaluate import evaluate_run, make_folds, run_fold, sample_prf
+from semannot.evaluate import evaluate_grid, evaluate_run, make_folds, run_fold, sample_prf
 from semannot.features import ConceptMatcher, count_corpus
 from semannot.learners import LabelMatrix
-from semannot.pipeline import RunConfig, count_documents
+from semannot.pipeline import RunConfig, concept_matcher, count_documents
 from semannot.preprocess import preprocess
 from semannot.synthetic import generate_corpus
 
@@ -120,7 +120,7 @@ def test_oracle_classifier_scores_perfect_f1(monkeypatch):
         pl, "build_classifier", lambda cfg: _GoldEchoClassifier(thesaurus.sorted_ids())
     )
     config = RunConfig(vectorization="cf-idf", classifier="knn", folds=5, seed=1)
-    report = evaluate_run(config, docs, thesaurus)
+    (report,) = evaluate_grid([config], docs, thesaurus)
     assert report.mean_f1 == 1.0
     assert report.mean_precision == 1.0
     assert report.mean_recall == 1.0
@@ -130,7 +130,7 @@ def test_always_empty_classifier_scores_zero(monkeypatch):
     docs, thesaurus = oracle_corpus()
     monkeypatch.setattr(pl, "build_classifier", lambda cfg: _EmptyClassifier())
     config = RunConfig(vectorization="cf-idf", classifier="knn", folds=5, seed=1)
-    report = evaluate_run(config, docs, thesaurus)
+    (report,) = evaluate_grid([config], docs, thesaurus)
     assert report.mean_f1 == 0.0
     assert report.empty_predictions == len(docs)
 
@@ -138,8 +138,8 @@ def test_always_empty_classifier_scores_zero(monkeypatch):
 def test_evaluate_run_deterministic():
     made = generate_corpus(n_labels=5, docs_per_label=8, seed=3)
     config = RunConfig(vectorization="ctf-idf", classifier="lr", folds=5, seed=7, epochs=3)
-    first = evaluate_run(config, made.documents, made.thesaurus)
-    second = evaluate_run(config, made.documents, made.thesaurus)
+    (first,) = evaluate_grid([config], made.documents, made.thesaurus)
+    (second,) = evaluate_grid([config], made.documents, made.thesaurus)
     assert first.mean_f1 == second.mean_f1
     assert [fr.f1 for fr in first.folds] == [fr.f1 for fr in second.folds]
 
@@ -147,7 +147,7 @@ def test_evaluate_run_deterministic():
 def test_overall_mean_is_unweighted_fold_mean():
     made = generate_corpus(n_labels=4, docs_per_label=8, seed=5)
     config = RunConfig(vectorization="tf-idf", classifier="knn", folds=3, seed=2)
-    report = evaluate_run(config, made.documents, made.thesaurus)
+    (report,) = evaluate_grid([config], made.documents, made.thesaurus)
     assert report.mean_f1 == pytest.approx(
         sum(fr.f1 for fr in report.folds) / len(report.folds)
     )
@@ -200,7 +200,7 @@ def test_labels_unseen_in_training_stay_in_gold():
         gold_labels=frozenset(set(target.gold_labels) | {"RARE"}),
     )
     config = RunConfig(vectorization="tf-idf", classifier="knn", folds=5, seed=1)
-    report = evaluate_run(config, docs, thesaurus)
+    (report,) = evaluate_grid([config], docs, thesaurus)
     assert report.mean_recall < 1.0 or report.mean_f1 < 1.0
 
 
@@ -213,9 +213,9 @@ def test_fold_errors_carry_fold_context():
         ev._run_task((config, counts, gold_matrix(docs)), (0, np.arange(6), np.arange(6, 12)))
     # the same failure in a pool worker, which holds the shared state itself
     with pytest.raises(RuntimeError, match="fold 0"):
-        evaluate_run(config, docs, thesaurus, counts=counts, jobs=2)
+        evaluate_run(config, counts, gold_matrix(docs), jobs=2)
     with pytest.raises(ValueError, match="counts hold 11 documents"):
-        evaluate_run(config, docs, thesaurus, counts=counts.rows(slice(0, 11)))
+        evaluate_run(config, counts.rows(slice(0, 11)), gold_matrix(docs))
 
 
 def test_fold_tasks_carry_only_fold_indices(monkeypatch):
@@ -242,12 +242,12 @@ def test_fold_tasks_carry_only_fold_indices(monkeypatch):
 
     monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(ev, "_worker_shared", None)
-    report = evaluate_run(config, made.documents, made.thesaurus, jobs=2)
+    (report,) = evaluate_grid([config], made.documents, made.thesaurus, jobs=2)
     assert [len(task) for task in seen["tasks"]] == [3, 3, 3]
     assert all(isinstance(part, (int, np.ndarray)) for task in seen["tasks"] for part in task)
     _, counts, labels = seen["initargs"]
     assert len(counts) == labels.n_docs == len(made.documents)
-    sequential = evaluate_run(config, made.documents, made.thesaurus, jobs=1)
+    (sequential,) = evaluate_grid([config], made.documents, made.thesaurus, jobs=1)
     assert dataclasses.asdict(report)["folds"] == dataclasses.asdict(sequential)["folds"]
 
 
@@ -275,7 +275,37 @@ def test_pool_holds_at_most_one_worker_per_fold(monkeypatch, jobs, workers):
 
     monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(ev, "_worker_shared", None)
-    report = evaluate_run(config, made.documents, made.thesaurus, jobs=jobs)
+    (report,) = evaluate_grid([config], made.documents, made.thesaurus, jobs=jobs)
     assert sizes == [workers]
-    sequential = evaluate_run(config, made.documents, made.thesaurus, jobs=1)
+    (sequential,) = evaluate_grid([config], made.documents, made.thesaurus, jobs=1)
     assert dataclasses.asdict(report) == dataclasses.asdict(sequential)
+
+
+def test_grid_reports_equal_runs_on_freshly_counted_rows():
+    """evaluate_grid counts each field once, with one matcher for every
+    config, and collects the gold labels once; each report it yields equals
+    evaluate_run on rows counted for that config alone."""
+    made = generate_corpus(n_labels=4, docs_per_label=6, synonyms_per_concept=1, seed=9)
+    docs, thesaurus = made.documents, made.thesaurus
+    configs = [
+        RunConfig(field="title", vectorization="ctf-idf", classifier="knn", folds=3, seed=1),
+        RunConfig(field="fulltext", vectorization="tf-idf", classifier="rocchio-dt", folds=3),
+        RunConfig(field="title", vectorization="bm25", classifier="bayes-multinomial", folds=4),
+        RunConfig(field="fulltext", vectorization="cf-idf", classifier="lr", folds=3, epochs=2),
+    ]
+    reports = list(evaluate_grid(configs, docs, thesaurus))
+    assert len(reports) == len(configs)
+    for config, report in zip(configs, reports):
+        counts = count_documents(docs, config.field, matcher=concept_matcher([config], thesaurus))
+        expected = evaluate_run(config, counts, gold_matrix(docs))
+        assert dataclasses.asdict(report) == dataclasses.asdict(expected)
+
+
+def test_grid_validates_every_config_before_counting(monkeypatch):
+    made = generate_corpus(n_labels=3, docs_per_label=4, seed=2)
+    counted = []
+    monkeypatch.setattr(ev, "count_documents", lambda *args: counted.append(args))
+    configs = [RunConfig(folds=3), RunConfig(folds=3, seed=-1)]
+    with pytest.raises(pl.ConfigError, match="seed must be >= 0, got -1"):
+        next(evaluate_grid(configs, made.documents, made.thesaurus))
+    assert counted == []

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collections import Counter
 
@@ -16,7 +17,6 @@ from semannot.features import (
     count_corpus,
     count_terms,
     dump_vectors,
-    extract_concepts,
     fit_weighting,
 )
 from semannot.preprocess import preprocess
@@ -24,7 +24,10 @@ from semannot.sparse import l2_normalize, row_norms, vstack
 
 from oracles import (
     brute_force_idf,
+    concept_rows,
+    extract_concepts,
     naive_longest_match,
+    ORACLE_TOKENS,
     random_count_vectors,
     random_thesaurus,
     random_token_stream,
@@ -227,6 +230,37 @@ def test_longest_match_matches_naive_oracle():
         assert matcher.match_counts(stream) == naive_longest_match(
             stream, thesaurus_patterns(thesaurus)
         )
+
+
+@st.composite
+def thesaurus_and_documents(draw):
+    """Up to six concepts over the oracle tokens, phrases possibly shared
+    between concepts, and up to twelve documents over the same tokens."""
+    phrase = st.lists(st.sampled_from(ORACLE_TOKENS), min_size=1, max_size=3).map(" ".join)
+    n_concepts = draw(st.integers(1, 6))
+    concepts = {}
+    for c in range(n_concepts):
+        pref, *alts = draw(st.lists(phrase, min_size=1, max_size=3))
+        concepts[f"c{c}"] = Concept(f"c{c}", pref, tuple(alt for alt in alts if alt != pref))
+    docs = draw(st.lists(st.lists(st.sampled_from(ORACLE_TOKENS), max_size=10), max_size=12))
+    return Thesaurus(concepts), docs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(thesaurus_and_documents())
+def test_concept_block_equals_per_document_stack(case):
+    """count_corpus builds the concept block from arrays in one pass; it is
+    bit for bit the block that stacks one document's concept map at a time."""
+    thesaurus, docs = case
+    matcher = ConceptMatcher(thesaurus)
+    got = count_corpus(docs, matcher).concept_counts
+    expected = concept_rows(docs, matcher)
+    assert got.shape == expected.shape
+    assert got.has_sorted_indices
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(expected, part)
+        assert a.dtype == b.dtype, part
+        assert a.tobytes() == b.tobytes(), part
 
 
 def fitted(variant, token_seqs, thesaurus):

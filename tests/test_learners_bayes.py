@@ -9,6 +9,7 @@ from scipy import sparse as sp
 from oracles import ranked_ids
 from semannot.corpus import Concept, Document, Thesaurus
 from semannot.learners import LabelMatrix, NaiveBayesClassifier
+from semannot.learners.bayes import log_distributions
 from semannot.pipeline import RunConfig, fit_pipeline
 from semannot.sparse import vstack
 
@@ -91,8 +92,15 @@ def test_multinomial_distributions_sum_to_one():
         idx = rng.choice(dim, size=rng.integers(1, 5), replace=False)
         X.append(sv({int(j): float(rng.integers(1, 6)) for j in idx}, dim))
         gold.append({f"l{int(g)}" for g in rng.choice(4, size=rng.integers(1, 3), replace=False)})
-    clf = NaiveBayesClassifier("multinomial").fit(stack(X), labels_of(gold))
-    for log_theta in (clf.log_theta_pos, clf.log_theta_neg):
+    labels = labels_of(gold)
+    clf = NaiveBayesClassifier("multinomial").fit(stack(X), labels)
+    # per-class feature counts: within each label's documents, and outside them
+    pos = np.asarray((labels.Y.T @ stack(X)).todense())
+    neg = np.asarray(stack(X).sum(axis=0)).ravel()[None, :] - pos
+    log_theta_pos, log_theta_neg = log_distributions(pos, ALPHA), log_distributions(neg, ALPHA)
+    # fit weighs an occurrence by exactly these distributions
+    assert np.array_equal(clf._coef, log_theta_pos - log_theta_neg)
+    for log_theta in (log_theta_pos, log_theta_neg):
         sums = np.exp(log_theta).sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-12, rtol=0.0)
 
@@ -138,7 +146,7 @@ def test_multinomial_empty_vocabulary_decides_from_priors():
     config = RunConfig(classifier="bayes-multinomial", vectorization="tf-idf")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        pipeline = fit_pipeline(config, docs, thesaurus)
+        pipeline, _ = fit_pipeline(config, docs, thesaurus)
         predicted = pipeline.predict_document(docs[0])
     assert pipeline.vectorizer.dimension == 0
     clf = pipeline.classifier

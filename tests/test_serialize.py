@@ -40,7 +40,7 @@ def test_round_trip_preserves_decisions(classifier, vectorization, tmp_path):
         knn_k=1,
         l2r_k=5,
     )
-    pipeline = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus)
+    pipeline, _ = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus)
     path = tmp_path / "model.json"
     save_pipeline(pipeline, path)
     reloaded = load_pipeline(path)
@@ -50,7 +50,7 @@ def test_round_trip_preserves_decisions(classifier, vectorization, tmp_path):
 
 def test_weights_round_trip_bitwise(tmp_path):
     config = RunConfig(vectorization="tf-idf", classifier="lr", seed=0, epochs=3)
-    pipeline = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus)
+    pipeline, _ = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus)
     path = tmp_path / "model.json"
     save_pipeline(pipeline, path)
     reloaded = load_pipeline(path)
@@ -65,7 +65,7 @@ def test_mlp_parameters_round_trip_bitwise(tmp_path):
     config = RunConfig(
         vectorization="tf-idf", classifier="mlp", seed=2, epochs=2, mlp_hidden=6
     )
-    pipeline = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus)
+    pipeline, _ = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus)
     path = tmp_path / "model.json"
     save_pipeline(pipeline, path)
     reloaded = load_pipeline(path)
@@ -76,7 +76,7 @@ def test_mlp_parameters_round_trip_bitwise(tmp_path):
 def test_lemma_table_travels_with_model(tmp_path):
     table = LemmaTable({"datumz": "datum"})
     config = RunConfig(vectorization="tf-idf", classifier="knn", seed=0)
-    pipeline = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus, lemma_table=table)
+    pipeline, _ = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus, lemma_table=table)
     path = tmp_path / "model.json"
     save_pipeline(pipeline, path)
     assert load_pipeline(path).lemma_table.mapping == {"datumz": "datum"}
@@ -90,7 +90,7 @@ def test_cf_idf_round_trip_rebuilds_matcher_with_stored_lemma_table(tmp_path):
     table = LemmaTable({"siga": "kuab"})
     assert CORPUS.thesaurus.get("C0000").pref_label == "siga"
     config = RunConfig(vectorization="cf-idf", classifier="knn", seed=0)
-    pipeline = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus, lemma_table=table)
+    pipeline, _ = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus, lemma_table=table)
     path = tmp_path / "model.json"
     save_pipeline(pipeline, path)
     reloaded = load_pipeline(path)
@@ -132,7 +132,7 @@ def test_reloaded_matcher_counts_as_training_and_oracle(case):
         for i, stream in enumerate(streams)
     ]
     config = RunConfig(vectorization="cf-idf", classifier="knn", seed=0)
-    pipeline = fit_pipeline(config, docs, thesaurus, lemma_table=table)
+    pipeline, _ = fit_pipeline(config, docs, thesaurus, lemma_table=table)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         save_pipeline(pipeline, path)
@@ -148,7 +148,7 @@ def test_reloaded_matcher_counts_as_training_and_oracle(case):
 
 def test_unsupported_version_rejected(tmp_path):
     config = RunConfig(vectorization="tf-idf", classifier="knn", seed=0)
-    pipeline = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus)
+    pipeline, _ = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus)
     path = tmp_path / "model.json"
     save_pipeline(pipeline, path)
     container = json.loads(path.read_text())
@@ -187,7 +187,7 @@ def test_container_holds_only_current_keys(tmp_path):
         config = RunConfig(
             vectorization="bm25ct", classifier=classifier, seed=0, epochs=2, mlp_hidden=4, l2r_k=5
         )
-        save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus), path)
+        save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus)[0], path)
         container = json.loads(path.read_text())
         assert list(container) == [
             "format_version", "config", "lemma_table", "thesaurus", "vectorizer", "classifier"
@@ -214,14 +214,14 @@ def test_container_holds_only_current_keys(tmp_path):
     assert set(blocks["l2r"]) == {"knn", "weights", "bias"}
     assert set(blocks["l2r-dt"]["base"]) == {"knn", "weights", "bias"}
     config = RunConfig(vectorization="cf-idf", classifier="bayes-bernoulli", seed=0)
-    save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus), path)
+    save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus)[0], path)
     container = json.loads(path.read_text())
     assert set(container["vectorizer"]) == {"concept_weighting"}
     assert set(container["vectorizer"]["concept_weighting"]) == {"idf"}
     assert set(container["classifier"]) == {"label_ids", "_const", "_coef"}
     assert container["thesaurus"] is not None
     config = RunConfig(vectorization="tf-idf", classifier="knn", seed=0)
-    save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus), path)
+    save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus)[0], path)
     container = json.loads(path.read_text())
     assert container["thesaurus"] is None
     assert set(container["vectorizer"]) == {"vocab", "term_weighting"}
@@ -233,7 +233,7 @@ def test_stacking_tree_depth_cap_is_inclusive(tmp_path):
     one split deeper is refused."""
     config = RunConfig(vectorization="tf-idf", classifier="lr-dt", seed=0, epochs=3)
     path = tmp_path / "model.json"
-    save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus), path)
+    save_pipeline(fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus)[0], path)
     container = json.loads(path.read_text())
     trees = container["classifier"]["model"]["trees"]
 

@@ -108,6 +108,7 @@ def test_invalid_label_range_rejected():
         (dict(noise_words=-4), "noise_words"),
         (dict(noise_vocab=0), "noise_vocab"),
         (dict(fulltext_factor=-1), "fulltext_factor"),
+        (dict(seed=-1), "seed"),
     ],
 )
 def test_out_of_range_setting_is_refused_by_name(settings, name):
