@@ -8,9 +8,9 @@ second epoch onward.
 
 All labels share the same (seeded) presentation order per epoch, so the
 per-label problems can be trained as one vectorized pass and the result is
-independent of any parallelization across labels.  A single-output
-logistic problem (the L2R ranker's) has its own scalar loop with the same
-arithmetic, ``averaged_sgd_train_single``.
+independent of any parallelization across labels.  The L2R ranker's
+logistic problem uses the same regularised objective but is solved
+exactly, by Newton steps in ``ranking.ranker_fit``.
 """
 
 from __future__ import annotations
@@ -118,83 +118,6 @@ def averaged_sgd_train(
     if n_averaged:
         return averaged_sum / n_averaged, b_sum / n_averaged
     return V, B
-
-
-def averaged_sgd_train_single(
-    X: sp.csr_matrix,
-    y: np.ndarray,
-    alpha: float = LINEAR_ALPHA,
-    epochs: int = LINEAR_EPOCHS,
-    seed: int = 0,
-) -> tuple[np.ndarray, float]:
-    """``averaged_sgd_train`` with logistic loss for one label, bit for bit.
-
-    ``y`` holds one 0/1 relevance per row of X.  Returns the weight vector
-    and bias that ``averaged_sgd_train(X, Y[:, None])`` returns as W[0] and
-    b[0]: the same seeded order, schedule and scale/prefix-sum averaging,
-    with the per-step scalars and the weight state held as Python floats.
-    Only the margin's dot product and the sigmoid stay numpy calls, since
-    BLAS and ``expit`` do not round as a Python expression would.
-    """
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    n_docs, n_features = X.shape
-    if len(y) != n_docs:
-        raise ValueError("label rows must align with X")
-    indptr, indices, data = X.indptr.tolist(), X.indices.tolist(), X.data.tolist()
-    rows = [
-        (indices[s:e], data[s:e], X.data[s:e], 1.0 if label else -1.0)
-        for s, e, label in zip(indptr[:-1], indptr[1:], np.asarray(y).tolist())
-    ]
-    t0 = 1.0 / (alpha * LINEAR_ETA0)
-
-    v = [0.0] * n_features
-    b = 0.0
-    scale = 1.0
-    t = 0
-
-    averaged_sum = [0.0] * n_features
-    b_sum = 0.0
-    prefix_delta = [0.0] * n_features
-    n_averaged = 0
-
-    rng = np.random.default_rng(seed)
-    for epoch in range(epochs):
-        averaging = epoch >= 1
-        prefix = 0.0
-        for i in rng.permutation(n_docs).tolist():
-            idx, xs, xv, y_sign = rows[i]
-            margin = scale * (np.array([[v[j] for j in idx]]) @ xv).item() - b
-            grad = -y_sign * float(expit(-margin * y_sign))
-            eta = 1.0 / (alpha * (t0 + t))
-            t += 1
-            shrink = 1.0 - eta * alpha
-            if shrink <= 0.0:
-                raise ValueError(f"alpha must be < 1, got {alpha}: the weights shrank to zero")
-            scale *= shrink
-            step = -(eta / scale) * grad
-            for j, x in zip(idx, xs):
-                update = step * x
-                v[j] += update
-                if averaging:
-                    prefix_delta[j] += prefix * update
-            b += eta * grad
-            if averaging:
-                prefix += scale
-                b_sum += b
-                n_averaged += 1
-        if averaging and prefix > 0.0:
-            averaged_sum = [
-                a + (prefix * vj - d) for a, vj, d in zip(averaged_sum, v, prefix_delta)
-            ]
-            prefix_delta = [0.0] * n_features
-        # fold the scale back in once per epoch to keep it well conditioned
-        v = [vj * scale for vj in v]
-        scale = 1.0
-
-    if n_averaged:
-        return np.array(averaged_sum) / n_averaged, b_sum / n_averaged
-    return np.array(v), b
 
 
 class LinearClassifier:

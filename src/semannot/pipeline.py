@@ -152,7 +152,7 @@ def build_classifier(config: RunConfig):
         linear = LinearClassifier(loss=loss, alpha=alpha, epochs=linear_epochs, seed=seed)
         return StackedClassifier(linear) if kind == "lr-dt" else linear
     if kind in ("l2r", "l2r-dt"):
-        l2r = L2RClassifier(k=config.l2r_k, alpha=alpha, epochs=linear_epochs, seed=seed)
+        l2r = L2RClassifier(k=config.l2r_k, alpha=alpha)
         return StackedClassifier(l2r) if kind == "l2r-dt" else l2r
     if kind in ("mlp", "mlp-dt"):
         mlp = MlpClassifier(

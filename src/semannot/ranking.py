@@ -16,10 +16,14 @@ from scipy.special import expit
 
 from .learners.labels import LabelMatrix
 from .learners.lazy import KnnClassifier
-from .learners.linear import LINEAR_ALPHA, LINEAR_EPOCHS, averaged_sgd_train_single
+from .learners.linear import LINEAR_ALPHA
 from .multilabel import cutoff_decide, rcut
 
 L2R_K = 45
+# the ranker's Newton step cap, and the Newton decrement relative to the
+# objective at which fitting stops (also the smallest fraction of a step tried)
+RANKER_STEPS = 100
+RANKER_TOL = 1e-14
 
 
 @dataclass
@@ -72,16 +76,23 @@ def ranker_fit(
     candidate_sets: list[CandidateSet],
     gold_sets: list[frozenset],
     alpha: float = LINEAR_ALPHA,
-    epochs: int = LINEAR_EPOCHS,
-    seed: int = 0,
 ) -> tuple[np.ndarray, float]:
     """Pointwise logistic ranker: a candidate is relevant iff it is gold.
     Returns the feature weights and bias; a candidate scores
     expit(features @ weights - bias).
 
     Gold sets hold labels of the same kind as the candidate sets.  Documents
-    with no candidates are skipped.  Trained by the linear models'
-    averaged SGD in its single-output form.
+    with no candidates are skipped.  The result minimises
+    J = mean log(1 + exp(-y (features @ weights - bias))) + alpha/2 |weights|^2
+    over all candidates, y = +1 if relevant else -1, by damped Newton steps
+    from zero: each step solves the 5x5 system by least squares, so a
+    singular Hessian (a constant feature column, or saturated margins) gives
+    the minimum-norm step instead of an error, and is halved until J does
+    not rise.  Fitting stops after a full step once the Newton decrement
+    (the fall the step's quadratic model predicts, doubled) is at most
+    RANKER_TOL of J, once no halving lowers J, or after RANKER_STEPS steps.
+    With every candidate relevant J has no minimiser: the bias falls until
+    the margins saturate, where the decrement reaches zero.
     """
     pairs = list(zip(candidate_sets, gold_sets))
     relevance = [label in gold for cs, gold in pairs for label in cs.labels]
@@ -89,8 +100,35 @@ def ranker_fit(
         raise ValueError("no candidates to train on")
     if not any(relevance):
         raise ValueError("degenerate corpus: no relevant candidates anywhere")
-    X = sp.csr_matrix(np.vstack([cs.features for cs, _ in pairs]))
-    return averaged_sgd_train_single(X, np.array(relevance), alpha=alpha, epochs=epochs, seed=seed)
+    # the bias is a fifth weight on a constant -1 column, and is not regularised
+    A = np.column_stack([np.vstack([cs.features for cs, _ in pairs]), -np.ones(len(relevance))])
+    y = np.where(relevance, 1.0, -1.0)
+    ridge = np.append(np.full(A.shape[1] - 1, alpha), 0.0)
+
+    def objective(theta: np.ndarray) -> float:
+        return np.logaddexp(0.0, -y * (A @ theta)).mean() + 0.5 * ridge @ (theta * theta)
+
+    theta = np.zeros(A.shape[1])
+    J = objective(theta)
+    for _ in range(RANKER_STEPS):
+        margins = A @ theta
+        p = expit(margins)
+        gradient = A.T @ (-y * expit(-y * margins)) / len(y) + ridge * theta
+        hessian = (A.T * (p * (1.0 - p))) @ A / len(y) + np.diag(ridge)
+        step = np.linalg.lstsq(hessian, -gradient, rcond=None)[0]
+        if -gradient @ step <= RANKER_TOL * J:
+            # converged: the quadratic model, exact to rounding this close,
+            # predicts a fall that J itself could not resolve
+            theta = theta + step
+            break
+        # `not <=` also halves a step whose objective is NaN
+        scale = 1.0
+        while not (J_trial := objective(theta + scale * step)) <= J and scale > RANKER_TOL:
+            scale /= 2.0
+        if not J_trial <= J:
+            break
+        theta, J = theta + scale * step, J_trial
+    return theta[:-1], float(theta[-1])
 
 
 class L2RClassifier:
@@ -98,16 +136,8 @@ class L2RClassifier:
     weights; the candidate priors and the rank cutoff are read off the
     index's training labels."""
 
-    def __init__(
-        self,
-        k: int = L2R_K,
-        alpha: float = LINEAR_ALPHA,
-        epochs: int = LINEAR_EPOCHS,
-        seed: int = 0,
-    ):
+    def __init__(self, k: int = L2R_K, alpha: float = LINEAR_ALPHA):
         self.alpha = alpha
-        self.epochs = epochs
-        self.seed = seed
         self.knn = KnnClassifier(k=k)
         self.weights: np.ndarray | None = None
         self.bias: float | None = None
@@ -118,9 +148,7 @@ class L2RClassifier:
         candidate_sets = self.candidates(X, exclude=np.arange(X.shape[0]))
         Y = labels.Y
         gold_sets = [frozenset(row.tolist()) for row in np.split(Y.indices, Y.indptr[1:-1])]
-        self.weights, self.bias = ranker_fit(
-            candidate_sets, gold_sets, alpha=self.alpha, epochs=self.epochs, seed=self.seed
-        )
+        self.weights, self.bias = ranker_fit(candidate_sets, gold_sets, alpha=self.alpha)
         return self
 
     @property

@@ -56,9 +56,10 @@ def _enc_array(a: np.ndarray) -> dict:
     }
 
 
-def _dec_array(d: dict, required: str) -> np.ndarray:
-    """Decode an array whose slot requires the dtype `required`: `_FLOAT`,
-    or `_INT` for any signed integer dtype."""
+def _dec_array(d: dict, required: str, name: str) -> np.ndarray:
+    """Decode the array `name` whose slot requires the dtype `required`:
+    `_FLOAT`, or `_INT` for any signed integer dtype."""
+    _check_keys(f"array {name} has", ("dtype", "shape", "data"), d)
     dtype = np.dtype(d["dtype"])
     if not (dtype.kind == "i" if required == _INT else dtype.str == required):
         raise ModelFormatError(f"array of dtype {dtype.str} where {required} is required")
@@ -78,8 +79,10 @@ def _enc_csr(m: sp.csr_matrix) -> dict:
 
 
 def _dec_csr(d: dict, name: str) -> sp.csr_matrix:
-    data, indices = _dec_array(d["data"], _FLOAT), _dec_array(d["indices"], _INT)
-    indptr = _dec_array(d["indptr"], _INT)
+    _check_keys(f"sparse {name} has", ("shape", "data", "indices", "indptr"), d)
+    data = _dec_array(d["data"], _FLOAT, f"{name} data")
+    indices = _dec_array(d["indices"], _INT, f"{name} indices")
+    indptr = _dec_array(d["indptr"], _INT, f"{name} indptr")
     try:
         # an index out of range would make the sparse products read out of bounds
         m = sp.csr_matrix((data, indices, indptr), shape=tuple(d["shape"]))
@@ -98,6 +101,7 @@ def _enc_labels(labels: LabelMatrix) -> dict:
 
 
 def _dec_labels(d: dict) -> LabelMatrix:
+    _check_keys("training labels have", ("label_ids", "rows"), d)
     labels = LabelMatrix.from_rows(tuple(d["label_ids"]), d["rows"])
     indices = labels.Y.indices
     if indices.size and not 0 <= indices.min() <= indices.max() < labels.n_labels:
@@ -117,7 +121,7 @@ def _dec_weighting(d: dict, vectorizer: TextVectorizer) -> WeightingModel:
     scheme = vectorizer.scheme
     _check_keys(f"config builds {scheme} weighting with state", _WEIGHTING_KEYS[scheme], d)
     mean = _dec_number(d["mean_doc_len"], "mean_doc_len", 0.0) if scheme == "bm25" else None
-    return WeightingModel(scheme, _dec_array(d["idf"], _FLOAT), mean)
+    return WeightingModel(scheme, _dec_array(d["idf"], _FLOAT, "idf"), mean)
 
 
 def _dec_number(d, name: str, low: float = -math.inf) -> float:
@@ -158,6 +162,15 @@ def _dec_matcher(d, vectorizer: TextVectorizer, lemma_table: LemmaTable | None):
     if n_idf != len(concepts):
         raise ModelFormatError(f"concept idf of length {n_idf} for {len(concepts)} thesaurus concepts")
     return ConceptMatcher(Thesaurus(concepts), lemma_table)
+
+
+def _dec_params(d) -> dict:
+    """MLP parameters by name; `_shape_rules` checks which names and shapes."""
+    if not isinstance(d, dict):
+        raise ModelFormatError(
+            f"MLP parameters must be a {{name: array}} map, got {type(d).__name__}"
+        )
+    return {key: _dec_array(val, _FLOAT, key) for key, val in d.items()}
 
 
 def _enc_stacked(m: StackedModel) -> dict:
@@ -216,7 +229,9 @@ def _enc_state(obj) -> dict:
     return {attr: enc(getattr(obj, attr)) for attr, (enc, _) in _fitted_state(obj).items()}
 
 
-def _check_keys(owner: str, keys, d: dict) -> None:
+def _check_keys(owner: str, keys, d) -> None:
+    if not isinstance(d, dict):
+        raise ModelFormatError(f"{owner} keys {sorted(keys)}, model holds a {type(d).__name__}")
     if set(d) != set(keys):
         raise ModelFormatError(f"{owner} keys {sorted(keys)}, model holds {sorted(d)}")
 
@@ -268,11 +283,15 @@ def _shape_rules(obj, width: int | None) -> list[tuple[str, np.ndarray, tuple]]:
     return []
 
 
+def _floats(name: str) -> tuple:
+    """The codec of the float array `name`."""
+    return _enc_array, lambda d, owner: _dec_array(d, _FLOAT, name)
+
+
 # fitted attribute -> (encode(value), decode(stored, owner)); decode None marks
 # a nested classifier, the one its owner's constructor built, restored in place
 _NESTED = (_enc_state, None)
 _IDS = (list, lambda d, owner: tuple(d))
-_FLOATS = (_enc_array, lambda d, owner: _dec_array(d, _FLOAT))
 _WEIGHTING = (_enc_weighting, _dec_weighting)
 _TERM_STATE = {
     "vocab": (list, lambda d, owner: {tok: i for i, tok in enumerate(d)}),
@@ -288,18 +307,20 @@ _CLASSIFIER_STATE = {
         "centroids": (_enc_csr, lambda d, owner: _dec_csr(d, "centroids")),
         "label_ids": _IDS,
     },
-    NaiveBayesClassifier: {"label_ids": _IDS, "_const": _FLOATS, "_coef": _FLOATS},
-    LinearClassifier: {"label_ids": _IDS, "W": _FLOATS, "b": _FLOATS},
+    NaiveBayesClassifier: {
+        "label_ids": _IDS, "_const": _floats("_const"), "_coef": _floats("_coef")
+    },
+    LinearClassifier: {"label_ids": _IDS, "W": _floats("W"), "b": _floats("b")},
     MlpClassifier: {
         "label_ids": _IDS,
         "params": (
             lambda params: {key: _enc_array(val) for key, val in params.items()},
-            lambda d, owner: {key: _dec_array(val, _FLOAT) for key, val in d.items()},
+            lambda d, owner: _dec_params(d),
         ),
     },
     L2RClassifier: {
         "knn": _NESTED,
-        "weights": _FLOATS,
+        "weights": _floats("weights"),
         "bias": (float, lambda d, owner: _dec_number(d, "bias")),
     },
     StackedClassifier: {
@@ -309,7 +330,9 @@ _CLASSIFIER_STATE = {
 }
 
 
-def _dec_config(d: dict) -> RunConfig:
+def _dec_config(d) -> RunConfig:
+    if not isinstance(d, dict):
+        raise ModelFormatError(f"config must be a {{field: value}} map, got {type(d).__name__}")
     names = [f.name for f in dataclasses.fields(RunConfig)]
     for key in d:
         if key not in names:
@@ -340,6 +363,10 @@ def save_pipeline(pipeline: FittedPipeline, path) -> None:
 def load_pipeline(path) -> FittedPipeline:
     with open(path, encoding="utf-8") as fh:
         container = json.load(fh)
+    if not isinstance(container, dict):
+        raise ModelFormatError(
+            f"model container must be a JSON object, got {type(container).__name__}"
+        )
     version = container.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {version!r}")

@@ -212,7 +212,7 @@ def test_l2r_cutoff_exhaustive():
     counts = count_corpus(token_seqs)
     X = TextVectorizer("tf-idf").fit(counts).transform(counts)
     labels = LabelMatrix.from_gold([d.gold_labels for d in docs])
-    clf = L2RClassifier(k=10, epochs=3, seed=0).fit(X, labels)
+    clf = L2RClassifier(k=10).fit(X, labels)
     cutoff = clf.cutoff
     assert cutoff >= 1
     for candidates, predicted in zip(clf.candidates(X), clf.predict(X)):

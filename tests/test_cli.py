@@ -234,6 +234,15 @@ NON_FINITE = "array of dtype <f8 holds NaN or infinity"
 BAD_BIAS = "bias must be a finite number, got"
 REFUSED = "config refused:"
 NOT_TREES = "stacking trees must be a {label_id: tree} map, got"
+NOT_A_CONTAINER = "model container must be a JSON object, got"
+ARRAY_W_KEYS = "array W has keys ['data', 'dtype', 'shape'], model holds"
+
+
+class Whole:
+    """What a tamper returns to replace the whole container with `value`."""
+
+    def __init__(self, value):
+        self.value = value
 
 
 def tree(container: dict) -> dict:
@@ -529,6 +538,35 @@ def tree(container: dict) -> dict:
         (STACKED, lambda c: c["classifier"]["model"].update(trees=[]), f"{NOT_TREES} list"),
         (STACKED, lambda c: c["classifier"]["model"].update(trees="x"), f"{NOT_TREES} str"),
         (STACKED, lambda c: c["classifier"]["model"].update(trees=None), f"{NOT_TREES} NoneType"),
+        # unchecked, each failed with a message that named no block, or read a
+        # string block as its characters
+        (KNN, lambda c: Whole([]), f"{NOT_A_CONTAINER} list"),
+        (KNN, lambda c: Whole(5), f"{NOT_A_CONTAINER} int"),
+        (KNN, lambda c: Whole("x"), f"{NOT_A_CONTAINER} str"),
+        (KNN, lambda c: c.update(config=5), "config must be a {field: value} map, got int"),
+        (
+            ("lr", "tf-idf"),
+            lambda c: c["classifier"]["W"].pop("data"),
+            f"{ARRAY_W_KEYS} ['dtype', 'shape']",
+        ),
+        (("lr", "tf-idf"), lambda c: c["classifier"].update(W=[1.0]), f"{ARRAY_W_KEYS} a list"),
+        (
+            KNN,
+            lambda c: c["classifier"]["matrix"].pop("data"),
+            "sparse matrix has keys ['data', 'indices', 'indptr', 'shape'], "
+            "model holds ['indices', 'indptr', 'shape']",
+        ),
+        (KNN, lambda c: c.update(classifier="x"), f"{KNN_KEYS} a str"),
+        (
+            KNN,
+            lambda c: c["classifier"]["labels"].pop("rows"),
+            "training labels have keys ['label_ids', 'rows'], model holds ['label_ids']",
+        ),
+        (
+            MLP,
+            lambda c: c["classifier"].update(params=[]),
+            "MLP parameters must be a {name: array} map, got list",
+        ),
     ],
     ids=[
         "extra-config-key",
@@ -602,6 +640,16 @@ def tree(container: dict) -> dict:
         "stacking-trees-list",
         "stacking-trees-string",
         "stacking-trees-null",
+        "container-list",
+        "container-number",
+        "container-string",
+        "config-number",
+        "lr-W-without-data",
+        "lr-W-list",
+        "knn-matrix-without-data",
+        "classifier-string",
+        "knn-labels-without-rows",
+        "mlp-params-list",
     ],
 )
 def test_annotate_refuses_container_in_one_line(
@@ -615,7 +663,9 @@ def test_annotate_refuses_container_in_one_line(
          "--vec", vec, "--clf", clf, "--out", model, *extra]
     ) == 0
     container = json.loads(open(model).read())
-    tamper(container)
+    tampered = tamper(container)
+    if isinstance(tampered, Whole):
+        container = tampered.value
     open(model, "w").write(json.dumps(container))
     capsys.readouterr()
     argv = ["annotate", "--model", model, "--corpus", corpus, "--out", str(tmp_path / "x")]
@@ -813,6 +863,24 @@ def test_grid_classifiers_one_row_each(tmp_path):
         "knn", "rocchio-dt", "bayes-bernoulli", "bayes-multinomial", "svm",
         "lr", "lr-dt", "l2r", "l2r-dt", "mlp", "mlp-dt",
     ]
+
+
+def test_l2r_dt_with_one_neighbour_evaluates(tmp_path):
+    """With k = 1 every candidate's neighbour count is 1, so that feature
+    column copies the bias column, and only the small alpha keeps the
+    ranker's Hessian from being singular."""
+    made = generate_corpus(n_labels=4, docs_per_label=5, seed=0)
+    corpus = tmp_path / "c.jsonl"
+    thesaurus = tmp_path / "t.tsv"
+    dump_corpus_jsonl(made.documents, corpus)
+    dump_thesaurus_tsv(made.thesaurus, thesaurus)
+    code = main(
+        eval_args(
+            str(corpus), str(thesaurus), str(tmp_path / "r.json"), str(tmp_path / "r.csv"),
+            vec="ctf-idf", clf="l2r-dt", l2r_k=1,
+        )
+    )
+    assert code == 0
 
 
 def test_ntriples_thesaurus_via_cli(tmp_path, capsys):

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 from scipy import sparse as sp
 
 from semannot.learners import LabelMatrix, LinearClassifier
-from semannot.learners.linear import (
-    LINEAR_ETA0,
-    _loss_gradient,
-    averaged_sgd_train,
-    averaged_sgd_train_single,
-)
+from semannot.learners.linear import LINEAR_ETA0, _loss_gradient, averaged_sgd_train
 from semannot.sparse import vstack
 
 
@@ -199,80 +193,9 @@ def test_rank_scores_non_increasing():
     assert ranks[by_rank].tolist() == list(range(1, len(ranks) + 1))
 
 
-# The single-output trainer against the general one, bit for bit.  Rows are
-# shaped like L2R candidate features (neighbour similarities, counts, a
-# prior, a maximum) and are often zero, so csr_matrix drops different
-# columns from different rows.
-FEATURE_VALUE = st.one_of(
-    st.just(0.0),
-    st.sampled_from([1.0, 2.0, 3.0, 45.0]),
-    st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False),
-    st.floats(0.0, 60.0, allow_nan=False, allow_subnormal=False),
-)
-
-
-@st.composite
-def single_output_problem(draw):
-    n_features = draw(st.integers(1, 4))
-    n_rows = draw(st.integers(1, 14))
-    rows = draw(
-        st.lists(
-            st.lists(FEATURE_VALUE, min_size=n_features, max_size=n_features),
-            min_size=n_rows, max_size=n_rows,
-        )
-    )
-    relevance = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
-    return sp.csr_matrix(np.array(rows)), np.array(relevance)
-
-
-def assert_single_matches_general(X, relevance, **kwargs):
-    W, B = averaged_sgd_train(
-        X, sp.csr_matrix(relevance.astype(np.float64)[:, None]), loss="logistic", **kwargs
-    )
-    w, b = averaged_sgd_train_single(X, relevance, **kwargs)
-    assert w.dtype == W.dtype and w.shape == W[0].shape
-    assert np.array_equal(w, W[0])
-    assert b == B[0]
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(
-    single_output_problem(),
-    st.sampled_from([1e-7, 1e-4, 1e-2, 0.3]),
-    st.integers(1, 4),
-    st.integers(0, 2**32 - 1),
-)
-# one row, and a single epoch (the final iterate, no averaging)
-@example((sp.csr_matrix(np.array([[0.5, 0.0, 1.0, 0.0]])), np.array([True])), 1e-7, 1, 0)
-@example((sp.csr_matrix(np.array([[0.5, 0.0, 1.0, 0.0]])), np.array([False])), 1e-2, 3, 5)
-def test_single_output_sgd_equals_general_path_bitwise(problem, alpha, epochs, seed):
-    X, relevance = problem
-    assert_single_matches_general(X, relevance, alpha=alpha, epochs=epochs, seed=seed)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_single_output_sgd_equals_general_path_on_candidate_rows(seed):
-    rng = np.random.default_rng(seed)
-    n = 300
-    dense = np.column_stack(
-        [
-            rng.random(n) * rng.integers(0, 2, n),
-            rng.integers(1, 6, n).astype(np.float64),
-            rng.choice([0.1, 0.25, 0.5], n),
-            rng.random(n) * rng.integers(0, 2, n),
-        ]
-    )
-    X = sp.csr_matrix(dense)
-    assert len({tuple(X.indices[s:e]) for s, e in zip(X.indptr[:-1], X.indptr[1:])}) > 1
-    assert_single_matches_general(X, rng.random(n) < 0.3, alpha=1e-7, epochs=10, seed=seed)
-
-
 @pytest.mark.parametrize("alpha", [1.0, 2.5])
-def test_single_output_sgd_refuses_alpha_of_one_like_the_general_path(alpha):
+def test_alpha_of_at_least_one_is_refused_with_its_value(alpha):
     X = sv({0: 1.0}, 1)
-    with pytest.raises(ValueError) as general:
+    with pytest.raises(ValueError) as refused:
         averaged_sgd_train(X, indicator([[0]], 1), alpha=alpha, epochs=1)
-    with pytest.raises(ValueError) as single:
-        averaged_sgd_train_single(X, np.array([True]), alpha=alpha, epochs=1)
-    assert str(single.value) == str(general.value)
-    assert str(single.value) == f"alpha must be < 1, got {alpha}: the weights shrank to zero"
+    assert str(refused.value) == f"alpha must be < 1, got {alpha}: the weights shrank to zero"

@@ -197,7 +197,7 @@ class TestRankerFit:
                 CandidateSet(labels=labels, features=np.array(features))
             )
             gold_sets.append(relevant)
-        model = ranker_fit(candidate_sets, gold_sets, epochs=10, seed=0)
+        model = ranker_fit(candidate_sets, gold_sets)
         correct = 0
         for cs, gold in zip(candidate_sets, gold_sets):
             top = ranked_ids(cs.labels, rank_labels(cs.labels, score_row(model, cs, cs.labels))[0])[0]
@@ -217,7 +217,7 @@ class TestRankerFit:
                 CandidateSet(labels=labels, features=np.array(features))
             )
             gold_sets.append(relevant or {"l0"})
-        model = ranker_fit(candidate_sets, gold_sets, epochs=10, seed=0)
+        model = ranker_fit(candidate_sets, gold_sets)
         cs = candidate_sets[0]
         (ranks,) = rank_labels(cs.labels, score_row(model, cs, cs.labels))
         assert ranked_ids(cs.labels, ranks) == ["l0", "l1", "l2"]
@@ -227,13 +227,74 @@ class TestRankerFit:
         full = CandidateSet(
             labels=["a", "b"], features=np.array([[1.0, 1, 0.5, 1], [0.0, 1, 0.5, 0]])
         )
-        weights, bias = ranker_fit([empty, full], [set(), {"a"}], epochs=3)
+        weights, bias = ranker_fit([empty, full], [set(), {"a"}])
         assert weights.shape == (4,) and np.all(np.isfinite(weights)) and np.isfinite(bias)
 
     def test_no_relevant_candidates_error(self):
         cs = CandidateSet(labels=["a"], features=np.array([[1.0, 1, 0.5, 1]]))
         with pytest.raises(ValueError, match="degenerate"):
             ranker_fit([cs], [{"other"}])
+
+
+# Candidate feature rows: summed neighbour similarity, neighbour count, prior
+# and maximum similarity, each within the range generate_candidates gives.
+CANDIDATE_ROW = st.tuples(
+    st.floats(0.0, 45.0, allow_subnormal=False),
+    st.integers(1, 45).map(float),
+    st.floats(0.0, 1.0, allow_subnormal=False),
+    st.floats(0.0, 1.0, allow_subnormal=False),
+)
+
+
+@st.composite
+def ranker_problems(draw):
+    """(features, relevance, alpha) of one candidate block, drawn as it comes
+    or reshaped into one of the blocks that make the Hessian singular or the
+    optimum far from zero."""
+    F = np.array(draw(st.lists(CANDIDATE_ROW, min_size=1, max_size=30)))
+    shape = draw(st.sampled_from(["drawn", "separable", "all relevant", "k = 1", "constant"]))
+    if shape == "k = 1":
+        F[:, 1] = 1.0  # every neighbour count equals the bias column
+    if shape == "constant":
+        F[:, draw(st.integers(0, 3))] = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    if shape == "separable":
+        relevant = F[:, 0] >= np.median(F[:, 0])
+    elif shape == "all relevant":
+        relevant = np.ones(len(F), dtype=bool)
+    else:
+        relevant = np.array(draw(st.lists(st.booleans(), min_size=len(F), max_size=len(F))))
+        relevant[draw(st.integers(0, len(F) - 1))] = True
+    return F, relevant, draw(st.sampled_from([1e-7, 1e-4, 1e-2, 0.5]))
+
+
+def fit_rows(F, relevant, alpha):
+    """ranker_fit with each feature row a document holding one candidate."""
+    candidate_sets = [CandidateSet(labels=[0], features=row[None, :]) for row in F]
+    return ranker_fit(candidate_sets, [{0} if r else set() for r in relevant], alpha)
+
+
+def objective_gradient(F, relevant, alpha, weights, bias):
+    """Gradient over (weights, bias) of the objective ranker_fit minimises:
+    mean log(1 + exp(-y (F @ weights - bias))) + alpha/2 |weights|^2."""
+    y = np.where(relevant, 1.0, -1.0)
+    dloss = -y * expit(-y * (F @ weights - bias)) / len(y)
+    return np.append(F.T @ dloss + alpha * weights, -dloss.sum())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ranker_problems(), st.randoms(use_true_random=False))
+def test_ranker_fit_reaches_the_minimum_of_its_objective(problem, rnd):
+    F, relevant, alpha = problem
+    weights, bias = fit_rows(F, relevant, alpha)
+    assert weights.shape == (4,) and np.all(np.isfinite(weights)) and math.isfinite(bias)
+    start = np.linalg.norm(objective_gradient(F, relevant, alpha, np.zeros(4), 0.0))
+    reached = np.linalg.norm(objective_gradient(F, relevant, alpha, weights, bias))
+    assert reached <= 1e-8 * start + 1e-15
+    order = list(range(len(F)))
+    rnd.shuffle(order)
+    theta = np.append(weights, bias)
+    permuted = np.append(*fit_rows(F[order], relevant[order], alpha))
+    assert np.linalg.norm(permuted - theta) <= 1e-6 * np.linalg.norm(theta) + 1e-12
 
 
 class TestRankAndCut:
@@ -277,7 +338,7 @@ class TestL2RClassifier:
 
     def test_cutoff_and_containment_invariants(self):
         X, gold = self.make_corpus()
-        clf = L2RClassifier(k=5, epochs=5, seed=0).fit(stack(X), labels_of(gold))
+        clf = L2RClassifier(k=5).fit(stack(X), labels_of(gold))
         for candidates, predicted in zip(clf.candidates(stack(X)), clf.predict(stack(X))):
             neighborhood_gold = {clf.label_ids[j] for j in candidates.labels}
             assert len(predicted) <= clf.cutoff
@@ -298,13 +359,13 @@ class TestL2RClassifier:
         monkeypatch.setattr(ranking, "ranker_fit", spy)
         X, gold = self.make_corpus()
         labels = labels_of(gold)
-        L2RClassifier(k=5, epochs=1).fit(stack(X), labels)
+        L2RClassifier(k=5).fit(stack(X), labels)
         columns = set(range(labels.n_labels))
         assert all(set(cs.labels) <= columns for cs in seen["candidates"])
         assert seen["gold"] == [{labels.label_ids.index(cid) for cid in g} for g in gold]
 
     def test_learns_signal_on_easy_corpus(self):
         X, gold = self.make_corpus(seed=3)
-        clf = L2RClassifier(k=5, epochs=10, seed=1).fit(stack(X), labels_of(gold))
+        clf = L2RClassifier(k=5).fit(stack(X), labels_of(gold))
         hits = sum(predicted == set(g) for predicted, g in zip(clf.predict(stack(X)), gold))
         assert hits / len(X) >= 0.8
