@@ -112,8 +112,8 @@ def _run_task(shared: tuple, task: tuple) -> FoldResult:
         raise RuntimeError(f"fold {task[0]} failed: {exc}") from exc
 
 
-# (config, counts, labels) of the run a pool worker serves; set once per
-# worker process, so fold tasks carry only their fold's indices
+# (configs, counts by field, labels) of the grid a pool worker serves; set
+# once per worker process, so a task carries only (config index, fold index)
 _worker_shared: tuple | None = None
 
 
@@ -122,8 +122,12 @@ def _init_worker(*shared) -> None:
     _worker_shared = shared
 
 
-def _fold_worker(task: tuple) -> FoldResult:
-    return _run_task(_worker_shared, task)
+def _fold_worker(task: tuple[int, int]) -> FoldResult:
+    configs, counts, labels = _worker_shared
+    config_index, fold_index = task
+    config = configs[config_index]
+    train, test = make_folds(labels.n_docs, config.folds, config.seed)[fold_index]
+    return _run_task((config, counts[config.field], labels), (fold_index, train, test))
 
 
 @dataclass
@@ -149,18 +153,41 @@ def evaluate_run(
     With ``jobs > 1`` the folds run in that many worker processes, at most
     one per fold; the report is the same for any ``jobs``.
     """
+    if jobs > 1:
+        (report,) = _pooled_runs([config], {config.field: counts}, labels, jobs)
+        return report
+    folds = _checked_folds(config, counts, labels)
+    shared = (config, counts, labels)
+    return _report(config, [_run_task(shared, (i, *fold)) for i, fold in enumerate(folds)])
+
+
+def _checked_folds(
+    config: RunConfig, counts: CorpusCounts, labels: LabelMatrix
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The fold plan of ``config`` once the config and the row counts check out."""
     config.validate()
     if len(counts) != labels.n_docs:
         raise ValueError(f"counts hold {len(counts)} documents, the labels {labels.n_docs}")
-    shared = (config, counts, labels)
-    folds = make_folds(len(counts), config.folds, config.seed)
-    tasks = [(i, train, test) for i, (train, test) in enumerate(folds)]
-    if jobs > 1:
-        workers = min(jobs, len(tasks))
-        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=shared) as pool:
-            results = list(pool.map(_fold_worker, tasks))
-    else:
-        results = [_run_task(shared, task) for task in tasks]
+    return make_folds(len(counts), config.folds, config.seed)
+
+
+def _pooled_runs(
+    configs: Sequence[RunConfig], counts: dict[str, CorpusCounts], labels: LabelMatrix, jobs: int
+) -> Iterator[EvalReport]:
+    """The reports of ``configs`` in order, their folds run by one pool of
+    at most ``jobs`` workers (no more than the largest fold count).  The
+    initializer sends the counts and labels to each worker once."""
+    for config in configs:
+        _checked_folds(config, counts[config.field], labels)
+    workers = min(jobs, max(config.folds for config in configs))
+    shared = (tuple(configs), counts, labels)
+    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=shared) as pool:
+        for c, config in enumerate(configs):
+            tasks = [(c, fold) for fold in range(config.folds)]
+            yield _report(config, list(pool.map(_fold_worker, tasks)))
+
+
+def _report(config: RunConfig, results: list[FoldResult]) -> EvalReport:
     results.sort(key=lambda fr: fr.fold)
     mean_p, sd_p = mean_sd([fr.precision for fr in results])
     mean_r, sd_r = mean_sd([fr.recall for fr in results])
@@ -185,13 +212,17 @@ def evaluate_grid(
 ) -> Iterator[EvalReport]:
     """One cross-validated report per config, in order.  Every config is
     validated first; then one concept matcher and one gold LabelMatrix are
-    built and each field the configs use is counted once, for all runs."""
+    built and each field the configs use is counted once, for all runs.
+    With ``jobs > 1`` every config's folds run in one worker pool."""
     for config in configs:
         config.validate()
     matcher = concept_matcher(configs, thesaurus, lemma_table)
     labels = LabelMatrix.from_gold([doc.gold_labels for doc in docs])
     fields = dict.fromkeys(config.field for config in configs)
     counts = {field: count_documents(docs, field, lemma_table, matcher) for field in fields}
+    if jobs > 1:
+        yield from _pooled_runs(configs, counts, labels, jobs)
+        return
     for config in configs:
         yield evaluate_run(config, counts[config.field], labels, jobs)
 

@@ -4,7 +4,8 @@ The network computes sigmoid(W2 f(W1 x + b1) + b2) per label, is trained
 on summed per-label binary cross-entropy with inverted dropout on the
 hidden layer, and optimized with Adam.  Prediction runs with dropout
 disabled; a label is assigned when its probability exceeds the fixed
-threshold (strictly).
+threshold (strictly).  Training runs in float32; the fitted parameters
+are widened to float64, so scoring and model files are float64.
 """
 
 from __future__ import annotations
@@ -28,10 +29,13 @@ ADAM_EPS = 1e-8
 # entries of a parameter that one in-place Adam update pass covers; bounds
 # the update's scratch to two arrays of this length
 ADAM_CHUNK = 32768
+# the precision of every training array; fit returns float64 params
+TRAIN_DTYPE = np.float32
 
-# hidden activation -> (f(z), f' written in terms of h = f(z))
+# hidden activation -> (f(z), f' written in terms of h = f(z)); f' keeps h's
+# dtype, so float32 training stays on float32 BLAS products
 ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda h: (h > 0.0).astype(np.float64)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda h: (h > 0.0).astype(h.dtype)),
     "tanh": (np.tanh, lambda h: 1.0 - h * h),
 }
 
@@ -176,12 +180,17 @@ class MlpClassifier:
         n_docs, n_features = X.shape
 
         rng = np.random.default_rng(self.seed)
+        # training runs in TRAIN_DTYPE from the float64 draws of init_params;
         # params, moments, gradients and scratch are allocated once per fit,
         # C-contiguous: adam_step updates flat views of them in place
-        params = init_params(n_features, self.hidden, labels.n_labels, rng)
+        params = {
+            k: v.astype(TRAIN_DTYPE)
+            for k, v in init_params(n_features, self.hidden, labels.n_labels, rng).items()
+        }
         moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
         grads = {k: np.empty_like(v) for k, v in params.items()}
-        scratch = (np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK))
+        scratch = (np.empty(ADAM_CHUNK, TRAIN_DTYPE), np.empty(ADAM_CHUNK, TRAIN_DTYPE))
+        X, Y = X.astype(TRAIN_DTYPE), labels.Y.astype(TRAIN_DTYPE)
         step = 0
         self.epoch_losses = []
         for epoch in range(self.epochs):
@@ -191,8 +200,10 @@ class MlpClassifier:
             for lo in range(0, n_docs, MLP_BATCH):
                 batch_idx = order[lo:lo + MLP_BATCH]
                 Xb = X[batch_idx].toarray()
-                Tb = labels.Y[batch_idx].toarray()
-                mask = (rng.random((len(batch_idx), self.hidden)) >= MLP_DROPOUT).astype(np.float64)
+                Tb = Y[batch_idx].toarray()
+                # drawn in float64: rng.random(dtype=float32) would take other draws
+                keep = rng.random((len(batch_idx), self.hidden)) >= MLP_DROPOUT
+                mask = keep.astype(TRAIN_DTYPE)
                 loss, _ = loss_and_grads(params, Xb, Tb, self.activation, mask, grads)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
@@ -207,7 +218,10 @@ class MlpClassifier:
                 epoch_loss += loss
                 n_batches += 1
             self.epoch_losses.append(epoch_loss / max(1, n_batches))
-        self.params = params
+        # freed first, so the float64 copy of each parameter fits in their room;
+        # the widening is exact, and scoring and the model file stay float64
+        del moments, grads, scratch
+        self.params = {k: params.pop(k).astype(np.float64) for k in list(params)}
         self.label_ids = labels.label_ids
         return self
 

@@ -60,10 +60,21 @@ def _dec_array(d: dict, required: str, name: str) -> np.ndarray:
     """Decode the array `name` whose slot requires the dtype `required`:
     `_FLOAT`, or `_INT` for any signed integer dtype."""
     _check_keys(f"array {name} has", ("dtype", "shape", "data"), d)
-    dtype = np.dtype(d["dtype"])
+    try:
+        dtype = np.dtype(d["dtype"]) if isinstance(d["dtype"], str) else None
+    except TypeError:
+        dtype = None
+    if dtype is None:
+        raise ModelFormatError(f"array {name} has dtype {d['dtype']!r}, which is not a numpy dtype")
     if not (dtype.kind == "i" if required == _INT else dtype.str == required):
         raise ModelFormatError(f"array of dtype {dtype.str} where {required} is required")
-    a = np.frombuffer(base64.b64decode(d["data"]), dtype=dtype).reshape(d["shape"]).copy()
+    shape = d["shape"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise ModelFormatError(f"array {name} shape must be a list of integers >= 0, got {shape!r}")
+    try:
+        a = np.frombuffer(base64.b64decode(d["data"]), dtype=dtype).reshape(shape).copy()
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"array {name} data is malformed: {exc}") from None
     if required == _FLOAT and not np.isfinite(a).all():
         raise ModelFormatError(f"array of dtype {dtype.str} holds NaN or infinity")
     return a
@@ -100,9 +111,25 @@ def _enc_labels(labels: LabelMatrix) -> dict:
     }
 
 
+def _dec_strings(d, name: str) -> list[str]:
+    """A stored list of strings: label ids or the vocabulary."""
+    if not isinstance(d, list):
+        raise ModelFormatError(f"{name} must be a list of strings, got {type(d).__name__}")
+    for item in d:
+        if not isinstance(item, str):
+            raise ModelFormatError(f"{name} must be a list of strings, holds {item!r}")
+    return d
+
+
 def _dec_labels(d: dict) -> LabelMatrix:
     _check_keys("training labels have", ("label_ids", "rows"), d)
-    labels = LabelMatrix.from_rows(tuple(d["label_ids"]), d["rows"])
+    label_ids = _dec_strings(d["label_ids"], "training label_ids")
+    rows = d["rows"]
+    if not (isinstance(rows, list) and all(
+        isinstance(row, list) and all(type(j) is int for j in row) for row in rows
+    )):
+        raise ModelFormatError("training label rows must be a list of lists of integers")
+    labels = LabelMatrix.from_rows(tuple(label_ids), rows)
     indices = labels.Y.indices
     if indices.size and not 0 <= indices.min() <= indices.max() < labels.n_labels:
         raise ModelFormatError(
@@ -291,10 +318,10 @@ def _floats(name: str) -> tuple:
 # fitted attribute -> (encode(value), decode(stored, owner)); decode None marks
 # a nested classifier, the one its owner's constructor built, restored in place
 _NESTED = (_enc_state, None)
-_IDS = (list, lambda d, owner: tuple(d))
+_IDS = (list, lambda d, owner: tuple(_dec_strings(d, "label_ids")))
 _WEIGHTING = (_enc_weighting, _dec_weighting)
 _TERM_STATE = {
-    "vocab": (list, lambda d, owner: {tok: i for i, tok in enumerate(d)}),
+    "vocab": (list, lambda d, owner: {tok: i for i, tok in enumerate(_dec_strings(d, "vocab"))}),
     "term_weighting": _WEIGHTING,
 }
 _CONCEPT_STATE = {"concept_weighting": _WEIGHTING}

@@ -261,7 +261,10 @@ def reference_mlp_fit(
     """(params, epoch_losses) of MlpClassifier.fit on rows X and label
     indicator rows Y, by the out-of-place loop: every step builds a fresh
     gradient dict and a fresh temporary for each term of Adam's update.
-    The bitwise reference for the in-place training loop."""
+    Training runs in float32 (float64 init and dropout draws rounded to
+    float32, float32 batches, mask and moments); the params come back
+    widened to float64.  The bitwise reference for the in-place training
+    loop."""
     from semannot.learners.mlp import (
         ADAM_BETA1,
         ADAM_BETA2,
@@ -272,7 +275,7 @@ def reference_mlp_fit(
     )
 
     f, df = {
-        "relu": (lambda z: np.maximum(z, 0.0), lambda h: (h > 0.0).astype(np.float64)),
+        "relu": (lambda z: np.maximum(z, 0.0), lambda h: (h > 0.0).astype(np.float32)),
         "tanh": (np.tanh, lambda h: 1.0 - h * h),
     }[activation]
     n_docs, n_features = X.shape
@@ -281,10 +284,10 @@ def reference_mlp_fit(
     s1 = np.sqrt(2.0 / (n_features + hidden))
     s2 = np.sqrt(2.0 / (hidden + n_labels))
     params = {
-        "W1": rng.normal(0.0, s1, size=(hidden, n_features)),
-        "b1": np.zeros(hidden, dtype=np.float64),
-        "W2": rng.normal(0.0, s2, size=(n_labels, hidden)),
-        "b2": np.zeros(n_labels, dtype=np.float64),
+        "W1": rng.normal(0.0, s1, size=(hidden, n_features)).astype(np.float32),
+        "b1": np.zeros(hidden, dtype=np.float32),
+        "W2": rng.normal(0.0, s2, size=(n_labels, hidden)).astype(np.float32),
+        "b2": np.zeros(n_labels, dtype=np.float32),
     }
     moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
     step = 0
@@ -295,9 +298,9 @@ def reference_mlp_fit(
         n_batches = 0
         for lo in range(0, n_docs, MLP_BATCH):
             batch_idx = order[lo:lo + MLP_BATCH]
-            Xb = X[batch_idx].toarray()
-            Tb = Y[batch_idx].toarray()
-            mask = (rng.random((len(batch_idx), hidden)) >= MLP_DROPOUT).astype(np.float64)
+            Xb = X[batch_idx].toarray().astype(np.float32)
+            Tb = Y[batch_idx].toarray().astype(np.float32)
+            mask = (rng.random((len(batch_idx), hidden)) >= MLP_DROPOUT).astype(np.float32)
             H = f(Xb @ params["W1"].T + params["b1"])
             dH = df(H)
             keep = mask / (1.0 - MLP_DROPOUT)
@@ -323,7 +326,7 @@ def reference_mlp_fit(
             epoch_loss += loss
             n_batches += 1
         epoch_losses.append(epoch_loss / n_batches)
-    return params, epoch_losses
+    return {key: p.astype(np.float64) for key, p in params.items()}, epoch_losses
 
 
 def gradient_relative_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -567,6 +567,33 @@ def tree(container: dict) -> dict:
             lambda c: c["classifier"].update(params=[]),
             "MLP parameters must be a {name: array} map, got list",
         ),
+        # unchecked, each failed inside load with a message that named no block
+        (
+            KNN,
+            lambda c: c["classifier"]["labels"].update(label_ids=5),
+            "training label_ids must be a list of strings, got int",
+        ),
+        (
+            KNN,
+            lambda c: c["classifier"]["labels"].update(rows="x"),
+            "training label rows must be a list of lists of integers",
+        ),
+        (
+            ("lr", "tf-idf"),
+            lambda c: c["classifier"]["W"].update(shape="x"),
+            "array W shape must be a list of integers >= 0, got 'x'",
+        ),
+        (
+            ("lr", "tf-idf"),
+            lambda c: c["classifier"]["W"].update(dtype="zz"),
+            "array W has dtype 'zz', which is not a numpy dtype",
+        ),
+        (KNN, lambda c: c["vectorizer"].update(vocab=5), "vocab must be a list of strings, got int"),
+        (
+            ("lr", "tf-idf"),
+            lambda c: c["classifier"]["b"].update(shape=[6]),
+            "array b data is malformed: cannot reshape array of size 5 into shape (6,)",
+        ),
     ],
     ids=[
         "extra-config-key",
@@ -650,6 +677,12 @@ def tree(container: dict) -> dict:
         "classifier-string",
         "knn-labels-without-rows",
         "mlp-params-list",
+        "knn-label-ids-number",
+        "knn-label-rows-string",
+        "lr-W-shape-string",
+        "lr-W-dtype-unknown",
+        "vocab-number",
+        "lr-b-shape-longer-than-data",
     ],
 )
 def test_annotate_refuses_container_in_one_line(

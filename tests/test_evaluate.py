@@ -219,8 +219,8 @@ def test_fold_errors_carry_fold_context():
 
 
 def test_fold_tasks_carry_only_fold_indices(monkeypatch):
-    """Pool workers receive the counts and labels once, through the pool
-    initializer; each task is just (fold_index, train_idx, test_idx)."""
+    """Pool workers receive the configs, counts and labels once, through the
+    pool initializer; each task is just (config_index, fold_index)."""
     made = generate_corpus(n_labels=3, docs_per_label=6, seed=4)
     config = RunConfig(vectorization="ctf-idf", classifier="knn", folds=3, seed=0)
     seen = {}
@@ -243,10 +243,10 @@ def test_fold_tasks_carry_only_fold_indices(monkeypatch):
     monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(ev, "_worker_shared", None)
     (report,) = evaluate_grid([config], made.documents, made.thesaurus, jobs=2)
-    assert [len(task) for task in seen["tasks"]] == [3, 3, 3]
-    assert all(isinstance(part, (int, np.ndarray)) for task in seen["tasks"] for part in task)
-    _, counts, labels = seen["initargs"]
-    assert len(counts) == labels.n_docs == len(made.documents)
+    assert seen["tasks"] == [(0, 0), (0, 1), (0, 2)]
+    configs, counts, labels = seen["initargs"]
+    assert configs == (config,)
+    assert len(counts["title"]) == labels.n_docs == len(made.documents)
     (sequential,) = evaluate_grid([config], made.documents, made.thesaurus, jobs=1)
     assert dataclasses.asdict(report)["folds"] == dataclasses.asdict(sequential)["folds"]
 
@@ -279,6 +279,42 @@ def test_pool_holds_at_most_one_worker_per_fold(monkeypatch, jobs, workers):
     assert sizes == [workers]
     (sequential,) = evaluate_grid([config], made.documents, made.thesaurus, jobs=1)
     assert dataclasses.asdict(report) == dataclasses.asdict(sequential)
+
+
+def test_grid_opens_one_pool_for_all_configs(monkeypatch):
+    """With jobs > 1 a grid starts one pool, sized for its largest fold
+    count, and sends its counts and labels once; each config's reports equal
+    the sequential run's."""
+    made = generate_corpus(n_labels=3, docs_per_label=6, seed=4)
+    configs = [
+        RunConfig(vectorization="ctf-idf", classifier="knn", folds=3, seed=0),
+        RunConfig(field="fulltext", vectorization="tf-idf", classifier="rocchio-dt", folds=4),
+        RunConfig(vectorization="bm25", classifier="bayes-multinomial", folds=2, seed=5),
+    ]
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append((max_workers, initargs))
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(ev, "_worker_shared", None)
+    reports = list(evaluate_grid(configs, made.documents, made.thesaurus, jobs=8))
+    assert [workers for workers, _ in pools] == [4]
+    _, counts, _ = pools[0][1]
+    assert sorted(counts) == ["fulltext", "title"]
+    sequential = list(evaluate_grid(configs, made.documents, made.thesaurus, jobs=1))
+    assert [dataclasses.asdict(r) for r in reports] == [dataclasses.asdict(r) for r in sequential]
 
 
 def test_grid_reports_equal_runs_on_freshly_counted_rows():

@@ -69,8 +69,14 @@ def test_mlp_parameters_round_trip_bitwise(tmp_path):
     path = tmp_path / "model.json"
     save_pipeline(pipeline, path)
     reloaded = load_pipeline(path)
+    stored = json.loads(path.read_text())["classifier"]["params"]
     for key, value in pipeline.classifier.params.items():
-        assert np.array_equal(reloaded.classifier.params[key], value)
+        # trained in float32, handed back as float64 by an exact widening
+        assert value.dtype == np.float64, key
+        assert np.array_equal(value.astype(np.float32).astype(np.float64), value), key
+        assert stored[key]["dtype"] == "<f8", key
+        assert reloaded.classifier.params[key].dtype == np.float64, key
+        assert reloaded.classifier.params[key].tobytes() == value.tobytes(), key
 
 
 def test_lemma_table_travels_with_model(tmp_path):
