@@ -103,13 +103,18 @@ def run_fold(
     )
 
 
-def _run_task(shared: tuple, task: tuple) -> FoldResult:
-    """One fold task ``(fold_index, train_idx, test_idx)`` over the shared
-    ``(config, counts, labels)``."""
+def _fold(shared: tuple, task: tuple[int, int]) -> FoldResult:
+    """One fold task ``(config index, fold index)`` over the shared
+    ``(configs, counts by field, labels)``; the fold is rebuilt from its
+    config's plan, so a task carries no index arrays."""
+    configs, counts, labels = shared
+    config_index, fold_index = task
+    config = configs[config_index]
+    train, test = make_folds(labels.n_docs, config.folds, config.seed)[fold_index]
     try:
-        return run_fold(*shared, *task)
+        return run_fold(config, counts[config.field], labels, fold_index, train, test)
     except Exception as exc:
-        raise RuntimeError(f"fold {task[0]} failed: {exc}") from exc
+        raise RuntimeError(f"fold {fold_index} failed: {exc}") from exc
 
 
 # (configs, counts by field, labels) of the grid a pool worker serves; set
@@ -123,11 +128,7 @@ def _init_worker(*shared) -> None:
 
 
 def _fold_worker(task: tuple[int, int]) -> FoldResult:
-    configs, counts, labels = _worker_shared
-    config_index, fold_index = task
-    config = configs[config_index]
-    train, test = make_folds(labels.n_docs, config.folds, config.seed)[fold_index]
-    return _run_task((config, counts[config.field], labels), (fold_index, train, test))
+    return _fold(_worker_shared, task)
 
 
 @dataclass
@@ -144,47 +145,16 @@ class EvalReport:
     zero_vector_queries: int
 
 
-def evaluate_run(
-    config: RunConfig, counts: CorpusCounts, labels: LabelMatrix, jobs: int = 1
-) -> EvalReport:
+def evaluate_run(config: RunConfig, counts: CorpusCounts, labels: LabelMatrix) -> EvalReport:
     """Full cross-validated run of one pipeline configuration over the
-    documents' counts of this config's field and their gold labels.
-
-    With ``jobs > 1`` the folds run in that many worker processes, at most
-    one per fold; the report is the same for any ``jobs``.
-    """
-    if jobs > 1:
-        (report,) = _pooled_runs([config], {config.field: counts}, labels, jobs)
-        return report
-    folds = _checked_folds(config, counts, labels)
-    shared = (config, counts, labels)
-    return _report(config, [_run_task(shared, (i, *fold)) for i, fold in enumerate(folds)])
-
-
-def _checked_folds(
-    config: RunConfig, counts: CorpusCounts, labels: LabelMatrix
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The fold plan of ``config`` once the config and the row counts check out."""
+    documents' counts of this config's field and their gold labels, every
+    fold in this process."""
     config.validate()
     if len(counts) != labels.n_docs:
         raise ValueError(f"counts hold {len(counts)} documents, the labels {labels.n_docs}")
-    return make_folds(len(counts), config.folds, config.seed)
-
-
-def _pooled_runs(
-    configs: Sequence[RunConfig], counts: dict[str, CorpusCounts], labels: LabelMatrix, jobs: int
-) -> Iterator[EvalReport]:
-    """The reports of ``configs`` in order, their folds run by one pool of
-    at most ``jobs`` workers (no more than the largest fold count).  The
-    initializer sends the counts and labels to each worker once."""
-    for config in configs:
-        _checked_folds(config, counts[config.field], labels)
-    workers = min(jobs, max(config.folds for config in configs))
-    shared = (tuple(configs), counts, labels)
-    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=shared) as pool:
-        for c, config in enumerate(configs):
-            tasks = [(c, fold) for fold in range(config.folds)]
-            yield _report(config, list(pool.map(_fold_worker, tasks)))
+    make_folds(labels.n_docs, config.folds, config.seed)  # refuses a bad plan before any fold runs
+    shared = ((config,), {config.field: counts}, labels)
+    return _report(config, [_fold(shared, (0, fold)) for fold in range(config.folds)])
 
 
 def _report(config: RunConfig, results: list[FoldResult]) -> EvalReport:
@@ -210,21 +180,32 @@ def evaluate_grid(
     configs: Sequence[RunConfig], docs: Sequence[Document], thesaurus: Thesaurus,
     lemma_table: LemmaTable | None = None, jobs: int = 1,
 ) -> Iterator[EvalReport]:
-    """One cross-validated report per config, in order.  Every config is
-    validated first; then one concept matcher and one gold LabelMatrix are
-    built and each field the configs use is counted once, for all runs.
-    With ``jobs > 1`` every config's folds run in one worker pool."""
+    """One cross-validated report per config, in order.  Every config and
+    its fold plan are checked first; then one concept matcher and one gold
+    LabelMatrix are built and each field the configs use is counted once,
+    for all runs.  With ``jobs > 1`` the folds of every config run in one
+    pool of at most ``jobs`` workers (no more than the largest fold count),
+    whose initializer sends the counts and labels to each worker once; the
+    reports are the same for any ``jobs``."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     for config in configs:
         config.validate()
+        make_folds(len(docs), config.folds, config.seed)
     matcher = concept_matcher(configs, thesaurus, lemma_table)
     labels = LabelMatrix.from_gold([doc.gold_labels for doc in docs])
     fields = dict.fromkeys(config.field for config in configs)
     counts = {field: count_documents(docs, field, lemma_table, matcher) for field in fields}
-    if jobs > 1:
-        yield from _pooled_runs(configs, counts, labels, jobs)
+    if jobs == 1:
+        for config in configs:
+            yield evaluate_run(config, counts[config.field], labels)
         return
-    for config in configs:
-        yield evaluate_run(config, counts[config.field], labels, jobs)
+    workers = min(jobs, max((config.folds for config in configs), default=1))
+    shared = (tuple(configs), counts, labels)
+    with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=shared) as pool:
+        for c, config in enumerate(configs):
+            tasks = [(c, fold) for fold in range(config.folds)]
+            yield _report(config, list(pool.map(_fold_worker, tasks)))
 
 
 CSV_HEADER = (

@@ -204,30 +204,32 @@ def test_labels_unseen_in_training_stay_in_gold():
     assert report.mean_recall < 1.0 or report.mean_f1 < 1.0
 
 
-def test_fold_errors_carry_fold_context():
+def test_fold_errors_carry_fold_context(monkeypatch):
     docs, thesaurus = oracle_corpus(n=12)
     config = RunConfig(vectorization="cf-idf", classifier="knn", folds=3, seed=0)
     # counted without a concept matcher, so fitting cf-idf fails inside the fold
     counts = count_corpus([preprocess(d.title) for d in docs])
     with pytest.raises(RuntimeError, match="fold 0"):
-        ev._run_task((config, counts, gold_matrix(docs)), (0, np.arange(6), np.arange(6, 12)))
-    # the same failure in a pool worker, which holds the shared state itself
+        evaluate_run(config, counts, gold_matrix(docs))
+    # the same failure in a real pool worker, which receives the unmatched counts
+    monkeypatch.setattr(ev, "concept_matcher", lambda *args: None)
     with pytest.raises(RuntimeError, match="fold 0"):
-        evaluate_run(config, counts, gold_matrix(docs), jobs=2)
+        next(evaluate_grid([config], docs, thesaurus, jobs=2))
     with pytest.raises(ValueError, match="counts hold 11 documents"):
         evaluate_run(config, counts.rows(slice(0, 11)), gold_matrix(docs))
 
 
-def test_fold_tasks_carry_only_fold_indices(monkeypatch):
-    """Pool workers receive the configs, counts and labels once, through the
-    pool initializer; each task is just (config_index, fold_index)."""
-    made = generate_corpus(n_labels=3, docs_per_label=6, seed=4)
-    config = RunConfig(vectorization="ctf-idf", classifier="knn", folds=3, seed=0)
-    seen = {}
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replaces the grid's process pool by an in-process recorder, so no
+    process starts; returns one record per pool opened: its worker count,
+    initializer arguments and the tasks mapped."""
+    pools = []
 
     class RecordingPool:
         def __init__(self, max_workers, initializer, initargs):
-            seen["initargs"] = initargs
+            self.record = {"workers": max_workers, "initargs": initargs, "tasks": []}
+            pools.append(self.record)
             initializer(*initargs)
 
         def __enter__(self):
@@ -237,14 +239,24 @@ def test_fold_tasks_carry_only_fold_indices(monkeypatch):
             return False
 
         def map(self, fn, tasks):
-            seen["tasks"] = list(tasks)
-            return [fn(task) for task in seen["tasks"]]
+            tasks = list(tasks)
+            self.record["tasks"].extend(tasks)
+            return [fn(task) for task in tasks]
 
     monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(ev, "_worker_shared", None)
+    return pools
+
+
+def test_fold_tasks_carry_only_fold_indices(recording_pool):
+    """Pool workers receive the configs, counts and labels once, through the
+    pool initializer; each task is just (config_index, fold_index)."""
+    made = generate_corpus(n_labels=3, docs_per_label=6, seed=4)
+    config = RunConfig(vectorization="ctf-idf", classifier="knn", folds=3, seed=0)
     (report,) = evaluate_grid([config], made.documents, made.thesaurus, jobs=2)
-    assert seen["tasks"] == [(0, 0), (0, 1), (0, 2)]
-    configs, counts, labels = seen["initargs"]
+    (pool,) = recording_pool
+    assert pool["tasks"] == [(0, 0), (0, 1), (0, 2)]
+    configs, counts, labels = pool["initargs"]
     assert configs == (config,)
     assert len(counts["title"]) == labels.n_docs == len(made.documents)
     (sequential,) = evaluate_grid([config], made.documents, made.thesaurus, jobs=1)
@@ -252,36 +264,18 @@ def test_fold_tasks_carry_only_fold_indices(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs, workers", [(2, 2), (3, 3), (8, 3)])
-def test_pool_holds_at_most_one_worker_per_fold(monkeypatch, jobs, workers):
+def test_pool_holds_at_most_one_worker_per_fold(recording_pool, jobs, workers):
     """A pool starts all its workers at once, so --jobs beyond the fold
-    count is capped there; no process starts here, the pool is a recorder."""
+    count is capped there."""
     made = generate_corpus(n_labels=3, docs_per_label=6, seed=4)
     config = RunConfig(vectorization="ctf-idf", classifier="knn", folds=3, seed=0)
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(task) for task in tasks]
-
-    monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(ev, "_worker_shared", None)
     (report,) = evaluate_grid([config], made.documents, made.thesaurus, jobs=jobs)
-    assert sizes == [workers]
+    assert [pool["workers"] for pool in recording_pool] == [workers]
     (sequential,) = evaluate_grid([config], made.documents, made.thesaurus, jobs=1)
     assert dataclasses.asdict(report) == dataclasses.asdict(sequential)
 
 
-def test_grid_opens_one_pool_for_all_configs(monkeypatch):
+def test_grid_opens_one_pool_for_all_configs(recording_pool):
     """With jobs > 1 a grid starts one pool, sized for its largest fold
     count, and sends its counts and labels once; each config's reports equal
     the sequential run's."""
@@ -291,30 +285,58 @@ def test_grid_opens_one_pool_for_all_configs(monkeypatch):
         RunConfig(field="fulltext", vectorization="tf-idf", classifier="rocchio-dt", folds=4),
         RunConfig(vectorization="bm25", classifier="bayes-multinomial", folds=2, seed=5),
     ]
-    pools = []
-
-    class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
-            pools.append((max_workers, initargs))
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(task) for task in tasks]
-
-    monkeypatch.setattr(ev, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(ev, "_worker_shared", None)
     reports = list(evaluate_grid(configs, made.documents, made.thesaurus, jobs=8))
-    assert [workers for workers, _ in pools] == [4]
-    _, counts, _ = pools[0][1]
+    assert [pool["workers"] for pool in recording_pool] == [4]
+    _, counts, _ = recording_pool[0]["initargs"]
     assert sorted(counts) == ["fulltext", "title"]
     sequential = list(evaluate_grid(configs, made.documents, made.thesaurus, jobs=1))
     assert [dataclasses.asdict(r) for r in reports] == [dataclasses.asdict(r) for r in sequential]
+
+
+def test_grid_reports_equal_across_jobs_in_worker_processes():
+    """A real pool, not a recorder: a grid over two fields with different
+    fold counts reports at jobs=2 exactly what it reports at jobs=1."""
+    made = generate_corpus(n_labels=3, docs_per_label=6, seed=4)
+    configs = [
+        RunConfig(vectorization="ctf-idf", classifier="knn", folds=3, seed=0),
+        RunConfig(field="fulltext", vectorization="tf-idf", classifier="rocchio-dt", folds=4, seed=2),
+    ]
+    pooled = list(evaluate_grid(configs, made.documents, made.thesaurus, jobs=2))
+    sequential = list(evaluate_grid(configs, made.documents, made.thesaurus, jobs=1))
+    assert [dataclasses.asdict(r) for r in pooled] == [dataclasses.asdict(r) for r in sequential]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grid_checks_every_fold_plan_before_counting(monkeypatch, recording_pool, jobs):
+    """A fold plan the corpus cannot fill is refused before any counting
+    and before any report, whether the folds would run in-process or pooled."""
+    made = generate_corpus(n_labels=3, docs_per_label=3, seed=2)
+    assert len(made.documents) == 9
+    counted = []
+    monkeypatch.setattr(ev, "count_documents", lambda *args: counted.append(args))
+    configs = [RunConfig(folds=3), RunConfig(folds=20)]
+    reports = []
+    with pytest.raises(ValueError, match=r"^need at least 20 documents for 20 folds, got 9$"):
+        reports.extend(evaluate_grid(configs, made.documents, made.thesaurus, jobs=jobs))
+    assert reports == []
+    assert counted == []
+    assert recording_pool == []
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_grid_refuses_jobs_below_one_before_counting(monkeypatch, jobs):
+    made = generate_corpus(n_labels=3, docs_per_label=4, seed=2)
+    counted = []
+    monkeypatch.setattr(ev, "count_documents", lambda *args: counted.append(args))
+    with pytest.raises(ValueError, match=rf"^jobs must be >= 1, got {jobs}$"):
+        next(evaluate_grid([RunConfig(folds=3)], made.documents, made.thesaurus, jobs=jobs))
+    assert counted == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_empty_grid_yields_no_reports(jobs):
+    made = generate_corpus(n_labels=3, docs_per_label=4, seed=2)
+    assert list(evaluate_grid([], made.documents, made.thesaurus, jobs=jobs)) == []
 
 
 def test_grid_reports_equal_runs_on_freshly_counted_rows():
