@@ -113,7 +113,9 @@ def cmd_train(args) -> None:
 
 def cmd_annotate(args) -> None:
     pipeline = load_pipeline(args.model)
-    docs = load_corpus(args.corpus, pipeline.config.field, require_labels=False).documents
+    field = pipeline.config.field
+    loaded = load_corpus(args.corpus, field, require_labels=False)
+    docs = loaded.documents
     with open(args.out, "w", encoding="utf-8") as fh:
         for start in range(0, len(docs), ROW_BLOCK):
             block = docs[start:start + ROW_BLOCK]
@@ -121,7 +123,10 @@ def cmd_annotate(args) -> None:
             predictions = [p for _, rows in pipeline.predict_blocks(counts) for p in rows]
             for doc, predicted in zip(block, predictions):
                 fh.write(json.dumps({"id": doc.doc_id, "labels": sorted(predicted)}) + "\n")
-    print(f"annotations written to {args.out}")
+    skipped = loaded.n_missing_field
+    plural = "" if skipped == 1 else "s"
+    note = f" ({skipped} document{plural} without a {field} skipped)" if skipped else ""
+    print(f"annotations written to {args.out}{note}")
 
 
 def cmd_stats(args) -> None:

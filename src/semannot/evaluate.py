@@ -35,15 +35,11 @@ def make_folds(
     if n_docs < n_folds:
         raise ValueError(f"need at least {n_folds} documents for {n_folds} folds, got {n_docs}")
     permutation = np.random.default_rng(seed).permutation(n_docs)
-    base, remainder = divmod(n_docs, n_folds)
     folds = []
-    start = 0
-    for i in range(n_folds):
-        size = base + (1 if i < remainder else 0)
-        test = np.sort(permutation[start:start + size])
-        train = np.sort(np.concatenate([permutation[:start], permutation[start + size:]]))
-        folds.append((train, test))
-        start += size
+    for test in np.array_split(permutation, n_folds):
+        train = np.ones(n_docs, dtype=bool)
+        train[test] = False
+        folds.append((np.flatnonzero(train), np.sort(test)))
     return tuple(folds)
 
 
@@ -158,7 +154,6 @@ def evaluate_run(config: RunConfig, counts: CorpusCounts, labels: LabelMatrix) -
 
 
 def _report(config: RunConfig, results: list[FoldResult]) -> EvalReport:
-    results.sort(key=lambda fr: fr.fold)
     mean_p, sd_p = mean_sd([fr.precision for fr in results])
     mean_r, sd_r = mean_sd([fr.recall for fr in results])
     mean_f, sd_f = mean_sd([fr.f1 for fr in results])

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ from scipy import sparse as sp
 
 from .corpus import Thesaurus
 from .preprocess import LemmaTable, preprocess
-from .sparse import l2_normalize
+from .sparse import csr_rows, l2_normalize, remap_columns
 
 BM25_K = 1.6
 BM25_B = 0.75
@@ -130,14 +129,6 @@ class CorpusCounts:
         )
 
 
-def _count_rows(rows: Sequence[dict[int, int]], n_columns: int) -> sp.csr_matrix:
-    """One CSR row per column -> count map, entries in the map's order."""
-    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
-    counts = np.fromiter(chain.from_iterable(row.values() for row in rows), np.float64, indptr[-1])
-    columns = np.fromiter(chain.from_iterable(rows), np.int64, indptr[-1])
-    return sp.csr_matrix((counts, columns, indptr), shape=(len(rows), n_columns))
-
-
 def count_corpus(
     token_seqs: Sequence[list[str]], matcher: ConceptMatcher | None = None
 ) -> CorpusCounts:
@@ -145,12 +136,12 @@ def count_corpus(
     matcher is given.  The one place token sequences become counts."""
     index: dict[str, int] = {}
     rows = [count_terms(seq, index) for seq in token_seqs]
-    term_counts = _count_rows(rows, len(index))
+    term_counts = csr_rows(rows, len(index))
     concept_counts = None
     if matcher is not None:
         columns = matcher.concept_index
         rows = [{columns[c]: n for c, n in matcher.match_counts(seq).items()} for seq in token_seqs]
-        concept_counts = _count_rows(rows, len(columns))
+        concept_counts = csr_rows(rows, len(columns))
         concept_counts.sort_indices()
     return CorpusCounts(list(index), term_counts, concept_counts)
 
@@ -283,15 +274,7 @@ class TextVectorizer:
         """Term count rows over the fitted vocabulary, indices sorted within
         each row; terms outside the vocabulary are dropped."""
         lookup = np.array([self.vocab.get(term, -1) for term in counts.terms], dtype=np.int64)
-        rows = counts.term_counts
-        columns = lookup[rows.indices]
-        kept = columns >= 0
-        indptr = np.concatenate(([0], np.cumsum(kept)))[rows.indptr]
-        X = sp.csr_matrix(
-            (rows.data[kept], columns[kept], indptr), shape=(rows.shape[0], len(self.vocab))
-        )
-        X.sort_indices()
-        return X
+        return remap_columns(counts.term_counts, lookup, len(self.vocab))
 
     def _blocks(self, counts: CorpusCounts) -> list[tuple[sp.csr_matrix, WeightingModel]]:
         """Raw count rows and fitted weighting of each feature block, terms first."""

@@ -8,6 +8,8 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse as sp
 
+from ..sparse import csr_rows, remap_columns
+
 
 @dataclass
 class LabelMatrix:
@@ -33,10 +35,7 @@ class LabelMatrix:
     @classmethod
     def from_rows(cls, label_ids: tuple[str, ...], rows: Sequence[Sequence[int]]) -> "LabelMatrix":
         """Indicator whose row i holds the label indices ``rows[i]``."""
-        indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
-        indices = np.array([j for row in rows for j in row], dtype=np.int64)
-        shape = (len(rows), len(label_ids))
-        return cls(label_ids, sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=shape))
+        return cls(label_ids, csr_rows([dict.fromkeys(row, 1.0) for row in rows], len(label_ids)))
 
     def take(self, rows: np.ndarray) -> "LabelMatrix":
         """The indicator of the documents at ``rows``, over only the labels
@@ -45,10 +44,8 @@ class LabelMatrix:
         used = np.flatnonzero(np.bincount(Y.indices, minlength=self.n_labels))
         lookup = np.full(self.n_labels, -1, dtype=np.int64)
         lookup[used] = np.arange(len(used))
-        return LabelMatrix(
-            tuple(self.label_ids[j] for j in used),
-            sp.csr_matrix((Y.data, lookup[Y.indices], Y.indptr), shape=(Y.shape[0], len(used))),
-        )
+        label_ids = tuple(self.label_ids[j] for j in used)
+        return LabelMatrix(label_ids, remap_columns(Y, lookup, len(used)))
 
     @property
     def n_labels(self) -> int:

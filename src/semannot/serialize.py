@@ -111,13 +111,16 @@ def _enc_labels(labels: LabelMatrix) -> dict:
     }
 
 
-def _dec_strings(d, name: str) -> list[str]:
-    """A stored list of strings: label ids or the vocabulary."""
+def _dec_strings(d, name: str, first_seen: bool = False) -> list[str]:
+    """A stored list of strings: label ids, which training writes sorted and
+    unique, or the vocabulary, in first-seen order (``first_seen``)."""
     if not isinstance(d, list):
         raise ModelFormatError(f"{name} must be a list of strings, got {type(d).__name__}")
     for item in d:
         if not isinstance(item, str):
             raise ModelFormatError(f"{name} must be a list of strings, holds {item!r}")
+    if not first_seen and not all(a < b for a, b in zip(d, d[1:])):
+        raise ModelFormatError(f"{name} must be sorted and unique")
     return d
 
 
@@ -129,13 +132,13 @@ def _dec_labels(d: dict) -> LabelMatrix:
         isinstance(row, list) and all(type(j) is int for j in row) for row in rows
     )):
         raise ModelFormatError("training label rows must be a list of lists of integers")
-    labels = LabelMatrix.from_rows(tuple(label_ids), rows)
-    indices = labels.Y.indices
-    if indices.size and not 0 <= indices.min() <= indices.max() < labels.n_labels:
-        raise ModelFormatError(
-            f"label index out of range 0..{labels.n_labels - 1} in the training label rows"
-        )
-    return labels
+    top = len(label_ids) - 1
+    for i, row in enumerate(rows):  # training writes each row's indices once, increasing
+        if not (row and all(a < b for a, b in zip(row, row[1:]))):
+            raise ModelFormatError(f"training label row {i} is empty or not strictly increasing")
+        if not 0 <= row[0] <= row[-1] <= top:
+            raise ModelFormatError(f"label index out of range 0..{top} in the training label rows")
+    return LabelMatrix.from_rows(tuple(label_ids), rows)
 
 
 def _enc_weighting(w: WeightingModel) -> dict:
@@ -321,7 +324,9 @@ _NESTED = (_enc_state, None)
 _IDS = (list, lambda d, owner: tuple(_dec_strings(d, "label_ids")))
 _WEIGHTING = (_enc_weighting, _dec_weighting)
 _TERM_STATE = {
-    "vocab": (list, lambda d, owner: {tok: i for i, tok in enumerate(_dec_strings(d, "vocab"))}),
+    "vocab": (list, lambda d, owner: {
+        tok: i for i, tok in enumerate(_dec_strings(d, "vocab", first_seen=True))
+    }),
     "term_weighting": _WEIGHTING,
 }
 _CONCEPT_STATE = {"concept_weighting": _WEIGHTING}

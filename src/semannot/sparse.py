@@ -5,6 +5,7 @@ document per row."""
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -16,24 +17,34 @@ from scipy import sparse as sp
 ROW_BLOCK = 256
 
 
+def csr_rows(rows: Sequence[Mapping[int, float]], n_columns: int) -> sp.csr_matrix:
+    """One CSR row per column -> value map, entries in the map's order."""
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    values = np.fromiter(chain.from_iterable(row.values() for row in rows), np.float64, indptr[-1])
+    columns = np.fromiter(chain.from_iterable(rows), np.int64, indptr[-1])
+    return sp.csr_matrix((values, columns, indptr), shape=(len(rows), n_columns))
+
+
+def remap_columns(X: sp.csr_matrix, lookup: np.ndarray, n_columns: int) -> sp.csr_matrix:
+    """Move column j of ``X`` to column ``lookup[j]``, dropping the entries
+    whose lookup is -1; indices sorted within each row."""
+    columns = lookup[X.indices]
+    kept = columns >= 0
+    indptr = np.concatenate(([0], np.cumsum(kept)))[X.indptr]
+    out = sp.csr_matrix((X.data[kept], columns[kept], indptr), shape=(X.shape[0], n_columns))
+    out.sort_indices()
+    return out
+
+
 def vstack(rows: Sequence[Mapping[int, float]], dimension: int) -> sp.csr_matrix:
     """Stack per-document index -> weight maps into one CSR matrix, one map
     per row; indices are sorted within each row and zero weights dropped."""
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    indices: list[int] = []
-    data: list[float] = []
-    for i, row in enumerate(rows):
-        for j in sorted(row):
-            if row[j] != 0.0:
-                indices.append(j)
-                data.append(row[j])
-        indptr[i + 1] = len(indices)
-    if indices and not 0 <= min(indices) <= max(indices) < dimension:
+    X = csr_rows(rows, dimension)
+    X.eliminate_zeros()
+    if X.nnz and not 0 <= X.indices.min() <= X.indices.max() < dimension:
         raise ValueError(f"feature index out of range for dimension {dimension}")
-    return sp.csr_matrix(
-        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64), indptr),
-        shape=(len(rows), dimension),
-    )
+    X.sort_indices()
+    return X
 
 
 def row_norms(X: sp.csr_matrix) -> np.ndarray:

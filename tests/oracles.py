@@ -23,7 +23,57 @@ from semannot.learners import KnnClassifier, LinearClassifier, NaiveBayesClassif
 from semannot.multilabel import STACKING_TOP_M, StackedClassifier
 from semannot.preprocess import LemmaTable, preprocess
 from semannot.ranking import CandidateSet, L2RClassifier
-from semannot.sparse import l2_normalize, vstack
+from semannot.sparse import l2_normalize
+
+
+def stack_rows(rows, dimension: int) -> sp.csr_matrix:
+    """Per-row index -> weight maps stacked one entry at a time: keys in
+    sorted order, zero weights skipped, then the range check.  The
+    reference for ``sparse.vstack``."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    indices: list[int] = []
+    data: list[float] = []
+    for i, row in enumerate(rows):
+        for j in sorted(row):
+            if row[j] != 0.0:
+                indices.append(j)
+                data.append(row[j])
+        indptr[i + 1] = len(indices)
+    if indices and not 0 <= min(indices) <= max(indices) < dimension:
+        raise ValueError(f"feature index out of range for dimension {dimension}")
+    return sp.csr_matrix(
+        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64), indptr),
+        shape=(len(rows), dimension),
+    )
+
+
+def folds_by_slicing(n_docs: int, n_folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Seeded permutation cut into contiguous test blocks by hand, the
+    first n_docs mod n_folds blocks one document longer; each fold trains
+    on the rest.  The reference for ``evaluate.make_folds``."""
+    permutation = np.random.default_rng(seed).permutation(n_docs)
+    base, remainder = divmod(n_docs, n_folds)
+    folds = []
+    start = 0
+    for i in range(n_folds):
+        size = base + (1 if i < remainder else 0)
+        test = np.sort(permutation[start:start + size])
+        train = np.sort(np.concatenate([permutation[:start], permutation[start + size:]]))
+        folds.append((train, test))
+        start += size
+    return folds
+
+
+def scatter_columns(X: sp.csr_matrix, lookup, n_columns: int) -> np.ndarray:
+    """Dense copy of ``X`` with column j written to column ``lookup[j]``
+    and the columns whose lookup is -1 left out.  The reference for
+    ``sparse.remap_columns``."""
+    dense = X.toarray()
+    out = np.zeros((X.shape[0], n_columns))
+    for j, target in enumerate(lookup):
+        if target >= 0:
+            out[:, target] = dense[:, j]
+    return out
 
 
 def extract_concepts(tokens: list[str], matcher: ConceptMatcher) -> dict[int, float]:
@@ -37,7 +87,7 @@ def concept_rows(token_seqs, matcher: ConceptMatcher) -> sp.csr_matrix:
     """Concept count rows stacked one document at a time: the reference for
     count_corpus's concept block."""
     rows = [extract_concepts(seq, matcher) for seq in token_seqs]
-    return vstack(rows, len(matcher.concept_index))
+    return stack_rows(rows, len(matcher.concept_index))
 
 
 def brute_force_idf(matrix: sp.csr_matrix, dimension: int) -> list[float]:
@@ -380,7 +430,7 @@ def per_fold_matrices(
                 if token in vocab:
                     row[vocab[token]] += 1
             rows.append(row)
-        return vstack(rows, len(vocab))
+        return stack_rows(rows, len(vocab))
 
     counters = []
     if uses_terms:

@@ -2,9 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semannot.evaluate as ev
 import semannot.pipeline as pl
+from oracles import folds_by_slicing
 from semannot.corpus import Concept, Document, Thesaurus
 from semannot.evaluate import evaluate_grid, evaluate_run, make_folds, run_fold, sample_prf
 from semannot.features import ConceptMatcher, count_corpus
@@ -41,6 +43,20 @@ class TestMakeFolds:
     def test_too_few_docs_error(self):
         with pytest.raises(ValueError, match="at least"):
             make_folds(5, 10)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_equals_slicing_oracle(self, data):
+        n_docs = data.draw(st.integers(1, 80))
+        n_folds = data.draw(st.integers(1, n_docs))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        folds = make_folds(n_docs, n_folds, seed)
+        expected = folds_by_slicing(n_docs, n_folds, seed)
+        assert len(folds) == len(expected)
+        for fold, reference in zip(folds, expected):
+            for got, want in zip(fold, reference):
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist()
 
     def test_seed_changes_assignment(self):
         a = make_folds(30, 3, seed=0)

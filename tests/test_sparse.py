@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse as sp
 
-from semannot.sparse import row_norms, vstack
+from oracles import scatter_columns, stack_rows
+from semannot.sparse import remap_columns, row_norms, vstack
 
 
 def test_from_dict_sorts_and_drops_zeros():
@@ -42,3 +47,81 @@ def test_vstack_rows_round_trip():
         back = dict(zip(matrix.indices[start:end].tolist(), matrix.data[start:end].tolist()))
         assert back == row
     assert matrix.shape == (3, 3)
+
+
+# zero weights of both signs and NaN, which is not a zero weight
+WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, 1.0]), st.floats())
+
+
+@st.composite
+def weight_maps(draw):
+    """(rows, dimension); in half the cases one row also holds a stray key,
+    below 0 or at or past the dimension.  Keys stay within int32: past it,
+    a zero-weight key that vstack drops still widens its index arrays to
+    int64, where the loop's stay int32."""
+    dimension = draw(st.integers(0, 8))
+    keys = st.integers(0, max(dimension - 1, 0))
+    rows = draw(st.lists(st.dictionaries(keys, WEIGHTS, max_size=dimension), max_size=5))
+    if rows and draw(st.booleans()):
+        stray = st.integers(-3, -1) | st.integers(dimension, dimension + 3) | st.integers(
+            -(2**31), 2**31 - 1
+        )
+        draw(st.sampled_from(rows))[draw(stray)] = draw(WEIGHTS)
+    return rows, dimension
+
+
+def stacked(build, rows, dimension):
+    """Everything vstack promises of its result, data by bits; or its error."""
+    try:
+        X = build(rows, dimension)
+    except ValueError as exc:
+        return str(exc)
+    return (
+        X.shape, X.indptr.dtype, X.indptr.tolist(), X.indices.dtype, X.indices.tolist(),
+        X.data.dtype, X.data.view(np.uint64).tolist(),
+    )
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(weight_maps())
+def test_vstack_equals_entry_by_entry_oracle(case):
+    rows, dimension = case
+    assert stacked(vstack, rows, dimension) == stacked(stack_rows, rows, dimension)
+
+
+@st.composite
+def remaps(draw):
+    """(X, lookup, n_columns): X's rows store their columns in any order,
+    and lookup sends some of X's columns, one to one, anywhere in
+    range(n_columns) and the rest to -1."""
+    n_cols = draw(st.integers(0, 8))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        order = draw(st.permutations(range(n_cols)))
+        rows.append(order[:draw(st.integers(0, n_cols))])
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([j for row in rows for j in row], dtype=np.int64)
+    counts = draw(st.lists(st.integers(1, 9), min_size=len(indices), max_size=len(indices)))
+    data = np.array(counts, dtype=np.float64)
+    X = sp.csr_matrix((data, indices, indptr), shape=(len(rows), n_cols))
+    n_kept = draw(st.integers(0, n_cols))
+    n_columns = n_kept + draw(st.integers(0, 3))
+    lookup = np.full(n_cols, -1, dtype=np.int64)
+    kept = draw(st.permutations(range(n_cols)))[:n_kept]
+    lookup[kept] = draw(st.permutations(range(n_columns)))[:n_kept]
+    return X, lookup, n_columns
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(remaps())
+def test_remap_columns_equals_dense_scatter(case):
+    X, lookup, n_columns = case
+    Y = remap_columns(X, lookup, n_columns)
+    dense = scatter_columns(X, lookup, n_columns)
+    assert Y.shape == dense.shape
+    # every stored weight is nonzero: a row stores exactly its nonzero
+    # columns of the scatter, in increasing order
+    for i, row in enumerate(dense):
+        start, end = Y.indptr[i], Y.indptr[i + 1]
+        assert Y.indices[start:end].tolist() == np.flatnonzero(row).tolist()
+        assert Y.data[start:end].tolist() == row[row != 0].tolist()
