@@ -95,7 +95,7 @@ def load_corpus(
     are documents whose gold label set is (or becomes) empty.  When a
     thesaurus is given, labels that do not resolve in it are dropped with a
     warning count; the document survives if at least one label remains.
-    ``require_labels=False`` admits unlabeled documents (annotation input).
+    ``require_labels=False`` reads no labels: gold sets stay empty (annotation input).
     """
     if field_name not in FIELDS:
         raise ValueError(f"unknown field {field_name!r}")
@@ -122,7 +122,7 @@ def load_corpus(
                 result.n_missing_field += 1
                 continue
 
-            raw_labels = record.get("labels", [])
+            raw_labels = record.get("labels", []) if require_labels else []
             if not isinstance(raw_labels, list) or any(not isinstance(l, str) for l in raw_labels):
                 raise CorpusFormatError(f"{path}:{lineno}: 'labels' must be an array of strings")
             labels = set(raw_labels)

@@ -28,8 +28,6 @@ from .sparse import csr_rows, l2_normalize, remap_columns
 BM25_K = 1.6
 BM25_B = 0.75
 
-VARIANTS = ("tf-idf", "bm25", "cf-idf", "bm25c", "ctf-idf", "bm25ct")
-
 # variant -> (uses term block, uses concept block, weighting scheme)
 _VARIANT_PLAN = {
     "tf-idf": (True, False, "idf"),
@@ -39,6 +37,7 @@ _VARIANT_PLAN = {
     "ctf-idf": (True, True, "idf"),
     "bm25ct": (True, True, "bm25"),
 }
+VARIANTS = tuple(_VARIANT_PLAN)
 
 
 def count_terms(tokens: list[str], index: dict[str, int]) -> Counter[int]:
@@ -231,13 +230,12 @@ class TextVectorizer:
     """
 
     def __init__(self, variant: str):
-        key = variant.lower()
-        if key not in _VARIANT_PLAN:
+        if variant not in VARIANTS:
             raise ValueError(
                 f"unknown vectorization {variant!r}; valid: {', '.join(VARIANTS)}"
             )
-        self.variant = key
-        self.uses_terms, self.uses_concepts, self.scheme = _VARIANT_PLAN[key]
+        self.variant = variant
+        self.uses_terms, self.uses_concepts, self.scheme = _VARIANT_PLAN[variant]
         # token -> term column, in column order; fitted on training text only
         self.vocab: dict[str, int] | None = None
         self.term_weighting: WeightingModel | None = None

@@ -42,12 +42,18 @@ CLASSIFIERS = (
     "mlp-dt",
 )
 
-# classifiers consuming raw pre-weighting counts instead of weighted vectors
-_COUNT_BASED = ("bayes-bernoulli", "bayes-multinomial")
-
-# RunConfig fields that hold an integer, and those that hold any number (a
-# bool is neither); epochs and alpha may also be None, the learner's default
-_INTEGER_FIELDS = ("folds", "seed", "knn_k", "l2r_k", "epochs", "mlp_hidden")
+# RunConfig fields that name one of a fixed set of values
+_CHOICES = {
+    "thesaurus_format": THESAURUS_FORMATS,
+    "field": FIELDS,
+    "vectorization": VARIANTS,
+    "classifier": CLASSIFIERS,
+    "mlp_activation": tuple(ACTIVATIONS),
+}
+# RunConfig fields that hold an integer, with the least value each takes, and
+# those that hold any number (a bool is neither); epochs and alpha may also be
+# None, the learner's default
+_MINIMUMS = {"folds": 2, "seed": 0, "knn_k": 1, "l2r_k": 1, "epochs": 1, "mlp_hidden": 1}
 _NUMBER_FIELDS = ("alpha", "mlp_threshold")
 
 
@@ -81,41 +87,22 @@ class RunConfig:
     def validate(self) -> None:
         """Raise ConfigError unless every field has a usable type and value;
         a model file's config is outside input, so types are checked too."""
-        if self.thesaurus_format not in THESAURUS_FORMATS:
-            raise ConfigError(
-                f"unknown thesaurus_format {self.thesaurus_format!r}; "
-                f"valid: {', '.join(THESAURUS_FORMATS)}"
-            )
-        if self.field not in FIELDS:
-            raise ConfigError(f"unknown field {self.field!r}; valid: {', '.join(FIELDS)}")
-        if not (isinstance(self.vectorization, str) and self.vectorization.lower() in VARIANTS):
-            raise ConfigError(
-                f"unknown vectorization {self.vectorization!r}; valid: {', '.join(VARIANTS)}"
-            )
-        if self.classifier not in CLASSIFIERS:
-            raise ConfigError(
-                f"unknown classifier {self.classifier!r}; valid: {', '.join(CLASSIFIERS)}"
-            )
-        if self.mlp_activation not in tuple(ACTIVATIONS):
-            raise ConfigError(
-                f"unknown mlp_activation {self.mlp_activation!r}; valid: {', '.join(ACTIVATIONS)}"
-            )
-        for name in _INTEGER_FIELDS + _NUMBER_FIELDS:
+        for name, choices in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ConfigError(f"unknown {name} {value!r}; valid: {', '.join(choices)}")
+        for name in (*_MINIMUMS, *_NUMBER_FIELDS):
             value = getattr(self, name)
             if value is None and name in ("epochs", "alpha"):
                 continue
-            integer = name in _INTEGER_FIELDS
+            integer = name in _MINIMUMS
             if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
                 what = "an integer" if integer else "a number"
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
-        if self.folds < 2:
-            raise ConfigError("folds must be >= 2")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("knn_k", "l2r_k", "epochs", "mlp_hidden"):
+        for name, least in _MINIMUMS.items():
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+            if value is not None and value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
         if self.alpha is not None and not self.alpha > 0:
             raise ConfigError(f"alpha must be > 0, got {self.alpha}")
         if self.alpha == math.inf:
@@ -133,37 +120,36 @@ class RunConfig:
 
 
 def build_classifier(config: RunConfig):
-    """Instantiate the classifier named by the config, seeded from it."""
+    """Instantiate the classifier named by the config, seeded from it; a
+    ``-dt`` name stacks its base learner."""
     kind = config.classifier
-    seed = config.seed
-    alpha = config.alpha if config.alpha is not None else LINEAR_ALPHA
-    linear_epochs = config.epochs if config.epochs is not None else LINEAR_EPOCHS
-    mlp_epochs = config.epochs if config.epochs is not None else MLP_EPOCHS
-    if kind == "knn":
-        return KnnClassifier(k=config.knn_k)
-    if kind == "rocchio-dt":
-        return StackedClassifier(RocchioClassifier())
-    if kind == "bayes-bernoulli":
-        return NaiveBayesClassifier("bernoulli")
-    if kind == "bayes-multinomial":
-        return NaiveBayesClassifier("multinomial")
-    if kind in ("svm", "lr", "lr-dt"):
-        loss = "hinge" if kind == "svm" else "logistic"
-        linear = LinearClassifier(loss=loss, alpha=alpha, epochs=linear_epochs, seed=seed)
-        return StackedClassifier(linear) if kind == "lr-dt" else linear
-    if kind in ("l2r", "l2r-dt"):
-        l2r = L2RClassifier(k=config.l2r_k, alpha=alpha)
-        return StackedClassifier(l2r) if kind == "l2r-dt" else l2r
-    if kind in ("mlp", "mlp-dt"):
-        mlp = MlpClassifier(
+    if kind not in CLASSIFIERS:
+        raise ValueError(f"unknown classifier {kind!r}")
+    base = kind.removesuffix("-dt")
+    alpha = LINEAR_ALPHA if config.alpha is None else config.alpha
+    epochs = config.epochs
+    if epochs is None:
+        epochs = MLP_EPOCHS if base == "mlp" else LINEAR_EPOCHS
+    if base == "knn":
+        learner = KnnClassifier(k=config.knn_k)
+    elif base == "rocchio":
+        learner = RocchioClassifier()
+    elif base.startswith("bayes-"):
+        learner = NaiveBayesClassifier(base.removeprefix("bayes-"))
+    elif base in ("svm", "lr"):
+        loss = "hinge" if base == "svm" else "logistic"
+        learner = LinearClassifier(loss=loss, alpha=alpha, epochs=epochs, seed=config.seed)
+    elif base == "l2r":
+        learner = L2RClassifier(k=config.l2r_k, alpha=alpha)
+    else:
+        learner = MlpClassifier(
             hidden=config.mlp_hidden,
             activation=config.mlp_activation,
-            epochs=mlp_epochs,
+            epochs=epochs,
             threshold=config.mlp_threshold,
-            seed=seed,
+            seed=config.seed,
         )
-        return StackedClassifier(mlp) if kind == "mlp-dt" else mlp
-    raise ValueError(f"unknown classifier {kind!r}")
+    return StackedClassifier(learner) if kind != base else learner
 
 
 def concept_matcher(
@@ -203,9 +189,9 @@ class FittedPipeline:
         return count_documents(docs, self.config.field, self.lemma_table, self.matcher)
 
     def vectorize(self, counts: CorpusCounts) -> sp.csr_matrix:
-        """Classifier input rows: raw counts for the count-based classifiers,
-        weighted unit vectors for the rest."""
-        if self.config.classifier in _COUNT_BASED:
+        """Classifier input rows: raw counts for Naive Bayes, which models
+        counts, and weighted unit vectors for the rest."""
+        if isinstance(self.classifier, NaiveBayesClassifier):
             return self.vectorizer.transform_counts(counts)
         return self.vectorizer.transform(counts)
 

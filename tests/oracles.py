@@ -19,7 +19,15 @@ from semannot.features import (
     concat,
     fit_weighting,
 )
-from semannot.learners import KnnClassifier, LinearClassifier, NaiveBayesClassifier
+from semannot.learners import (
+    KnnClassifier,
+    LinearClassifier,
+    MlpClassifier,
+    NaiveBayesClassifier,
+    RocchioClassifier,
+)
+from semannot.learners.linear import LINEAR_ALPHA, LINEAR_EPOCHS
+from semannot.learners.mlp import MLP_EPOCHS
 from semannot.multilabel import STACKING_TOP_M, StackedClassifier
 from semannot.preprocess import LemmaTable, preprocess
 from semannot.ranking import CandidateSet, L2RClassifier
@@ -446,3 +454,39 @@ def per_fold_matrices(
         return concat(*blocks)
 
     return rows(train), rows(test)
+
+
+def reference_build_classifier(config):
+    """The classifier a config names, one branch per name, each stacked
+    learner wrapped in its own branch.  The reference for
+    ``pipeline.build_classifier``."""
+    kind = config.classifier
+    seed = config.seed
+    alpha = config.alpha if config.alpha is not None else LINEAR_ALPHA
+    linear_epochs = config.epochs if config.epochs is not None else LINEAR_EPOCHS
+    mlp_epochs = config.epochs if config.epochs is not None else MLP_EPOCHS
+    if kind == "knn":
+        return KnnClassifier(k=config.knn_k)
+    if kind == "rocchio-dt":
+        return StackedClassifier(RocchioClassifier())
+    if kind == "bayes-bernoulli":
+        return NaiveBayesClassifier("bernoulli")
+    if kind == "bayes-multinomial":
+        return NaiveBayesClassifier("multinomial")
+    if kind in ("svm", "lr", "lr-dt"):
+        loss = "hinge" if kind == "svm" else "logistic"
+        linear = LinearClassifier(loss=loss, alpha=alpha, epochs=linear_epochs, seed=seed)
+        return StackedClassifier(linear) if kind == "lr-dt" else linear
+    if kind in ("l2r", "l2r-dt"):
+        l2r = L2RClassifier(k=config.l2r_k, alpha=alpha)
+        return StackedClassifier(l2r) if kind == "l2r-dt" else l2r
+    if kind in ("mlp", "mlp-dt"):
+        mlp = MlpClassifier(
+            hidden=config.mlp_hidden,
+            activation=config.mlp_activation,
+            epochs=mlp_epochs,
+            threshold=config.mlp_threshold,
+            seed=seed,
+        )
+        return StackedClassifier(mlp) if kind == "mlp-dt" else mlp
+    raise ValueError(f"unknown classifier {kind!r}")

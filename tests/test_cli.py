@@ -660,6 +660,15 @@ def tree(container: dict) -> dict:
             lambda c: swap_first_ids(c["classifier"]["label_ids"]),
             UNSORTED_IDS,
         ),
+        # annotated with exit 0: the name was case-folded
+        (
+            CTF,
+            lambda c: c["config"].update(vectorization="CTF-IDF"),
+            f"{REFUSED} unknown vectorization 'CTF-IDF'; "
+            "valid: tf-idf, bm25, cf-idf, bm25c, ctf-idf, bm25ct",
+        ),
+        # refused without the value it got
+        (KNN, lambda c: c["config"].update(folds=1), f"{REFUSED} folds must be >= 2, got 1"),
     ],
     ids=[
         "extra-config-key",
@@ -758,6 +767,8 @@ def tree(container: dict) -> dict:
         "rocchio-label-ids-swapped",
         "bayes-label-ids-first-repeated",
         "mlp-label-ids-swapped",
+        "config-vectorization-upper-case",
+        "config-folds-1",
     ],
 )
 def test_annotate_refuses_container_in_one_line(
@@ -819,6 +830,26 @@ def test_annotate_counts_records_without_the_models_field(
     assert capsys.readouterr().out == f"annotations written to {out}{note}\n"
     kept = [record["id"] for i, record in enumerate(records) if i not in drop]
     assert [json.loads(line)["id"] for line in open(out)] == kept
+
+
+def test_annotate_ignores_labels(data_files, tmp_path, capsys):
+    """annotate reads no labels, so a record whose labels field is not an
+    array of strings is annotated like any other."""
+    corpus, thesaurus = data_files
+    model = str(tmp_path / "model.json")
+    assert main(
+        ["train", "--corpus", corpus, "--thesaurus", thesaurus,
+         "--vec", "tf-idf", "--clf", "knn", "--out", model]
+    ) == 0
+    clean = json.loads(open(corpus).readline())
+    inputs = tmp_path / "bad.jsonl"
+    records = [{"id": "a", "title": "sigb kuba", "labels": "x"}, clean]
+    inputs.write_text("".join(json.dumps(record) + "\n" for record in records))
+    out = str(tmp_path / "annotated.jsonl")
+    capsys.readouterr()
+    assert main(["annotate", "--model", model, "--corpus", str(inputs), "--out", out]) == 0
+    assert capsys.readouterr() == (f"annotations written to {out}\n", "")
+    assert [json.loads(line)["id"] for line in open(out)] == ["a", clean["id"]]
 
 
 def test_annotate_refuses_classifier_other_than_config_names(data_files, tmp_path, capsys):

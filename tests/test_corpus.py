@@ -107,6 +107,21 @@ class TestLoadCorpus:
         result = load_corpus(path, "title", require_labels=False)
         assert result.documents[0].gold_labels == frozenset()
 
+    def test_unlabeled_load_reads_no_labels(self, tmp_path):
+        # annotation input: a malformed labels field is not read, and no
+        # document carries the labels its record holds
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(
+            path,
+            [
+                {"id": "a", "title": "sigb kuba", "labels": "x"},
+                {"id": "b", "title": "two", "labels": ["y"]},
+            ],
+        )
+        result = load_corpus(path, "title", require_labels=False)
+        assert [d.doc_id for d in result.documents] == ["a", "b"]
+        assert [d.gold_labels for d in result.documents] == [frozenset(), frozenset()]
+
     def test_deterministic(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(

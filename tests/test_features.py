@@ -302,8 +302,10 @@ class TestTextVectorizer:
         assert vec.transform_one(["unseen", "words"]).nnz == 0
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="tfidf2"):
-            TextVectorizer("tfidf2")
+        # variant names are exact: no case folding
+        for variant in ("tfidf2", "TF-IDF"):
+            with pytest.raises(ValueError, match=f"unknown vectorization '{variant}'"):
+                TextVectorizer(variant)
 
     def test_concept_variant_requires_thesaurus(self):
         # counts taken without a concept matcher cannot feed a concept block
