@@ -1,6 +1,7 @@
 """Loading and validation of corpora and thesauri.
 
-Corpora are UTF-8 JSON-lines files with fields ``id``, ``title``,
+Every input file is UTF-8 text; a leading byte order mark is ignored.
+Corpora are JSON-lines files with fields ``id``, ``title``,
 ``fulltext`` (optional) and ``labels``.  Thesauri come either as a minimal
 N-Triples subset (only prefLabel/altLabel triples are consumed) or as a
 three-column TSV.
@@ -24,6 +25,22 @@ class CorpusFormatError(ValueError):
 
 class ThesaurusFormatError(ValueError):
     pass
+
+
+# a byte that does not decode as UTF-8, as the surrogateescape handler holds it
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def text_lines(path, error: type[ValueError]):
+    """Number and text of each line of the UTF-8 file at ``path``, without a
+    leading byte order mark; the first line that does not decode is refused
+    with ``error``."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            # isascii reads a flag; only a line with other characters is searched
+            if not line.isascii() and _UNDECODED.search(line):
+                raise error(f"{path}:{lineno}: not UTF-8 text")
+            yield lineno, line
 
 
 @dataclass(frozen=True)
@@ -101,49 +118,48 @@ def load_corpus(
         raise ValueError(f"unknown field {field_name!r}")
     result = CorpusLoadResult(documents=[])
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
-            doc_id = record.get("id")
-            if not isinstance(doc_id, str) or not doc_id:
-                raise CorpusFormatError(f"{path}:{lineno}: missing or invalid 'id'")
-            if doc_id in seen_ids:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
-            seen_ids.add(doc_id)
+    for lineno, line in text_lines(path, CorpusFormatError):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
+        doc_id = record.get("id")
+        if not isinstance(doc_id, str) or not doc_id:
+            raise CorpusFormatError(f"{path}:{lineno}: missing or invalid 'id'")
+        if doc_id in seen_ids:
+            raise CorpusFormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
+        seen_ids.add(doc_id)
 
-            if not isinstance(record.get(field_name), str):
-                result.n_missing_field += 1
-                continue
+        if not isinstance(record.get(field_name), str):
+            result.n_missing_field += 1
+            continue
 
-            raw_labels = record.get("labels", []) if require_labels else []
-            if not isinstance(raw_labels, list) or any(not isinstance(l, str) for l in raw_labels):
-                raise CorpusFormatError(f"{path}:{lineno}: 'labels' must be an array of strings")
-            labels = set(raw_labels)
-            if thesaurus is not None:
-                known = {l for l in labels if l in thesaurus}
-                result.n_unknown_labels += len(labels) - len(known)
-                labels = known
-            if require_labels and not labels:
-                result.n_empty_labels += 1
-                continue
+        raw_labels = record.get("labels", []) if require_labels else []
+        if not isinstance(raw_labels, list) or any(not isinstance(l, str) for l in raw_labels):
+            raise CorpusFormatError(f"{path}:{lineno}: 'labels' must be an array of strings")
+        labels = set(raw_labels)
+        if thesaurus is not None:
+            known = {l for l in labels if l in thesaurus}
+            result.n_unknown_labels += len(labels) - len(known)
+            labels = known
+        if require_labels and not labels:
+            result.n_empty_labels += 1
+            continue
 
-            title = record.get("title")
-            fulltext = record.get("fulltext")
-            result.documents.append(
-                Document(
-                    doc_id=doc_id,
-                    title=title if isinstance(title, str) else "",
-                    fulltext=fulltext if isinstance(fulltext, str) else None,
-                    gold_labels=frozenset(labels),
-                )
+        title = record.get("title")
+        fulltext = record.get("fulltext")
+        result.documents.append(
+            Document(
+                doc_id=doc_id,
+                title=title if isinstance(title, str) else "",
+                fulltext=fulltext if isinstance(fulltext, str) else None,
+                gold_labels=frozenset(labels),
             )
+        )
     return result
 
 
@@ -172,34 +188,29 @@ def _alts(pref: str, alts) -> tuple[str, ...]:
 def _parse_ntriples(path) -> Thesaurus:
     prefs: dict[str, str] = {}
     alts: dict[str, list[str]] = {}  # every subject, in first-seen order
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            match = _SUBJECT_PREDICATE.match(line)
-            if match is None:
-                raise ThesaurusFormatError(f"{path}:{lineno}: not a triple")
-            predicate = match.group("predicate")
-            local = predicate.rsplit("#", 1)[-1].rsplit("/", 1)[-1]
-            if local not in ("prefLabel", "altLabel"):
-                continue  # unknown predicates are ignored
-            literal = _LITERAL_OBJECT.match(match.group("rest"))
-            if literal is None:
-                raise ThesaurusFormatError(
-                    f"{path}:{lineno}: {local} object must be a literal"
-                )
-            subject = match.group("subject")
-            value = _unescape_literal(literal.group("lex"))
-            alts.setdefault(subject, [])
-            if local == "prefLabel":
-                if subject in prefs and prefs[subject] != value:
-                    raise ThesaurusFormatError(
-                        f"two preferred labels for subject <{subject}>"
-                    )
-                prefs[subject] = value
-            else:
-                alts[subject].append(value)
+    for lineno, line in text_lines(path, ThesaurusFormatError):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        match = _SUBJECT_PREDICATE.match(line)
+        if match is None:
+            raise ThesaurusFormatError(f"{path}:{lineno}: not a triple")
+        predicate = match.group("predicate")
+        local = predicate.rsplit("#", 1)[-1].rsplit("/", 1)[-1]
+        if local not in ("prefLabel", "altLabel"):
+            continue  # unknown predicates are ignored
+        literal = _LITERAL_OBJECT.match(match.group("rest"))
+        if literal is None:
+            raise ThesaurusFormatError(f"{path}:{lineno}: {local} object must be a literal")
+        subject = match.group("subject")
+        value = _unescape_literal(literal.group("lex"))
+        alts.setdefault(subject, [])
+        if local == "prefLabel":
+            if subject in prefs and prefs[subject] != value:
+                raise ThesaurusFormatError(f"two preferred labels for subject <{subject}>")
+            prefs[subject] = value
+        else:
+            alts[subject].append(value)
     concepts: dict[str, Concept] = {}
     for subject in alts:
         if subject not in prefs:
@@ -210,21 +221,18 @@ def _parse_ntriples(path) -> Thesaurus:
 
 def _parse_tsv(path) -> Thesaurus:
     concepts: dict[str, Concept] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2 or len(parts) > 3 or not parts[0] or not parts[1]:
-                raise ThesaurusFormatError(
-                    f"{path}:{lineno}: expected 'id<TAB>pref<TAB>alt|alt' row"
-                )
-            concept_id, pref = parts[0], parts[1]
-            if concept_id in concepts:
-                raise ThesaurusFormatError(f"{path}:{lineno}: duplicate concept {concept_id!r}")
-            alts = parts[2].split("|") if len(parts) == 3 else []
-            concepts[concept_id] = Concept(concept_id, pref, _alts(pref, filter(None, alts)))
+    for lineno, raw in text_lines(path, ThesaurusFormatError):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2 or len(parts) > 3 or not parts[0] or not parts[1]:
+            raise ThesaurusFormatError(f"{path}:{lineno}: expected 'id<TAB>pref<TAB>alt|alt' row")
+        concept_id, pref = parts[0], parts[1]
+        if concept_id in concepts:
+            raise ThesaurusFormatError(f"{path}:{lineno}: duplicate concept {concept_id!r}")
+        alts = parts[2].split("|") if len(parts) == 3 else []
+        concepts[concept_id] = Concept(concept_id, pref, _alts(pref, filter(None, alts)))
     return Thesaurus(concepts)
 
 

@@ -250,9 +250,11 @@ class TextVectorizer:
             # columns in order of their first entry in the training rows:
             # the order in which a scan of the training token stream meets them
             columns, first = np.unique(counts.term_counts.indices, return_index=True)
-            order = columns[np.argsort(first)].tolist()
-            self.vocab = {counts.terms[j]: i for i, j in enumerate(order)}
-            self.term_weighting = fit_weighting(self._term_counts(counts), self.scheme)
+            order = columns[np.argsort(first)]
+            self.vocab = {counts.terms[j]: i for i, j in enumerate(order.tolist())}
+            # every training entry is a vocabulary term: keep the vocabulary's idf, in its order
+            weighting = fit_weighting(counts.term_counts, self.scheme)
+            self.term_weighting = replace(weighting, idf=weighting.idf[order])
         if self.uses_concepts:
             self.concept_weighting = fit_weighting(counts.concept_counts, self.scheme)
         return self

@@ -9,6 +9,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .corpus import text_lines
+
 # A "letter" is any unicode alphabetic character (excludes digits and _).
 _LETTER = r"[^\W\d_]"
 _HYPHEN_BETWEEN_LETTERS = re.compile(rf"(?<={_LETTER})-(?={_LETTER})")
@@ -57,15 +59,14 @@ class LemmaTable:
     def load(cls, path) -> "LemmaTable":
         """Read a two-column tab-separated file; `#` starts a comment line."""
         mapping: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2 or not parts[0] or not parts[1]:
-                    raise LemmaTableError(f"{path}:{lineno}: expected 'surface<TAB>lemma'")
-                mapping[parts[0]] = parts[1]
+        for lineno, line in text_lines(path, LemmaTableError):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                raise LemmaTableError(f"{path}:{lineno}: expected 'surface<TAB>lemma'")
+            mapping[parts[0]] = parts[1]
         return cls(mapping)
 
     def get(self, token: str) -> str | None:

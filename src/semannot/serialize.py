@@ -277,17 +277,16 @@ def _restore(obj, d: dict, width: int | None = None):
         else:
             setattr(obj, attr, dec(d[attr], obj))
     for name, array, shape in _shape_rules(obj, width):
-        if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
-            required = ", ".join("*" if n is None else str(n) for n in shape)
+        if array.shape != shape:
             raise ModelFormatError(
-                f"array {name} of shape {list(array.shape)} where [{required}] is required"
+                f"array {name} of shape {list(array.shape)} where {list(shape)} is required"
             )
     return obj
 
 
 def _shape_rules(obj, width: int | None) -> list[tuple[str, np.ndarray, tuple]]:
     """(name, array, required shape) of the restored arrays whose shape the
-    vocabulary, label_ids, the config or `width` fixes; None leaves it open."""
+    vocabulary, label_ids, the config or `width` fixes."""
     if isinstance(obj, TextVectorizer):
         return [("term idf", obj.term_weighting.idf, (len(obj.vocab),))] if obj.uses_terms else []
     n_labels = len(getattr(obj, "label_ids", ()))
@@ -393,8 +392,11 @@ def save_pipeline(pipeline: FittedPipeline, path) -> None:
 
 
 def load_pipeline(path) -> FittedPipeline:
-    with open(path, encoding="utf-8") as fh:
-        container = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            container = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ModelFormatError(f"model file is not JSON: {exc}") from None
     if not isinstance(container, dict):
         raise ModelFormatError(
             f"model container must be a JSON object, got {type(container).__name__}"

@@ -55,6 +55,18 @@ def stack_rows(rows, dimension: int) -> sp.csr_matrix:
     )
 
 
+def sequential_row_norms(X: sp.csr_matrix) -> np.ndarray:
+    """Each row's stored weights squared and added one at a time, in stored
+    order, then ``math.sqrt``.  The reference for ``sparse.row_norms``."""
+    norms = []
+    for start, end in zip(X.indptr[:-1].tolist(), X.indptr[1:].tolist()):
+        s = 0.0
+        for v in X.data[start:end].tolist():
+            s += v * v
+        norms.append(math.sqrt(s))
+    return np.array(norms, dtype=np.float64)
+
+
 def folds_by_slicing(n_docs: int, n_folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Seeded permutation cut into contiguous test blocks by hand, the
     first n_docs mod n_folds blocks one document longer; each fold trains

@@ -832,6 +832,38 @@ def test_annotate_counts_records_without_the_models_field(
     assert [json.loads(line)["id"] for line in open(out)] == kept
 
 
+@pytest.mark.parametrize(
+    "cut",
+    [lambda raw: raw[:300], lambda raw: b"", lambda raw: raw.decode().encode("utf-16")],
+    ids=["truncated", "empty", "not-utf-8"],
+)
+def test_annotate_refuses_model_that_is_not_json(data_files, tmp_path, capsys, cut):
+    """Named as a model file, not left to read like an error in the corpus."""
+    corpus, thesaurus = data_files
+    model = tmp_path / "model.json"
+    assert main(["train", "--corpus", corpus, "--thesaurus", thesaurus, "--out", str(model)]) == 0
+    model.write_bytes(cut(model.read_bytes()))
+    capsys.readouterr()
+    argv = ["annotate", "--model", str(model), "--corpus", corpus, "--out", str(tmp_path / "x")]
+    code, err = main(argv), capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("annotation failed: model file is not JSON: ") and err.count("\n") == 1
+
+
+def test_thesaurus_with_byte_order_mark_gives_plain_report(data_files, tmp_path):
+    corpus, thesaurus = data_files
+    marked = tmp_path / "marked.tsv"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(thesaurus).read_bytes())
+    reports = []
+    for name, path in (("plain", thesaurus), ("marked", str(marked))):
+        out_json, out_csv = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        assert main(eval_args(corpus, path, str(out_json), str(out_csv), vec="ctf-idf")) == 0
+        report = json.loads(out_json.read_text())
+        del report["config"]["thesaurus"]
+        reports.append((report, out_csv.read_bytes()))
+    assert reports[0] == reports[1]
+
+
 def test_annotate_ignores_labels(data_files, tmp_path, capsys):
     """annotate reads no labels, so a record whose labels field is not an
     array of strings is annotated like any other."""

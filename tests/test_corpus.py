@@ -15,6 +15,7 @@ from semannot.corpus import (
     load_corpus,
     load_thesaurus,
 )
+from semannot.preprocess import LemmaTable, LemmaTableError
 
 
 def write_jsonl(path, records):
@@ -327,3 +328,49 @@ def test_economics_reference_statistics():
     assert stats.n_concepts_in_thesaurus == 6_217
     assert stats.n_labels_used == 4_682
     assert stats.mean_labels_per_doc == pytest.approx(5.26, abs=0.005)
+
+
+# reader -> (two well-formed lines, the second not ASCII, loader, the loader's format error)
+READERS = {
+    "corpus": (
+        '{"id": "d1", "title": "rate", "labels": ["c1"]}\n'
+        '{"id": "d2", "title": "taux d\'intérêt", "labels": ["c2"]}\n',
+        load_corpus,
+        CorpusFormatError,
+    ),
+    "tsv": (
+        "c1\trate\trates\nc2\tintérêt\t\n", lambda p: load_thesaurus(p, "tsv"), ThesaurusFormatError
+    ),
+    "ntriples": (
+        '<c1> <http://www.w3.org/2004/02/skos/core#prefLabel> "rate"@en .\n'
+        '<c2> <http://www.w3.org/2004/02/skos/core#prefLabel> "intérêt"@fr .\n',
+        lambda p: load_thesaurus(p, "ntriples"),
+        ThesaurusFormatError,
+    ),
+    "lemma-table": ("mice\tmouse\nintérêts\tintérêt\n", LemmaTable.load, LemmaTableError),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_leading_byte_order_mark_ignored(tmp_path, reader):
+    """A BOM does not become part of the first record's id, the first
+    concept or the first lemma table surface, which still maps."""
+    text, load, _ = READERS[reader]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load(marked) == load(plain)
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_undecodable_line_refused_by_place(tmp_path, reader):
+    """Each reader names the file and line that is not UTF-8, with its own error."""
+    text, load, error = READERS[reader]
+    path = tmp_path / "input"
+    path.write_bytes(text.encode("utf-8"))
+    load(path)
+    path.write_bytes(text.encode("utf-8") + b"caf\xff\trate\n")
+    with pytest.raises(error) as refused:
+        load(path)
+    assert str(refused.value) == f"{path}:3: not UTF-8 text"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse as sp
 
-from oracles import scatter_columns, stack_rows
+from oracles import scatter_columns, sequential_row_norms, stack_rows
 from semannot.sparse import remap_columns, row_norms, vstack
 
 
@@ -23,13 +23,41 @@ def test_norm_scale_sum():
     assert X.sum() == 7.0
 
 
-def test_row_norms_ignore_neighbouring_rows():
-    rng = np.random.default_rng(3)
-    rows = [{int(j): float(rng.random()) for j in rng.choice(9, 4, replace=False)} for _ in range(6)]
-    X = vstack(rows, 9)
+# negative and subnormal weights among them, whose squares vanish; each
+# square stays finite, as every weight the vectorizers and learners make is
+LIMIT = 1e150
+NORM_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, LIMIT, -LIMIT]),
+    st.floats(-LIMIT, LIMIT),
+)
+
+
+@st.composite
+def csr_blocks(draw, weights):
+    """A CSR block of up to 5 rows, some empty, each storing its columns in
+    any order, with its weights drawn from ``weights``."""
+    n_cols = draw(st.integers(0, 8))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        order = draw(st.permutations(range(n_cols)))
+        rows.append(order[:draw(st.integers(0, n_cols))])
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([j for row in rows for j in row], dtype=np.int64)
+    values = draw(st.lists(weights, min_size=len(indices), max_size=len(indices)))
+    data = np.array(values, dtype=np.float64)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(rows), n_cols))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(csr_blocks(NORM_WEIGHTS))
+def test_row_norms_ignore_neighbouring_rows(X):
+    """Bit for bit the sequential sum of each row's squares, so a row's
+    norm is the same alone as in any block."""
+    norms = row_norms(X)
+    assert norms.dtype == np.float64
+    assert norms.tobytes() == sequential_row_norms(X).tobytes()
     for i in range(X.shape[0]):
-        assert row_norms(X[i:i + 1])[0] == row_norms(X)[i]
-    assert row_norms(vstack([{}], 3)).tolist() == [0.0]
+        assert row_norms(X[i:i + 1]).tobytes() == norms[i:i + 1].tobytes()
 
 
 def test_vstack_dimension_checks():
@@ -94,16 +122,8 @@ def remaps(draw):
     """(X, lookup, n_columns): X's rows store their columns in any order,
     and lookup sends some of X's columns, one to one, anywhere in
     range(n_columns) and the rest to -1."""
-    n_cols = draw(st.integers(0, 8))
-    rows = []
-    for _ in range(draw(st.integers(0, 5))):
-        order = draw(st.permutations(range(n_cols)))
-        rows.append(order[:draw(st.integers(0, n_cols))])
-    indptr = np.cumsum([0] + [len(row) for row in rows])
-    indices = np.array([j for row in rows for j in row], dtype=np.int64)
-    counts = draw(st.lists(st.integers(1, 9), min_size=len(indices), max_size=len(indices)))
-    data = np.array(counts, dtype=np.float64)
-    X = sp.csr_matrix((data, indices, indptr), shape=(len(rows), n_cols))
+    X = draw(csr_blocks(st.integers(1, 9)))
+    n_cols = X.shape[1]
     n_kept = draw(st.integers(0, n_cols))
     n_columns = n_kept + draw(st.integers(0, 3))
     lookup = np.full(n_cols, -1, dtype=np.int64)
