@@ -22,7 +22,6 @@ from .learners.mlp import ACTIVATIONS
 from .pipeline import CLASSIFIERS, ConfigError, RunConfig, count_documents, fit_pipeline
 from .preprocess import LemmaTable
 from .serialize import load_pipeline, save_pipeline
-from .sparse import ROW_BLOCK
 
 
 def _config_flags(inputs_only: bool = False) -> argparse.ArgumentParser:
@@ -62,8 +61,26 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _load_inputs(config: RunConfig):
+    """The run's documents, thesaurus and lemma table; says on stdout what
+    loading the corpus dropped, if anything."""
     thesaurus = load_thesaurus(config.thesaurus, config.thesaurus_format)
     loaded = load_corpus(config.corpus, config.field, thesaurus=thesaurus)
+    skipped = [
+        f"{n} {what}"
+        for n, what in (
+            (loaded.n_missing_field, f"without a {config.field}"),
+            (loaded.n_empty_labels, "with no thesaurus label"),
+        )
+        if n
+    ]
+    notes = [", ".join(skipped) + " skipped"] if skipped else []
+    if loaded.n_unknown_labels:
+        plural = "" if loaded.n_unknown_labels == 1 else "s"
+        notes.append(f"{loaded.n_unknown_labels} unknown label{plural} removed")
+    if notes:
+        kept = len(loaded.documents)
+        total = kept + loaded.n_missing_field + loaded.n_empty_labels
+        print(f"loaded {kept} of {total} documents ({'; '.join(notes)})")
     lemma_table = LemmaTable.load(config.lemma_table) if config.lemma_table else None
     return loaded.documents, thesaurus, lemma_table
 
@@ -117,12 +134,8 @@ def cmd_annotate(args) -> None:
     loaded = load_corpus(args.corpus, field, require_labels=False)
     docs = loaded.documents
     with open(args.out, "w", encoding="utf-8") as fh:
-        for start in range(0, len(docs), ROW_BLOCK):
-            block = docs[start:start + ROW_BLOCK]
-            counts = pipeline.count(block)
-            predictions = [p for _, rows in pipeline.predict_blocks(counts) for p in rows]
-            for doc, predicted in zip(block, predictions):
-                fh.write(json.dumps({"id": doc.doc_id, "labels": sorted(predicted)}) + "\n")
+        for doc, predicted in zip(docs, pipeline.annotate(docs)):
+            fh.write(json.dumps({"id": doc.doc_id, "labels": sorted(predicted)}) + "\n")
     skipped = loaded.n_missing_field
     plural = "" if skipped == 1 else "s"
     note = f" ({skipped} document{plural} without a {field} skipped)" if skipped else ""

@@ -2,8 +2,8 @@
 
 Every input file is UTF-8 text; a leading byte order mark is ignored.
 Corpora are JSON-lines files with fields ``id``, ``title``,
-``fulltext`` (optional) and ``labels``.  Thesauri come either as a minimal
-N-Triples subset (only prefLabel/altLabel triples are consumed) or as a
+``fulltext`` (optional) and ``labels``.  Thesauri come either as N-Triples
+(only the prefLabel/altLabel triples of IRI subjects are consumed) or as a
 three-column TSV.
 """
 
@@ -165,29 +165,52 @@ def load_corpus(
 
 # --- thesaurus parsing -------------------------------------------------
 
+# the object literal with its language tag or datatype, the final dot and
+# an optional comment
 _LITERAL_OBJECT = re.compile(
-    r'^"(?P<lex>(?:[^"\\]|\\.)*)"(?:@[A-Za-z0-9-]+|\^\^<[^>]*>)?\s*\.\s*$'
+    r'^"(?P<lex>(?:[^"\\]|\\.)*)"(?:@(?P<lang>[A-Za-z0-9-]+)|\^\^<[^>]*>)?\s*\.\s*(?:#.*)?$'
 )
-_SUBJECT_PREDICATE = re.compile(r"^<(?P<subject>[^>]*)>\s+<(?P<predicate>[^>]*)>\s+(?P<rest>.*)$")
+# a blank-node subject leaves the subject group unset
+_SUBJECT_PREDICATE = re.compile(
+    r"^(?:<(?P<subject>[^>]*)>|_:\S+)\s+<(?P<predicate>[^>]*)>\s+(?P<rest>.*)$"
+)
 
-_NT_UNESCAPES = {"\\\\": "\\", '\\"': '"', "\\n": "\n", "\\t": "\t", "\\r": "\r"}
-_NT_ESCAPE = re.compile(r"\\.")
+# ECHAR, UCHAR, then any other escaped character
+_NT_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+_NT_ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
 
-def _unescape_literal(lex: str) -> str:
-    """Decode the five N-Triples escapes; any other escape stays as written."""
-    return _NT_ESCAPE.sub(lambda m: _NT_UNESCAPES.get(m.group(), m.group()), lex)
+def _unescape_literal(lex: str, where: str) -> str:
+    """Decode the ECHAR and UCHAR escapes of an N-Triples string; any other
+    escape, and a UCHAR that is no Unicode scalar value, is refused."""
+
+    def decode(match: re.Match) -> str:
+        digits = match.group(1) or match.group(2)
+        if digits is None:
+            if match.group(3) not in _NT_ECHARS:
+                raise ThesaurusFormatError(f"{where}: invalid escape {match.group()}")
+            return _NT_ECHARS[match.group(3)]
+        code = int(digits, 16)
+        if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+            raise ThesaurusFormatError(f"{where}: escape {match.group()} is not a character")
+        return chr(code)
+
+    return _NT_ESCAPE.sub(decode, lex)
 
 
 def _alts(pref: str, alts) -> tuple[str, ...]:
-    """Alternative labels in first-seen order, without repeats or the
-    preferred label."""
-    return tuple(alt for alt in dict.fromkeys(alts) if alt != pref)
+    """Alternative labels in first-seen order, without repeats, empties or
+    the preferred label."""
+    return tuple(alt for alt in dict.fromkeys(alts) if alt and alt != pref)
 
 
 def _parse_ntriples(path) -> Thesaurus:
-    prefs: dict[str, str] = {}
-    alts: dict[str, list[str]] = {}  # every subject, in first-seen order
+    """Read the SKOS prefLabel and altLabel triples of an N-Triples file.
+    The first prefLabel of a subject is its preferred label; a prefLabel in
+    another language (tags compare case-insensitively, untagged is one
+    language) joins the alternative labels."""
+    prefs: dict[str, dict[str, str]] = {}  # subject -> language tag -> prefLabel
+    labels: dict[str, list[str]] = {}  # subject -> its labels; subjects in first-seen order
     for lineno, line in text_lines(path, ThesaurusFormatError):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -195,27 +218,30 @@ def _parse_ntriples(path) -> Thesaurus:
         match = _SUBJECT_PREDICATE.match(line)
         if match is None:
             raise ThesaurusFormatError(f"{path}:{lineno}: not a triple")
-        predicate = match.group("predicate")
-        local = predicate.rsplit("#", 1)[-1].rsplit("/", 1)[-1]
-        if local not in ("prefLabel", "altLabel"):
-            continue  # unknown predicates are ignored
+        subject = match.group("subject")
+        local = match.group("predicate").rsplit("#", 1)[-1].rsplit("/", 1)[-1]
+        if subject is None or local not in ("prefLabel", "altLabel"):
+            continue  # blank nodes and unknown predicates are ignored
         literal = _LITERAL_OBJECT.match(match.group("rest"))
         if literal is None:
             raise ThesaurusFormatError(f"{path}:{lineno}: {local} object must be a literal")
-        subject = match.group("subject")
-        value = _unescape_literal(literal.group("lex"))
-        alts.setdefault(subject, [])
+        value = _unescape_literal(literal.group("lex"), f"{path}:{lineno}")
+        # every label joins the list; _alts drops the preferred one
+        labels.setdefault(subject, []).append(value)
         if local == "prefLabel":
-            if subject in prefs and prefs[subject] != value:
-                raise ThesaurusFormatError(f"two preferred labels for subject <{subject}>")
-            prefs[subject] = value
-        else:
-            alts[subject].append(value)
+            by_tag = prefs.setdefault(subject, {})
+            tag = (literal.group("lang") or "").lower()
+            if by_tag.setdefault(tag, value) != value:
+                raise ThesaurusFormatError(
+                    f"{path}:{lineno}: two preferred labels in one language "
+                    f"for subject <{subject}>"
+                )
     concepts: dict[str, Concept] = {}
-    for subject in alts:
+    for subject in labels:
         if subject not in prefs:
             raise ThesaurusFormatError(f"concept <{subject}> has no preferred label")
-        concepts[subject] = Concept(subject, prefs[subject], _alts(prefs[subject], alts[subject]))
+        pref = next(iter(prefs[subject].values()))
+        concepts[subject] = Concept(subject, pref, _alts(pref, labels[subject]))
     return Thesaurus(concepts)
 
 
@@ -232,7 +258,7 @@ def _parse_tsv(path) -> Thesaurus:
         if concept_id in concepts:
             raise ThesaurusFormatError(f"{path}:{lineno}: duplicate concept {concept_id!r}")
         alts = parts[2].split("|") if len(parts) == 3 else []
-        concepts[concept_id] = Concept(concept_id, pref, _alts(pref, filter(None, alts)))
+        concepts[concept_id] = Concept(concept_id, pref, _alts(pref, alts))
     return Thesaurus(concepts)
 
 

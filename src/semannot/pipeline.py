@@ -204,22 +204,25 @@ class FittedPipeline:
             X = self.vectorize(counts.rows(slice(start, start + ROW_BLOCK)))
             yield X, self.classifier.predict(X)
 
+    def annotate(self, docs: Sequence[Document]) -> Iterator[set[str]]:
+        """One label set per document, in order; counts and decides
+        ROW_BLOCK documents at a time."""
+        for start in range(0, len(docs), ROW_BLOCK):
+            for _, predicted in self.predict_blocks(self.count(docs[start:start + ROW_BLOCK])):
+                yield from predicted
+
     def predict_document(self, doc: Document) -> set[str]:
-        return self.classifier.predict(self.vectorize(self.count([doc])))[0]
+        return next(self.annotate([doc]))
 
 
 def fit_counts(
-    config: RunConfig,
-    counts: CorpusCounts,
-    labels: LabelMatrix,
-    lemma_table: LemmaTable | None = None,
-    matcher: ConceptMatcher | None = None,
+    config: RunConfig, counts: CorpusCounts, labels: LabelMatrix
 ) -> tuple[FittedPipeline, sp.csr_matrix]:
     """Fit vectorizer and classifier on counted documents and their gold
-    labels (no held-out split), counted with ``lemma_table`` and ``matcher``.
+    labels (no held-out split), leaving the lemma table and matcher unset.
     Returns the pipeline and the classifier input rows it was fitted on."""
     vectorizer = TextVectorizer(config.vectorization).fit(counts)
-    pipeline = FittedPipeline(config, vectorizer, build_classifier(config), lemma_table, matcher)
+    pipeline = FittedPipeline(config, vectorizer, build_classifier(config))
     X = pipeline.vectorize(counts)
     pipeline.classifier.fit(X, labels)
     return pipeline, X
@@ -237,4 +240,6 @@ def fit_pipeline(
     matcher = concept_matcher([config], thesaurus, lemma_table)
     counts = count_documents(docs, config.field, lemma_table, matcher)
     labels = LabelMatrix.from_gold([doc.gold_labels for doc in docs])
-    return fit_counts(config, counts, labels, lemma_table, matcher)
+    pipeline, X = fit_counts(config, counts, labels)
+    pipeline.lemma_table, pipeline.matcher = lemma_table, matcher
+    return pipeline, X

@@ -69,9 +69,6 @@ class LemmaTable:
             mapping[parts[0]] = parts[1]
         return cls(mapping)
 
-    def get(self, token: str) -> str | None:
-        return self.mapping.get(token)
-
 
 def _strip_suffix_once(token: str) -> str:
     if token.endswith("ies") and len(token) > 4:
@@ -95,7 +92,7 @@ def lemmatize_token(token: str, table: LemmaTable | None = None) -> str:
     idempotent (each application strictly shortens the token).
     """
     if table is not None:
-        hit = table.get(token)
+        hit = table.mapping.get(token)
         if hit is not None:
             return hit
     while True:

@@ -276,7 +276,9 @@ def random_count_vectors(
     return sp.csr_matrix(dense)
 
 
-def random_thesaurus(rng: np.random.Generator, max_phrases: int = 50) -> Thesaurus:
+def random_thesaurus(
+    rng: np.random.Generator, max_phrases: int = 50, tokens: list[str] = ORACLE_TOKENS
+) -> Thesaurus:
     n_concepts = int(rng.integers(1, 9))
     concepts = {}
     budget = max_phrases
@@ -286,16 +288,45 @@ def random_thesaurus(rng: np.random.Generator, max_phrases: int = 50) -> Thesaur
             if budget == 0:
                 break
             length = int(rng.integers(1, 5))
-            phrases.append(" ".join(rng.choice(ORACLE_TOKENS, size=length)))
+            phrases.append(" ".join(rng.choice(tokens, size=length)))
             budget -= 1
         if not phrases:
-            phrases = [rng.choice(ORACLE_TOKENS)]
+            phrases = [rng.choice(tokens)]
         alts = []
         for p in phrases[1:]:
             if p != phrases[0] and p not in alts:
                 alts.append(p)
         concepts[f"c{c}"] = Concept(f"c{c}", phrases[0], tuple(alts))
     return Thesaurus(concepts)
+
+
+SKOS = "http://www.w3.org/2004/02/skos/core#"
+
+
+def ntriples_text(
+    thesaurus: Thesaurus, escaped: frozenset[str] = frozenset(), wide: bool = False
+) -> str:
+    """The thesaurus as N-Triples, one triple per label.  Every character
+    that is not ASCII or is in ``escaped`` is written as a ``\\u`` UCHAR, or
+    as ``\\U`` when ``wide`` or outside the BMP; a quote or backslash that
+    is left is written as an ECHAR."""
+
+    def literal(text: str) -> str:
+        out = []
+        for ch in text:
+            if ch in escaped or not ch.isascii():
+                out.append(f"\\U{ord(ch):08X}" if wide or ord(ch) > 0xFFFF else f"\\u{ord(ch):04x}")
+            elif ch in '"\\':
+                out.append("\\" + ch)
+            else:
+                out.append(ch)
+        return '"' + "".join(out) + '"'
+
+    lines = []
+    for cid, concept in thesaurus.concepts.items():
+        lines.append(f"<{cid}> <{SKOS}prefLabel> {literal(concept.pref_label)}@en .\n")
+        lines += [f"<{cid}> <{SKOS}altLabel> {literal(alt)}@en .\n" for alt in concept.alt_labels]
+    return "".join(lines)
 
 
 def random_token_stream(rng: np.random.Generator, max_len: int = 30) -> list[str]:

@@ -3,7 +3,9 @@
 predict, scores, rank and the kNN neighbour search on a block of CSR rows
 must give exactly what the same calls give on 1-row slices of it, also for
 blocks longer than ROW_BLOCK, so that a document's decision never depends
-on the documents scored next to it.  The block decision rules must decide
+on the documents scored next to it.  FittedPipeline.annotate, which counts
+documents in blocks too, must give each document what counting, vectorizing
+and deciding it alone gives.  The block decision rules must decide
 what each classifier's rule applied row by row (tests/oracles.py) decides.
 """
 
@@ -103,5 +105,22 @@ def test_predict_equals_per_row_rules(classifier):
         pipeline, docs = fitted
         X = pipeline.vectorize(pipeline.count(docs))
         assert pipeline.classifier.predict(X) == per_row_predict(pipeline.classifier, X)
+
+    check()
+
+
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+def test_annotate_equals_one_document_at_a_time(classifier):
+    @PROPERTY
+    @given(fitted_pipelines(classifier), st.integers(1, 40))
+    def check(fitted, extra_docs):
+        pipeline, docs = fitted
+        alone = [
+            pipeline.classifier.predict(pipeline.vectorize(pipeline.count([doc])))[0]
+            for doc in docs
+        ]
+        # more documents than one block, each document several times
+        order = np.arange(ROW_BLOCK + extra_docs) % len(docs)
+        assert list(pipeline.annotate([docs[i] for i in order])) == [alone[i] for i in order]
 
     check()

@@ -864,6 +864,70 @@ def test_thesaurus_with_byte_order_mark_gives_plain_report(data_files, tmp_path)
     assert reports[0] == reports[1]
 
 
+def _drop_title(records):
+    del records[0]["title"]
+
+
+def _no_labels(records):
+    records[1]["labels"] = []
+
+
+def _one_unknown(records):
+    records[2]["labels"].append("NOPE")
+
+
+def _all_three(records):
+    """The first has no title, the second only an unknown label, the third
+    one unknown label beside its own."""
+    _drop_title(records)
+    records[1]["labels"] = ["NOPE"]
+    records[2]["labels"].append("NOPE2")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train", "stats"])
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (_drop_title, "loaded 49 of 50 documents (1 without a title skipped)\n"),
+        (_no_labels, "loaded 49 of 50 documents (1 with no thesaurus label skipped)\n"),
+        (_one_unknown, "loaded 50 of 50 documents (1 unknown label removed)\n"),
+        (
+            _all_three,
+            "loaded 48 of 50 documents (1 without a title, 1 with no thesaurus label skipped; "
+            "2 unknown labels removed)\n",
+        ),
+        (lambda records: None, ""),
+    ],
+    ids=["no-title", "no-known-label", "unknown-label", "all-three", "none-dropped"],
+)
+def test_load_line_says_what_was_dropped(data_files, tmp_path, capsys, command, edit, line):
+    """evaluate, train and stats print one line saying what loading dropped
+    before their usual output, which is what they print for a corpus of only
+    what was kept; with nothing dropped there is no such line."""
+    corpus, thesaurus = data_files
+    known = load_thesaurus(thesaurus).concepts
+    records = [json.loads(line) for line in open(corpus)]
+    edit(records)
+    kept = []
+    for record in records:
+        labels = [label for label in record["labels"] if label in known]
+        if "title" in record and labels:
+            kept.append({**record, "labels": labels})
+    outputs = []
+    for name, chosen in (("edited", records), ("kept", kept)):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in chosen))
+        argv = [command, "--corpus", str(path), "--thesaurus", thesaurus]
+        if command == "evaluate":
+            reports = str(tmp_path / "r.json"), str(tmp_path / "r.csv")
+            argv = eval_args(str(path), thesaurus, *reports)
+        elif command == "train":
+            argv += ["--out", str(tmp_path / "model.json")]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == line + outputs[1]
+
+
 def test_annotate_ignores_labels(data_files, tmp_path, capsys):
     """annotate reads no labels, so a record whose labels field is not an
     array of strings is annotated like any other."""

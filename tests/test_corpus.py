@@ -2,8 +2,11 @@ import json
 import os
 import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import ORACLE_TOKENS, ntriples_text, random_thesaurus
 from semannot.corpus import (
     Concept,
     CorpusFormatError,
@@ -179,8 +182,13 @@ class TestLoadThesaurus:
             (r"a\nb", "a\nb"),
             (r"a\tb", "a\tb"),
             (r"a\rb", "a\rb"),
-            # an escape outside the five stays as written
-            (r"\u0041", "\\u0041"),
+            (r"a\bb", "a\bb"),
+            (r"a\fb", "a\fb"),
+            (r"it\'s", "it's"),
+            # UCHAR, in either case of hex digit and outside the BMP
+            (r"\u0041", "A"),
+            (r"caf\u00e9 cr\U000000E8me", "café crème"),
+            (r"\U0001F600", "\U0001F600"),
             # an escaped backslash, then a plain n
             (r"\\n", "\\n"),
         ],
@@ -189,6 +197,74 @@ class TestLoadThesaurus:
         path = tmp_path / "thesaurus.nt"
         path.write_text(f'<c1> <http://x/prefLabel> "{lexical}"@en .\n', encoding="utf-8")
         assert load_thesaurus(path, "ntriples").get("c1").pref_label == decoded
+
+    @pytest.mark.parametrize(
+        "lexical, message",
+        [
+            (r"a\qb", r"invalid escape \q"),
+            (r"a\u00Gb", r"invalid escape \u"),
+            (r"a\U0010FFF", r"invalid escape \U"),
+            (r"\uD800", r"escape \uD800 is not a character"),
+            (r"\U0000DFFF", r"escape \U0000DFFF is not a character"),
+            (r"\U00110000", r"escape \U00110000 is not a character"),
+        ],
+    )
+    def test_ntriples_bad_escape_refused_by_line(self, tmp_path, lexical, message):
+        path = tmp_path / "thesaurus.nt"
+        path.write_text(
+            f'<c0> <http://x/prefLabel> "ok" .\n<c1> <http://x/prefLabel> "{lexical}" .\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ThesaurusFormatError) as refused:
+            load_thesaurus(path, "ntriples")
+        assert str(refused.value) == f"{path}:2: {message}"
+
+    def test_ntriples_pref_label_per_language(self, tmp_path):
+        subject = "http://zbw.eu/stw/descriptor/10001-6"
+        path = tmp_path / "thesaurus.nt"
+        path.write_text(
+            "".join(
+                f'<{subject}> <http://www.w3.org/2004/02/skos/core#{predicate}> {literal} .\n'
+                for predicate, literal in [
+                    ("prefLabel", '"Interest rate"@en'),
+                    ("altLabel", '"Interest rates"@en'),
+                    ("prefLabel", '"Zins"@de'),
+                    # the same label again, with the tag in another case
+                    ("prefLabel", '"Zins"@DE'),
+                    ("prefLabel", '"taux"'),
+                    ("altLabel", '"Zinssatz"@de'),
+                ]
+            ),
+            encoding="utf-8",
+        )
+        concept = load_thesaurus(path, "ntriples").get(subject)
+        assert concept.pref_label == "Interest rate"
+        assert concept.alt_labels == ("Interest rates", "Zins", "taux", "Zinssatz")
+
+    @pytest.mark.parametrize(
+        "first, second", [('"rate"@en', '"other"@EN'), ('"rate"', '"other"^^<http://x/string>')]
+    )
+    def test_ntriples_two_pref_labels_in_one_language_refused(self, tmp_path, first, second):
+        path = tmp_path / "thesaurus.nt"
+        path.write_text(
+            f'<c1> <http://x/prefLabel> {first} .\n<c1> <http://x/prefLabel> "Zins"@de .\n'
+            f"<c1> <http://x/prefLabel> {second} .\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ThesaurusFormatError, match=r":3: .* for subject <c1>"):
+            load_thesaurus(path, "ntriples")
+
+    def test_ntriples_blank_node_subject_and_trailing_comment(self, tmp_path):
+        path = tmp_path / "thesaurus.nt"
+        path.write_text(
+            '_:b0 <http://x/prefLabel> "blank" .\n'
+            "_:b0 <http://x/broader> <c1> .\n"
+            '<c1> <http://x/prefLabel> "rate"@en . # the preferred label\n'
+            '<c1> <http://x/altLabel> "rates"^^<http://x/string> .# no space\n',
+            encoding="utf-8",
+        )
+        concepts = load_thesaurus(path, "ntriples").concepts
+        assert concepts == {"c1": Concept("c1", "rate", ("rates",))}
 
     def test_ntriples_alt_labels_first_seen_without_repeats_or_pref(self, tmp_path):
         path = tmp_path / "thesaurus.nt"
@@ -202,8 +278,8 @@ class TestLoadThesaurus:
             ),
             encoding="utf-8",
         )
-        # an empty literal is a label of its own in N-Triples
-        assert load_thesaurus(path, "ntriples").get("c1").alt_labels == ("rates", "", "yield")
+        # an empty literal is dropped, as an empty TSV segment is
+        assert load_thesaurus(path, "ntriples").get("c1").alt_labels == ("rates", "yield")
 
     def test_tsv_alt_labels_first_seen_without_repeats_pref_or_empties(self, tmp_path):
         path = tmp_path / "thesaurus.tsv"
@@ -247,6 +323,32 @@ class TestLoadThesaurus:
             dump_thesaurus_tsv(original, path)
             reloaded = load_thesaurus(path, "tsv")
             assert reloaded.concepts == original.concepts
+
+
+# quotes, backslashes, letters outside ASCII and one outside the BMP
+PROPERTY_TOKENS = [*ORACLE_TOKENS, "café", "Zürich", "crème", 'say"', "a\\b", "\U0001D518x"]
+ASCII_IN_TOKENS = sorted({c for c in "".join(PROPERTY_TOKENS) + " " if c.isascii()})
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.frozensets(st.sampled_from(ASCII_IN_TOKENS)),
+    st.booleans(),
+)
+def test_tsv_and_escaped_ntriples_load_equal(tmp_path, seed, escaped, wide):
+    """One thesaurus written as TSV and as N-Triples, with UCHAR escapes for
+    every non-ASCII character and a drawn set of ASCII ones, loads the same."""
+    thesaurus = random_thesaurus(np.random.default_rng(seed), tokens=PROPERTY_TOKENS)
+    dump_thesaurus_tsv(thesaurus, tmp_path / "t.tsv")
+    (tmp_path / "t.nt").write_text(ntriples_text(thesaurus, escaped, wide), encoding="utf-8")
+    assert load_thesaurus(tmp_path / "t.nt", "ntriples") == load_thesaurus(tmp_path / "t.tsv")
 
 
 class TestCorpusStats:
