@@ -8,6 +8,7 @@ with sample-averaged F1 under cross-validation.
 
 from .corpus import (
     Concept,
+    CorpusReader,
     CorpusStats,
     Document,
     Thesaurus,
@@ -25,6 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Concept",
     "ConceptMatcher",
+    "CorpusReader",
     "CorpusStats",
     "Document",
     "EvalReport",

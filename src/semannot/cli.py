@@ -7,14 +7,17 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import json
+import os
 import sys
 
 from . import synthetic
 from .corpus import (
-    FIELDS, THESAURUS_FORMATS, corpus_stats, dump_corpus_jsonl, dump_thesaurus_tsv, load_corpus,
-    load_thesaurus,
+    FIELDS, THESAURUS_FORMATS, CorpusReader, corpus_stats, dump_corpus_jsonl, dump_thesaurus_tsv,
+    load_corpus, load_thesaurus,
 )
 from .evaluate import CSV_HEADER, csv_line, evaluate_grid
 from .features import VARIANTS, ConceptMatcher, dump_vectors
@@ -128,15 +131,45 @@ def cmd_train(args) -> None:
     print(f"model written to {args.out}")
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A text file that replaces the one at `path` when the block ends
+    normally; if the block raises, it is removed and `path` is left as it
+    was.  It is written next to `path`'s target, so the rename stays on one
+    file system; an existing `path` that is no regular file (a pipe,
+    /dev/stdout) is written in place."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    directory, name = os.path.split(target)
+    partial = os.path.join(directory, f".{name}.{os.getpid()}.partial")
+    try:
+        fh = open(partial, "w", encoding="utf-8")
+    except OSError as exc:
+        # named as opening `path` itself would name it
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(partial, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+
+
 def cmd_annotate(args) -> None:
     pipeline = load_pipeline(args.model)
     field = pipeline.config.field
-    loaded = load_corpus(args.corpus, field, require_labels=False)
-    docs = loaded.documents
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for doc, predicted in zip(docs, pipeline.annotate(docs)):
+    reader = CorpusReader(args.corpus, field, require_labels=False)
+    # annotate reads a block ahead of what it yields; tee holds that block's documents
+    docs, ids = itertools.tee(reader)
+    with _replacing(args.out) as fh:
+        for doc, predicted in zip(ids, pipeline.annotate(docs)):
             fh.write(json.dumps({"id": doc.doc_id, "labels": sorted(predicted)}) + "\n")
-    skipped = loaded.n_missing_field
+    skipped = reader.n_missing_field
     plural = "" if skipped == 1 else "s"
     note = f" ({skipped} document{plural} without a {field} skipped)" if skipped else ""
     print(f"annotations written to {args.out}{note}")
@@ -144,12 +177,17 @@ def cmd_annotate(args) -> None:
 
 def cmd_stats(args) -> None:
     # loaded by title, the default field
-    docs, thesaurus, lemma_table = _load_inputs(_config_from_args(args))
+    config = _config_from_args(args)
+    docs, thesaurus, lemma_table = _load_inputs(config)
     if not docs:
         raise ValueError("no usable documents")
     matcher = ConceptMatcher(thesaurus, lemma_table)
 
-    with_ft = [doc for doc in docs if doc.fulltext is not None]
+    # a document holds its loaded field only, so the titled ones' full texts are read apart
+    titled = {doc.doc_id for doc in docs}
+    with_ft = [
+        doc for doc in CorpusReader(config.corpus, "fulltext", thesaurus) if doc.doc_id in titled
+    ]
     for field, field_docs in (("title", docs), ("fulltext", with_ft)):
         if not field_docs:
             continue

@@ -13,6 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 
 # the text fields of a document that a run can annotate from
@@ -100,67 +101,95 @@ class CorpusLoadResult:
     n_unknown_labels: int = 0
 
 
+class CorpusReader:
+    """The documents of a JSON-lines corpus, yielded in file order as the
+    file is read, with counters of what was dropped so far.
+
+    Documents missing the requested text field are dropped and counted, as
+    are documents whose gold label set is (or becomes) empty.  When a
+    thesaurus is given, labels that do not resolve in it are dropped with a
+    warning count; the document survives if at least one label remains.
+    ``require_labels=False`` reads no labels: gold sets stay empty
+    (annotation input).  A document keeps the text of ``field_name`` only:
+    the other field is ``""`` (title) or ``None`` (fulltext).  What grows
+    with the corpus is the set of ids seen, which finds duplicates.
+    """
+
+    # what the current (or last) pass over the file dropped so far
+    n_missing_field = n_empty_labels = n_unknown_labels = 0
+
+    def __init__(
+        self,
+        path,
+        field_name: str = "title",
+        thesaurus: Thesaurus | None = None,
+        require_labels: bool = True,
+    ):
+        if field_name not in FIELDS:
+            raise ValueError(f"unknown field {field_name!r}")
+        self.path = path
+        self.field_name = field_name
+        self.thesaurus = thesaurus
+        self.require_labels = require_labels
+
+    def __iter__(self) -> Iterator[Document]:
+        path, field_name, thesaurus = self.path, self.field_name, self.thesaurus
+        self.n_missing_field = self.n_empty_labels = self.n_unknown_labels = 0
+        seen_ids: set[str] = set()
+        for lineno, line in text_lines(path, CorpusFormatError):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+            if not isinstance(record, dict):
+                raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
+            doc_id = record.get("id")
+            if not isinstance(doc_id, str) or not doc_id:
+                raise CorpusFormatError(f"{path}:{lineno}: missing or invalid 'id'")
+            if doc_id in seen_ids:
+                raise CorpusFormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
+            seen_ids.add(doc_id)
+
+            text = record.get(field_name)
+            if not isinstance(text, str):
+                self.n_missing_field += 1
+                continue
+
+            raw_labels = record.get("labels", []) if self.require_labels else []
+            if not isinstance(raw_labels, list) or any(not isinstance(l, str) for l in raw_labels):
+                raise CorpusFormatError(f"{path}:{lineno}: 'labels' must be an array of strings")
+            labels = set(raw_labels)
+            if thesaurus is not None:
+                known = {l for l in labels if l in thesaurus}
+                self.n_unknown_labels += len(labels) - len(known)
+                labels = known
+            if self.require_labels and not labels:
+                self.n_empty_labels += 1
+                continue
+
+            yield Document(
+                doc_id=doc_id,
+                title=text if field_name == "title" else "",
+                fulltext=text if field_name == "fulltext" else None,
+                gold_labels=frozenset(labels),
+            )
+
+
 def load_corpus(
     path,
     field_name: str = "title",
     thesaurus: Thesaurus | None = None,
     require_labels: bool = True,
 ) -> CorpusLoadResult:
-    """Load a JSON-lines corpus, keeping documents in file order.
-
-    Documents missing the requested text field are dropped and counted, as
-    are documents whose gold label set is (or becomes) empty.  When a
-    thesaurus is given, labels that do not resolve in it are dropped with a
-    warning count; the document survives if at least one label remains.
-    ``require_labels=False`` reads no labels: gold sets stay empty (annotation input).
-    """
-    if field_name not in FIELDS:
-        raise ValueError(f"unknown field {field_name!r}")
-    result = CorpusLoadResult(documents=[])
-    seen_ids: set[str] = set()
-    for lineno, line in text_lines(path, CorpusFormatError):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
-        doc_id = record.get("id")
-        if not isinstance(doc_id, str) or not doc_id:
-            raise CorpusFormatError(f"{path}:{lineno}: missing or invalid 'id'")
-        if doc_id in seen_ids:
-            raise CorpusFormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
-        seen_ids.add(doc_id)
-
-        if not isinstance(record.get(field_name), str):
-            result.n_missing_field += 1
-            continue
-
-        raw_labels = record.get("labels", []) if require_labels else []
-        if not isinstance(raw_labels, list) or any(not isinstance(l, str) for l in raw_labels):
-            raise CorpusFormatError(f"{path}:{lineno}: 'labels' must be an array of strings")
-        labels = set(raw_labels)
-        if thesaurus is not None:
-            known = {l for l in labels if l in thesaurus}
-            result.n_unknown_labels += len(labels) - len(known)
-            labels = known
-        if require_labels and not labels:
-            result.n_empty_labels += 1
-            continue
-
-        title = record.get("title")
-        fulltext = record.get("fulltext")
-        result.documents.append(
-            Document(
-                doc_id=doc_id,
-                title=title if isinstance(title, str) else "",
-                fulltext=fulltext if isinstance(fulltext, str) else None,
-                gold_labels=frozenset(labels),
-            )
-        )
-    return result
+    """Read a whole JSON-lines corpus with `CorpusReader`: its documents in
+    file order and what it dropped."""
+    reader = CorpusReader(path, field_name, thesaurus, require_labels)
+    documents = list(reader)
+    return CorpusLoadResult(
+        documents, reader.n_missing_field, reader.n_empty_labels, reader.n_unknown_labels
+    )
 
 
 # --- thesaurus parsing -------------------------------------------------
@@ -175,27 +204,28 @@ _SUBJECT_PREDICATE = re.compile(
     r"^(?:<(?P<subject>[^>]*)>|_:\S+)\s+<(?P<predicate>[^>]*)>\s+(?P<rest>.*)$"
 )
 
-# ECHAR, UCHAR, then any other escaped character
-_NT_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+# ECHAR, UCHAR, then any other escaped character, or none at the end
+_NT_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))")
 _NT_ECHARS = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
 
-def _unescape_literal(lex: str, where: str) -> str:
-    """Decode the ECHAR and UCHAR escapes of an N-Triples string; any other
-    escape, and a UCHAR that is no Unicode scalar value, is refused."""
+def _unescape(text: str, where: str, echars: dict[str, str]) -> str:
+    """Decode the UCHAR escapes of an N-Triples string or IRI and the given
+    ECHAR escapes (a literal's eight; an IRI has none); any other escape,
+    and a UCHAR that is no Unicode scalar value, is refused."""
 
     def decode(match: re.Match) -> str:
         digits = match.group(1) or match.group(2)
         if digits is None:
-            if match.group(3) not in _NT_ECHARS:
+            if match.group(3) not in echars:
                 raise ThesaurusFormatError(f"{where}: invalid escape {match.group()}")
-            return _NT_ECHARS[match.group(3)]
+            return echars[match.group(3)]
         code = int(digits, 16)
         if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
             raise ThesaurusFormatError(f"{where}: escape {match.group()} is not a character")
         return chr(code)
 
-    return _NT_ESCAPE.sub(decode, lex)
+    return _NT_ESCAPE.sub(decode, text)
 
 
 def _alts(pref: str, alts) -> tuple[str, ...]:
@@ -222,10 +252,12 @@ def _parse_ntriples(path) -> Thesaurus:
         local = match.group("predicate").rsplit("#", 1)[-1].rsplit("/", 1)[-1]
         if subject is None or local not in ("prefLabel", "altLabel"):
             continue  # blank nodes and unknown predicates are ignored
+        where = f"{path}:{lineno}"
+        subject = _unescape(subject, where, {})
         literal = _LITERAL_OBJECT.match(match.group("rest"))
         if literal is None:
-            raise ThesaurusFormatError(f"{path}:{lineno}: {local} object must be a literal")
-        value = _unescape_literal(literal.group("lex"), f"{path}:{lineno}")
+            raise ThesaurusFormatError(f"{where}: {local} object must be a literal")
+        value = _unescape(literal.group("lex"), where, _NT_ECHARS)
         # every label joins the list; _alts drops the preferred one
         labels.setdefault(subject, []).append(value)
         if local == "prefLabel":

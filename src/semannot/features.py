@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse as sp
 
-from .corpus import Thesaurus
+from .corpus import Thesaurus, ThesaurusFormatError
 from .preprocess import LemmaTable, preprocess
 from .sparse import csr_rows, l2_normalize, remap_columns
 
@@ -67,13 +67,18 @@ class ConceptMatcher:
         self.concept_index = {cid: i for i, cid in enumerate(thesaurus.sorted_ids())}
         self._root = _TrieNode()
         for cid in self.concept_index:
+            matchable = False
             for phrase in thesaurus.get(cid).phrases():
                 node = self._root
                 for token in preprocess(phrase, lemma_table):
                     node = node.children.setdefault(token, _TrieNode())
                 # owners in concept-id order, each once; an empty phrase matches nothing
-                if node is not self._root and cid not in node.concepts:
-                    node.concepts += (cid,)
+                if node is not self._root:
+                    matchable = True
+                    if cid not in node.concepts:
+                        node.concepts += (cid,)
+            if not matchable:
+                raise ThesaurusFormatError(f"concept {cid!r} has no label with a token")
 
     def match_counts(self, tokens: list[str]) -> Counter[str]:
         counts: Counter[str] = Counter()

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from scipy import sparse as sp
 
@@ -204,11 +205,12 @@ class FittedPipeline:
             X = self.vectorize(counts.rows(slice(start, start + ROW_BLOCK)))
             yield X, self.classifier.predict(X)
 
-    def annotate(self, docs: Sequence[Document]) -> Iterator[set[str]]:
-        """One label set per document, in order; counts and decides
-        ROW_BLOCK documents at a time."""
-        for start in range(0, len(docs), ROW_BLOCK):
-            for _, predicted in self.predict_blocks(self.count(docs[start:start + ROW_BLOCK])):
+    def annotate(self, docs: Iterable[Document]) -> Iterator[set[str]]:
+        """One label set per document, in order; takes ROW_BLOCK documents
+        at a time from any iterable, then counts and decides them."""
+        docs = iter(docs)
+        while block := list(islice(docs, ROW_BLOCK)):
+            for _, predicted in self.predict_blocks(self.count(block)):
                 yield from predicted
 
     def predict_document(self, doc: Document) -> set[str]:

@@ -10,6 +10,7 @@ makes exactly the same decisions.
 from __future__ import annotations
 
 import base64
+import binascii
 import dataclasses
 import json
 import math
@@ -71,8 +72,15 @@ def _dec_array(d: dict, required: str, name: str) -> np.ndarray:
     shape = d["shape"]
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise ModelFormatError(f"array {name} shape must be a list of integers >= 0, got {shape!r}")
+    data = d["data"]
+    if not isinstance(data, str):
+        raise ModelFormatError(
+            f"array {name} data must be a base64 string, got {type(data).__name__}"
+        )
     try:
-        a = np.frombuffer(base64.b64decode(d["data"]), dtype=dtype).reshape(shape).copy()
+        # what base64.b64decode does, without its ASCII copy of the string
+        raw = binascii.a2b_base64(data, strict_mode=False)
+        a = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"array {name} data is malformed: {exc}") from None
     if required == _FLOAT and not np.isfinite(a).all():

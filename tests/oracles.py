@@ -307,25 +307,31 @@ def ntriples_text(
     thesaurus: Thesaurus, escaped: frozenset[str] = frozenset(), wide: bool = False
 ) -> str:
     """The thesaurus as N-Triples, one triple per label.  Every character
-    that is not ASCII or is in ``escaped`` is written as a ``\\u`` UCHAR, or
-    as ``\\U`` when ``wide`` or outside the BMP; a quote or backslash that
-    is left is written as an ECHAR."""
+    of a literal or a subject IRI that is not ASCII or is in ``escaped`` is
+    written as a ``\\u`` UCHAR, or as ``\\U`` when ``wide`` or outside the
+    BMP; a quote or backslash left in a literal is written as an ECHAR."""
 
-    def literal(text: str) -> str:
+    def escape(text: str, echars: str = "") -> str:
         out = []
         for ch in text:
             if ch in escaped or not ch.isascii():
                 out.append(f"\\U{ord(ch):08X}" if wide or ord(ch) > 0xFFFF else f"\\u{ord(ch):04x}")
-            elif ch in '"\\':
+            elif ch in echars:
                 out.append("\\" + ch)
             else:
                 out.append(ch)
-        return '"' + "".join(out) + '"'
+        return "".join(out)
+
+    def literal(text: str) -> str:
+        return '"' + escape(text, '"\\') + '"'
 
     lines = []
     for cid, concept in thesaurus.concepts.items():
-        lines.append(f"<{cid}> <{SKOS}prefLabel> {literal(concept.pref_label)}@en .\n")
-        lines += [f"<{cid}> <{SKOS}altLabel> {literal(alt)}@en .\n" for alt in concept.alt_labels]
+        subject = escape(cid)
+        lines.append(f"<{subject}> <{SKOS}prefLabel> {literal(concept.pref_label)}@en .\n")
+        lines += [
+            f"<{subject}> <{SKOS}altLabel> {literal(alt)}@en .\n" for alt in concept.alt_labels
+        ]
     return "".join(lines)
 
 

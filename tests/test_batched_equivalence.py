@@ -124,3 +124,24 @@ def test_annotate_equals_one_document_at_a_time(classifier):
         assert list(pipeline.annotate([docs[i] for i in order])) == [alone[i] for i in order]
 
     check()
+
+
+def test_annotate_reads_any_iterable_one_block_ahead():
+    """annotate takes documents from an iterator ROW_BLOCK at a time: the
+    first label set comes after one block is read, not the whole input, and
+    the label sets equal those of the same documents given as a list."""
+    made = generate_corpus(n_labels=3, docs_per_label=4, seed=5)
+    pipeline, _ = fit_pipeline(RunConfig(classifier="knn"), made.documents, made.thesaurus)
+    docs = [made.documents[i % len(made.documents)] for i in range(2 * ROW_BLOCK + 3)]
+    taken = []
+
+    def stream():
+        for doc in docs:
+            taken.append(doc)
+            yield doc
+
+    labelled = pipeline.annotate(stream())
+    first = next(labelled)
+    assert len(taken) == ROW_BLOCK
+    assert [first, *labelled] == list(pipeline.annotate(docs))
+    assert len(taken) == len(docs)

@@ -1,4 +1,5 @@
 import base64
+import contextlib
 import json
 import os
 import subprocess
@@ -9,9 +10,13 @@ import numpy as np
 import pytest
 
 import semannot
+from semannot import cli, corpus as corpus_module
 from semannot.cli import main
-from semannot.corpus import dump_corpus_jsonl, dump_thesaurus_tsv, load_corpus, load_thesaurus
+from semannot.corpus import (
+    CorpusFormatError, dump_corpus_jsonl, dump_thesaurus_tsv, load_corpus, load_thesaurus,
+)
 from semannot.serialize import load_pipeline
+from semannot.sparse import ROW_BLOCK
 from semannot.synthetic import generate_corpus
 
 
@@ -669,6 +674,28 @@ def tree(container: dict) -> dict:
         ),
         # refused without the value it got
         (KNN, lambda c: c["config"].update(folds=1), f"{REFUSED} folds must be >= 2, got 1"),
+        # array data is decoded from the JSON string itself, so anything else is
+        # refused by name before decoding; a character outside ASCII is no base64
+        (
+            ("lr", "tf-idf"),
+            lambda c: c["classifier"]["b"].update(data=5),
+            "array b data must be a base64 string, got int",
+        ),
+        (
+            ("lr", "tf-idf"),
+            lambda c: c["classifier"]["b"].update(data=None),
+            "array b data must be a base64 string, got NoneType",
+        ),
+        (
+            ("lr", "tf-idf"),
+            lambda c: c["classifier"]["b"].update(data="AAAAéAAA"),
+            "array b data is malformed: string argument should contain only ASCII characters",
+        ),
+        (
+            ("lr", "tf-idf"),
+            lambda c: c["classifier"]["b"].update(data="AAAAAA"),
+            "array b data is malformed: Incorrect padding",
+        ),
     ],
     ids=[
         "extra-config-key",
@@ -769,6 +796,10 @@ def tree(container: dict) -> dict:
         "mlp-label-ids-swapped",
         "config-vectorization-upper-case",
         "config-folds-1",
+        "lr-b-data-number",
+        "lr-b-data-null",
+        "lr-b-data-not-ascii",
+        "lr-b-data-unpadded",
     ],
 )
 def test_annotate_refuses_container_in_one_line(
@@ -830,6 +861,139 @@ def test_annotate_counts_records_without_the_models_field(
     assert capsys.readouterr().out == f"annotations written to {out}{note}\n"
     kept = [record["id"] for i, record in enumerate(records) if i not in drop]
     assert [json.loads(line)["id"] for line in open(out)] == kept
+
+
+def _knn_model(corpus: str, thesaurus: str, path) -> str:
+    assert main(
+        ["train", "--corpus", corpus, "--thesaurus", thesaurus,
+         "--vec", "tf-idf", "--clf", "knn", "--out", str(path)]
+    ) == 0
+    return str(path)
+
+
+def _annotation_input(corpus: str, path, n: int) -> list[str]:
+    """Write `n` unlabeled records that cycle through the corpus's titles;
+    returns their lines."""
+    titles = [json.loads(line)["title"] for line in open(corpus)]
+    lines = [json.dumps({"id": f"a{i}", "title": titles[i % len(titles)]}) for i in range(n)]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return lines
+
+
+class _RecordingFile:
+    """A text file that logs each write in a shared event list."""
+
+    def __init__(self, fh, events: list):
+        self.fh, self.events = fh, events
+
+    def write(self, text: str) -> int:
+        self.events.append("write")
+        return self.fh.write(text)
+
+
+def test_annotate_writes_each_block_before_reading_the_next(
+    data_files, tmp_path, monkeypatch
+):
+    """annotate is a stream: a corpus reader that records how far it has
+    read shows the first block's output lines written before the last input
+    line is read, and no more than one block read ahead of what is written."""
+    corpus, thesaurus = data_files
+    model = _knn_model(corpus, thesaurus, tmp_path / "model.json")
+    inputs = tmp_path / "input.jsonl"
+    n = 2 * ROW_BLOCK + 17
+    _annotation_input(corpus, inputs, n)
+
+    events = []
+    text_lines = corpus_module.text_lines
+
+    def recording_lines(path, error):
+        for lineno, line in text_lines(path, error):
+            events.append("read")
+            yield lineno, line
+
+    replacing = cli._replacing
+
+    @contextlib.contextmanager
+    def recording_out(path):
+        with replacing(path) as fh:
+            yield _RecordingFile(fh, events)
+
+    monkeypatch.setattr(corpus_module, "text_lines", recording_lines)
+    monkeypatch.setattr(cli, "_replacing", recording_out)
+    out = tmp_path / "annotated.jsonl"
+    assert main(["annotate", "--model", model, "--corpus", str(inputs), "--out", str(out)]) == 0
+
+    assert events.count("read") == n and events.count("write") == n
+    reads_before_write = [events[:at].count("read") for at, e in enumerate(events) if e == "write"]
+    assert reads_before_write == [min(n, (k // ROW_BLOCK + 1) * ROW_BLOCK) for k in range(n)]
+    assert reads_before_write[ROW_BLOCK - 1] < n
+    assert [json.loads(line)["id"] for line in open(out)] == [f"a{i}" for i in range(n)]
+
+
+# what replaces the last input line, and the error it gives
+BAD_LAST_LINES = {
+    "malformed-json": ('{"id": "a9", "title": ', "malformed JSON (Expecting value)"),
+    "duplicate-id": ('{"id": "a0", "title": "rate"}', "duplicate doc_id 'a0'"),
+    "missing-id": ('{"title": "rate"}', "missing or invalid 'id'"),
+    "not-utf-8": ("caf\udcff", "not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["no-out", "out-exists"])
+@pytest.mark.parametrize("bad", BAD_LAST_LINES)
+def test_annotate_failing_on_last_line_leaves_out_as_it_was(
+    data_files, tmp_path, capsys, bad, existing
+):
+    """A corpus refused on its last line, after more than one block was
+    written, exits 1 with the one line load_corpus's error gives, creates no
+    --out and leaves an existing one byte-identical, with nothing left
+    beside it."""
+    corpus, thesaurus = data_files
+    model = _knn_model(corpus, thesaurus, tmp_path / "model.json")
+    inputs = tmp_path / "input.jsonl"
+    lines = _annotation_input(corpus, inputs, ROW_BLOCK + 5)
+    last, message = BAD_LAST_LINES[bad]
+    lines[-1] = last
+    inputs.write_bytes(
+        "".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape")
+    )
+    with pytest.raises(CorpusFormatError) as loading:
+        load_corpus(inputs, require_labels=False)
+    assert str(loading.value) == f"{inputs}:{len(lines)}: {message}"
+
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "annotated.jsonl"
+    if existing:
+        out.write_bytes(b"earlier output\n")
+    capsys.readouterr()
+    code = main(["annotate", "--model", model, "--corpus", str(inputs), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"annotation failed: {loading.value}\n"
+    assert sorted(os.listdir(out_dir)) == (["annotated.jsonl"] if existing else [])
+    if existing:
+        assert out.read_bytes() == b"earlier output\n"
+
+
+def test_annotate_replaces_out_through_a_symlink_and_writes_devices_in_place(
+    data_files, tmp_path
+):
+    """The finished output replaces the file a symlinked --out names, and
+    keeps the link; an --out that is no regular file is written in place."""
+    corpus, thesaurus = data_files
+    model = _knn_model(corpus, thesaurus, tmp_path / "model.json")
+    direct = tmp_path / "direct.jsonl"
+    assert main(["annotate", "--model", model, "--corpus", corpus, "--out", str(direct)]) == 0
+    target = tmp_path / "target.jsonl"
+    target.write_text("old\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    assert main(["annotate", "--model", model, "--corpus", corpus, "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == direct.read_bytes()
+    assert main(["annotate", "--model", model, "--corpus", corpus, "--out", os.devnull]) == 0
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["model.json", "direct.jsonl", "target.jsonl", "link.jsonl"]
+    )
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import ORACLE_TOKENS, ntriples_text, random_thesaurus
 from semannot.corpus import (
+    FIELDS,
     Concept,
     CorpusFormatError,
+    CorpusReader,
     Thesaurus,
     ThesaurusFormatError,
     corpus_stats,
@@ -136,6 +138,94 @@ class TestLoadCorpus:
         assert [d.doc_id for d in first.documents] == [d.doc_id for d in second.documents]
 
 
+    def test_document_keeps_the_read_field_only(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [{"id": "a", "title": "rate", "fulltext": "rates rise", "labels": ["x"]}])
+        (by_title,) = load_corpus(path, "title").documents
+        (by_fulltext,) = load_corpus(path, "fulltext").documents
+        assert (by_title.title, by_title.fulltext) == ("rate", None)
+        assert (by_fulltext.title, by_fulltext.fulltext) == ("", "rates rise")
+
+    def test_reader_refuses_unknown_field_when_made(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown field 'abstract'"):
+            CorpusReader(tmp_path / "never-read.jsonl", "abstract")
+
+
+def _record(rng: random.Random, i: int) -> dict:
+    """A corpus record that may lack a field, hold no label or hold labels
+    the thesaurus {x, y} does not know."""
+    labels = rng.choice([[], ["x"], ["y", "x"], ["ghost"], ["x", "ghost"]])
+    record = {"id": f"d{i}", "labels": labels}
+    for field in FIELDS:
+        if rng.random() < 0.75:
+            record[field] = rng.choice(["rate", "interest rates", ""])
+    return record
+
+
+# what replaces the drawn line, and the error load_corpus gives for it
+CORRUPTIONS = {
+    "malformed": ("{oops", "malformed JSON"),
+    "duplicate-id": ('{"id": "d0", "title": "t", "labels": ["x"]}', "duplicate doc_id 'd0'"),
+    "missing-id": ('{"title": "t", "labels": ["x"]}', "missing or invalid 'id'"),
+}
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(FIELDS),
+    st.booleans(),
+    st.booleans(),
+    st.one_of(st.none(), st.tuples(st.sampled_from(sorted(CORRUPTIONS)), st.integers(0, 11))),
+)
+def test_reader_equals_load_corpus(
+    tmp_path, n, seed, field, with_thesaurus, require_labels, corruption
+):
+    """The lazy reader gives load_corpus's documents and drop counters; with
+    one line corrupted at a drawn place, both refuse it with the same
+    `path:line` error, the reader after yielding every document before it."""
+    rng = random.Random(seed)
+    lines = [json.dumps(_record(rng, i)) for i in range(n)]
+    bad_line = None
+    if corruption is not None:
+        kind, at = corruption
+        at = at % n
+        if kind != "duplicate-id" or at > 0:
+            lines[at] = CORRUPTIONS[kind][0]
+            bad_line = at + 1
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    thesaurus = Thesaurus({c: Concept(c, c + c) for c in ("x", "y")}) if with_thesaurus else None
+    args = (path, field, thesaurus, require_labels)
+
+    reader = CorpusReader(*args)
+    if bad_line is None:
+        loaded = load_corpus(*args)
+        assert list(reader) == loaded.documents
+        assert (reader.n_missing_field, reader.n_empty_labels, reader.n_unknown_labels) == (
+            loaded.n_missing_field, loaded.n_empty_labels, loaded.n_unknown_labels
+        )
+        return
+    with pytest.raises(CorpusFormatError) as whole:
+        load_corpus(*args)
+    assert str(whole.value).startswith(f"{path}:{bad_line}: {CORRUPTIONS[kind][1]}")
+    prefix = tmp_path / "prefix.jsonl"
+    prefix.write_text("".join(line + "\n" for line in lines[: bad_line - 1]), encoding="utf-8")
+    yielded = []
+    with pytest.raises(CorpusFormatError) as lazy:
+        for doc in reader:
+            yielded.append(doc)
+    assert str(lazy.value) == str(whole.value)
+    assert yielded == load_corpus(prefix, field, thesaurus, require_labels).documents
+
+
 class TestLoadThesaurus:
     def test_ntriples_pref_and_alt(self, tmp_path):
         path = tmp_path / "thesaurus.nt"
@@ -213,6 +303,45 @@ class TestLoadThesaurus:
         path = tmp_path / "thesaurus.nt"
         path.write_text(
             f'<c0> <http://x/prefLabel> "ok" .\n<c1> <http://x/prefLabel> "{lexical}" .\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ThesaurusFormatError) as refused:
+            load_thesaurus(path, "ntriples")
+        assert str(refused.value) == f"{path}:2: {message}"
+
+    def test_ntriples_subject_uchar_names_one_concept(self, tmp_path):
+        """A UCHAR in a subject IRI is decoded, so <c\\u0031> and <c1> are
+        one subject: its prefLabel and the other's altLabel make one concept."""
+        skos = "http://www.w3.org/2004/02/skos/core#"
+        path = tmp_path / "thesaurus.nt"
+        path.write_text(
+            f'<c\\u0031> <{skos}prefLabel> "rate" .\n<c1> <{skos}altLabel> "rates" .\n'
+            f'<\\U0001F600> <{skos}prefLabel> "smile" .\n',
+            encoding="utf-8",
+        )
+        thesaurus = load_thesaurus(path, "ntriples")
+        assert thesaurus.concepts == {
+            "c1": Concept("c1", "rate", ("rates",)),
+            "\U0001F600": Concept("\U0001F600", "smile"),
+        }
+
+    @pytest.mark.parametrize(
+        "subject, message",
+        [
+            (r"c\n1", r"invalid escape \n"),
+            (r"c\\1", r"invalid escape \\"),
+            ("c1\\", "invalid escape \\"),
+            (r"c\u00G1", r"invalid escape \u"),
+            (r"c\uDC00", r"escape \uDC00 is not a character"),
+        ],
+    )
+    def test_ntriples_subject_escape_other_than_uchar_refused_by_line(
+        self, tmp_path, subject, message
+    ):
+        """IRIREF allows a backslash only as the start of a UCHAR."""
+        path = tmp_path / "thesaurus.nt"
+        path.write_text(
+            f'<c0> <http://x/prefLabel> "ok" .\n<{subject}> <http://x/prefLabel> "rate" .\n',
             encoding="utf-8",
         )
         with pytest.raises(ThesaurusFormatError) as refused:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from collections import Counter
 
-from semannot.corpus import Concept, Thesaurus
+from semannot.corpus import Concept, Thesaurus, ThesaurusFormatError, load_thesaurus
 from semannot.features import (
     ConceptMatcher,
     TextVectorizer,
@@ -111,6 +111,30 @@ class TestExtractConcepts:
         matcher = ConceptMatcher(thesaurus, table)
         v = extract_concepts(preprocess("mice everywhere", table), matcher)
         assert v == {matcher.concept_index["m"]: 1.0}
+
+    def test_concept_with_one_label_with_a_token_is_kept(self):
+        thesaurus = Thesaurus({"c1": Concept("c1", "-", ("", "rates"))})
+        matcher = ConceptMatcher(thesaurus)
+        assert extract_concepts(["rate"], matcher) == {matcher.concept_index["c1"]: 1.0}
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            ("ntriples", '<c1> <http://x/prefLabel> "rate" .\n<c2> <http://x/prefLabel> "-" .\n'),
+            ("ntriples", '<c2> <http://x/prefLabel> "" .\n<c2> <http://x/altLabel> "..." .\n'),
+            ("tsv", "c1\trate\t\nc2\t \t\n"),
+            ("tsv", "c2\t-\t—| \n"),
+        ],
+    )
+    def test_concept_without_a_token_refused_by_id(self, tmp_path, fmt, text):
+        """A concept that no text can ever match is refused when the
+        matcher is built, not left to count nothing."""
+        path = tmp_path / "thesaurus"
+        path.write_text(text, encoding="utf-8")
+        thesaurus = load_thesaurus(path, fmt)
+        with pytest.raises(ThesaurusFormatError) as refused:
+            ConceptMatcher(thesaurus)
+        assert str(refused.value) == "concept 'c2' has no label with a token"
 
 
 class TestWeighting:
