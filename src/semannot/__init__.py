@@ -8,13 +8,13 @@ with sample-averaged F1 under cross-validation.
 
 from .corpus import (
     Concept,
-    CorpusReader,
     CorpusStats,
     Document,
     Thesaurus,
     corpus_stats,
     load_corpus,
     load_thesaurus,
+    read_corpus,
 )
 from .evaluate import EvalReport, evaluate_grid, evaluate_run, make_folds, sample_prf
 from .features import ConceptMatcher, TextVectorizer
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Concept",
     "ConceptMatcher",
-    "CorpusReader",
     "CorpusStats",
     "Document",
     "EvalReport",
@@ -44,6 +43,7 @@ __all__ = [
     "load_thesaurus",
     "make_folds",
     "preprocess",
+    "read_corpus",
     "sample_prf",
     "tokenize",
 ]

@@ -12,12 +12,13 @@ import dataclasses
 import itertools
 import json
 import os
+import stat
 import sys
 
 from . import synthetic
 from .corpus import (
-    FIELDS, THESAURUS_FORMATS, CorpusReader, corpus_stats, dump_corpus_jsonl, dump_thesaurus_tsv,
-    load_corpus, load_thesaurus,
+    FIELDS, THESAURUS_FORMATS, CorpusLoadResult, corpus_stats, dump_corpus_jsonl,
+    dump_thesaurus_tsv, load_corpus, load_thesaurus, read_corpus,
 )
 from .evaluate import CSV_HEADER, csv_line, evaluate_grid
 from .features import VARIANTS, ConceptMatcher, dump_vectors
@@ -131,18 +132,34 @@ def cmd_train(args) -> None:
     print(f"model written to {args.out}")
 
 
+def _is_stdout(st: os.stat_result) -> bool:
+    try:
+        return os.path.samestat(st, os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):  # no stdout, or one without a descriptor
+        return False
+
+
 @contextlib.contextmanager
 def _replacing(path):
     """A text file that replaces the one at `path` when the block ends
     normally; if the block raises, it is removed and `path` is left as it
     was.  It is written next to `path`'s target, so the rename stays on one
-    file system; an existing `path` that is no regular file (a pipe,
-    /dev/stdout) is written in place."""
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
+    file system.  A `path` that is stdout's file (`/dev/stdout`) is written
+    through stdout, so the shell's `>`, `>>` or `|` applies; one that exists
+    and is no regular file (a FIFO, /dev/null) is written in place."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        st = None  # not there yet, or refused below when the partial file is made
+    if st is not None and _is_stdout(st):
+        yield sys.stdout
+        sys.stdout.flush()
+        return
+    if st is not None and not stat.S_ISREG(st.st_mode):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
+    target = os.path.realpath(path)
     directory, name = os.path.split(target)
     partial = os.path.join(directory, f".{name}.{os.getpid()}.partial")
     try:
@@ -163,13 +180,13 @@ def _replacing(path):
 def cmd_annotate(args) -> None:
     pipeline = load_pipeline(args.model)
     field = pipeline.config.field
-    reader = CorpusReader(args.corpus, field, require_labels=False)
+    dropped = CorpusLoadResult()
     # annotate reads a block ahead of what it yields; tee holds that block's documents
-    docs, ids = itertools.tee(reader)
+    docs, ids = itertools.tee(read_corpus(args.corpus, field, require_labels=False, result=dropped))
     with _replacing(args.out) as fh:
         for doc, predicted in zip(ids, pipeline.annotate(docs)):
             fh.write(json.dumps({"id": doc.doc_id, "labels": sorted(predicted)}) + "\n")
-    skipped = reader.n_missing_field
+    skipped = dropped.n_missing_field
     plural = "" if skipped == 1 else "s"
     note = f" ({skipped} document{plural} without a {field} skipped)" if skipped else ""
     print(f"annotations written to {args.out}{note}")
@@ -177,17 +194,12 @@ def cmd_annotate(args) -> None:
 
 def cmd_stats(args) -> None:
     # loaded by title, the default field
-    config = _config_from_args(args)
-    docs, thesaurus, lemma_table = _load_inputs(config)
+    docs, thesaurus, lemma_table = _load_inputs(_config_from_args(args))
     if not docs:
         raise ValueError("no usable documents")
     matcher = ConceptMatcher(thesaurus, lemma_table)
 
-    # a document holds its loaded field only, so the titled ones' full texts are read apart
-    titled = {doc.doc_id for doc in docs}
-    with_ft = [
-        doc for doc in CorpusReader(config.corpus, "fulltext", thesaurus) if doc.doc_id in titled
-    ]
+    with_ft = [doc for doc in docs if doc.fulltext is not None]
     for field, field_docs in (("title", docs), ("fulltext", with_ft)):
         if not field_docs:
             continue

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Iterator
 
 
@@ -95,86 +95,75 @@ class Thesaurus:
 class CorpusLoadResult:
     """Documents in file order plus counters of everything that was dropped."""
 
-    documents: list[Document]
+    documents: list[Document] = dc_field(default_factory=list)
     n_missing_field: int = 0
     n_empty_labels: int = 0
     n_unknown_labels: int = 0
 
 
-class CorpusReader:
+def read_corpus(
+    path,
+    field_name: str = "title",
+    thesaurus: Thesaurus | None = None,
+    require_labels: bool = True,
+    result: CorpusLoadResult | None = None,
+) -> Iterator[Document]:
     """The documents of a JSON-lines corpus, yielded in file order as the
-    file is read, with counters of what was dropped so far.
+    file is read; what is dropped is counted in ``result``'s counters.
 
     Documents missing the requested text field are dropped and counted, as
     are documents whose gold label set is (or becomes) empty.  When a
     thesaurus is given, labels that do not resolve in it are dropped with a
     warning count; the document survives if at least one label remains.
     ``require_labels=False`` reads no labels: gold sets stay empty
-    (annotation input).  A document keeps the text of ``field_name`` only:
-    the other field is ``""`` (title) or ``None`` (fulltext).  What grows
-    with the corpus is the set of ids seen, which finds duplicates.
+    (annotation input).  What grows with the corpus is the set of ids seen,
+    which finds duplicates.
     """
+    if field_name not in FIELDS:
+        raise ValueError(f"unknown field {field_name!r}")
+    if result is None:
+        result = CorpusLoadResult()
+    seen_ids: set[str] = set()
+    for lineno, line in text_lines(path, CorpusFormatError):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
+        doc_id = record.get("id")
+        if not isinstance(doc_id, str) or not doc_id:
+            raise CorpusFormatError(f"{path}:{lineno}: missing or invalid 'id'")
+        if doc_id in seen_ids:
+            raise CorpusFormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
+        seen_ids.add(doc_id)
 
-    # what the current (or last) pass over the file dropped so far
-    n_missing_field = n_empty_labels = n_unknown_labels = 0
+        if not isinstance(record.get(field_name), str):
+            result.n_missing_field += 1
+            continue
 
-    def __init__(
-        self,
-        path,
-        field_name: str = "title",
-        thesaurus: Thesaurus | None = None,
-        require_labels: bool = True,
-    ):
-        if field_name not in FIELDS:
-            raise ValueError(f"unknown field {field_name!r}")
-        self.path = path
-        self.field_name = field_name
-        self.thesaurus = thesaurus
-        self.require_labels = require_labels
+        raw_labels = record.get("labels", []) if require_labels else []
+        if not isinstance(raw_labels, list) or any(not isinstance(l, str) for l in raw_labels):
+            raise CorpusFormatError(f"{path}:{lineno}: 'labels' must be an array of strings")
+        labels = set(raw_labels)
+        if thesaurus is not None:
+            known = {l for l in labels if l in thesaurus}
+            result.n_unknown_labels += len(labels) - len(known)
+            labels = known
+        if require_labels and not labels:
+            result.n_empty_labels += 1
+            continue
 
-    def __iter__(self) -> Iterator[Document]:
-        path, field_name, thesaurus = self.path, self.field_name, self.thesaurus
-        self.n_missing_field = self.n_empty_labels = self.n_unknown_labels = 0
-        seen_ids: set[str] = set()
-        for lineno, line in text_lines(path, CorpusFormatError):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
-            doc_id = record.get("id")
-            if not isinstance(doc_id, str) or not doc_id:
-                raise CorpusFormatError(f"{path}:{lineno}: missing or invalid 'id'")
-            if doc_id in seen_ids:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
-            seen_ids.add(doc_id)
-
-            text = record.get(field_name)
-            if not isinstance(text, str):
-                self.n_missing_field += 1
-                continue
-
-            raw_labels = record.get("labels", []) if self.require_labels else []
-            if not isinstance(raw_labels, list) or any(not isinstance(l, str) for l in raw_labels):
-                raise CorpusFormatError(f"{path}:{lineno}: 'labels' must be an array of strings")
-            labels = set(raw_labels)
-            if thesaurus is not None:
-                known = {l for l in labels if l in thesaurus}
-                self.n_unknown_labels += len(labels) - len(known)
-                labels = known
-            if self.require_labels and not labels:
-                self.n_empty_labels += 1
-                continue
-
-            yield Document(
-                doc_id=doc_id,
-                title=text if field_name == "title" else "",
-                fulltext=text if field_name == "fulltext" else None,
-                gold_labels=frozenset(labels),
-            )
+        title = record.get("title")
+        fulltext = record.get("fulltext")
+        yield Document(
+            doc_id=doc_id,
+            title=title if isinstance(title, str) else "",
+            fulltext=fulltext if isinstance(fulltext, str) else None,
+            gold_labels=frozenset(labels),
+        )
 
 
 def load_corpus(
@@ -183,13 +172,11 @@ def load_corpus(
     thesaurus: Thesaurus | None = None,
     require_labels: bool = True,
 ) -> CorpusLoadResult:
-    """Read a whole JSON-lines corpus with `CorpusReader`: its documents in
+    """A whole JSON-lines corpus read by `read_corpus`: its documents in
     file order and what it dropped."""
-    reader = CorpusReader(path, field_name, thesaurus, require_labels)
-    documents = list(reader)
-    return CorpusLoadResult(
-        documents, reader.n_missing_field, reader.n_empty_labels, reader.n_unknown_labels
-    )
+    result = CorpusLoadResult()
+    result.documents.extend(read_corpus(path, field_name, thesaurus, require_labels, result))
+    return result
 
 
 # --- thesaurus parsing -------------------------------------------------

@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy import sparse as sp
 
-from .corpus import Concept, Thesaurus
+from .corpus import Concept, Thesaurus, ThesaurusFormatError
 from .features import ConceptMatcher, TextVectorizer, WeightingModel
 from .learners import (
     KnnClassifier,
@@ -79,7 +79,7 @@ def _dec_array(d: dict, required: str, name: str) -> np.ndarray:
         )
     try:
         # what base64.b64decode does, without its ASCII copy of the string
-        raw = binascii.a2b_base64(data, strict_mode=False)
+        raw = binascii.a2b_base64(data)
         a = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"array {name} data is malformed: {exc}") from None
@@ -199,7 +199,10 @@ def _dec_matcher(d, vectorizer: TextVectorizer, lemma_table: LemmaTable | None):
     n_idf = vectorizer.concept_weighting.dimension
     if n_idf != len(concepts):
         raise ModelFormatError(f"concept idf of length {n_idf} for {len(concepts)} thesaurus concepts")
-    return ConceptMatcher(Thesaurus(concepts), lemma_table)
+    try:
+        return ConceptMatcher(Thesaurus(concepts), lemma_table)
+    except ThesaurusFormatError as exc:
+        raise ModelFormatError(f"model thesaurus: {exc}") from None
 
 
 def _dec_params(d) -> dict:

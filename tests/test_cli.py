@@ -229,15 +229,20 @@ def swap_first_ids(label_ids: list) -> None:
     label_ids[0], label_ids[1] = label_ids[1], label_ids[0]
 
 
+def cli_in_subprocess(argv: list[str], **run) -> subprocess.CompletedProcess:
+    """Run the CLI from this source tree in its own process."""
+    src = str(Path(semannot.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "semannot.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path}, **run,
+    )
+
+
 def annotate_in_subprocess(argv: list[str]) -> tuple[int, str]:
     """Run the CLI in its own process, so a crash in native code is an exit
     status rather than the end of the test run."""
-    src = str(Path(semannot.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "semannot.cli", *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    done = cli_in_subprocess(argv, capture_output=True, text=True)
     return done.returncode, done.stderr
 
 
@@ -326,6 +331,12 @@ def tree(container: dict) -> dict:
         ),
         (CTF, lambda c: c.update(thesaurus=None), NO_THESAURUS),
         (CTF, lambda c: c["thesaurus"].update({next(iter(c["thesaurus"])): []}), NO_THESAURUS),
+        # a format-5 model trained on a concept whose only label has no token
+        (
+            CTF,
+            lambda c: c["thesaurus"].update(C0000=["-"]),
+            "model thesaurus: concept 'C0000' has no label with a token",
+        ),
         (
             KNN,
             lambda c: c.update(thesaurus={"C1": ["interest rate"]}),
@@ -715,6 +726,7 @@ def tree(container: dict) -> dict:
         "thesaurus-key-missing",
         "ctf-idf-thesaurus-null",
         "ctf-idf-concept-entry-empty",
+        "ctf-idf-concept-label-tokenless",
         "tf-idf-model-carries-thesaurus",
         "knn-matrix-index-out-of-range",
         "knn-matrix-indptr-decreasing",
@@ -994,6 +1006,30 @@ def test_annotate_replaces_out_through_a_symlink_and_writes_devices_in_place(
     assert sorted(os.listdir(tmp_path)) == sorted(
         ["model.json", "direct.jsonl", "target.jsonl", "link.jsonl"]
     )
+
+
+@pytest.mark.parametrize("redirect", ["pipe", "truncate", "append"])
+def test_annotate_to_dev_stdout_goes_where_stdout_goes(data_files, tmp_path, redirect):
+    """`--out /dev/stdout` writes through the process's stdout: into a pipe,
+    or into a file the shell opened with `>` or `>>`, the annotations
+    followed by the closing message, an appended file keeping what it held."""
+    corpus, thesaurus = data_files
+    model = _knn_model(corpus, thesaurus, tmp_path / "model.json")
+    direct = tmp_path / "direct.jsonl"
+    assert main(["annotate", "--model", model, "--corpus", corpus, "--out", str(direct)]) == 0
+    argv = ["annotate", "--model", model, "--corpus", corpus, "--out", "/dev/stdout"]
+    earlier = b"earlier output\n" if redirect == "append" else b""
+    if redirect == "pipe":
+        done = cli_in_subprocess(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        written = done.stdout
+    else:
+        shell_out = tmp_path / "shell.out"
+        shell_out.write_bytes(b"text the shell's > truncates\n" if redirect == "truncate" else earlier)
+        with open(shell_out, "ab" if redirect == "append" else "wb") as fh:
+            done = cli_in_subprocess(argv, stdout=fh, stderr=subprocess.PIPE)
+        written = shell_out.read_bytes()
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert written == earlier + direct.read_bytes() + b"annotations written to /dev/stdout\n"
 
 
 @pytest.mark.parametrize(

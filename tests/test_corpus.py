@@ -11,7 +11,7 @@ from semannot.corpus import (
     FIELDS,
     Concept,
     CorpusFormatError,
-    CorpusReader,
+    CorpusLoadResult,
     Thesaurus,
     ThesaurusFormatError,
     corpus_stats,
@@ -19,6 +19,7 @@ from semannot.corpus import (
     dump_thesaurus_tsv,
     load_corpus,
     load_thesaurus,
+    read_corpus,
 )
 from semannot.preprocess import LemmaTable, LemmaTableError
 
@@ -138,17 +139,9 @@ class TestLoadCorpus:
         assert [d.doc_id for d in first.documents] == [d.doc_id for d in second.documents]
 
 
-    def test_document_keeps_the_read_field_only(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        write_jsonl(path, [{"id": "a", "title": "rate", "fulltext": "rates rise", "labels": ["x"]}])
-        (by_title,) = load_corpus(path, "title").documents
-        (by_fulltext,) = load_corpus(path, "fulltext").documents
-        assert (by_title.title, by_title.fulltext) == ("rate", None)
-        assert (by_fulltext.title, by_fulltext.fulltext) == ("", "rates rise")
-
-    def test_reader_refuses_unknown_field_when_made(self, tmp_path):
+    def test_unknown_field_refused_before_reading(self, tmp_path):
         with pytest.raises(ValueError, match="unknown field 'abstract'"):
-            CorpusReader(tmp_path / "never-read.jsonl", "abstract")
+            load_corpus(tmp_path / "never-read.jsonl", "abstract")
 
 
 def _record(rng: random.Random, i: int) -> dict:
@@ -205,13 +198,11 @@ def test_reader_equals_load_corpus(
     thesaurus = Thesaurus({c: Concept(c, c + c) for c in ("x", "y")}) if with_thesaurus else None
     args = (path, field, thesaurus, require_labels)
 
-    reader = CorpusReader(*args)
+    counted = CorpusLoadResult()
+    reader = read_corpus(*args, counted)
     if bad_line is None:
-        loaded = load_corpus(*args)
-        assert list(reader) == loaded.documents
-        assert (reader.n_missing_field, reader.n_empty_labels, reader.n_unknown_labels) == (
-            loaded.n_missing_field, loaded.n_empty_labels, loaded.n_unknown_labels
-        )
+        counted.documents = list(reader)
+        assert counted == load_corpus(*args)
         return
     with pytest.raises(CorpusFormatError) as whole:
         load_corpus(*args)

@@ -1,3 +1,4 @@
+import binascii
 import dataclasses
 import json
 import tempfile
@@ -59,6 +60,18 @@ def test_weights_round_trip_bitwise(tmp_path):
     assert np.array_equal(
         reloaded.vectorizer.term_weighting.idf, pipeline.vectorizer.term_weighting.idf
     )
+
+
+def test_arrays_decode_with_the_python_3_10_base64_signature(tmp_path, monkeypatch):
+    """The loader calls binascii.a2b_base64 as Python 3.10 allows: with the
+    data alone (its strict_mode keyword came in 3.11)."""
+    config = RunConfig(vectorization="tf-idf", classifier="lr", seed=0, epochs=3)
+    pipeline, _ = fit_pipeline(config, CORPUS.documents, CORPUS.thesaurus)
+    path = tmp_path / "model.json"
+    save_pipeline(pipeline, path)
+    a2b_base64 = binascii.a2b_base64
+    monkeypatch.setattr(binascii, "a2b_base64", lambda data, /: a2b_base64(data))
+    assert np.array_equal(load_pipeline(path).classifier.W, pipeline.classifier.W)
 
 
 def test_mlp_parameters_round_trip_bitwise(tmp_path):
