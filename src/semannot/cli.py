@@ -7,18 +7,15 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import itertools
 import json
-import os
-import stat
 import sys
 
 from . import synthetic
 from .corpus import (
     FIELDS, THESAURUS_FORMATS, CorpusLoadResult, corpus_stats, dump_corpus_jsonl,
-    dump_thesaurus_tsv, load_corpus, load_thesaurus, read_corpus,
+    dump_thesaurus_tsv, load_corpus, load_thesaurus, read_corpus, replacing,
 )
 from .evaluate import CSV_HEADER, csv_line, evaluate_grid
 from .features import VARIANTS, ConceptMatcher, dump_vectors
@@ -113,68 +110,24 @@ def cmd_evaluate(args) -> None:
         if len(reports) == 1
         else {"reports": [dataclasses.asdict(r) for r in reports]}
     )
-    with open(args.out_json, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    with open(args.out_csv, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
+    # both reports appear or neither does; with one path for both, the CSV is left
+    with replacing(args.out_csv) as csv_fh, replacing(args.out_json) as json_fh:
+        json.dump(payload, json_fh, indent=2)
+        json_fh.write("\n")
+        csv_fh.write(CSV_HEADER + "\n")
         for report in reports:
-            fh.write(csv_line(report) + "\n")
+            csv_fh.write(csv_line(report) + "\n")
 
 
 def cmd_train(args) -> None:
     config = _config_from_args(args)
     docs, thesaurus, lemma_table = _load_inputs(config)
     pipeline, X = fit_pipeline(config, docs, thesaurus, lemma_table)
-    save_pipeline(pipeline, args.out)
+    # the dump first, so a failed dump leaves no model
     if args.dump_vectors:
         dump_vectors(args.dump_vectors, [d.doc_id for d in docs], X)
+    save_pipeline(pipeline, args.out)
     print(f"model written to {args.out}")
-
-
-def _is_stdout(st: os.stat_result) -> bool:
-    try:
-        return os.path.samestat(st, os.fstat(sys.stdout.fileno()))
-    except (AttributeError, OSError, ValueError):  # no stdout, or one without a descriptor
-        return False
-
-
-@contextlib.contextmanager
-def _replacing(path):
-    """A text file that replaces the one at `path` when the block ends
-    normally; if the block raises, it is removed and `path` is left as it
-    was.  It is written next to `path`'s target, so the rename stays on one
-    file system.  A `path` that is stdout's file (`/dev/stdout`) is written
-    through stdout, so the shell's `>`, `>>` or `|` applies; one that exists
-    and is no regular file (a FIFO, /dev/null) is written in place."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        st = None  # not there yet, or refused below when the partial file is made
-    if st is not None and _is_stdout(st):
-        yield sys.stdout
-        sys.stdout.flush()
-        return
-    if st is not None and not stat.S_ISREG(st.st_mode):
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-        return
-    target = os.path.realpath(path)
-    directory, name = os.path.split(target)
-    partial = os.path.join(directory, f".{name}.{os.getpid()}.partial")
-    try:
-        fh = open(partial, "w", encoding="utf-8")
-    except OSError as exc:
-        # named as opening `path` itself would name it
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with fh:
-            yield fh
-        os.replace(partial, target)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(partial)
-        raise
 
 
 def cmd_annotate(args) -> None:
@@ -183,7 +136,7 @@ def cmd_annotate(args) -> None:
     dropped = CorpusLoadResult()
     # annotate reads a block ahead of what it yields; tee holds that block's documents
     docs, ids = itertools.tee(read_corpus(args.corpus, field, require_labels=False, result=dropped))
-    with _replacing(args.out) as fh:
+    with replacing(args.out) as fh:
         for doc, predicted in zip(ids, pipeline.annotate(docs)):
             fh.write(json.dumps({"id": doc.doc_id, "labels": sorted(predicted)}) + "\n")
     skipped = dropped.n_missing_field

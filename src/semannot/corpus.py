@@ -9,9 +9,14 @@ three-column TSV.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
+import os
 import re
+import stat
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator
 
@@ -42,6 +47,50 @@ def text_lines(path, error: type[ValueError]):
             if not line.isascii() and _UNDECODED.search(line):
                 raise error(f"{path}:{lineno}: not UTF-8 text")
             yield lineno, line
+
+
+# numbers the partial files of one process, so writers open together never share one
+_partial_numbers = itertools.count()
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A UTF-8 text file that replaces the one at ``path`` when the block
+    ends normally; if the block raises, it is removed and ``path`` is left
+    as it was.  It is made with ``open``'s permissions next to ``path``'s
+    target, so the rename stays on one file system.  A ``path`` that is
+    stdout's file (``/dev/stdout``) is written through stdout, so the
+    shell's ``>``, ``>>`` or ``|`` applies; one that exists and is no
+    regular file (a FIFO, /dev/null) is written in place."""
+    st = to_stdout = None
+    with contextlib.suppress(OSError):  # not there yet, or refused when the partial file is made
+        st = os.stat(path)
+    with contextlib.suppress(AttributeError, OSError, ValueError):  # no stdout descriptor
+        to_stdout = st is not None and os.path.samestat(st, os.fstat(sys.stdout.fileno()))
+    if to_stdout:
+        yield sys.stdout
+        sys.stdout.flush()
+        return
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    partial = os.path.join(directory, f".{name}.{os.getpid()}.{next(_partial_numbers)}.partial")
+    try:
+        fh = open(partial, "x", encoding="utf-8")
+    except OSError as exc:
+        # named as opening `path` itself would name it
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(partial, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
 @dataclass(frozen=True)
@@ -106,7 +155,8 @@ def read_corpus(
     field_name: str = "title",
     thesaurus: Thesaurus | None = None,
     require_labels: bool = True,
-    result: CorpusLoadResult | None = None,
+    *,
+    result: CorpusLoadResult,
 ) -> Iterator[Document]:
     """The documents of a JSON-lines corpus, yielded in file order as the
     file is read; what is dropped is counted in ``result``'s counters.
@@ -121,8 +171,6 @@ def read_corpus(
     """
     if field_name not in FIELDS:
         raise ValueError(f"unknown field {field_name!r}")
-    if result is None:
-        result = CorpusLoadResult()
     seen_ids: set[str] = set()
     for lineno, line in text_lines(path, CorpusFormatError):
         if not line.strip():
@@ -175,7 +223,7 @@ def load_corpus(
     """A whole JSON-lines corpus read by `read_corpus`: its documents in
     file order and what it dropped."""
     result = CorpusLoadResult()
-    result.documents.extend(read_corpus(path, field_name, thesaurus, require_labels, result))
+    result.documents.extend(read_corpus(path, field_name, thesaurus, require_labels, result=result))
     return result
 
 
@@ -294,7 +342,7 @@ def load_thesaurus(path, format: str = "tsv") -> Thesaurus:
 
 def dump_thesaurus_tsv(thesaurus: Thesaurus, path) -> None:
     """Write the TSV form; round-trips through load_thesaurus(format='tsv')."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for concept_id in sorted(thesaurus.concepts):
             concept = thesaurus.concepts[concept_id]
             for phrase in concept.phrases():
@@ -307,7 +355,7 @@ def dump_thesaurus_tsv(thesaurus: Thesaurus, path) -> None:
 
 def dump_corpus_jsonl(docs: list[Document], path, include_labels: bool = True) -> None:
     """Write documents in the JSON-lines interchange format."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for doc in docs:
             record: dict = {"id": doc.doc_id, "title": doc.title}
             if doc.fulltext is not None:

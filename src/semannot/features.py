@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse as sp
 
-from .corpus import Thesaurus, ThesaurusFormatError
+from .corpus import Thesaurus, ThesaurusFormatError, replacing
 from .preprocess import LemmaTable, preprocess
-from .sparse import csr_rows, l2_normalize, remap_columns
+from .sparse import csr_rows, l2_normalize, remap_columns, vstack
 
 BM25_K = 1.6
 BM25_B = 0.75
@@ -145,8 +145,7 @@ def count_corpus(
     if matcher is not None:
         columns = matcher.concept_index
         rows = [{columns[c]: n for c, n in matcher.match_counts(seq).items()} for seq in token_seqs]
-        concept_counts = csr_rows(rows, len(columns))
-        concept_counts.sort_indices()
+        concept_counts = vstack(rows, len(columns))
     return CorpusCounts(list(index), term_counts, concept_counts)
 
 
@@ -306,7 +305,7 @@ class TextVectorizer:
 
 def dump_vectors(path, doc_ids: list[str], X: sp.csr_matrix) -> None:
     """Debug dump: one JSON line per document with indices and weights."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for doc_id, start, end in zip(doc_ids, X.indptr[:-1], X.indptr[1:]):
             fh.write(
                 json.dumps(

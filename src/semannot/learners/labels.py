@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse as sp
 
-from ..sparse import csr_rows, remap_columns
+from ..sparse import remap_columns, vstack
 
 
 @dataclass
@@ -35,7 +35,7 @@ class LabelMatrix:
     @classmethod
     def from_rows(cls, label_ids: tuple[str, ...], rows: Sequence[Sequence[int]]) -> "LabelMatrix":
         """Indicator whose row i holds the label indices ``rows[i]``."""
-        return cls(label_ids, csr_rows([dict.fromkeys(row, 1.0) for row in rows], len(label_ids)))
+        return cls(label_ids, vstack([dict.fromkeys(row, 1.0) for row in rows], len(label_ids)))
 
     def take(self, rows: np.ndarray) -> "LabelMatrix":
         """The indicator of the documents at ``rows``, over only the labels

@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy import sparse as sp
 
-from .corpus import Concept, Thesaurus, ThesaurusFormatError
+from .corpus import Concept, Thesaurus, ThesaurusFormatError, replacing
 from .features import ConceptMatcher, TextVectorizer, WeightingModel
 from .learners import (
     KnnClassifier,
@@ -398,7 +398,7 @@ def save_pipeline(pipeline: FittedPipeline, path) -> None:
         "vectorizer": _enc_state(pipeline.vectorizer),
         "classifier": _enc_state(pipeline.classifier),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         json.dump(container, fh)
 
 

@@ -923,7 +923,7 @@ def test_annotate_writes_each_block_before_reading_the_next(
             events.append("read")
             yield lineno, line
 
-    replacing = cli._replacing
+    replacing = corpus_module.replacing
 
     @contextlib.contextmanager
     def recording_out(path):
@@ -931,7 +931,7 @@ def test_annotate_writes_each_block_before_reading_the_next(
             yield _RecordingFile(fh, events)
 
     monkeypatch.setattr(corpus_module, "text_lines", recording_lines)
-    monkeypatch.setattr(cli, "_replacing", recording_out)
+    monkeypatch.setattr(cli, "replacing", recording_out)
     out = tmp_path / "annotated.jsonl"
     assert main(["annotate", "--model", model, "--corpus", str(inputs), "--out", str(out)]) == 0
 
@@ -1419,6 +1419,78 @@ def test_unwritable_report_path_exits_1(data_files, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("evaluation failed: ")
+
+
+@pytest.mark.parametrize(
+    "command, existing, unwritable",
+    [
+        ("evaluate", ["r.json"], "r.csv"),
+        ("evaluate", ["r.csv"], "r.json"),
+        ("train", ["model.json"], "v.jsonl"),
+        ("annotate", [], None),
+        ("generate", ["t.tsv"], "c.jsonl"),
+    ],
+    ids=["evaluate-csv", "evaluate-json", "train-dump", "annotate-last-line", "generate-corpus"],
+)
+def test_failed_run_leaves_outputs_as_they_were(
+    data_files, tmp_path, capsys, command, existing, unwritable
+):
+    """A run that fails, with one output in a missing directory (annotate:
+    on its corpus's last line, more than one block in), exits 1 in one
+    stderr line and writes no output: the outputs that existed stay
+    byte-identical, none is created and no partial file is left."""
+    corpus, thesaurus = data_files
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in existing:
+        (out / name).write_bytes(b"earlier output\n")
+
+    def path(name):
+        return str(out / "missing" / name if name == unwritable else out / name)
+
+    if unwritable:
+        message = f"[Errno 2] No such file or directory: {path(unwritable)!r}"
+    if command == "evaluate":
+        argv = eval_args(corpus, thesaurus, path("r.json"), path("r.csv"), folds=2)
+    elif command == "train":
+        argv = ["train", "--corpus", corpus, "--thesaurus", thesaurus,
+                "--out", path("model.json"), "--dump-vectors", path("v.jsonl")]
+    elif command == "annotate":
+        inputs = tmp_path / "input.jsonl"
+        lines = _annotation_input(corpus, inputs, ROW_BLOCK + 5)
+        with open(inputs, "a") as fh:
+            fh.write('{"id": "late", "title": \n')
+        message = f"{inputs}:{len(lines) + 1}: malformed JSON (Expecting value)"
+        model = _knn_model(corpus, thesaurus, tmp_path / "model.json")
+        argv = ["annotate", "--model", model, "--corpus", str(inputs), "--out", path("a.jsonl")]
+    else:
+        argv = ["generate", "--labels", "2", "--docs-per-label", "2",
+                "--out-corpus", path("c.jsonl"), "--out-thesaurus", path("t.tsv")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    failure = {"evaluate": "evaluation", "train": "training", "annotate": "annotation",
+               "generate": "generation"}[command]
+    assert capsys.readouterr().err == f"{failure} failed: {message}\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(existing)
+    for name in existing:
+        assert (out / name).read_bytes() == b"earlier output\n"
+
+
+def test_evaluate_with_one_path_for_both_reports_leaves_one_whole_report(
+    data_files, tmp_path
+):
+    """The two reports' partial files differ: the CSV, written last as
+    before, is what the one path holds, and nothing is left beside it."""
+    corpus, thesaurus = data_files
+    apart = tmp_path / "apart"
+    apart.mkdir()
+    argv = eval_args(corpus, thesaurus, str(apart / "r.json"), str(apart / "r.csv"), folds=2)
+    assert main(argv) == 0
+    same = tmp_path / "same"
+    same.mkdir()
+    assert main(eval_args(corpus, thesaurus, str(same / "r"), str(same / "r"), folds=2)) == 0
+    assert os.listdir(same) == ["r"]
+    assert (same / "r").read_bytes() == (apart / "r.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

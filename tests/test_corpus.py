@@ -199,7 +199,7 @@ def test_reader_equals_load_corpus(
     args = (path, field, thesaurus, require_labels)
 
     counted = CorpusLoadResult()
-    reader = read_corpus(*args, counted)
+    reader = read_corpus(*args, result=counted)
     if bad_line is None:
         counted.documents = list(reader)
         assert counted == load_corpus(*args)
@@ -443,6 +443,13 @@ class TestLoadThesaurus:
             dump_thesaurus_tsv(original, path)
             reloaded = load_thesaurus(path, "tsv")
             assert reloaded.concepts == original.concepts
+
+    def test_tsv_refusing_a_phrase_leaves_no_file(self, tmp_path):
+        """Refused after the rows before it were written: no file, whole or half."""
+        thesaurus = Thesaurus({"A": Concept("A", "ok"), "B": Concept("B", "b", ("x\ty",))})
+        with pytest.raises(ThesaurusFormatError, match="of 'B' cannot be written as TSV"):
+            dump_thesaurus_tsv(thesaurus, tmp_path / "t.tsv")
+        assert not list(tmp_path.iterdir())
 
 
 # quotes, backslashes, letters outside ASCII and one outside the BMP
