@@ -7,9 +7,10 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import itertools
 import json
+import os
 import sys
 
 from . import synthetic
@@ -120,13 +121,16 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_train(args) -> None:
+    if args.dump_vectors and os.path.realpath(args.dump_vectors) == os.path.realpath(args.out):
+        raise ConfigError("--dump-vectors and --out name one file")
     config = _config_from_args(args)
     docs, thesaurus, lemma_table = _load_inputs(config)
     pipeline, X = fit_pipeline(config, docs, thesaurus, lemma_table)
-    # the dump first, so a failed dump leaves no model
-    if args.dump_vectors:
-        dump_vectors(args.dump_vectors, [d.doc_id for d in docs], X)
-    save_pipeline(pipeline, args.out)
+    # both files appear or neither does: the dump is held open while the model is written
+    with replacing(args.dump_vectors) if args.dump_vectors else contextlib.nullcontext() as dump:
+        if dump:
+            dump_vectors(dump, [d.doc_id for d in docs], X)
+        save_pipeline(pipeline, args.out)
     print(f"model written to {args.out}")
 
 
@@ -134,10 +138,9 @@ def cmd_annotate(args) -> None:
     pipeline = load_pipeline(args.model)
     field = pipeline.config.field
     dropped = CorpusLoadResult()
-    # annotate reads a block ahead of what it yields; tee holds that block's documents
-    docs, ids = itertools.tee(read_corpus(args.corpus, field, require_labels=False, result=dropped))
+    docs = read_corpus(args.corpus, field, require_labels=False, result=dropped)
     with replacing(args.out) as fh:
-        for doc, predicted in zip(ids, pipeline.annotate(docs)):
+        for doc, predicted in pipeline.annotate(docs):
             fh.write(json.dumps({"id": doc.doc_id, "labels": sorted(predicted)}) + "\n")
     skipped = dropped.n_missing_field
     plural = "" if skipped == 1 else "s"
@@ -196,8 +199,10 @@ def cmd_generate(args) -> None:
         made = synthetic.generate_corpus(**{**synthetic.PRESETS.get(args.preset, {}), **flags})
     except synthetic.SettingError as exc:
         raise ConfigError(f"{_GENERATOR_FLAGS[exc.name][0]} {exc.requirement}") from exc
-    dump_corpus_jsonl(made.documents, args.out_corpus)
-    dump_thesaurus_tsv(made.thesaurus, args.out_thesaurus)
+    # both files appear or neither does: the thesaurus is held open while the corpus is written
+    with replacing(args.out_thesaurus) as thesaurus_fh:
+        dump_corpus_jsonl(made.documents, args.out_corpus)
+        dump_thesaurus_tsv(made.thesaurus, thesaurus_fh)
     print(
         f"wrote {len(made.documents)} documents to {args.out_corpus} and "
         f"{len(made.thesaurus)} concepts to {args.out_thesaurus}"

@@ -61,7 +61,10 @@ def replacing(path):
     target, so the rename stays on one file system.  A ``path`` that is
     stdout's file (``/dev/stdout``) is written through stdout, so the
     shell's ``>``, ``>>`` or ``|`` applies; one that exists and is no
-    regular file (a FIFO, /dev/null) is written in place."""
+    regular file (a FIFO, /dev/null) is written in place, as is an open file."""
+    if hasattr(path, "write"):
+        yield path
+        return
     st = to_stdout = None
     with contextlib.suppress(OSError):  # not there yet, or refused when the partial file is made
         st = os.stat(path)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field as dc_field
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from scipy import sparse as sp
@@ -22,8 +22,7 @@ from .learners import (
     RocchioClassifier,
 )
 from .learners.lazy import KNN_K
-from .learners.linear import LINEAR_ALPHA, LINEAR_EPOCHS
-from .learners.mlp import ACTIVATIONS, MLP_EPOCHS, MLP_HIDDEN, MLP_THRESHOLD
+from .learners.mlp import ACTIVATIONS, MLP_HIDDEN, MLP_THRESHOLD
 from .multilabel import StackedClassifier
 from .preprocess import LemmaTable, preprocess
 from .ranking import L2R_K, L2RClassifier
@@ -127,10 +126,9 @@ def build_classifier(config: RunConfig):
     if kind not in CLASSIFIERS:
         raise ValueError(f"unknown classifier {kind!r}")
     base = kind.removesuffix("-dt")
-    alpha = LINEAR_ALPHA if config.alpha is None else config.alpha
-    epochs = config.epochs
-    if epochs is None:
-        epochs = MLP_EPOCHS if base == "mlp" else LINEAR_EPOCHS
+    # passed only when set, so each learner's constructor holds its default
+    alpha = {} if config.alpha is None else {"alpha": config.alpha}
+    epochs = {} if config.epochs is None else {"epochs": config.epochs}
     if base == "knn":
         learner = KnnClassifier(k=config.knn_k)
     elif base == "rocchio":
@@ -139,16 +137,16 @@ def build_classifier(config: RunConfig):
         learner = NaiveBayesClassifier(base.removeprefix("bayes-"))
     elif base in ("svm", "lr"):
         loss = "hinge" if base == "svm" else "logistic"
-        learner = LinearClassifier(loss=loss, alpha=alpha, epochs=epochs, seed=config.seed)
+        learner = LinearClassifier(loss=loss, seed=config.seed, **alpha, **epochs)
     elif base == "l2r":
-        learner = L2RClassifier(k=config.l2r_k, alpha=alpha)
+        learner = L2RClassifier(k=config.l2r_k, **alpha)
     else:
         learner = MlpClassifier(
             hidden=config.mlp_hidden,
             activation=config.mlp_activation,
-            epochs=epochs,
             threshold=config.mlp_threshold,
             seed=config.seed,
+            **epochs,
         )
     return StackedClassifier(learner) if kind != base else learner
 
@@ -205,16 +203,16 @@ class FittedPipeline:
             X = self.vectorize(counts.rows(slice(start, start + ROW_BLOCK)))
             yield X, self.classifier.predict(X)
 
-    def annotate(self, docs: Iterable[Document]) -> Iterator[set[str]]:
-        """One label set per document, in order; takes ROW_BLOCK documents
-        at a time from any iterable, then counts and decides them."""
+    def annotate(self, docs: Iterable[Document]) -> Iterator[tuple[Document, set[str]]]:
+        """Each document with its label set, in order; takes ROW_BLOCK
+        documents at a time from any iterable, then counts and decides them."""
         docs = iter(docs)
         while block := list(islice(docs, ROW_BLOCK)):
-            for _, predicted in self.predict_blocks(self.count(block)):
-                yield from predicted
+            decided = self.predict_blocks(self.count(block))
+            yield from zip(block, chain.from_iterable(labels for _, labels in decided), strict=True)
 
     def predict_document(self, doc: Document) -> set[str]:
-        return next(self.annotate([doc]))
+        return next(self.annotate([doc]))[1]
 
 
 def fit_counts(

@@ -121,15 +121,20 @@ def test_annotate_equals_one_document_at_a_time(classifier):
         ]
         # more documents than one block, each document several times
         order = np.arange(ROW_BLOCK + extra_docs) % len(docs)
-        assert list(pipeline.annotate([docs[i] for i in order])) == [alone[i] for i in order]
+        inputs = [docs[i] for i in order]
+        yielded, labels = zip(*pipeline.annotate(inputs))
+        # each label set comes with the input document itself, in input order
+        assert [id(doc) for doc in yielded] == [id(doc) for doc in inputs]
+        assert list(labels) == [alone[i] for i in order]
 
     check()
 
 
 def test_annotate_reads_any_iterable_one_block_ahead():
     """annotate takes documents from an iterator ROW_BLOCK at a time: the
-    first label set comes after one block is read, not the whole input, and
-    the label sets equal those of the same documents given as a list."""
+    first (document, label set) pair comes after one block is read, not the
+    whole input, and the pairs equal those of the same documents given as a
+    list."""
     made = generate_corpus(n_labels=3, docs_per_label=4, seed=5)
     pipeline, _ = fit_pipeline(RunConfig(classifier="knn"), made.documents, made.thesaurus)
     docs = [made.documents[i % len(made.documents)] for i in range(2 * ROW_BLOCK + 3)]
@@ -143,5 +148,6 @@ def test_annotate_reads_any_iterable_one_block_ahead():
     labelled = pipeline.annotate(stream())
     first = next(labelled)
     assert len(taken) == ROW_BLOCK
+    assert first[0] is docs[0]
     assert [first, *labelled] == list(pipeline.annotate(docs))
     assert len(taken) == len(docs)

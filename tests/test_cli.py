@@ -1429,8 +1429,13 @@ def test_unwritable_report_path_exits_1(data_files, tmp_path, capsys):
         ("train", ["model.json"], "v.jsonl"),
         ("annotate", [], None),
         ("generate", ["t.tsv"], "c.jsonl"),
+        ("train", ["v.jsonl"], "model.json"),
+        ("generate", ["c.jsonl"], "t.tsv"),
     ],
-    ids=["evaluate-csv", "evaluate-json", "train-dump", "annotate-last-line", "generate-corpus"],
+    ids=[
+        "evaluate-csv", "evaluate-json", "train-dump", "annotate-last-line", "generate-corpus",
+        "train-model", "generate-thesaurus",
+    ],
 )
 def test_failed_run_leaves_outputs_as_they_were(
     data_files, tmp_path, capsys, command, existing, unwritable
@@ -1474,6 +1479,22 @@ def test_failed_run_leaves_outputs_as_they_were(
     assert sorted(p.name for p in out.iterdir()) == sorted(existing)
     for name in existing:
         assert (out / name).read_bytes() == b"earlier output\n"
+
+
+def test_train_refuses_one_path_for_model_and_dump(tmp_path, capsys):
+    """The dump is committed after the model, so it would replace it; the
+    run is refused before reading input (which does not exist: reading it
+    would exit 1) and writes nothing."""
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["train", "--corpus", str(tmp_path / "nope.jsonl"),
+            "--thesaurus", str(tmp_path / "nope.tsv"),
+            "--out", str(out / "m.json"), "--dump-vectors", str(out / "." / "m.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "invalid configuration: --dump-vectors and --out name one file\n"
+    )
+    assert not list(out.iterdir())
 
 
 def test_evaluate_with_one_path_for_both_reports_leaves_one_whole_report(
