@@ -19,6 +19,7 @@ from .features import CorpusCounts
 from .learners import LabelMatrix
 from .pipeline import RunConfig, concept_matcher, count_documents, fit_counts
 from .preprocess import LemmaTable
+from .sparse import ROW_BLOCK
 
 
 def make_folds(
@@ -81,7 +82,8 @@ def run_fold(
     pipeline, _ = fit_counts(config, counts.rows(train_idx), labels.take(train_idx))
     predictions: list[set[str]] = []
     zero_vec = 0
-    for X, block_predictions in pipeline.predict_blocks(counts.rows(test_idx)):
+    for start in range(0, len(test_idx), ROW_BLOCK):
+        X, block_predictions = pipeline.decide(counts.rows(test_idx[start:start + ROW_BLOCK]))
         zero_vec += int(np.count_nonzero(np.diff(X.indptr) == 0))
         predictions.extend(block_predictions)
 

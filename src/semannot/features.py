@@ -248,8 +248,7 @@ class TextVectorizer:
     def fit(self, counts: CorpusCounts) -> "TextVectorizer":
         if not len(counts):
             raise ValueError("cannot fit a vectorizer on an empty training set")
-        if self.uses_concepts and counts.concept_counts is None:
-            raise ValueError(f"vectorization {self.variant!r} needs a thesaurus")
+        concepts = self._concept_counts(counts)
         if self.uses_terms:
             # columns in order of their first entry in the training rows:
             # the order in which a scan of the training token stream meets them
@@ -259,9 +258,15 @@ class TextVectorizer:
             # every training entry is a vocabulary term: keep the vocabulary's idf, in its order
             weighting = fit_weighting(counts.term_counts, self.scheme)
             self.term_weighting = replace(weighting, idf=weighting.idf[order])
-        if self.uses_concepts:
-            self.concept_weighting = fit_weighting(counts.concept_counts, self.scheme)
+        if concepts is not None:
+            self.concept_weighting = fit_weighting(concepts, self.scheme)
         return self
+
+    def _concept_counts(self, counts: CorpusCounts) -> sp.csr_matrix | None:
+        """The concept rows a concept variant reads; None for a term variant."""
+        if self.uses_concepts and counts.concept_counts is None:
+            raise ValueError(f"vectorization {self.variant!r} needs a thesaurus")
+        return counts.concept_counts if self.uses_concepts else None
 
     def _check_fitted(self) -> None:
         if (self.uses_terms and self.term_weighting is None) or (
@@ -287,7 +292,7 @@ class TextVectorizer:
         if self.uses_terms:
             blocks.append((self._term_counts(counts), self.term_weighting))
         if self.uses_concepts:
-            blocks.append((counts.concept_counts, self.concept_weighting))
+            blocks.append((self._concept_counts(counts), self.concept_weighting))
         return blocks
 
     def transform(self, counts: CorpusCounts) -> sp.csr_matrix:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field as dc_field
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from scipy import sparse as sp
@@ -194,22 +194,18 @@ class FittedPipeline:
             return self.vectorizer.transform_counts(counts)
         return self.vectorizer.transform(counts)
 
-    def predict_blocks(
-        self, counts: CorpusCounts
-    ) -> Iterator[tuple[sp.csr_matrix, list[set[str]]]]:
-        """Vectorize and decide ROW_BLOCK documents at a time; yields each
-        block's feature rows with one label set per row."""
-        for start in range(0, len(counts), ROW_BLOCK):
-            X = self.vectorize(counts.rows(slice(start, start + ROW_BLOCK)))
-            yield X, self.classifier.predict(X)
+    def decide(self, counts: CorpusCounts) -> tuple[sp.csr_matrix, list[set[str]]]:
+        """Vectorize and decide the given count rows (callers pass at most
+        ROW_BLOCK); returns their feature rows and one label set per row."""
+        X = self.vectorize(counts)
+        return X, self.classifier.predict(X)
 
     def annotate(self, docs: Iterable[Document]) -> Iterator[tuple[Document, set[str]]]:
         """Each document with its label set, in order; takes ROW_BLOCK
         documents at a time from any iterable, then counts and decides them."""
         docs = iter(docs)
         while block := list(islice(docs, ROW_BLOCK)):
-            decided = self.predict_blocks(self.count(block))
-            yield from zip(block, chain.from_iterable(labels for _, labels in decided), strict=True)
+            yield from zip(block, self.decide(self.count(block))[1], strict=True)
 
     def predict_document(self, doc: Document) -> set[str]:
         return next(self.annotate([doc]))[1]

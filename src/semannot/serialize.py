@@ -121,7 +121,7 @@ def _enc_labels(labels: LabelMatrix) -> dict:
 
 def _dec_strings(d, name: str, first_seen: bool = False) -> list[str]:
     """A stored list of strings: label ids, which training writes sorted and
-    unique, or the vocabulary, in first-seen order (``first_seen``)."""
+    unique, or the vocabulary, unique in first-seen order (``first_seen``)."""
     if not isinstance(d, list):
         raise ModelFormatError(f"{name} must be a list of strings, got {type(d).__name__}")
     for item in d:
@@ -129,6 +129,9 @@ def _dec_strings(d, name: str, first_seen: bool = False) -> list[str]:
             raise ModelFormatError(f"{name} must be a list of strings, holds {item!r}")
     if not first_seen and not all(a < b for a, b in zip(d, d[1:])):
         raise ModelFormatError(f"{name} must be sorted and unique")
+    if first_seen and len(last := {item: i for i, item in enumerate(d)}) < len(d):
+        repeat = next(item for i, item in enumerate(d) if last[item] != i)
+        raise ModelFormatError(f"{name} repeats {repeat!r}")
     return d
 
 

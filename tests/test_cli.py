@@ -707,6 +707,25 @@ def tree(container: dict) -> dict:
             lambda c: c["classifier"]["b"].update(data="AAAAAA"),
             "array b data is malformed: Incorrect padding",
         ),
+        # loaded into a shorter dict, then refused in words that blamed the
+        # idf array: array term idf of shape [124] where [123] is required
+        (KNN, lambda c: copy_first_id(c["vectorizer"]["vocab"]), "vocab repeats 'siga'"),
+        # the stored arrays no other row tampers with
+        (
+            ("bayes-multinomial", "tf-idf"),
+            lambda c: cut(c["classifier"]["_const"], 1),
+            "array _const of shape [1] where [5] is required",
+        ),
+        (
+            MLP,
+            lambda c: widen(c["classifier"]["params"]["W2"], 1),
+            "array W2 of shape [5, 9] where [5, 8] is required",
+        ),
+        (
+            MLP,
+            lambda c: cut(c["classifier"]["params"]["b2"], 1),
+            "array b2 of shape [1] where [5] is required",
+        ),
     ],
     ids=[
         "extra-config-key",
@@ -812,6 +831,10 @@ def tree(container: dict) -> dict:
         "lr-b-data-null",
         "lr-b-data-not-ascii",
         "lr-b-data-unpadded",
+        "vocab-token-repeated",
+        "bayes-const-cut-to-one-entry",
+        "mlp-W2-extra-column",
+        "mlp-b2-cut-to-one-entry",
     ],
 )
 def test_annotate_refuses_container_in_one_line(

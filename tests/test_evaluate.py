@@ -199,6 +199,30 @@ def test_no_leakage_from_test_fold_gold_labels(monkeypatch):
     assert tampered.f1 != honest.f1
 
 
+def test_run_fold_decides_test_rows_in_order_a_block_at_a_time(monkeypatch):
+    """Every FittedPipeline.decide call of a run gets at most ROW_BLOCK rows,
+    and the calls together get each fold's test rows in order."""
+    monkeypatch.setattr(ev, "ROW_BLOCK", 3)
+    n, config = 40, RunConfig(vectorization="tf-idf", classifier="knn", folds=4, seed=1)
+    # document i alone holds the term "w<i>", so a decided row names its document
+    counts = count_corpus([[f"w{i}", "shared"] for i in range(n)])
+    labels = LabelMatrix.from_gold([{f"C{i % 4}"} for i in range(n)])
+    decided: list[list[int]] = []
+    decide = pl.FittedPipeline.decide
+
+    def recording_decide(self, rows):
+        doc_of = {j: int(term[1:]) for j, term in enumerate(rows.terms) if term != "shared"}
+        decided.append([doc_of[j] for j in rows.term_counts.indices if j in doc_of])
+        return decide(self, rows)
+
+    monkeypatch.setattr(pl.FittedPipeline, "decide", recording_decide)
+    evaluate_run(config, counts, labels)
+    assert max(map(len, decided)) == 3
+    assert len(decided) == 4 * 4  # each fold's 10 test rows in blocks of 3, 3, 3 and 1
+    test_rows = [i for _, test in make_folds(n, config.folds, config.seed) for i in test]
+    assert [i for rows in decided for i in rows] == test_rows
+
+
 def test_labels_unseen_in_training_stay_in_gold():
     # one label occurs in a single document; when that document is in the
     # test fold its label cannot be predicted but still counts against recall

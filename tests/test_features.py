@@ -336,6 +336,17 @@ class TestTextVectorizer:
         with pytest.raises(ValueError, match="thesaurus"):
             TextVectorizer("cf-idf").fit(count_corpus([["rate"]]))
 
+    @pytest.mark.parametrize("method", ["transform", "transform_counts"])
+    @pytest.mark.parametrize("variant", ["cf-idf", "bm25c", "ctf-idf", "bm25ct"])
+    def test_fitted_concept_variant_refuses_rows_without_concepts(
+        self, corpus_tokens, rate_thesaurus, variant, method
+    ):
+        # unchecked, transform failed inside the weighting and transform_counts
+        # returned the term block alone, narrower than the fitted dimension
+        vec = fitted(variant, corpus_tokens, rate_thesaurus)
+        with pytest.raises(ValueError, match=f"^vectorization '{variant}' needs a thesaurus$"):
+            getattr(vec, method)(count_corpus(corpus_tokens))
+
     def test_transform_deterministic_bitwise(self, corpus_tokens, rate_thesaurus):
         first = fitted("bm25ct", corpus_tokens, rate_thesaurus)
         matcher = ConceptMatcher(rate_thesaurus)
