@@ -8,10 +8,8 @@ with sample-averaged F1 under cross-validation.
 
 from .corpus import (
     Concept,
-    CorpusStats,
     Document,
     Thesaurus,
-    corpus_stats,
     load_corpus,
     load_thesaurus,
     read_corpus,
@@ -26,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Concept",
     "ConceptMatcher",
-    "CorpusStats",
     "Document",
     "EvalReport",
     "LemmaTable",
@@ -34,7 +31,6 @@ __all__ = [
     "TextVectorizer",
     "Thesaurus",
     "CLASSIFIERS",
-    "corpus_stats",
     "evaluate_grid",
     "evaluate_run",
     "fit_pipeline",

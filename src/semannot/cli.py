@@ -15,8 +15,8 @@ import sys
 
 from . import synthetic
 from .corpus import (
-    FIELDS, THESAURUS_FORMATS, CorpusLoadResult, corpus_stats, dump_corpus_jsonl,
-    dump_thesaurus_tsv, load_corpus, load_thesaurus, read_corpus, replacing,
+    FIELDS, THESAURUS_FORMATS, CorpusLoadResult, dump_corpus_jsonl, dump_thesaurus_tsv,
+    load_corpus, load_thesaurus, mean_sd, read_corpus, replacing, write_mode,
 )
 from .evaluate import CSV_HEADER, csv_line, evaluate_grid
 from .features import VARIANTS, ConceptMatcher, dump_vectors
@@ -87,9 +87,19 @@ def _load_inputs(config: RunConfig):
     return loaded.documents, thesaurus, lemma_table
 
 
+def _refuse_one_file(first: tuple[str, str | None], second: tuple[str, str]) -> None:
+    """Refuse two outputs, each a (flag, path) pair, that name one file
+    `replacing` replaces by a rename: the one committed last would replace
+    the other.  A file written in place (stdout's, a device) takes both."""
+    (flag, path), (other_flag, other) = first, second
+    if path and write_mode(path) == "rename" and os.path.realpath(path) == os.path.realpath(other):
+        raise ConfigError(f"{flag} and {other_flag} name one file")
+
+
 def cmd_evaluate(args) -> None:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    _refuse_one_file(("--out-json", args.out_json), ("--out-csv", args.out_csv))
     config = _config_from_args(args)
     docs, thesaurus, lemma_table = _load_inputs(config)
     if args.grid == "vectorizations":
@@ -111,7 +121,7 @@ def cmd_evaluate(args) -> None:
         if len(reports) == 1
         else {"reports": [dataclasses.asdict(r) for r in reports]}
     )
-    # both reports appear or neither does; with one path for both, the CSV is left
+    # both reports appear or neither does
     with replacing(args.out_csv) as csv_fh, replacing(args.out_json) as json_fh:
         json.dump(payload, json_fh, indent=2)
         json_fh.write("\n")
@@ -121,8 +131,7 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_train(args) -> None:
-    if args.dump_vectors and os.path.realpath(args.dump_vectors) == os.path.realpath(args.out):
-        raise ConfigError("--dump-vectors and --out name one file")
+    _refuse_one_file(("--dump-vectors", args.dump_vectors), ("--out", args.out))
     config = _config_from_args(args)
     docs, thesaurus, lemma_table = _load_inputs(config)
     pipeline, X = fit_pipeline(config, docs, thesaurus, lemma_table)
@@ -153,30 +162,22 @@ def cmd_stats(args) -> None:
     docs, thesaurus, lemma_table = _load_inputs(_config_from_args(args))
     if not docs:
         raise ValueError("no usable documents")
+    # built before the first line, so a thesaurus it refuses prints no table
     matcher = ConceptMatcher(thesaurus, lemma_table)
-
+    mean, sd = mean_sd([len(doc.gold_labels) for doc in docs])
+    print(f"documents                 {len(docs)}")
+    print(f"concepts in thesaurus     {len(thesaurus)}")
+    print(f"labels used               {len(set().union(*(doc.gold_labels for doc in docs)))}")
+    print(f"labels per doc            {mean:.2f} (sd {sd:.2f})")
     with_ft = [doc for doc in docs if doc.fulltext is not None]
     for field, field_docs in (("title", docs), ("fulltext", with_ft)):
         if not field_docs:
             continue
         counts = count_documents(field_docs, field, lemma_table, matcher)
-        stats = corpus_stats(
-            field_docs, thesaurus, int(counts.term_counts.sum()), int(counts.concept_counts.sum())
-        )
-        if field == "title":
-            print(f"documents                 {stats.n_docs}")
-            print(f"concepts in thesaurus     {stats.n_concepts_in_thesaurus}")
-            print(f"labels used               {stats.n_labels_used}")
-            print(
-                f"labels per doc            {stats.mean_labels_per_doc:.2f} "
-                f"(sd {stats.sd_labels_per_doc:.2f})"
-            )
-            print("-- titles --")
-        else:
-            print(f"-- fulltext ({len(field_docs)} docs) --")
+        print("-- titles --" if field == "title" else f"-- fulltext ({len(field_docs)} docs) --")
         print(f"vocabulary size           {counts.term_counts.shape[1]}")
-        print(f"words per doc             {stats.mean_words_per_doc:.2f}")
-        print(f"concepts per doc          {stats.mean_concepts_per_doc:.2f}")
+        print(f"words per doc             {counts.term_counts.sum() / len(field_docs):.2f}")
+        print(f"concepts per doc          {counts.concept_counts.sum() / len(field_docs):.2f}")
 
 
 # each generate_corpus parameter that a generate flag sets: the flag, its type
@@ -194,6 +195,7 @@ _GENERATOR_FLAGS = {
 
 
 def cmd_generate(args) -> None:
+    _refuse_one_file(("--out-corpus", args.out_corpus), ("--out-thesaurus", args.out_thesaurus))
     flags = {name: val for name, val in vars(args).items() if name in _GENERATOR_FLAGS}
     try:
         made = synthetic.generate_corpus(**{**synthetic.PRESETS.get(args.preset, {}), **flags})

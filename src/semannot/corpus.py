@@ -49,6 +49,19 @@ def text_lines(path, error: type[ValueError]):
             yield lineno, line
 
 
+def write_mode(path) -> str:
+    """How `replacing` writes ``path``: "stdout" for stdout's own file,
+    "in place" for one that exists and is no regular file, else "rename"."""
+    st = to_stdout = None
+    with contextlib.suppress(OSError):  # not there yet, or refused when the partial file is made
+        st = os.stat(path)
+    with contextlib.suppress(AttributeError, OSError, ValueError):  # no stdout descriptor
+        to_stdout = st is not None and os.path.samestat(st, os.fstat(sys.stdout.fileno()))
+    if to_stdout:
+        return "stdout"
+    return "in place" if st is not None and not stat.S_ISREG(st.st_mode) else "rename"
+
+
 # numbers the partial files of one process, so writers open together never share one
 _partial_numbers = itertools.count()
 
@@ -65,16 +78,12 @@ def replacing(path):
     if hasattr(path, "write"):
         yield path
         return
-    st = to_stdout = None
-    with contextlib.suppress(OSError):  # not there yet, or refused when the partial file is made
-        st = os.stat(path)
-    with contextlib.suppress(AttributeError, OSError, ValueError):  # no stdout descriptor
-        to_stdout = st is not None and os.path.samestat(st, os.fstat(sys.stdout.fileno()))
-    if to_stdout:
+    mode = write_mode(path)
+    if mode == "stdout":
         yield sys.stdout
         sys.stdout.flush()
         return
-    if st is not None and not stat.S_ISREG(st.st_mode):
+    if mode == "in place":
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
@@ -368,47 +377,7 @@ def dump_corpus_jsonl(docs: list[Document], path, include_labels: bool = True) -
             fh.write(json.dumps(record) + "\n")
 
 
-# --- corpus statistics -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    n_docs: int
-    n_concepts_in_thesaurus: int
-    n_labels_used: int
-    mean_labels_per_doc: float
-    sd_labels_per_doc: float
-    mean_words_per_doc: float
-    mean_concepts_per_doc: float
-
-
 def mean_sd(values: list[float]) -> tuple[float, float]:
     """Mean and population standard deviation."""
     mean = sum(values) / len(values)
     return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-
-
-def corpus_stats(
-    docs: list[Document], thesaurus: Thesaurus, n_tokens: int, n_concepts: int
-) -> CorpusStats:
-    """Summary statistics of a corpus against its thesaurus, given the
-    corpus's total token and concept-mention counts.
-
-    Standard deviations are population SDs; the label count |L| is the size
-    of the union of all gold label sets.
-    """
-    if not docs:
-        raise ValueError("empty corpus")
-    used = set()
-    for doc in docs:
-        used.update(doc.gold_labels)
-    mean, sd = mean_sd([len(doc.gold_labels) for doc in docs])
-    return CorpusStats(
-        n_docs=len(docs),
-        n_concepts_in_thesaurus=len(thesaurus),
-        n_labels_used=len(used),
-        mean_labels_per_doc=mean,
-        sd_labels_per_doc=sd,
-        mean_words_per_doc=n_tokens / len(docs),
-        mean_concepts_per_doc=n_concepts / len(docs),
-    )

@@ -1246,6 +1246,52 @@ def test_stats_prints_table(data_files, capsys):
     )
 
 
+def _stats(capsys, corpus, thesaurus) -> tuple[int, str, str]:
+    code = main(["stats", "--corpus", str(corpus), "--thesaurus", str(thesaurus)])
+    return (code, *capsys.readouterr())
+
+
+def test_stats_without_a_usable_document_exits_1(data_files, tmp_path, capsys):
+    corpus, thesaurus = data_files
+    records = [json.loads(line) for line in open(corpus)]
+    for record in records:
+        del record["title"]
+    (tmp_path / "untitled.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert _stats(capsys, tmp_path / "untitled.jsonl", thesaurus) == (
+        1,
+        "loaded 0 of 50 documents (50 without a title skipped)\n",
+        "stats failed: no usable documents\n",
+    )
+
+
+def test_stats_without_fulltext_prints_the_corpus_lines_and_titles_only(
+    data_files, tmp_path, capsys
+):
+    corpus, thesaurus = data_files
+    records = [json.loads(line) for line in open(corpus)]
+    for record in records:
+        del record["fulltext"]
+    (tmp_path / "titles.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, table, _ = _stats(capsys, corpus, thesaurus)
+    assert code == 0
+    assert _stats(capsys, tmp_path / "titles.jsonl", thesaurus) == (
+        0, table[:table.index("-- fulltext")], ""
+    )
+
+
+def test_stats_refuses_a_concept_without_a_token_before_printing(data_files, tmp_path, capsys):
+    """The matcher is built before the first line, so a thesaurus it refuses
+    prints no part of the table."""
+    corpus, thesaurus = data_files
+    rows = open(thesaurus).read().splitlines()
+    concept_id = rows[0].split("\t")[0]
+    rows[0] = f"{concept_id}\t-\t"
+    (tmp_path / "dash.tsv").write_text("\n".join(rows) + "\n")
+    assert _stats(capsys, corpus, tmp_path / "dash.tsv") == (
+        1, "", f"stats failed: concept {concept_id!r} has no label with a token\n"
+    )
+
+
 def test_generate_round_trips_through_loaders(tmp_path):
     out_corpus = str(tmp_path / "gen.jsonl")
     out_thesaurus = str(tmp_path / "gen.tsv")
@@ -1520,21 +1566,53 @@ def test_train_refuses_one_path_for_model_and_dump(tmp_path, capsys):
     assert not list(out.iterdir())
 
 
-def test_evaluate_with_one_path_for_both_reports_leaves_one_whole_report(
-    data_files, tmp_path
+ONE_FILE_ARGS = {
+    "evaluate": lambda first, second: [
+        "evaluate", "--corpus", "nope.jsonl", "--thesaurus", "nope.tsv",
+        "--out-json", first, "--out-csv", second,
+    ],
+    "generate": lambda first, second: [
+        "generate", "--labels", "2", "--docs-per-label", "2",
+        "--out-corpus", first, "--out-thesaurus", second,
+    ],
+    "train": lambda first, second: [
+        "train", "--corpus", "nope.jsonl", "--thesaurus", "nope.tsv",
+        "--dump-vectors", first, "--out", second,
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("evaluate", "--out-json and --out-csv"), ("generate", "--out-corpus and --out-thesaurus")],
+    ids=["evaluate", "generate"],
+)
+@pytest.mark.parametrize("second", ["./r", "link"], ids=["dot-path", "symlink"])
+def test_two_outputs_naming_one_file_are_refused_before_reading_input(
+    tmp_path, capsys, monkeypatch, command, flags, second
 ):
-    """The two reports' partial files differ: the CSV, written last as
-    before, is what the one path holds, and nothing is left beside it."""
-    corpus, thesaurus = data_files
-    apart = tmp_path / "apart"
-    apart.mkdir()
-    argv = eval_args(corpus, thesaurus, str(apart / "r.json"), str(apart / "r.csv"), folds=2)
-    assert main(argv) == 0
-    same = tmp_path / "same"
-    same.mkdir()
-    assert main(eval_args(corpus, thesaurus, str(same / "r"), str(same / "r"), folds=2)) == 0
-    assert os.listdir(same) == ["r"]
-    assert (same / "r").read_bytes() == (apart / "r.csv").read_bytes()
+    """The output committed last would replace the other, so the run is
+    refused before reading input (which does not exist: reading it would
+    exit 1), through another spelling of the path or a symlink to it, and
+    writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    os.symlink("r", "link")
+    assert main(ONE_FILE_ARGS[command]("r", second)) == 2
+    assert capsys.readouterr().err == f"invalid configuration: {flags} name one file\n"
+    assert sorted(os.listdir()) == ["link"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "generate", "train"])
+def test_two_outputs_to_dev_null_are_written_in_place(data_files, capsys, command):
+    """/dev/null is written in place, not replaced by a rename, so it takes
+    both outputs and the run succeeds."""
+    argv = ONE_FILE_ARGS[command]("/dev/null", "/dev/null")
+    if command != "generate":
+        corpus, thesaurus = data_files
+        argv[argv.index("nope.jsonl")] = corpus
+        argv[argv.index("nope.tsv")] = thesaurus
+    assert main(argv + (["--folds", "2"] if command == "evaluate" else [])) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -1560,7 +1638,7 @@ def test_failing_command_exits_1_in_one_line(data_files, tmp_path, capsys, comma
         "stats": ["--corpus", missing, "--thesaurus", thesaurus],
         "generate": [
             "--labels", "2", "--docs-per-label", "2",
-            "--out-corpus", unwritable, "--out-thesaurus", unwritable,
+            "--out-corpus", str(tmp_path / "no-dir" / "c.jsonl"), "--out-thesaurus", unwritable,
         ],
     }[command]
     code = main([command, *flags])

@@ -1,6 +1,9 @@
 import json
+import math
 import os
 import random
+import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -14,14 +17,16 @@ from semannot.corpus import (
     CorpusLoadResult,
     Thesaurus,
     ThesaurusFormatError,
-    corpus_stats,
     dump_corpus_jsonl,
     dump_thesaurus_tsv,
     load_corpus,
     load_thesaurus,
+    mean_sd,
     read_corpus,
 )
+from semannot.cli import main
 from semannot.preprocess import LemmaTable, LemmaTableError
+from semannot.synthetic import generate_corpus
 
 
 def write_jsonl(path, records):
@@ -478,57 +483,100 @@ def test_tsv_and_escaped_ntriples_load_equal(tmp_path, seed, escaped, wide):
     assert load_thesaurus(tmp_path / "t.nt", "ntriples") == load_thesaurus(tmp_path / "t.tsv")
 
 
+def stats_stdout(capsys, corpus, thesaurus) -> str:
+    """What `semannot stats` prints on the corpus and TSV thesaurus files."""
+    argv = ["stats", "--corpus", str(corpus), "--thesaurus", str(thesaurus)]
+    assert main(argv + ["--thesaurus-format", "tsv"]) == 0
+    return capsys.readouterr().out
+
+
+def write_thesaurus(path, concept_ids) -> None:
+    """One concept per id, its preferred label the id written twice."""
+    dump_thesaurus_tsv(Thesaurus({c: Concept(c, c + c) for c in concept_ids}), path)
+
+
+CORPUS_LINES = ("documents", "concepts in thesaurus", "labels used", "labels per doc")
+
+
+def corpus_lines(stdout: str) -> dict[str, str]:
+    """The first value on each corpus line of `stats` stdout, by the line's
+    name, past a leading `loaded N of M documents` line."""
+    lines = stdout.splitlines()
+    if lines and lines[0].startswith("loaded "):
+        lines = lines[1:]
+    assert len(lines) >= len(CORPUS_LINES)
+    for name, line in zip(CORPUS_LINES, lines):
+        assert line.startswith(name + " "), line
+    return {name: line[len(name):].split()[0] for name, line in zip(CORPUS_LINES, lines)}
+
+
 class TestCorpusStats:
-    def test_two_doc_hand_case(self, tmp_path):
-        thesaurus = Thesaurus({c: Concept(c, c + c) for c in ("a", "b")})
-        path = tmp_path / "c.jsonl"
+    def test_two_doc_hand_case(self, tmp_path, capsys):
+        write_thesaurus(tmp_path / "t.tsv", ("a", "b"))
         write_jsonl(
-            path,
+            tmp_path / "c.jsonl",
             [
-                {"id": "1", "title": "t", "labels": ["a", "b"]},
-                {"id": "2", "title": "t", "labels": ["b"]},
+                {"id": "1", "title": "aa one two three", "labels": ["a", "b"]},
+                {"id": "2", "title": "four five six seven", "labels": ["b"]},
             ],
         )
-        docs = load_corpus(path, "title", thesaurus=thesaurus).documents
-        stats = corpus_stats(docs, thesaurus, 8, 1)
-        assert stats.n_labels_used == 2
-        assert stats.mean_labels_per_doc == pytest.approx(1.5)
-        assert stats.sd_labels_per_doc == pytest.approx(0.5)  # population SD
-        assert stats.mean_words_per_doc == pytest.approx(4.0)
-        assert stats.mean_concepts_per_doc == pytest.approx(0.5)
+        assert stats_stdout(capsys, tmp_path / "c.jsonl", tmp_path / "t.tsv") == (
+            "documents                 2\n"
+            "concepts in thesaurus     2\n"
+            "labels used               2\n"
+            # the population SD; the sample SD of (2, 1) is 0.71
+            "labels per doc            1.50 (sd 0.50)\n"
+            "-- titles --\n"
+            "vocabulary size           8\n"
+            "words per doc             4.00\n"
+            "concepts per doc          0.50\n"
+        )
 
-    def test_single_doc(self, tmp_path):
-        thesaurus = Thesaurus({"a": Concept("a", "aa")})
-        path = tmp_path / "c.jsonl"
-        write_jsonl(path, [{"id": "1", "title": "t", "labels": ["a"]}])
-        docs = load_corpus(path, "title", thesaurus=thesaurus).documents
-        stats = corpus_stats(docs, thesaurus, 2, 0)
-        assert stats.mean_labels_per_doc == 1.0
-        assert stats.sd_labels_per_doc == 0.0
+    def test_single_doc(self, tmp_path, capsys):
+        write_thesaurus(tmp_path / "t.tsv", ("a",))
+        write_jsonl(tmp_path / "c.jsonl", [{"id": "1", "title": "aa", "labels": ["a"]}])
+        out = stats_stdout(capsys, tmp_path / "c.jsonl", tmp_path / "t.tsv")
+        assert out.splitlines()[3] == "labels per doc            1.00 (sd 0.00)"
 
-    def test_empty_corpus_error(self):
-        thesaurus = Thesaurus({"a": Concept("a", "aa")})
-        with pytest.raises(ValueError, match="empty"):
-            corpus_stats([], thesaurus, 0, 0)
+    def test_empty_corpus_error(self, tmp_path, capsys):
+        write_thesaurus(tmp_path / "t.tsv", ("a",))
+        (tmp_path / "c.jsonl").write_text("")
+        assert main(["stats", "--corpus", str(tmp_path / "c.jsonl"),
+                     "--thesaurus", str(tmp_path / "t.tsv")]) == 1
+        assert capsys.readouterr() == ("", "stats failed: no usable documents\n")
 
-    def test_labels_used_matches_brute_force_union(self, tmp_path):
+    def test_labels_used_matches_brute_force_union(self, tmp_path, capsys):
         rng = random.Random(3)
-        ids = [f"c{i}" for i in range(12)]
-        thesaurus = Thesaurus({cid: Concept(cid, cid * 2) for cid in ids})
+        ids = [f"c{letter}" for letter in "abcdefghijkl"]
+        write_thesaurus(tmp_path / "t.tsv", ids)
         for trial in range(20):
             records = []
             for d in range(rng.randint(1, 15)):
                 labels = rng.sample(ids, rng.randint(1, 4))
-                records.append({"id": f"d{d}", "title": "t", "labels": labels})
+                records.append({"id": f"d{d}", "title": "some title", "labels": labels})
             path = tmp_path / f"s{trial}.jsonl"
             write_jsonl(path, records)
-            docs = load_corpus(path, "title", thesaurus=thesaurus).documents
-            stats = corpus_stats(docs, thesaurus, 0, 0)
+            stats = corpus_lines(stats_stdout(capsys, path, tmp_path / "t.tsv"))
             union = set()
-            for doc in docs:
-                union |= doc.gold_labels
-            assert stats.n_labels_used == len(union)
-            assert stats.n_labels_used <= stats.n_concepts_in_thesaurus
+            for record in records:
+                union |= set(record["labels"])
+            assert int(stats["labels used"]) == len(union)
+            assert int(stats["labels used"]) <= int(stats["concepts in thesaurus"])
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
+def test_mean_sd_is_mean_and_population_sd(values):
+    """Equal to the exactly summed mean and population SD to within the
+    rounding of summing the values and their squared deviations in order."""
+    mean, sd = mean_sd(values)
+    tolerance = 2 * len(values) ** 2 * sys.float_info.epsilon * max(1.0, *map(abs, values))
+    assert math.isclose(mean, statistics.fmean(values), rel_tol=0, abs_tol=tolerance)
+    assert math.isclose(sd, statistics.pstdev(values), rel_tol=0, abs_tol=tolerance)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 50))
+def test_mean_sd_of_one_repeated_integer(value, n):
+    assert mean_sd([float(value)] * n) == (value, 0.0)
 
 
 def test_corpus_jsonl_round_trip(tmp_path, tiny_corpus):
@@ -541,22 +589,50 @@ def test_corpus_jsonl_round_trip(tmp_path, tiny_corpus):
 ECON_DIR = os.environ.get("SEMANNOT_ECONOMICS_DIR")
 
 
+def reference_statistics(capsys, directory) -> dict[str, str]:
+    """The corpus lines `stats` prints on corpus.jsonl and thesaurus.tsv
+    in ``directory``."""
+    return corpus_lines(
+        stats_stdout(
+            capsys, os.path.join(directory, "corpus.jsonl"), os.path.join(directory, "thesaurus.tsv")
+        )
+    )
+
+
 @pytest.mark.skipif(
     not ECON_DIR,
     reason="licensed economics corpus not available; set SEMANNOT_ECONOMICS_DIR "
     "to a directory holding corpus.jsonl and thesaurus.tsv to enable",
 )
-def test_economics_reference_statistics():
+def test_economics_reference_statistics(capsys):
     """Published reference statistics of the licensed economics corpus."""
-    thesaurus = load_thesaurus(os.path.join(ECON_DIR, "thesaurus.tsv"), "tsv")
-    docs = load_corpus(
-        os.path.join(ECON_DIR, "corpus.jsonl"), "title", thesaurus=thesaurus
-    ).documents
-    stats = corpus_stats(docs, thesaurus, 0, 0)
-    assert stats.n_docs == 62_924
-    assert stats.n_concepts_in_thesaurus == 6_217
-    assert stats.n_labels_used == 4_682
-    assert stats.mean_labels_per_doc == pytest.approx(5.26, abs=0.005)
+    stats = reference_statistics(capsys, ECON_DIR)
+    assert int(stats["documents"]) == 62_924
+    assert int(stats["concepts in thesaurus"]) == 6_217
+    assert int(stats["labels used"]) == 4_682
+    assert float(stats["labels per doc"]) == pytest.approx(5.26, abs=0.005)
+
+
+def test_reference_statistics_on_a_generated_corpus(tmp_path, capsys):
+    """The economics test's reader on a generated corpus under the same file
+    names, its first record untitled so that a load line comes first."""
+    made = generate_corpus(n_labels=6, docs_per_label=5, seed=4)
+    dump_thesaurus_tsv(made.thesaurus, tmp_path / "thesaurus.tsv")
+    dump_corpus_jsonl(made.documents, tmp_path / "corpus.jsonl")
+    records = [json.loads(line) for line in open(tmp_path / "corpus.jsonl")]
+    del records[0]["title"]
+    write_jsonl(tmp_path / "corpus.jsonl", records)
+    kept = made.documents[1:]
+    stats = reference_statistics(capsys, tmp_path)
+    assert stats == {
+        "documents": str(len(kept)),
+        "concepts in thesaurus": str(len(made.thesaurus)),
+        "labels used": str(len(set().union(*(doc.gold_labels for doc in kept)))),
+        "labels per doc": f"{statistics.fmean(len(doc.gold_labels) for doc in kept):.2f}",
+    }
+    assert main(["stats", "--corpus", str(tmp_path / "corpus.jsonl"),
+                 "--thesaurus", str(tmp_path / "thesaurus.tsv")]) == 0
+    assert capsys.readouterr().out.startswith(f"loaded {len(kept)} of {len(records)} documents")
 
 
 # reader -> (two well-formed lines, the second not ASCII, loader, the loader's format error)
