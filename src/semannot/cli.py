@@ -201,10 +201,10 @@ def cmd_generate(args) -> None:
         made = synthetic.generate_corpus(**{**synthetic.PRESETS.get(args.preset, {}), **flags})
     except synthetic.SettingError as exc:
         raise ConfigError(f"{_GENERATOR_FLAGS[exc.name][0]} {exc.requirement}") from exc
-    # both files appear or neither does: the thesaurus is held open while the corpus is written
+    # both appear or neither: the thesaurus is filled, then held open while the corpus is written
     with replacing(args.out_thesaurus) as thesaurus_fh:
-        dump_corpus_jsonl(made.documents, args.out_corpus)
         dump_thesaurus_tsv(made.thesaurus, thesaurus_fh)
+        dump_corpus_jsonl(made.documents, args.out_corpus)
     print(
         f"wrote {len(made.documents)} documents to {args.out_corpus} and "
         f"{len(made.thesaurus)} concepts to {args.out_thesaurus}"

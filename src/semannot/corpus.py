@@ -50,13 +50,14 @@ def text_lines(path, error: type[ValueError]):
 
 
 def write_mode(path) -> str:
-    """How `replacing` writes ``path``: "stdout" for stdout's own file,
-    "in place" for one that exists and is no regular file, else "rename"."""
+    """How `replacing` writes ``path``: "stdout" for the file of descriptor 1
+    (also when ``sys.stdout`` is replaced), "in place" for one that exists
+    and is no regular file, else "rename"."""
     st = to_stdout = None
     with contextlib.suppress(OSError):  # not there yet, or refused when the partial file is made
         st = os.stat(path)
-    with contextlib.suppress(AttributeError, OSError, ValueError):  # no stdout descriptor
-        to_stdout = st is not None and os.path.samestat(st, os.fstat(sys.stdout.fileno()))
+    with contextlib.suppress(OSError):  # fd 1 is closed
+        to_stdout = st is not None and os.path.samestat(st, os.fstat(1))
     if to_stdout:
         return "stdout"
     return "in place" if st is not None and not stat.S_ISREG(st.st_mode) else "rename"
@@ -72,7 +73,7 @@ def replacing(path):
     ends normally; if the block raises, it is removed and ``path`` is left
     as it was.  It is made with ``open``'s permissions next to ``path``'s
     target, so the rename stays on one file system.  A ``path`` that is
-    stdout's file (``/dev/stdout``) is written through stdout, so the
+    descriptor 1's file (``/dev/stdout``) is written through stdout, so the
     shell's ``>``, ``>>`` or ``|`` applies; one that exists and is no
     regular file (a FIFO, /dev/null) is written in place, as is an open file."""
     if hasattr(path, "write"):

@@ -78,39 +78,28 @@ def run_fold(
     test_idx: np.ndarray,
 ) -> FoldResult:
     """Fit on the train rows only and score the test rows against their
-    gold labels; ``counts`` and ``labels`` hold every document of the corpus."""
-    pipeline, _ = fit_counts(config, counts.rows(train_idx), labels.take(train_idx))
-    predictions: list[set[str]] = []
-    zero_vec = 0
-    for start in range(0, len(test_idx), ROW_BLOCK):
-        X, block_predictions = pipeline.decide(counts.rows(test_idx[start:start + ROW_BLOCK]))
-        zero_vec += int(np.count_nonzero(np.diff(X.indptr) == 0))
-        predictions.extend(block_predictions)
-
-    prf = [sample_prf(predicted, labels.row_set(i)) for i, predicted in zip(test_idx, predictions)]
-    precisions, recalls, f1s = zip(*prf)
-    n = len(test_idx)
-    return FoldResult(
-        fold=fold_index,
-        n_test=n,
-        precision=sum(precisions) / n,
-        recall=sum(recalls) / n,
-        f1=sum(f1s) / n,
-        empty_predictions=sum(1 for predicted in predictions if not predicted),
-        zero_vector_queries=zero_vec,
-    )
-
-
-def _fold(shared: tuple, task: tuple[int, int]) -> FoldResult:
-    """One fold task ``(config index, fold index)`` over the shared
-    ``(configs, counts by field, labels)``; the fold is rebuilt from its
-    config's plan, so a task carries no index arrays."""
-    configs, counts, labels = shared
-    config_index, fold_index = task
-    config = configs[config_index]
-    train, test = make_folds(labels.n_docs, config.folds, config.seed)[fold_index]
+    gold labels; ``counts`` and ``labels`` hold every document of the corpus.
+    Any failure is raised again as ``fold N failed: ...``."""
     try:
-        return run_fold(config, counts[config.field], labels, fold_index, train, test)
+        pipeline, _ = fit_counts(config, counts.rows(train_idx), labels.take(train_idx))
+        predictions: list[set[str]] = []
+        zero_vec = 0
+        for start in range(0, len(test_idx), ROW_BLOCK):
+            X, block_predictions = pipeline.decide(counts.rows(test_idx[start:start + ROW_BLOCK]))
+            zero_vec += int(np.count_nonzero(np.diff(X.indptr) == 0))
+            predictions.extend(block_predictions)
+        prf = [sample_prf(predicted, labels.row_set(i)) for i, predicted in zip(test_idx, predictions)]
+        precisions, recalls, f1s = zip(*prf)
+        n = len(test_idx)
+        return FoldResult(
+            fold=fold_index,
+            n_test=n,
+            precision=sum(precisions) / n,
+            recall=sum(recalls) / n,
+            f1=sum(f1s) / n,
+            empty_predictions=sum(1 for predicted in predictions if not predicted),
+            zero_vector_queries=zero_vec,
+        )
     except Exception as exc:
         raise RuntimeError(f"fold {fold_index} failed: {exc}") from exc
 
@@ -126,7 +115,13 @@ def _init_worker(*shared) -> None:
 
 
 def _fold_worker(task: tuple[int, int]) -> FoldResult:
-    return _fold(_worker_shared, task)
+    """One fold task ``(config index, fold index)``; the fold's rows are
+    rebuilt from its config's plan, so a task carries no index arrays."""
+    configs, counts, labels = _worker_shared
+    config_index, fold_index = task
+    config = configs[config_index]
+    train, test = make_folds(labels.n_docs, config.folds, config.seed)[fold_index]
+    return run_fold(config, counts[config.field], labels, fold_index, train, test)
 
 
 @dataclass
@@ -150,9 +145,9 @@ def evaluate_run(config: RunConfig, counts: CorpusCounts, labels: LabelMatrix) -
     config.validate()
     if len(counts) != labels.n_docs:
         raise ValueError(f"counts hold {len(counts)} documents, the labels {labels.n_docs}")
-    make_folds(labels.n_docs, config.folds, config.seed)  # refuses a bad plan before any fold runs
-    shared = ((config,), {config.field: counts}, labels)
-    return _report(config, [_fold(shared, (0, fold)) for fold in range(config.folds)])
+    plan = make_folds(labels.n_docs, config.folds, config.seed)  # refused before any fold runs
+    results = [run_fold(config, counts, labels, fold, *split) for fold, split in enumerate(plan)]
+    return _report(config, results)
 
 
 def _report(config: RunConfig, results: list[FoldResult]) -> EvalReport:

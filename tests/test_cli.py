@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import errno
 import json
 import os
 import subprocess
@@ -229,14 +230,16 @@ def swap_first_ids(label_ids: list) -> None:
     label_ids[0], label_ids[1] = label_ids[1], label_ids[0]
 
 
-def cli_in_subprocess(argv: list[str], **run) -> subprocess.CompletedProcess:
-    """Run the CLI from this source tree in its own process."""
+def python_in_subprocess(args: list[str], **run) -> subprocess.CompletedProcess:
+    """Run Python with this source tree's package in its own process."""
     src = str(Path(semannot.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "semannot.cli", *argv],
-        env={**os.environ, "PYTHONPATH": path}, **run,
-    )
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, **run)
+
+
+def cli_in_subprocess(argv: list[str], **run) -> subprocess.CompletedProcess:
+    """Run the CLI from this source tree in its own process."""
+    return python_in_subprocess(["-m", "semannot.cli", *argv], **run)
 
 
 def annotate_in_subprocess(argv: list[str]) -> tuple[int, str]:
@@ -624,6 +627,16 @@ def tree(container: dict) -> dict:
         ),
         (KNN, lambda c: c["vectorizer"].update(vocab=5), "vocab must be a list of strings, got int"),
         (
+            KNN,
+            lambda c: c["classifier"]["labels"]["label_ids"].insert(0, 5),
+            "training label_ids must be a list of strings, holds 5",
+        ),
+        (
+            KNN,
+            lambda c: c["vectorizer"]["vocab"].insert(0, None),
+            "vocab must be a list of strings, holds None",
+        ),
+        (
             ("lr", "tf-idf"),
             lambda c: c["classifier"]["b"].update(shape=[6]),
             "array b data is malformed: cannot reshape array of size 5 into shape (6,)",
@@ -815,6 +828,8 @@ def tree(container: dict) -> dict:
         "lr-W-shape-string",
         "lr-W-dtype-unknown",
         "vocab-number",
+        "knn-label-ids-holding-number",
+        "vocab-holding-null",
         "lr-b-shape-longer-than-data",
         "l2r-label-rows-first-index-repeated",
         "l2r-label-ids-first-repeated",
@@ -1053,6 +1068,27 @@ def test_annotate_to_dev_stdout_goes_where_stdout_goes(data_files, tmp_path, red
         written = shell_out.read_bytes()
     assert (done.returncode, done.stderr) == (0, b"")
     assert written == earlier + direct.read_bytes() + b"annotations written to /dev/stdout\n"
+
+
+def test_dev_stdout_follows_fd_1_when_sys_stdout_is_replaced(tmp_path):
+    """`/dev/stdout` is classed by descriptor 1, not by `sys.stdout`: with
+    `sys.stdout` redirected to a StringIO, the text goes there and the file
+    the shell opened for fd 1 keeps what it held, not replaced by a rename."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from semannot.corpus import replacing\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as buffer:\n"
+        "    with replacing('/dev/stdout') as fh:\n"
+        "        fh.write('report\\n')\n"
+        "sys.stderr.write(buffer.getvalue())\n"
+    )
+    shell_out = tmp_path / "shell.out"
+    shell_out.write_bytes(b"earlier line\n")
+    with open(shell_out, "ab") as fh:
+        done = python_in_subprocess(["-c", script], stdout=fh, stderr=subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (0, b"report\n")
+    assert shell_out.read_bytes() == b"earlier line\n"
+    assert os.listdir(tmp_path) == ["shell.out"]
 
 
 @pytest.mark.parametrize(
@@ -1548,6 +1584,46 @@ def test_failed_run_leaves_outputs_as_they_were(
     assert sorted(p.name for p in out.iterdir()) == sorted(existing)
     for name in existing:
         assert (out / name).read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize(
+    "command, writer",
+    [
+        ("generate", "dump_thesaurus_tsv"),
+        ("generate", "dump_corpus_jsonl"),
+        ("train", "dump_vectors"),
+        ("train", "save_pipeline"),
+    ],
+)
+def test_writer_failure_leaves_both_outputs_as_they_were(
+    data_files, tmp_path, monkeypatch, capsys, command, writer
+):
+    """A run whose writer fails (here: on a full disk) exits 1 in one stderr
+    line, and both outputs keep what they held: the file held open is
+    filled before the other one is committed."""
+    corpus, thesaurus = data_files
+    names = {"generate": ("c.jsonl", "t.tsv"), "train": ("model.json", "v.jsonl")}[command]
+    for name in names:
+        (tmp_path / name).write_bytes(b"earlier output\n")
+
+    def full_disk(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, writer, full_disk)
+    first, second = (str(tmp_path / name) for name in names)
+    if command == "generate":
+        argv = ["generate", "--labels", "2", "--docs-per-label", "2",
+                "--out-corpus", first, "--out-thesaurus", second]
+    else:
+        argv = ["train", "--corpus", corpus, "--thesaurus", thesaurus,
+                "--out", first, "--dump-vectors", second]
+    capsys.readouterr()
+    assert main(argv) == 1
+    failure = {"generate": "generation", "train": "training"}[command]
+    assert capsys.readouterr().err == f"{failure} failed: [Errno 28] No space left on device\n"
+    assert sorted(os.listdir(tmp_path)) == sorted(names)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == b"earlier output\n"
 
 
 def test_train_refuses_one_path_for_model_and_dump(tmp_path, capsys):

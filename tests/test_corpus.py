@@ -490,6 +490,9 @@ def stats_stdout(capsys, corpus, thesaurus) -> str:
     return capsys.readouterr().out
 
 
+SKOS = "http://www.w3.org/2004/02/skos/core#"
+
+
 def write_thesaurus(path, concept_ids) -> None:
     """One concept per id, its preferred label the id written twice."""
     dump_thesaurus_tsv(Thesaurus({c: Concept(c, c + c) for c in concept_ids}), path)
@@ -544,6 +547,45 @@ class TestCorpusStats:
         assert main(["stats", "--corpus", str(tmp_path / "c.jsonl"),
                      "--thesaurus", str(tmp_path / "t.tsv")]) == 1
         assert capsys.readouterr() == ("", "stats failed: no usable documents\n")
+
+    @pytest.mark.parametrize(
+        "refused, text, line, message",
+        [
+            ("corpus", '{"id": "1", "title": "t", "labels": ["a"]}\n\n["2"]\n', 3,
+             "expected a JSON object"),
+            ("corpus", '\n{"id": "1", "title": "t", "labels": "a"}\n', 2,
+             "'labels' must be an array of strings"),
+            ("corpus", '{"id": "1", "title": "t", "labels": ["a", 5]}\n', 1,
+             "'labels' must be an array of strings"),
+            ("tsv", "# concepts\n\na\taa\nb\n", 4, "expected 'id<TAB>pref<TAB>alt|alt' row"),
+            ("tsv", "a\taa\n# again\na\tbb\n", 3, "duplicate concept 'a'"),
+            ("ntriples", f"# skos\n\n<a> <{SKOS}prefLabel> \"aa\" .\nnot a triple\n", 4,
+             "not a triple"),
+            ("ntriples", f"<a> <{SKOS}prefLabel> \"aa\" .\n<a> <{SKOS}altLabel> <b> .\n", 2,
+             "altLabel object must be a literal"),
+        ],
+        ids=[
+            "corpus-line-array",
+            "corpus-labels-string",
+            "corpus-labels-number",
+            "tsv-malformed-row",
+            "tsv-duplicate-concept",
+            "ntriples-not-a-triple",
+            "ntriples-label-not-literal",
+        ],
+    )
+    def test_refused_line_named_by_place(self, tmp_path, capsys, refused, text, line, message):
+        """A loader refuses a line by its file and number, counting the blank
+        and comment lines it skips; `stats` exits 1 and prints nothing else."""
+        corpus, thesaurus = tmp_path / "c.jsonl", tmp_path / "t"
+        write_jsonl(corpus, [{"id": "1", "title": "t", "labels": ["a"]}])
+        write_thesaurus(thesaurus, ("a",))
+        path = corpus if refused == "corpus" else thesaurus
+        path.write_text(text, encoding="utf-8")
+        fmt = "ntriples" if refused == "ntriples" else "tsv"
+        argv = ["stats", "--corpus", str(corpus), "--thesaurus", str(thesaurus)]
+        assert main(argv + ["--thesaurus-format", fmt]) == 1
+        assert capsys.readouterr() == ("", f"stats failed: {path}:{line}: {message}\n")
 
     def test_labels_used_matches_brute_force_union(self, tmp_path, capsys):
         rng = random.Random(3)

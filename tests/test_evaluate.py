@@ -44,6 +44,11 @@ class TestMakeFolds:
         with pytest.raises(ValueError, match="at least"):
             make_folds(5, 10)
 
+    def test_zero_folds_error(self):
+        with pytest.raises(ValueError) as refused:
+            make_folds(5, 0)
+        assert str(refused.value) == "n_folds must be >= 1"
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_equals_slicing_oracle(self, data):
@@ -245,18 +250,42 @@ def test_labels_unseen_in_training_stay_in_gold():
 
 
 def test_fold_errors_carry_fold_context(monkeypatch):
+    """run_fold names its own failure, so a serial run, a pool worker and a
+    direct call all raise the same text."""
     docs, thesaurus = oracle_corpus(n=12)
     config = RunConfig(vectorization="cf-idf", classifier="knn", folds=3, seed=0)
     # counted without a concept matcher, so fitting cf-idf fails inside the fold
     counts = count_corpus([preprocess(d.title) for d in docs])
-    with pytest.raises(RuntimeError, match="fold 0"):
+    message = r"^fold 0 failed: vectorization 'cf-idf' needs a thesaurus$"
+    with pytest.raises(RuntimeError, match=message):
         evaluate_run(config, counts, gold_matrix(docs))
+    train_idx, test_idx = make_folds(len(docs), config.folds, config.seed)[0]
+    with pytest.raises(RuntimeError, match=message):
+        run_fold(config, counts, gold_matrix(docs), 0, train_idx, test_idx)
     # the same failure in a real pool worker, which receives the unmatched counts
     monkeypatch.setattr(ev, "concept_matcher", lambda *args: None)
-    with pytest.raises(RuntimeError, match="fold 0"):
+    with pytest.raises(RuntimeError, match=message):
         next(evaluate_grid([config], docs, thesaurus, jobs=2))
     with pytest.raises(ValueError, match="counts hold 11 documents"):
         evaluate_run(config, counts.rows(slice(0, 11)), gold_matrix(docs))
+
+
+def test_serial_run_makes_one_fold_plan(monkeypatch):
+    """evaluate_run makes its config's plan once and runs every fold of it."""
+    made = generate_corpus(n_labels=4, docs_per_label=5, seed=6)
+    config = RunConfig(vectorization="tf-idf", classifier="knn", folds=10, seed=3)
+    counts = count_documents(made.documents, config.field)
+    plans = []
+
+    def spy(*args):
+        plans.append(args)
+        return make_folds(*args)
+
+    monkeypatch.setattr(ev, "make_folds", spy)
+    report = evaluate_run(config, counts, gold_matrix(made.documents))
+    assert plans == [(len(made.documents), 10, 3)]
+    assert [fr.fold for fr in report.folds] == list(range(10))
+    assert [fr.n_test for fr in report.folds] == [len(test) for _, test in make_folds(20, 10, 3)]
 
 
 @pytest.fixture

@@ -94,6 +94,15 @@ def test_invalid_label_range_rejected():
         generate_corpus(n_labels=3, labels_per_doc=(1, 5))
 
 
+@pytest.mark.parametrize("labels_per_doc", [(2, 1), (0, 2)], ids=["reversed", "low-zero"])
+def test_label_range_out_of_order_or_below_one_refused(labels_per_doc):
+    with pytest.raises(ValueError) as refused:
+        generate_corpus(n_labels=3, labels_per_doc=labels_per_doc)
+    assert str(refused.value) == (
+        f"labels_per_doc must be a range 1 <= low <= high, got {labels_per_doc}"
+    )
+
+
 @pytest.mark.parametrize(
     "settings, name",
     [
