@@ -18,7 +18,7 @@ from .corpus import (
     FIELDS, THESAURUS_FORMATS, CorpusLoadResult, dump_corpus_jsonl, dump_thesaurus_tsv,
     load_corpus, load_thesaurus, mean_sd, read_corpus, replacing, write_mode,
 )
-from .evaluate import CSV_HEADER, csv_line, evaluate_grid
+from .evaluate import CSV_HEADER, GRIDS, csv_line, evaluate_grid
 from .features import VARIANTS, ConceptMatcher, dump_vectors
 from .learners.mlp import ACTIVATIONS
 from .pipeline import CLASSIFIERS, ConfigError, RunConfig, count_documents, fit_pipeline
@@ -102,12 +102,10 @@ def cmd_evaluate(args) -> None:
     _refuse_one_file(("--out-json", args.out_json), ("--out-csv", args.out_csv))
     config = _config_from_args(args)
     docs, thesaurus, lemma_table = _load_inputs(config)
-    if args.grid == "vectorizations":
-        configs = [dataclasses.replace(config, vectorization=v) for v in VARIANTS]
-    elif args.grid == "classifiers":
-        configs = [dataclasses.replace(config, classifier=c) for c in CLASSIFIERS]
-    else:
-        configs = [config]
+    configs = [config]
+    if args.grid:
+        name, values = GRIDS[args.grid]
+        configs = [dataclasses.replace(config, **{name: value}) for value in values]
     reports = []
     for report in evaluate_grid(configs, docs, thesaurus, lemma_table, args.jobs):
         reports.append(report)
@@ -224,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--folds", type=int, default=argparse.SUPPRESS)
     p_eval.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
-    p_eval.add_argument("--grid", choices=("vectorizations", "classifiers"), default=None)
+    p_eval.add_argument("--grid", choices=tuple(GRIDS), default=None)
     p_eval.add_argument("--out-json", default="eval_report.json")
     p_eval.add_argument("--out-csv", default="eval_report.csv")
     p_eval.set_defaults(func=cmd_evaluate, failure="evaluation")

@@ -15,11 +15,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .corpus import Document, Thesaurus, mean_sd
-from .features import CorpusCounts
+from .features import VARIANTS, CorpusCounts
 from .learners import LabelMatrix
-from .pipeline import RunConfig, concept_matcher, count_documents, fit_counts
+from .pipeline import CLASSIFIERS, RunConfig, concept_matcher, count_documents, fit_counts
 from .preprocess import LemmaTable
 from .sparse import ROW_BLOCK
+
+# each --grid value: the RunConfig field it varies and that field's values, in report order
+GRIDS = {"vectorizations": ("vectorization", VARIANTS), "classifiers": ("classifier", CLASSIFIERS)}
 
 
 def make_folds(
@@ -207,18 +210,8 @@ CSV_HEADER = (
 
 
 def csv_line(report: EvalReport) -> str:
-    cfg = report.config
-    return ",".join(
-        [
-            cfg["field"],
-            cfg["vectorization"],
-            cfg["classifier"],
-            str(cfg["folds"]),
-            str(cfg["seed"]),
-            repr(report.mean_f1),
-            repr(report.mean_precision),
-            repr(report.mean_recall),
-            str(report.empty_predictions),
-            str(report.zero_vector_queries),
-        ]
-    )
+    """One CSV row: each column CSV_HEADER names, read by name from the
+    report and its config; the config's ``folds`` count replaces the
+    report's fold list, and ``input`` is the config's field."""
+    values = {**vars(report), **report.config, "input": report.config["field"]}
+    return ",".join(str(values[column]) for column in CSV_HEADER.split(","))

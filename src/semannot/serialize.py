@@ -230,10 +230,12 @@ def _tree_ok(node, depth: int = 0) -> bool:
     if depth > TREE_MAX_DEPTH or not isinstance(node, dict):
         return False
     if node.get("leaf"):  # DecisionTree.predict's own leaf test
-        return node.keys() == {"leaf", "value"} and node["value"] in (0, 1)
+        return (
+            node.keys() == {"leaf", "value"} and type(node["value"]) is int and node["value"] in (0, 1)
+        )
     return (
         node.keys() == {"leaf", "feature", "threshold", "left", "right"}
-        and isinstance(node["feature"], int) and node["feature"] in (0, 1)
+        and type(node["feature"]) is int and node["feature"] in (0, 1)
         and isinstance(node["threshold"], float) and math.isfinite(node["threshold"])
         and _tree_ok(node["left"], depth + 1) and _tree_ok(node["right"], depth + 1)
     )

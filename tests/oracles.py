@@ -84,6 +84,26 @@ def folds_by_slicing(n_docs: int, n_folds: int, seed: int) -> list[tuple[np.ndar
     return folds
 
 
+def csv_row_by_hand(report) -> str:
+    """The ten CSV columns listed one by one, floats by ``repr``.  The
+    reference for ``evaluate.csv_line``."""
+    cfg = report.config
+    return ",".join(
+        [
+            cfg["field"],
+            cfg["vectorization"],
+            cfg["classifier"],
+            str(cfg["folds"]),
+            str(cfg["seed"]),
+            repr(report.mean_f1),
+            repr(report.mean_precision),
+            repr(report.mean_recall),
+            str(report.empty_predictions),
+            str(report.zero_vector_queries),
+        ]
+    )
+
+
 def scatter_columns(X: sp.csr_matrix, lookup, n_columns: int) -> np.ndarray:
     """Dense copy of ``X`` with column j written to column ``lookup[j]``
     and the columns whose lookup is -1 left out.  The reference for

@@ -438,6 +438,11 @@ def tree(container: dict) -> dict:
         (STACKED, lambda c: tree(c).update(threshold=float("nan")), MALFORMED_TREE),
         (STACKED, lambda c: tree(c)["right"].update(value=5), MALFORMED_TREE),
         (STACKED, lambda c: tree(c).update(feature=7), MALFORMED_TREE),
+        # unchecked, a bool feature failed inside prediction and a bool leaf
+        # value annotated with exit 0
+        (STACKED, lambda c: tree(c).update(feature=False), MALFORMED_TREE),
+        (STACKED, lambda c: tree(c).update(feature=True), MALFORMED_TREE),
+        (STACKED, lambda c: tree(c)["right"].update(value=True), MALFORMED_TREE),
         (STACKED, lambda c: tree(c).pop("left"), MALFORMED_TREE),
         # unchecked, all but the last annotated with exit 0 (an infinite alpha or
         # a NaN bias left every document without a label) and a string
@@ -780,6 +785,9 @@ def tree(container: dict) -> dict:
         "stacking-threshold-nan",
         "stacking-leaf-value-5",
         "stacking-feature-7",
+        "stacking-feature-false",
+        "stacking-feature-true",
+        "stacking-leaf-value-true",
         "stacking-split-without-left",
         "l2r-alpha-infinity",
         "stacking-fallback-cutoff-string",
@@ -1723,3 +1731,36 @@ def test_failing_command_exits_1_in_one_line(data_files, tmp_path, capsys, comma
     assert capsys.readouterr().err == (
         f"{failure} failed: [Errno 2] No such file or directory: {path!r}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, failure",
+    [
+        (
+            ["train", "--out", "m.json"],
+            "training failed: cannot fit a vectorizer on an empty training set",
+        ),
+        (
+            ["evaluate", "--clf", "l2r", "--folds", "2", "--out-json", "r.json",
+             "--out-csv", "r.csv"],
+            "evaluation failed: fold 0 failed: no candidates to train on",
+        ),
+    ],
+    ids=["train-no-usable-record", "l2r-two-documents"],
+)
+def test_degenerate_corpus_fails_in_one_line(tmp_path, monkeypatch, capsys, argv, failure):
+    """A corpus that leaves nothing to learn from exits 1 with the refusal
+    that names why, and writes no output: for train, one record whose only
+    label the thesaurus lacks; for an L2R evaluation, two documents with
+    one label each, so neither fold's training document has a candidate."""
+    monkeypatch.chdir(tmp_path)
+    made = generate_corpus(n_labels=2, docs_per_label=1, seed=0)
+    dump_thesaurus_tsv(made.thesaurus, "t.tsv")
+    if argv[0] == "train":
+        Path("c.jsonl").write_text('{"id": "d1", "title": "rates", "labels": ["ZZZ"]}\n')
+    else:
+        dump_corpus_jsonl(made.documents, "c.jsonl")
+    code = main([argv[0], "--corpus", "c.jsonl", "--thesaurus", "t.tsv", *argv[1:]])
+    assert code == 1
+    assert capsys.readouterr().err == failure + "\n"
+    assert sorted(os.listdir()) == ["c.jsonl", "t.tsv"]

@@ -15,6 +15,7 @@ from semannot.corpus import (
     Concept,
     CorpusFormatError,
     CorpusLoadResult,
+    Document,
     Thesaurus,
     ThesaurusFormatError,
     dump_corpus_jsonl,
@@ -721,3 +722,20 @@ def test_undecodable_line_refused_by_place(tmp_path, reader):
     with pytest.raises(error) as refused:
         load(path)
     assert str(refused.value) == f"{path}:3: not UTF-8 text"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Document("d1", "t", None, frozenset({"a"})).text("abstract"), ValueError,
+         "unknown field 'abstract'"),
+        (lambda: Document("d1", "t", None, frozenset({"a"})).text("fulltext"), ValueError,
+         "document d1 has no fulltext"),
+        (lambda: load_thesaurus("t.xml", "xml"), ValueError, "unknown thesaurus format 'xml'"),
+    ],
+    ids=["text-of-unknown-field", "text-of-missing-fulltext", "unknown-thesaurus-format"],
+)
+def test_corpus_guards_refuse_with_their_message(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message

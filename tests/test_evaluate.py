@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 import semannot.evaluate as ev
 import semannot.pipeline as pl
-from oracles import folds_by_slicing
-from semannot.corpus import Concept, Document, Thesaurus
-from semannot.evaluate import evaluate_grid, evaluate_run, make_folds, run_fold, sample_prf
-from semannot.features import ConceptMatcher, count_corpus
+from oracles import csv_row_by_hand, folds_by_slicing
+from semannot.corpus import FIELDS, Concept, Document, Thesaurus
+from semannot.evaluate import (
+    EvalReport, csv_line, evaluate_grid, evaluate_run, make_folds, run_fold, sample_prf,
+)
+from semannot.features import VARIANTS, ConceptMatcher, count_corpus
 from semannot.learners import LabelMatrix
-from semannot.pipeline import RunConfig, concept_matcher, count_documents
+from semannot.pipeline import CLASSIFIERS, RunConfig, concept_matcher, count_documents
 from semannot.preprocess import preprocess
 from semannot.synthetic import generate_corpus
 
@@ -436,3 +438,23 @@ def test_grid_validates_every_config_before_counting(monkeypatch):
     with pytest.raises(pl.ConfigError, match="seed must be >= 0, got -1"):
         next(evaluate_grid(configs, made.documents, made.thesaurus))
     assert counted == []
+
+
+_UNIT = st.floats(0.0, 1.0, allow_subnormal=True)
+_COUNT = st.integers(min_value=0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    config=st.builds(
+        RunConfig, field=st.sampled_from(FIELDS), vectorization=st.sampled_from(VARIANTS),
+        classifier=st.sampled_from(CLASSIFIERS), folds=_COUNT, seed=_COUNT,
+    ),
+    means=st.tuples(_UNIT, _UNIT, _UNIT, _UNIT, _UNIT, _UNIT),
+    counts=st.tuples(_COUNT, _COUNT),
+)
+def test_csv_line_matches_the_hand_listed_columns(config, means, counts):
+    """csv_line, which reads CSV_HEADER's columns by name, writes the row
+    the hand-kept list of ten values wrote."""
+    report = EvalReport(config.to_dict(), [], *means, *counts)
+    assert csv_line(report) == csv_row_by_hand(report)

@@ -389,3 +389,9 @@ def test_vstack_round_trip():
     dense = matrix.toarray()
     for i in range(len(rows)):
         assert np.array_equal(dense[i], expected[i])
+
+
+def test_unfitted_vectorizer_refuses_with_its_message():
+    with pytest.raises(RuntimeError) as refused:
+        TextVectorizer("tf-idf").dimension
+    assert str(refused.value) == "vectorizer is not fitted"

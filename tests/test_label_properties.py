@@ -5,6 +5,7 @@ of rank_labels."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import sorted_ranking
@@ -80,3 +81,9 @@ def test_take_equals_from_gold_of_the_subset(gold_sets, data):
     for part in ("indptr", "indices", "data"):
         a, b = getattr(got.Y, part), getattr(expected.Y, part)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+
+def test_empty_gold_set_refused_with_its_document():
+    with pytest.raises(ValueError) as refused:
+        LabelMatrix.from_gold([{"a"}, set()])
+    assert str(refused.value) == "document 1 has an empty gold label set"

@@ -152,3 +152,26 @@ def test_multinomial_empty_vocabulary_decides_from_priors():
     clf = pipeline.classifier
     assert np.array_equal(clf._const, np.log(np.array([9, 6]) + ALPHA) - np.log(np.array([3, 6]) + ALPHA))
     assert predicted == {"a"}
+
+
+# inputs of the guard rows below: a row of the fitted width and one wider,
+# a fit with no documents and one with two
+ROW, WIDER_ROW = sp.csr_matrix((1, 3)), sp.csr_matrix((1, 4))
+NO_DOCUMENTS = (sp.csr_matrix((0, 3)), LabelMatrix.from_gold([]))
+TWO_DOCUMENTS = (sp.csr_matrix(np.ones((2, 3))), LabelMatrix.from_gold([{"a"}, {"b"}]))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: NaiveBayesClassifier().fit(*NO_DOCUMENTS), ValueError, "empty training set"),
+        (lambda: NaiveBayesClassifier().scores(ROW), RuntimeError, "classifier is not fitted"),
+        (lambda: NaiveBayesClassifier().fit(*TWO_DOCUMENTS).scores(WIDER_ROW),
+         ValueError, "feature dimension mismatch"),
+    ],
+    ids=["empty-fit", "unfitted", "feature-dimension-mismatch"],
+)
+def test_bayes_guards_refuse_with_their_message(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message

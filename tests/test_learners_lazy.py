@@ -141,3 +141,25 @@ class TestRocchio:
         clf = RocchioClassifier().fit(stack(X), labels_of([{"a"}, {"b"}]))
         q = sv({0: 0.3, 1: 0.9}, 2)
         assert clf.rank(q).tolist() == clf.rank(q * 11.0).tolist()
+
+
+# inputs of the guard rows below: one row, two rows, a fit with no documents
+ROW, TWO_ROWS = sp.csr_matrix((1, 3)), sp.csr_matrix((2, 3))
+NO_DOCUMENTS = (sp.csr_matrix((0, 3)), LabelMatrix.from_gold([]))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: KnnClassifier().fit(TWO_ROWS, NO_DOCUMENTS[1]), ValueError,
+         "X and labels must align"),
+        (lambda: KnnClassifier().neighbors(ROW), RuntimeError, "classifier is not fitted"),
+        (lambda: RocchioClassifier().fit(*NO_DOCUMENTS), ValueError, "empty training set"),
+        (lambda: RocchioClassifier().scores(ROW), RuntimeError, "classifier is not fitted"),
+    ],
+    ids=["knn-misaligned-labels", "knn-unfitted", "rocchio-empty-fit", "rocchio-unfitted"],
+)
+def test_lazy_guards_refuse_with_their_message(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message

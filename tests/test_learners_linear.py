@@ -199,3 +199,36 @@ def test_alpha_of_at_least_one_is_refused_with_its_value(alpha):
     with pytest.raises(ValueError) as refused:
         averaged_sgd_train(X, indicator([[0]], 1), alpha=alpha, epochs=1)
     assert str(refused.value) == f"alpha must be < 1, got {alpha}: the weights shrank to zero"
+
+
+# inputs of the guard rows below: a row of the fitted width and one wider,
+# a fit with no documents and one with two
+ROW, WIDER_ROW = sp.csr_matrix((1, 3)), sp.csr_matrix((1, 4))
+NO_DOCUMENTS = (sp.csr_matrix((0, 3)), LabelMatrix.from_gold([]))
+TWO_DOCUMENTS = (sp.csr_matrix(np.ones((2, 3))), LabelMatrix.from_gold([{"a"}, {"b"}]))
+TWO_ROWS = (sp.csr_matrix(np.ones((2, 3))), sp.csr_matrix(np.ones((2, 1))))  # X, Y
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: averaged_sgd_train(*TWO_ROWS, loss="squared"),
+         ValueError, "unknown loss 'squared'"),
+        (lambda: averaged_sgd_train(*TWO_ROWS, epochs=0), ValueError, "epochs must be >= 1"),
+        (lambda: averaged_sgd_train(TWO_ROWS[0], TWO_ROWS[1][:1]),
+         ValueError, "label rows must align with X"),
+        (lambda: LinearClassifier(loss="squared"), ValueError, "unknown loss 'squared'"),
+        (lambda: LinearClassifier().fit(*NO_DOCUMENTS), ValueError, "empty training set"),
+        (lambda: LinearClassifier().margins(ROW), RuntimeError, "classifier is not fitted"),
+        (lambda: LinearClassifier(epochs=1).fit(*TWO_DOCUMENTS).margins(WIDER_ROW),
+         ValueError, "feature dimension mismatch"),
+    ],
+    ids=[
+        "train-unknown-loss", "train-zero-epochs", "train-misaligned-labels",
+        "classifier-unknown-loss", "empty-fit", "unfitted", "feature-dimension-mismatch",
+    ],
+)
+def test_linear_guards_refuse_with_their_message(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message

@@ -204,3 +204,26 @@ def test_training_peak_memory_stays_under_three_first_layers():
     finally:
         tracemalloc.stop()
     assert peak < 3 * w1_bytes, f"training peaked at {peak / w1_bytes:.2f} x W1"
+
+
+# inputs of the guard rows below: a row of the fitted width and one wider,
+# a fit with no documents and one with two
+ROW, WIDER_ROW = sp.csr_matrix((1, 3)), sp.csr_matrix((1, 4))
+NO_DOCUMENTS = (sp.csr_matrix((0, 3)), LabelMatrix.from_gold([]))
+TWO_DOCUMENTS = (sp.csr_matrix(np.ones((2, 3))), LabelMatrix.from_gold([{"a"}, {"b"}]))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: MlpClassifier().fit(*NO_DOCUMENTS), ValueError, "empty training set"),
+        (lambda: MlpClassifier().scores(ROW), RuntimeError, "classifier is not fitted"),
+        (lambda: MlpClassifier(hidden=2, epochs=1).fit(*TWO_DOCUMENTS).scores(WIDER_ROW),
+         ValueError, "feature dimension mismatch"),
+    ],
+    ids=["empty-fit", "unfitted", "feature-dimension-mismatch"],
+)
+def test_mlp_guards_refuse_with_their_message(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message

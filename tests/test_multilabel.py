@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse as sp
 
 from oracles import per_ranking_stacking, ranked_ids, sorted_ranking
 from semannot import multilabel
@@ -345,3 +346,20 @@ def test_block_stacking_rule_equals_per_ranking_oracle(drawn):
     assert binary_relevance_decide(label_ids, decided) == expected
     # the one-ranking form of the rule agrees too
     assert [stacking_decide(model, sorted_ranking(label_ids, row)) for row in scores] == expected
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: DecisionTree().predict(np.zeros((1, 2))), RuntimeError, "tree is not fitted"),
+        (lambda: multilabel.stacking_train(["a"], np.zeros(1), np.zeros((2, 2)), np.ones(1), 1),
+         ValueError, "columns, meta-features and gold bits must align"),
+        (lambda: StackedClassifier(RocchioClassifier()).predict(sp.csr_matrix((1, 3))),
+         RuntimeError, "classifier is not fitted"),
+    ],
+    ids=["tree-unfitted", "stacking-train-misaligned", "stacked-unfitted"],
+)
+def test_multilabel_guards_refuse_with_their_message(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message
